@@ -39,6 +39,7 @@ from .fieldcalc import (
     MetricParams,
     circle_holonomy,
     curvature_at,
+    energy_and_tr_f_wedge_f,
     integrate_energy,
     magnetic_charge,
     sd_error_l2,

@@ -37,6 +37,7 @@ from .errors import (
     SingularPointError,
     UnsupportedRepresentationError,
 )
+from .quadrature import _smoothstep
 from .rootsys import RootDatum, alcove_margin, as_float, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler, dagger
 from .su2 import (
@@ -45,7 +46,6 @@ from .su2 import (
     dirac_potential,
     rotated_remainder,
     RotatedBPSCaloron,
-    _smoothstep,
 )
 
 
@@ -57,6 +57,41 @@ class Constituent:
     mu: int
     position: Tuple[float, float, float]
     phase: float = 0.0
+
+
+def _finite(value, what) -> float:
+    """value as a finite float, else InputError."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _integer(value, what) -> int:
+    """value as an int when it is integral (2 or 2.0), else InputError."""
+    out = _finite(value, what)
+    if isinstance(value, bool) or not out.is_integer():
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(out)
+
+
+def _checked_constituent(c) -> Constituent:
+    if not isinstance(c, Constituent):
+        c = Constituent(**c)
+    try:
+        position = tuple(_finite(v, "constituent position") for v in c.position)
+    except TypeError as exc:
+        raise InputError(f"constituent position must be a list of 3 numbers, got {c.position!r}") from exc
+    if len(position) != 3:
+        raise InputError(f"constituent position must have 3 components, got {len(position)}")
+    return Constituent(
+        mu=_integer(c.mu, "constituent type mu"),
+        position=position,
+        phase=_finite(c.phase, "constituent phase"),
+    )
 
 
 @dataclass
@@ -72,10 +107,11 @@ class CaloronSpec:
 
     def __post_init__(self):
         self.series = self.series.upper()
-        self.omega = tuple(float(c) for c in self.omega)
-        self.constituents = tuple(
-            c if isinstance(c, Constituent) else Constituent(**c) for c in self.constituents
-        )
+        self.rank = _integer(self.rank, "rank")
+        self.epsilon = _finite(self.epsilon, "epsilon")
+        self.gluing_c = _finite(self.gluing_c, "gluing constant c")
+        self.omega = tuple(_finite(c, "omega coordinate") for c in self.omega)
+        self.constituents = tuple(_checked_constituent(c) for c in self.constituents)
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
         if self.gluing_c <= 0:
@@ -177,22 +213,18 @@ class CaloronSpec:
         try:
             group = payload["group"]
             constituents = tuple(
-                Constituent(
-                    mu=int(c["mu"]),
-                    position=tuple(float(v) for v in c["position"]),
-                    phase=float(c.get("phase", 0.0)),
-                )
+                Constituent(mu=c["mu"], position=c["position"], phase=c.get("phase", 0.0))
                 for c in payload["constituents"]
             )
             return cls(
-                epsilon=float(payload["epsilon"]),
+                epsilon=payload["epsilon"],
                 series=str(group["series"]),
-                rank=int(group["rank"]),
-                omega=tuple(float(v) for v in payload["omega"]),
+                rank=group["rank"],
+                omega=tuple(payload["omega"]),
                 constituents=constituents,
-                gluing_c=float(payload.get("gluing", {}).get("c", 1.0)),
+                gluing_c=payload.get("gluing", {}).get("c", 1.0),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed caloron spec: missing/bad field {exc}") from exc
 
     @classmethod
@@ -424,16 +456,9 @@ def singular_caloron(spec: CaloronSpec) -> SingularCaloron:
 # ---------------------------------------------------------------------------
 # the glued approximate caloron
 
-_REGION_FAR = -1
 _REGION_CORE = 0
 _REGION_ANN_N = 1
 _REGION_ANN_S = 2
-
-
-def _encode_chart(kind, k=0, mask=0):
-    if kind == _REGION_FAR:
-        return -(int(mask) + 1)
-    return int(k) * 4 + kind + 1
 
 
 class ApproximateCaloron(ConnectionSampler):

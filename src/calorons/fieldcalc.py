@@ -204,34 +204,31 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -
     return CurvatureSample(E=E, B=B, epsilon=eps)
 
 
-def _pointwise_density(sampler, pts, t, grid, region, kind):
-    """Energy / sd-error / topological density at region points."""
+def _region_curvature(sampler, pts, t, grid, region):
+    """Curvature at region points: closed form on the far field when the
+    sampler has one, else the finite-difference stencil."""
     if region.far_field:
         exact = sampler.exact_curvature(pts, t)
         if exact is not None:
             E, B = exact
-            curv = CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
-        else:
-            curv = curvature_at(sampler, pts, t, step=grid.fd_step)
-    else:
-        curv = curvature_at(sampler, pts, t, step=grid.fd_step)
-    if kind == "energy":
-        return curv.norm_sq()
-    if kind == "topological":
-        return 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
-    raise ValueError(kind)
+            return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
+    return curvature_at(sampler, pts, t, step=grid.fd_step)
 
 
-def _integrate(sampler, metric, grid: VolumeGrid, kind):
+def _integrate(sampler, metric, grid: VolumeGrid):
+    """Energy and topological density integrals over the grid, from one
+    curvature evaluation per grid point and t-slice."""
     nt = 1 if sampler.t_independent else grid.nt
     ts = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
     t_weight = metric.epsilon * 2.0 * np.pi / nt
-    total = []
+    energy, topological = [], []
     for region in grid.regions:
         for tval in ts:
-            dens = _pointwise_density(sampler, region.points, tval, grid, region, kind)
-            total.append(block_sum(dens, region.weights) * t_weight)
-    return math.fsum(total)
+            curv = _region_curvature(sampler, region.points, tval, grid, region)
+            energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
+            topo = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
+            topological.append(block_sum(topo, region.weights) * t_weight)
+    return math.fsum(energy), math.fsum(topological)
 
 
 @dataclass
@@ -247,31 +244,32 @@ class EnergyEstimate:
         return self.value
 
 
+def energy_and_tr_f_wedge_f(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None):
+    """(integrate_energy, tr_f_wedge_f) of one sampler over one grid, with a
+    single curvature pass per grid point."""
+    energy, topological = _integrate(sampler, metric, grid)
+    raw = energy / (8.0 * np.pi**2)
+    if not np.isfinite(raw):
+        raise ArithmeticError("non-finite energy integrand")
+    if charge_matrix is None:
+        charge_matrix = getattr(sampler, "charge_matrix", None)
+    tail = 0.0
+    if charge_matrix is not None:
+        tail = metric.epsilon * float(lie_norm_sq(np.asarray(charge_matrix))) / (2.0 * grid.r_max)
+    return EnergyEstimate(raw=raw, tail=tail), topological / (8.0 * np.pi**2) + tail
+
+
 def integrate_energy(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None) -> EnergyEstimate:
     """(1/8 pi^2) ||F||^2_{L^2} over the ball of radius grid.r_max, plus the
     analytic abelian tail eps |gamma|^2 / (2 r_max) beyond it."""
-    raw = _integrate(sampler, metric, grid, "energy") / (8.0 * np.pi**2)
-    tail = 0.0
-    if charge_matrix is None:
-        charge_matrix = getattr(sampler, "charge_matrix", None)
-    if charge_matrix is not None:
-        tail = metric.epsilon * float(lie_norm_sq(np.asarray(charge_matrix))) / (2.0 * grid.r_max)
-    bad = not np.isfinite(raw)
-    if bad:
-        raise ArithmeticError("non-finite energy integrand")
-    return EnergyEstimate(raw=raw, tail=tail)
+    return energy_and_tr_f_wedge_f(sampler, metric, grid, charge_matrix)[0]
 
 
 def tr_f_wedge_f(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None) -> float:
     """-(1/8 pi^2) Integral Trace(F ^ F), oriented so the circle-invariant
-    BPS caloron returns +2 omega'.  Equals +-energy for E = +-B."""
-    raw = _integrate(sampler, metric, grid, "topological") / (8.0 * np.pi**2)
-    if charge_matrix is None:
-        charge_matrix = getattr(sampler, "charge_matrix", None)
-    tail = 0.0
-    if charge_matrix is not None:
-        tail = metric.epsilon * float(lie_norm_sq(np.asarray(charge_matrix))) / (2.0 * grid.r_max)
-    return raw + tail
+    BPS caloron returns +2 omega', plus the same abelian tail as
+    integrate_energy.  Equals +-energy for E = +-B."""
+    return energy_and_tr_f_wedge_f(sampler, metric, grid, charge_matrix)[1]
 
 
 @dataclass

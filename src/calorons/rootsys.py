@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HolonomyParameterError, InvalidGroupError, UnsupportedRepresentationError
+from .errors import InvalidGroupError, UnsupportedRepresentationError
 
 Vector = Tuple[Fraction, ...]
 
@@ -166,41 +166,43 @@ class EmbeddingData:
 
     `root` is the positive root used (alpha_mu for mu >= 1, the highest root
     for mu = 0); `coroot` is its coroot, which is the image of i*tau_3.  For
-    type A the three defining-representation images of i*tau_1..3 are
-    available as `matrices`.
+    type A the image is the (a, b) block with root = e_a - e_b: `block` holds
+    (a, b) and `matrices` the defining-representation images of i*tau_1..3.
     """
 
-    def __init__(self, mu, root, coroot, p_dim, matrices=None):
+    def __init__(self, mu, root, coroot, p_dim, matrices=None, block=None):
         self.mu = mu
         self.root = root
         self.coroot = coroot
         self.p_dim = p_dim
         self.matrices = matrices
+        self.block = block
 
     def embed(self, x):
-        """Map a 2x2 anti-Hermitian traceless matrix (batched ok) into su(n)."""
-        if self.matrices is None:
+        """Map a 2x2 anti-Hermitian traceless matrix (batched ok) into su(n).
+
+        Any 2x2 input is first projected orthogonally onto su(2): the
+        off-diagonal entry becomes (x01 - conj(x10))/2 and the diagonal
+        +-i(Im x00 - Im x11)/2, then scattered into the (a, b) block.
+        """
+        if self.block is None:
             raise UnsupportedRepresentationError(
                 "matrix embedding only available for type A"
             )
         x = np.asarray(x, dtype=complex)
-        taus = _pauli()
-        # coefficients over the i*tau basis: c_a = -Tr(x . i tau_a)/2
-        coeff = np.stack(
-            [-0.5 * np.trace(x @ (1j * taus[a]), axis1=-2, axis2=-1).real for a in range(3)],
-            axis=-1,
-        )
-        return np.einsum("...a,aij->...ij", coeff, self.matrices)
+        a, b = self.block
+        n = len(self.root)
+        off = 0.5 * (x[..., 0, 1] - np.conjugate(x[..., 1, 0]))
+        diag = 0.5j * (x[..., 0, 0].imag - x[..., 1, 1].imag)
+        out = np.zeros(x.shape[:-2] + (n, n), dtype=complex)
+        out[..., a, b] = off
+        out[..., b, a] = -np.conjugate(off)
+        out[..., a, a] = diag
+        out[..., b, b] = -diag
+        return out
 
 
-def _pauli():
-    t1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    t2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    t3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return np.stack([t1, t2, t3])
-
-
-PAULI = _pauli()
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -257,26 +259,6 @@ class RootDatum:
         for a in self.positive_roots:
             acc = vadd(acc, a)
         return vscale(Fraction(1, 2), acc)
-
-    def root_coefficients(self, beta: Vector) -> List[Fraction]:
-        """Coefficients of beta over the simple roots (exact; raises if beta
-        is outside their span)."""
-        return self._span_coefficients(self.simple_roots, beta)
-
-    def coroot_coefficients(self, xi: Sequence) -> List[Fraction]:
-        """Coefficients of a Cartan vector over the simple coroots."""
-        return self._span_coefficients(self.simple_coroots, tuple(_frac(c) for c in xi))
-
-    def _span_coefficients(self, basis, target):
-        gram = [[dot(a, b) for b in basis] for a in basis]
-        rhs = [dot(a, target) for a in basis]
-        coeffs = rational_solve(gram, rhs)
-        recon = vzero(self.ambient_dim)
-        for c, b in zip(coeffs, basis):
-            recon = vadd(recon, vscale(c, b))
-        if recon != tuple(target):
-            raise ValueError("vector outside the span of the basis")
-        return coeffs
 
     # -- alcove geometry -----------------------------------------------------
 
@@ -523,7 +505,7 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     coroot = datum.coroots[root]
     p_dim = datum.dim_g - datum.rank - 2
 
-    matrices = None
+    matrices = block = None
     if datum.series == "A":
         n = datum.ambient_dim
         a = next(i for i, c in enumerate(root) if c == 1)
@@ -538,27 +520,8 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
         m3[a, a] = 1j
         m3[b, b] = -1j
         matrices = np.stack([m1, m2, m3])
-    return EmbeddingData(mu, root, coroot, p_dim, matrices)
-
-
-def sun_cartan_matrix(xi: Sequence) -> np.ndarray:
-    """Cartan vector (ambient coords, type A) as the diagonal su(n) matrix
-    i*diag(xi)."""
-    arr = np.asarray([float(c) for c in xi], dtype=float)
-    return 1j * np.diag(arr).astype(complex)
-
-
-def omega_from_su2_parameter(datum: RootDatum, omega_prime: float) -> Vector:
-    """SU(2) convenience: the Cartan vector omega = omega' * alpha_1^vee for
-    a scalar holonomy parameter omega' in (0, 1/2)."""
-    if datum.series != "A" or datum.rank != 1:
-        raise InvalidGroupError("scalar holonomy parameter only defined for A1")
-    if not 0 < omega_prime < 0.5:
-        raise HolonomyParameterError(f"omega'={omega_prime} outside (0, 1/2)")
-    op = _frac(omega_prime) if not isinstance(omega_prime, float) else omega_prime
-    if isinstance(op, Fraction):
-        return vscale(op, datum.simple_coroots[0])
-    return tuple(op * float(c) for c in datum.simple_coroots[0])
+        block = (a, b)
+    return EmbeddingData(mu, root, coroot, p_dim, matrices, block)
 
 
 def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 12) -> Vector:

@@ -61,7 +61,8 @@ class ConstantAbelianSampler(ConnectionSampler):
 
 
 class PulledBackSampler(ConnectionSampler):
-    """Gauge transform of a sampler: A -> g^-1 A g + g^-1 dg."""
+    """Gauge transform of an SU(2) sampler by an SU(2) gauge map:
+    A -> g^-1 A g + g^-1 dg."""
 
     def __init__(self, base, gauge_map):
         self.base = base
@@ -76,14 +77,34 @@ class PulledBackSampler(ConnectionSampler):
     def evaluate(self, x, t, chart=None):
         A, Phi = self.base(x, t, chart)
         g = self.gauge(x, t)
-        ginv = np.conjugate(np.swapaxes(g, -1, -2))
-        dg = self.gauge.spatial_derivative(x, t)
-        dgdt = self.gauge.time_derivative(x, t)
-        A_new = np.einsum("...ij,...ajk,...kl->...ail", ginv, A, g) + np.einsum(
-            "...ij,...ajk->...aik", ginv, dg
-        )
-        Phi_new = ginv @ Phi @ g + (ginv @ dgdt) / self.epsilon
-        return A_new, Phi_new
+        A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
+        return A_new, Phi_new + _mul2(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
+
+
+def _mul2(a, b):
+    """Batched 2x2 matrix product a @ b, written out entry by entry."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def gauge_transform(g, A, Phi, dg=None):
+    """(g^-1 A_a g + g^-1 d_a g, g^-1 Phi g) for SU(2)-valued g, so g^-1 = g^dagger.
+
+    g (..., 2, 2), A and dg (..., 3, 2, 2), Phi (..., 2, 2); dg=None drops the
+    inhomogeneous term (a constant or purely t-dependent conjugation).
+    """
+    ginv = dagger(g)
+    ginv_a = ginv[..., None, :, :]
+    A_new = _mul2(ginv_a, _mul2(A, g[..., None, :, :]))
+    if dg is not None:
+        A_new += _mul2(ginv_a, dg)
+    return A_new, _mul2(ginv, _mul2(Phi, g))
 
 
 def dagger(m):

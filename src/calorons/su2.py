@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
+from .quadrature import _smoothstep
 from .rootsys import PAULI
-from .samplers import ConnectionSampler, dagger
+from .samplers import ConnectionSampler, dagger, gauge_transform
 
 _SERIES_CUT = 1e-4
 _TINY = 1e-300
@@ -79,7 +80,9 @@ def bps_fields(x, v):
     phi = bps_higgs_profile(v, r)
     k = bps_gauge_profile(v, r)
     Phi = phi[..., None, None] * np.einsum("...j,jab->...ab", xh, ITAU)
-    A = -k[..., None, None, None] * np.einsum("ija,...j,abc->...ibc", _EPS_IJK, xh, ITAU)
+    # (eps . xhat)_ia = eps_ija xhat_j, then contracted with i tau_a
+    eps_x = np.tensordot(xh, _EPS_IJK, axes=([-1], [1]))
+    A = -k[..., None, None, None] * (eps_x @ ITAU.reshape(3, 4)).reshape(xh.shape[:-1] + (3, 2, 2))
     return A, Phi
 
 
@@ -323,11 +326,6 @@ def dirac_monopole(center, charge) -> AbelianPair:
 # ---------------------------------------------------------------------------
 # rotation map
 
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u**3 * (6.0 * u**2 - 15.0 * u + 10.0)
-
-
 class GaugeMap:
     """The family g(x,t) = exp(-t Phihat(x)/2) of large gauge transformations.
 
@@ -443,13 +441,8 @@ class RotatedBPSCaloron(ConnectionSampler):
         rel = x - self.center
         A, Phi = bps_fields(rel, self.v)
         g = self.gauge(rel, t)
-        ginv = dagger(g)
-        dg = self.gauge.spatial_derivative(rel, t)
-        A_new = np.einsum("...ij,...ajk,...kl->...ail", ginv, A, g) + np.einsum(
-            "...ij,...ajk->...aik", ginv, dg
-        )
-        Phi_new = ginv @ Phi @ g - self.gauge.phi_hat(rel) / (2.0 * self.epsilon)
-        return A_new, Phi_new
+        A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(rel, t))
+        return A_new, Phi_new - self.gauge.phi_hat(rel) / (2.0 * self.epsilon)
 
 
 def rotated_bps(omega_prime, epsilon, center=(0.0, 0.0, 0.0)) -> RotatedBPSCaloron:
@@ -465,14 +458,10 @@ def bps_remainder(x, v, patch="N"):
     exp(-2 v r)."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
-    f = hedgehog_framing(x, patch)
-    finv = dagger(f)
-    df = hedgehog_framing_derivative(x, patch)
     A, Phi = bps_fields(x, v)
-    A_framed = np.einsum("...ij,...ajk,...kl->...ail", finv, A, f) + np.einsum(
-        "...ij,...ajk->...aik", finv, df
+    A_framed, Phi_framed = gauge_transform(
+        hedgehog_framing(x, patch), A, Phi, hedgehog_framing_derivative(x, patch)
     )
-    Phi_framed = finv @ Phi @ f
     a_model = dirac_potential(x, patch)[..., :, None, None] * ITAU[2]
     phi_model = (v - 1.0 / (2.0 * r))[..., None, None] * ITAU[2]
     return A_framed - a_model, Phi_framed - phi_model
@@ -494,8 +483,4 @@ def rotated_remainder(x, t, v, patch="N"):
     -1.  Equals the t-dependent conjugation g_inf(t)^-1 a+_BPS(x) g_inf(t)."""
     aA, aPhi = bps_remainder(x, v, patch)
     t = np.broadcast_to(np.asarray(t, float), np.asarray(x, float).shape[:-1])
-    g = _g_infinity(t)
-    ginv = dagger(g)
-    A = np.einsum("...ij,...ajk,...kl->...ail", ginv, aA, g)
-    Phi = ginv @ aPhi @ g
-    return A, Phi
+    return gauge_transform(_g_infinity(t), aA, aPhi)

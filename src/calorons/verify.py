@@ -26,12 +26,11 @@ from .fieldcalc import (
     FieldReport,
     MetricParams,
     curvature_at,
-    integrate_energy,
+    energy_and_tr_f_wedge_f,
     lie_norm_sq,
     magnetic_charge,
     sd_error_l2,
     sphere_averaged_holonomy,
-    tr_f_wedge_f,
 )
 from .quadrature import desk_grid
 from .rootsys import alcove_margin, as_float
@@ -255,13 +254,12 @@ def run_verification(
         nt=16,
         fine=(grid == "fine"),
     )
-    energy = integrate_energy(samp, met, vol)
+    energy, topo = energy_and_tr_f_wedge_f(samp, met, vol)
     formula = energy_formula_float(spec)
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)
     checks.append(
         Check("energy-vs-formula", rel_err < 0.02, energy.value, 0.02, f"formula {formula:.6g}")
     )
-    topo = tr_f_wedge_f(samp, met, vol)
 
     report = FieldReport(
         ym_energy=energy.value,

@@ -110,6 +110,57 @@ def test_spec_rejects_duplicate_positions():
         _su2_spec(constituents=[Constituent(1, (0, 0, 0)), Constituent(1, (0, 0, 0))])
 
 
+_SU2_PAYLOAD = {
+    "epsilon": 0.05,
+    "group": {"series": "A", "rank": 1},
+    "omega": [0.25, -0.25],
+    "constituents": [{"mu": 1, "position": [0.0, 0.0, 0.0], "phase": 0.0}],
+    "gluing": {"c": 0.3},
+}
+
+
+def _tampered(path, value):
+    payload = json.loads(json.dumps(_SU2_PAYLOAD))
+    *keys, last = path
+    node = payload
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(("epsilon",), math.nan, id="epsilon-nan"),
+        pytest.param(("epsilon",), math.inf, id="epsilon-inf"),
+        pytest.param(("gluing", "c"), math.nan, id="c-nan"),
+        pytest.param(("gluing", "c"), math.inf, id="c-inf"),
+        pytest.param(("omega", 0), math.nan, id="omega-nan"),
+        pytest.param(("group", "rank"), 1.5, id="rank-fractional"),
+        pytest.param(("constituents", 0, "mu"), 1.7, id="mu-fractional"),
+        pytest.param(("constituents", 0, "mu"), True, id="mu-bool"),
+        pytest.param(("constituents", 0, "position"), [0.0, math.nan, 0.0], id="position-nan"),
+        pytest.param(("constituents", 0, "position"), [0.0, 1.0], id="position-2d"),
+        pytest.param(("constituents", 0, "position"), [0.0, 1.0, 2.0, 3.0], id="position-4d"),
+        pytest.param(("constituents", 0, "position"), ["a", 0.0, 0.0], id="position-text"),
+        pytest.param(("constituents", 0, "position"), 1.0, id="position-scalar"),
+        pytest.param(("constituents", 0, "phase"), math.inf, id="phase-inf"),
+    ],
+)
+def test_spec_rejects_non_finite_misshapen_and_non_integral_fields(path, value):
+    with pytest.raises(InputError):
+        CaloronSpec.from_dict(_tampered(path, value))
+
+
+def test_spec_accepts_integral_float_mu_and_rank():
+    spec = CaloronSpec.from_dict(
+        _tampered(("constituents", 0, "mu"), 1.0) | {"group": {"series": "A", "rank": 1.0}}
+    )
+    assert spec.constituents[0].mu == 1 and isinstance(spec.constituents[0].mu, int)
+    assert spec.rank == 1 and isinstance(spec.rank, int)
+
+
 def test_spec_json_roundtrip(data_dir):
     text = (data_dir / "su3_triple.json").read_text()
     spec = CaloronSpec.from_json(text)

@@ -64,6 +64,13 @@ def test_verify_malformed_json(tmp_path):
     assert main(["verify", "--spec", str(bad)]) == 2
 
 
+def test_verify_non_finite_epsilon_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(SU2_SPEC, epsilon=float("nan"))))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_verify_omega_outside_alcove_named(tmp_path, capsys):
     tampered = dict(SU2_SPEC, omega=[0.7, -0.7])
     path = tmp_path / "tampered.json"

@@ -5,13 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from calorons.assembler import CaloronSpec, Constituent, approximate_caloron, singular_caloron
+from calorons.assembler import (
+    CaloronSpec,
+    Constituent,
+    approximate_caloron,
+    fundamental_caloron,
+    singular_caloron,
+)
 from calorons.errors import FluxAmbiguityError
 from calorons.fieldcalc import (
     CurvatureSample,
     MetricParams,
     circle_holonomy,
     curvature_at,
+    energy_and_tr_f_wedge_f,
     integrate_energy,
     lie_inner,
     lie_norm_sq,
@@ -311,6 +318,34 @@ def test_energy_bps_and_rotated_quarter():
     assert abs(e_bps.value - 0.5) < 0.005
     q = tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
     assert abs(q - 0.5) < 0.005
+
+
+def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
+    """The fused pass returns exactly what the two wrappers return and what
+    a separate pass per density (the fsum of per-slice block sums) gives."""
+    d = build_root_datum("A", 1)
+    eps = 0.2
+    samp = fundamental_caloron(d, 0, (0.15, -0.15), eps)
+    assert not samp.t_independent
+    met = MetricParams(eps)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5, fd_step=eps / 50, nt=2)
+    energy, topo = energy_and_tr_f_wedge_f(samp, met, grid)
+    assert energy == integrate_energy(samp, met, grid)
+    assert topo == tr_f_wedge_f(samp, met, grid)
+
+    ts = 2.0 * np.pi * (np.arange(grid.nt) + 0.5) / grid.nt
+    t_w = eps * 2.0 * np.pi / grid.nt
+    dens = {"energy": [], "topo": []}
+    for region in grid.regions:
+        for t in ts:
+            curv = curvature_at(samp, region.points, t, step=grid.fd_step)
+            dens["energy"].append(block_sum(curv.norm_sq(), region.weights) * t_w)
+            top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
+            dens["topo"].append(block_sum(top, region.weights) * t_w)
+    tail = eps * float(lie_norm_sq(samp.charge_matrix)) / (2.0 * grid.r_max)
+    assert energy.raw == math.fsum(dens["energy"]) / (8.0 * np.pi**2)
+    assert energy.tail == tail
+    assert topo == math.fsum(dens["topo"]) / (8.0 * np.pi**2) + tail
 
 
 def test_tr_f_wedge_f_abelian_tail_consistency():

@@ -10,6 +10,7 @@ import pytest
 
 from calorons.errors import InvalidGroupError, UnsupportedRepresentationError
 from calorons.rootsys import (
+    PAULI,
     alcove_check,
     alcove_margin,
     build_root_datum,
@@ -279,6 +280,22 @@ def test_embed_linearity():
     x = sum(ci * 1j * t for ci, t in zip(c, taus))
     expected = sum(ci * m for ci, m in zip(c, emb.matrices))
     assert np.allclose(emb.embed(x), expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_embed_matches_pauli_coefficient_reference(rank):
+    """The (a, b) block scatter equals the Pauli-coefficient route
+    c_a = -Re Tr(x i tau_a)/2, sum_a c_a matrices[a] bit for bit, on arbitrary
+    complex 2x2 input and for every node of A_rank."""
+    d = build_root_datum("A", rank)
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(64, 3, 2, 2)) + 1j * rng.normal(size=(64, 3, 2, 2))
+    coeff = np.stack(
+        [-0.5 * np.trace(x @ (1j * t), axis1=-2, axis2=-1).real for t in PAULI], axis=-1
+    )
+    for mu in range(rank + 1):
+        emb = su2_embedding(d, mu)
+        assert np.array_equal(emb.embed(x), np.einsum("...a,aij->...ij", coeff, emb.matrices))
 
 
 # -- CartanVector pairing exactness -------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from calorons.fieldcalc import MetricParams, circle_holonomy, curvature_at, lie_norm_sq
 from calorons.quadrature import sphere_rule
+from calorons.samplers import gauge_transform
 from calorons.su2 import (
     bps_caloron_plus,
     bps_curvature_fields,
@@ -407,3 +408,35 @@ def test_remainder_makes_framed_field():
     framed_P = finv @ Phi @ f
     assert np.max(np.abs(model_A + aA - framed_A)) < 1e-12
     assert np.max(np.abs(model_P + aP - framed_P)) < 1e-12
+
+
+# -- gauge conjugation ---------------------------------------------------------
+
+def _random_su2(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    g = np.empty(shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = q[..., 0] + 1j * q[..., 3]
+    g[..., 0, 1] = q[..., 2] + 1j * q[..., 1]
+    g[..., 1, 0] = -q[..., 2] + 1j * q[..., 1]
+    g[..., 1, 1] = q[..., 0] - 1j * q[..., 3]
+    return g
+
+
+def test_gauge_transform_matches_einsum_conjugation():
+    rng = np.random.default_rng(11)
+    shape = (5, 40)
+    g = _random_su2(rng, shape)
+    A = rng.normal(size=shape + (3, 2, 2)) + 1j * rng.normal(size=shape + (3, 2, 2))
+    Phi = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    dg = rng.normal(size=shape + (3, 2, 2)) + 1j * rng.normal(size=shape + (3, 2, 2))
+    ginv = np.conjugate(np.swapaxes(g, -1, -2))
+    conj_A = np.einsum("...ij,...ajk,...kl->...ail", ginv, A, g)
+    ref_A = conj_A + np.einsum("...ij,...ajk->...aik", ginv, dg)
+    ref_Phi = ginv @ Phi @ g
+    A_new, Phi_new = gauge_transform(g, A, Phi, dg)
+    assert np.max(np.abs(A_new - ref_A)) <= 1e-13
+    assert np.max(np.abs(Phi_new - ref_Phi)) <= 1e-13
+    A_con, Phi_con = gauge_transform(g, A, Phi)
+    assert np.max(np.abs(A_con - conj_A)) <= 1e-13
+    assert np.max(np.abs(Phi_con - ref_Phi)) <= 1e-13
