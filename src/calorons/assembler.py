@@ -39,9 +39,9 @@ from .errors import (
 )
 from .quadrature import _smoothstep
 from .rootsys import RootDatum, alcove_margin, as_float, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, dagger
+from .samplers import ConnectionSampler, gauge_transform
 from .su2 import (
-    bps_fields,
+    BPSCaloron,
     bps_remainder,
     dirac_potential,
     rotated_remainder,
@@ -344,31 +344,33 @@ class FundamentalCaloron(ConnectionSampler):
         self.omega_prime = omega - 0.5 * a_omega * coroot
         if mu == 0:
             self.su2_parameter = -0.5 * a_omega
-            self.v = (0.5 - self.su2_parameter) / self.epsilon
-            self._rotated = RotatedBPSCaloron(self.su2_parameter, self.epsilon)
             self.t_independent = False
         else:
             self.su2_parameter = 0.5 * a_omega
-            self.v = self.su2_parameter / self.epsilon
-            self._rotated = None
             self.t_independent = True
         if not 0.0 < self.su2_parameter < 0.5:
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
             )
+        su2_caloron = RotatedBPSCaloron if mu == 0 else BPSCaloron
+        self._su2 = su2_caloron(self.su2_parameter, self.epsilon)
+        self.v = self._su2.v
         self.n = datum.ambient_dim
         self.charge_matrix = _cartan_matrix(coroot)
         self._phi_const = _cartan_matrix(self.omega_prime) / self.epsilon
 
     def evaluate(self, x, t, chart=None):
-        rel = x - self.center
-        if self._rotated is not None:
-            A2, P2 = self._rotated.evaluate(rel, t)
-        else:
-            A2, P2 = bps_fields(rel, self.v)
+        A2, P2 = self._su2.evaluate(x - self.center, t)
         A = self.embedding.embed(A2)
         Phi = self.embedding.embed(P2) + self._phi_const
         return A, Phi
+
+    def exact_curvature(self, x, t, step=None):
+        """The embedded su(2) curvature; the constant Cartan part of Phi
+        commutes with the embedded su(2) and adds nothing."""
+        E2, _ = self._su2.exact_curvature(np.asarray(x, float) - self.center, t)
+        E = self.embedding.embed(E2)
+        return E, E.copy()
 
 
 def fundamental_caloron(datum, mu, omega, epsilon, center=(0.0, 0.0, 0.0)) -> FundamentalCaloron:
@@ -436,7 +438,7 @@ class SingularCaloron(ConnectionSampler):
             Phi -= self.charges[k] / (2.0 * r)[..., None, None]
         return A, Phi
 
-    def exact_curvature(self, x, t):
+    def exact_curvature(self, x, t, step=None):
         """Closed-form E = B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
@@ -479,7 +481,6 @@ class ApproximateCaloron(ConnectionSampler):
         self.t_independent = all(c.mu != 0 for c in spec.constituents)
 
         self.locals: List[FundamentalCaloron] = []
-        self.psi: List[np.ndarray] = []
         for k, c in enumerate(spec.constituents):
             om_k = self.omega_shifts[k]
             if float(alcove_margin(self.datum, om_k)) <= 0:
@@ -487,13 +488,9 @@ class ApproximateCaloron(ConnectionSampler):
                     f"local holonomy parameter of constituent {k} left the alcove; "
                     "decrease epsilon or increase the separations"
                 )
-            fund = FundamentalCaloron(self.datum, c.mu, om_k, self.epsilon, c.position)
-            self.locals.append(fund)
-            half = 0.5 * float(c.phase)
-            m3 = fund.embedding.embed(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
-            w, v = np.linalg.eigh(m3 / 1j)
-            psi = v @ np.diag(np.exp(1j * w * half)) @ dagger(v)
-            self.psi.append(psi)
+            self.locals.append(
+                FundamentalCaloron(self.datum, c.mu, om_k, self.epsilon, c.position)
+            )
 
         # per-(k,l) patch for the spectator monopole l seen from annulus k
         npts = len(self.positions)
@@ -570,7 +567,11 @@ class ApproximateCaloron(ConnectionSampler):
     def annulus_parts(self, k, patch, xs, ts):
         """Constituents of the annulus gauge at points xs: the abelian model,
         the framed fundamental remainder b (psi-conjugated) and the abelian
-        remainder s of the spectator monopoles."""
+        remainder s of the spectator monopoles.
+
+        psi = exp(phase/2 embed(i tau_3)) is diagonal, so conjugating by it
+        is conjugating the su(2) remainder by diag(e^{i phase/2},
+        e^{-i phase/2}) before embedding."""
         spec = self.spec
         cst = spec.constituents[k]
         fund = self.locals[k]
@@ -586,12 +587,11 @@ class ApproximateCaloron(ConnectionSampler):
             bA2, bP2 = rotated_remainder(rel, ts, fund.v, patch)
         else:
             bA2, bP2 = bps_remainder(rel, fund.v, patch)
+        half = 0.5 * cst.phase
+        psi = np.diag([np.exp(1j * half), np.exp(-1j * half)])
+        bA2, bP2 = gauge_transform(psi, bA2, bP2)
         bA = fund.embedding.embed(bA2)
         bP = fund.embedding.embed(bP2)
-        psi = self.psi[k]
-        psid = dagger(psi)
-        bA = psid @ bA @ psi
-        bP = psid @ bP @ psi
 
         sA = np.zeros_like(bA)
         sP = np.zeros_like(bP)
@@ -628,25 +628,31 @@ class ApproximateCaloron(ConnectionSampler):
         Phi = model_P + chi[..., None, None] * bP + omchi[..., None, None] * sP
         return A, Phi
 
-    def exact_curvature(self, x, t):
-        """Closed-form curvature where the glued field is exactly abelian
-        (all r_k > R); falls back to finite differences on any other points."""
+    def exact_curvature(self, x, t, step=None):
+        """Curvature per chart: the fundamental caloron's closed form on the
+        cores (r_k <= R/2), the abelian closed form where every r_k > R, and
+        finite differences with `step` only on the gluing annuli."""
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-        r = self._radii(x)
-        far = np.min(r, axis=-1) > self.R * 1.0001
+        chart = self.chart(x)
         E = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
         B = np.zeros_like(E)
+        far = chart < 0
         if np.any(far):
-            Ef, Bf = self.singular.exact_curvature(x[far], t[far])
-            E[far], B[far] = Ef, Bf
-        if not np.all(far):
+            E[far], B[far] = self.singular.exact_curvature(x[far], t[far])
+        k, kind = np.divmod(chart - 1, 4)
+        for j, fund in enumerate(self.locals):
+            core = ~far & (k == j) & (kind == _REGION_CORE)
+            if np.any(core):
+                E[core], B[core] = fund.exact_curvature(x[core], t[core])
+        annulus = ~far & (kind != _REGION_CORE)
+        if np.any(annulus):
+            if step is None:
+                raise ValueError("curvature on the gluing annuli needs a finite-difference step")
             from .fieldcalc import curvature_at
 
-            inner = ~far
-            curv = curvature_at(self, x[inner], t[inner], step=self.epsilon / 20.0)
-            E[inner] = curv.E
-            B[inner] = curv.B
+            curv = curvature_at(self, x[annulus], t[annulus], step=step)
+            E[annulus], B[annulus] = curv.E, curv.B
         return E, B
 
 

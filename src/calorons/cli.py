@@ -279,7 +279,6 @@ def build_parser():
     ps.add_argument("--epsilons", required=True, help="comma list, e.g. 0.1,0.05,0.025")
     ps.add_argument("--out", default=None)
     ps.add_argument("--grid", choices=("desk", "fine"), default="desk")
-    ps.add_argument("--seed", type=int, default=0)
     ps.set_defaults(func=cmd_sweep)
 
     pi = sub.add_parser("index", help="closed-form index reports")

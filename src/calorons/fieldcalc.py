@@ -37,11 +37,6 @@ from .samplers import ConnectionSampler, dagger
 class MetricParams:
     epsilon: float
 
-    @property
-    def volume_factor(self):
-        """Weight of the circle factor: integral of eps dt over S^1."""
-        return 2.0 * np.pi * self.epsilon
-
 
 def commutator(a, b):
     return a @ b - b @ a
@@ -204,15 +199,14 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -
     return CurvatureSample(E=E, B=B, epsilon=eps)
 
 
-def _region_curvature(sampler, pts, t, grid, region):
-    """Curvature at region points: closed form on the far field when the
-    sampler has one, else the finite-difference stencil."""
-    if region.far_field:
-        exact = sampler.exact_curvature(pts, t)
-        if exact is not None:
-            E, B = exact
-            return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
-    return curvature_at(sampler, pts, t, step=grid.fd_step)
+def _region_curvature(sampler, pts, t, step):
+    """Curvature at region points: the sampler's closed form where it has
+    one, the finite-difference stencil with `step` elsewhere."""
+    exact = sampler.exact_curvature(pts, t, step)
+    if exact is None:
+        return curvature_at(sampler, pts, t, step=step)
+    E, B = exact
+    return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
 
 
 def _integrate(sampler, metric, grid: VolumeGrid):
@@ -224,7 +218,7 @@ def _integrate(sampler, metric, grid: VolumeGrid):
     energy, topological = [], []
     for region in grid.regions:
         for tval in ts:
-            curv = _region_curvature(sampler, region.points, tval, grid, region)
+            curv = _region_curvature(sampler, region.points, tval, grid.fd_step)
             energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
             topo = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             topological.append(block_sum(topo, region.weights) * t_weight)

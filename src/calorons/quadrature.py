@@ -77,7 +77,6 @@ class Region:
     name: str
     points: np.ndarray
     weights: np.ndarray
-    far_field: bool = False  # closed-form abelian curvature is valid here
 
 
 @dataclass
@@ -165,7 +164,7 @@ def build_volume_grid(
         wloc += _plateau_weight(rr, 0.5 * local_radius, local_radius)
     w = w * np.clip(1.0 - wloc, 0.0, 1.0)
     keep = w > 1e-14 * np.max(w)
-    regions.append(Region("far", pts[keep], w[keep], far_field=True))
+    regions.append(Region("far", pts[keep], w[keep]))
 
     return VolumeGrid(
         regions=regions,

@@ -13,6 +13,7 @@ enters when a caller converts to numpy at the field-evaluation boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -234,7 +235,9 @@ class RootDatum:
     def norm_sq(self, a: Sequence) -> Fraction:
         return self.killing(a, a)
 
-    @property
+    # Derived data is computed once per datum: functools.cached_property
+    # stores into the instance __dict__, which a frozen dataclass allows.
+    @functools.cached_property
     def simple_coroots(self) -> Tuple[Vector, ...]:
         return tuple(self.coroots[a] for a in self.simple_roots)
 
@@ -255,6 +258,10 @@ class RootDatum:
         return self.simple_coroots[mu - 1]
 
     def rho(self) -> Vector:
+        return self._rho
+
+    @functools.cached_property
+    def _rho(self) -> Vector:
         acc = vzero(self.ambient_dim)
         for a in self.positive_roots:
             acc = vadd(acc, a)
@@ -264,6 +271,10 @@ class RootDatum:
 
     def fundamental_coweights(self) -> List[Vector]:
         """Vectors varpi_mu with alpha_nu(varpi_mu) = delta_{nu mu}."""
+        return list(self._fundamental_coweights)
+
+    @functools.cached_property
+    def _fundamental_coweights(self) -> Tuple[Vector, ...]:
         cartan = [
             [dot(a, av) for av in self.simple_coroots] for a in self.simple_roots
         ]
@@ -275,13 +286,17 @@ class RootDatum:
             for c, av in zip(coeffs, self.simple_coroots):
                 w = vadd(w, vscale(c, av))
             out.append(w)
-        return out
+        return tuple(out)
 
     def alcove_vertices(self) -> List[Vector]:
+        return list(self._alcove_vertices)
+
+    @functools.cached_property
+    def _alcove_vertices(self) -> Tuple[Vector, ...]:
         verts = [vzero(self.ambient_dim)]
         for w, a in zip(self.fundamental_coweights(), self.marks):
             verts.append(vscale(Fraction(1, a), w))
-        return verts
+        return tuple(verts)
 
     def alcove_barycenter(self) -> Vector:
         verts = self.alcove_vertices()

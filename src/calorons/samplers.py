@@ -40,8 +40,10 @@ class ConnectionSampler:
     def evaluate(self, x, t, chart=None):
         raise NotImplementedError
 
-    def exact_curvature(self, x, t):
-        """Closed-form (E, B) components when available, else None."""
+    def exact_curvature(self, x, t, step=None):
+        """Curvature components (E, B) at x in closed form, or None when the
+        sampler has none.  A sampler with a closed form on part of its
+        domain computes the rest by finite differences with `step`."""
         return None
 
 
@@ -93,18 +95,19 @@ def _mul2(a, b):
     return out
 
 
-def gauge_transform(g, A, Phi, dg=None):
+def gauge_transform(g, A, Phi=None, dg=None):
     """(g^-1 A_a g + g^-1 d_a g, g^-1 Phi g) for SU(2)-valued g, so g^-1 = g^dagger.
 
     g (..., 2, 2), A and dg (..., 3, 2, 2), Phi (..., 2, 2); dg=None drops the
-    inhomogeneous term (a constant or purely t-dependent conjugation).
+    inhomogeneous term (a constant or purely t-dependent conjugation, or
+    curvature components passed as A).  Phi=None returns None in its place.
     """
     ginv = dagger(g)
     ginv_a = ginv[..., None, :, :]
     A_new = _mul2(ginv_a, _mul2(A, g[..., None, :, :]))
     if dg is not None:
         A_new += _mul2(ginv_a, dg)
-    return A_new, _mul2(ginv, _mul2(Phi, g))
+    return A_new, None if Phi is None else _mul2(ginv, _mul2(Phi, g))
 
 
 def dagger(m):

@@ -129,10 +129,6 @@ class BPSPair:
     def __call__(self, x):
         return bps_fields(np.asarray(x, float) - self.center, self.v)
 
-    def higgs_norm(self, x):
-        """|Phi|(x) = phi(r) in the normalized sense Phi = phi * xhat.itau."""
-        return bps_higgs_profile(self.v, _r_of(np.asarray(x, float) - self.center))
-
 
 def bps_pair(v, center=(0.0, 0.0, 0.0)) -> BPSPair:
     return BPSPair(v, center)
@@ -156,6 +152,10 @@ class BPSCaloron(ConnectionSampler):
 
     def evaluate(self, x, t, chart=None):
         return self.pair(x)
+
+    def exact_curvature(self, x, t, step=None):
+        E = bps_curvature_fields(np.asarray(x, float) - self.pair.center, self.v)
+        return E, E.copy()
 
 
 def bps_caloron_plus(omega_prime, epsilon, center=(0.0, 0.0, 0.0)) -> BPSCaloron:
@@ -443,6 +443,13 @@ class RotatedBPSCaloron(ConnectionSampler):
         g = self.gauge(rel, t)
         A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(rel, t))
         return A_new, Phi_new - self.gauge.phi_hat(rel) / (2.0 * self.epsilon)
+
+    def exact_curvature(self, x, t, step=None):
+        """g^-1 F_BPS g: the rotation is a gauge transformation, so the
+        curvature needs no derivative of g."""
+        rel = np.asarray(x, float) - self.center
+        E, _ = gauge_transform(self.gauge(rel, t), bps_curvature_fields(rel, self.v))
+        return E, E.copy()
 
 
 def rotated_bps(omega_prime, epsilon, center=(0.0, 0.0, 0.0)) -> RotatedBPSCaloron:

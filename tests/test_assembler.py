@@ -33,6 +33,7 @@ from calorons.fieldcalc import (
     curvature_at,
     integrate_energy,
 )
+from calorons.samplers import dagger
 from calorons.quadrature import desk_grid
 from calorons.rootsys import as_float, build_root_datum
 from calorons.verify import energy_formula_float
@@ -360,6 +361,24 @@ def test_fundamental_holonomy_matches_model():
         assert np.max(np.abs(phases - model)) < 1e-4
 
 
+@pytest.mark.parametrize("mu", [0, 1])
+def test_fundamental_closed_form_curvature_vs_fd(mu):
+    """The embedded su(2) closed form against the finite-difference
+    stencil, outside the rotation-gauge core of the mu = 0 caloron."""
+    datum = build_root_datum("A", 2)
+    center = np.array([0.3, -0.2, 0.1])
+    samp = fundamental_caloron(datum, mu, (1 / 3, 0.0, -1 / 3), 0.5, center=center)
+    rng = np.random.default_rng(6)
+    u = rng.normal(size=(40, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    pts = center + u * rng.uniform(1.2 / (2.0 * samp.v), 3.0, 40)[:, None]
+    ts = rng.uniform(0.0, 2.0 * np.pi, 40)
+    E, B = samp.exact_curvature(pts, ts)
+    curv = curvature_at(samp, pts, ts, step=1e-3)
+    assert np.max(np.abs(curv.E - E)) < 1e-9
+    assert np.max(np.abs(curv.B - B)) < 1e-9
+
+
 def test_fundamental_matrix_requires_type_a():
     d = build_root_datum("B", 2)
     with pytest.raises(UnsupportedRepresentationError):
@@ -451,6 +470,76 @@ def test_approximate_chart_gauges_agree():
     c_core = curvature_at(samp, pts, 0.0, step=1e-4)
     c_ann = curvature_at(ForcedChart(codes_ann), pts, 0.0, step=1e-4)
     assert np.max(np.abs(c_core.norm_sq() - c_ann.norm_sq())) < 1e-8
+
+
+def test_approximate_exact_curvature_vs_fd_on_cores_and_far():
+    """Closed form on the cores (rotated mu = 0 and mu = 1) and on the
+    abelian exterior agrees with the stencil; annulus points need a step."""
+    spec = CaloronSpec(
+        epsilon=0.05, series="A", rank=2, omega=(1 / 3, 0.0, -1 / 3),
+        constituents=[
+            Constituent(0, (1.5, 0.0, 0.1), 0.4),
+            Constituent(1, (-1.0, 1.2, -0.2), 1.1),
+        ],
+        gluing_c=0.3,
+    )
+    samp = approximate_caloron(spec)
+    R = samp.R
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(20, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ts = rng.uniform(0.0, 2.0 * np.pi, 20)
+    core = np.concatenate([
+        p + u[:10] * rng.uniform(1.2 / (2.0 * f.v), 0.45 * R, 10)[:, None]
+        for p, f in zip(spec.positions, samp.locals)
+    ])
+    far = u * rng.uniform(3.0, 6.0, 20)[:, None]
+    assert np.all((samp.chart(core) - 1) % 4 == 0) and np.all(samp.chart(far) < 0)
+    for pts, step, tol in ((core, spec.epsilon / 100, 1e-7), (far, 0.01, 1e-8)):
+        E, B = samp.exact_curvature(pts, ts, step=1.0)  # no annulus point: step unused
+        curv = curvature_at(samp, pts, ts, step=step)
+        assert np.max(np.abs(curv.E - E)) < tol
+        assert np.max(np.abs(curv.B - B)) < tol
+    ann = spec.positions[0] + 0.75 * R * u[:3]
+    with pytest.raises(ValueError):
+        samp.exact_curvature(ann, 0.0)
+    E, B = samp.exact_curvature(ann, 0.0, step=spec.epsilon / 100)
+    curv = curvature_at(samp, ann, 0.0, step=spec.epsilon / 100)
+    assert np.array_equal(E, curv.E) and np.array_equal(B, curv.B)
+
+
+def test_annulus_phase_framing_matches_matrix_conjugation():
+    """Conjugating the su(2) remainder by diag(e^{i phase/2}, e^{-i phase/2})
+    before embedding equals conjugating the embedded remainder by the n x n
+    psi = exp(phase/2 embed(i tau_3))."""
+    for mu, phase in ((0, 0.8), (1, 5.3)):
+        spec = CaloronSpec(
+            epsilon=0.05, series="A", rank=2, omega=(1 / 3, 0.0, -1 / 3),
+            constituents=[
+                Constituent(mu, (1.5, 0.0, 0.1), phase),
+                Constituent(2, (-1.0, 1.2, -0.2), 0.0),
+            ],
+            gluing_c=0.3,
+        )
+        plain = approximate_caloron(CaloronSpec(
+            epsilon=spec.epsilon, series="A", rank=2, omega=spec.omega,
+            constituents=[Constituent(mu, (1.5, 0.0, 0.1), 0.0), spec.constituents[1]],
+            gluing_c=0.3,
+        ))
+        samp = approximate_caloron(spec)
+        m3 = samp.locals[0].embedding.embed(1j * np.diag([1.0, -1.0]))
+        w, v = np.linalg.eigh(m3 / 1j)
+        psi = v @ np.diag(np.exp(0.5j * phase * w)) @ dagger(v)
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=(10, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        pts = spec.positions[0] + 0.75 * samp.R * u
+        ts = rng.uniform(0.0, 2.0 * np.pi, 10)
+        for patch in ("N", "S"):
+            bA, bP = samp.annulus_parts(0, patch, pts, ts)["b"]
+            bA0, bP0 = plain.annulus_parts(0, patch, pts, ts)["b"]
+            assert np.max(np.abs(bA - dagger(psi) @ bA0 @ psi)) < 1e-15
+            assert np.max(np.abs(bP - dagger(psi) @ bP0 @ psi)) < 1e-15
 
 
 def test_energy_additivity_two_constituents():

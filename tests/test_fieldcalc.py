@@ -30,7 +30,7 @@ from calorons.fieldcalc import (
 from calorons.quadrature import block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
 from calorons.samplers import ConnectionSampler, ConstantAbelianSampler, PulledBackSampler
-from calorons.su2 import bps_caloron_plus
+from calorons.su2 import bps_caloron_plus, rotated_bps
 
 ITAU = [
     1j * np.array([[0, 1], [1, 0]], dtype=complex),
@@ -338,7 +338,8 @@ def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
     dens = {"energy": [], "topo": []}
     for region in grid.regions:
         for t in ts:
-            curv = curvature_at(samp, region.points, t, step=grid.fd_step)
+            E, B = samp.exact_curvature(region.points, t, grid.fd_step)
+            curv = CurvatureSample(E=E, B=B, epsilon=eps)
             dens["energy"].append(block_sum(curv.norm_sq(), region.weights) * t_w)
             top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             dens["topo"].append(block_sum(top, region.weights) * t_w)
@@ -346,6 +347,20 @@ def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
     assert energy.raw == math.fsum(dens["energy"]) / (8.0 * np.pi**2)
     assert energy.tail == tail
     assert topo == math.fsum(dens["topo"]) / (8.0 * np.pi**2) + tail
+
+
+def test_rotated_energy_equals_circle_invariant():
+    """The rotated caloron is a gauge transform of the circle-invariant one
+    with the same mass at omega' = 1/4: closed-form curvature gives it the
+    same energy and trF^F on the same grid."""
+    met = MetricParams(1.0)
+    bps, rot = bps_caloron_plus(0.25, 1.0), rotated_bps(0.25, 1.0)
+    assert bps.v == rot.v
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, fd_step=0.02, nt=16)
+    e_bps, q_bps = energy_and_tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
+    e_rot, q_rot = energy_and_tr_f_wedge_f(rot, met, grid, charge_matrix=ITAU[2])
+    assert abs(e_rot.value - e_bps.value) <= 1e-12
+    assert abs(q_rot - q_bps) <= 1e-12
 
 
 def test_tr_f_wedge_f_abelian_tail_consistency():

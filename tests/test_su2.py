@@ -133,6 +133,22 @@ def test_bps_curvature_closed_form_vs_fd():
     assert np.max(np.abs(curv.B - exact)) < 5e-11
 
 
+def test_rotated_closed_form_curvature_vs_fd():
+    """g^-1 F_BPS g against the finite-difference stencil, outside the
+    rotation-gauge core where the stencil resolves g."""
+    samp = rotated_bps(0.3, 1.0)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(40, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    pts = u * rng.uniform(1.2 * samp.gauge.core_radius, 4.0, 40)[:, None]
+    ts = rng.uniform(0.0, 2.0 * np.pi, 40)
+    E, B = samp.exact_curvature(pts, ts)
+    assert np.array_equal(E, B)
+    curv = curvature_at(samp, pts, ts, step=1e-3, t_step=1e-3)
+    assert np.max(np.abs(curv.E - E)) < 1e-11
+    assert np.max(np.abs(curv.B - B)) < 1e-11
+
+
 # -- hedgehog framing -------------------------------------------------------------
 
 def test_framing_north_pole_identity():
