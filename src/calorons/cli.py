@@ -2,9 +2,7 @@
 evaluate index formulas, and emit report/plot data.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
-Output files are byte-identical across reruns with the same seed; the
-CALORON_THREADS environment variable is validated but cannot change any
-result (quadrature accumulation is fixed-order).
+Output files are byte-identical across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -35,19 +32,6 @@ from .verify import energy_formula_float, run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _check_threads_env():
-    raw = os.environ.get("CALORON_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-    except ValueError:
-        raise InputError(f"CALORON_THREADS must be a positive integer, got {raw!r}")
-    return val
 
 
 def _load_spec(path) -> CaloronSpec:
@@ -296,7 +280,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

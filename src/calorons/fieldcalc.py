@@ -105,7 +105,7 @@ class CurvatureSample:
         return self.norm_sq() - self.sd_norm_sq() - self.asd_norm_sq()
 
 
-def sd_split(curv: CurvatureSample, metric: Optional[MetricParams] = None):
+def sd_split(curv: CurvatureSample):
     """Projection onto the +-1 eigenspaces of the Hodge star of g_eps."""
     return curv.sd_part, curv.asd_part
 

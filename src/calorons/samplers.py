@@ -82,6 +82,16 @@ class PulledBackSampler(ConnectionSampler):
         A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
         return A_new, Phi_new + _mul2(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
 
+    def exact_curvature(self, x, t, step=None):
+        """g^-1 F_base g when the base has a closed form: curvature transforms
+        covariantly, so no derivative of g enters."""
+        F = self.base.exact_curvature(x, t, step)
+        if F is None:
+            return None
+        x, t = _broadcast_t(x, t)
+        EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(F, axis=-3))
+        return EB[..., :3, :, :], EB[..., 3:, :, :]
+
 
 def _mul2(a, b):
     """Batched 2x2 matrix product a @ b, written out entry by entry."""

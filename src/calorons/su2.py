@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from .quadrature import _smoothstep
 from .rootsys import PAULI
-from .samplers import ConnectionSampler, dagger, gauge_transform
+from .samplers import ConnectionSampler, PulledBackSampler, dagger, gauge_transform
 
 _SERIES_CUT = 1e-4
 _TINY = 1e-300
@@ -364,43 +364,26 @@ class GaugeMap:
         g = self(x, t)
         return -0.5 * self.phi_hat(x) @ g
 
-    def spatial_derivative(self, x, t, step_scale=1e-3):
-        """d_i g: analytic where Phihat is the exact unit hedgehog, 4th-order
-        central differences inside the interpolation core."""
+    def spatial_derivative(self, x, t):
+        """d_i g in closed form on all of R^3: with a = t q(r)/2,
+
+            d_i g = (t q'(r) xhat_i / 2)(-sin a - cos a xhat.itau)
+                    - sin a (delta_ia - xhat_i xhat_a) i tau_a / r,
+
+        zero at the origin, where q vanishes to third order."""
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
-        r = _r_of(x)
-        out = np.zeros(x.shape[:-1] + (3, 2, 2), dtype=complex)
-
-        outside = r >= self.core_radius
-        if np.any(outside):
-            xo = x[outside]
-            to = t[outside]
-            ro = r[outside]
-            xh = xo / ro[..., None]
-            s = np.sin(0.5 * to)
-            # g = cos(t/2) - sin(t/2) n.itau; dn_a/dx_i = (delta_ia - n_i n_a)/r
-            proj = (np.eye(3) - np.einsum("...i,...a->...ia", xh, xh)) / ro[..., None, None]
-            ditau = np.einsum("...ia,ajk->...ijk", proj, ITAU)
-            dg = -s[..., None, None, None] * ditau
-            out[outside] = dg
-            del dg, ditau, proj
-
-        inside = ~outside
-        if np.any(inside):
-            xi = x[inside]
-            ti = t[inside]
-            h = max(self.core_radius * step_scale, 1e-8)
-            stencil = np.zeros(xi.shape[:-1] + (3, 2, 2), dtype=complex)
-            for i in range(3):
-                shifts = []
-                for mult, wgt in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-                    xs = xi.copy()
-                    xs[..., i] += mult * h
-                    shifts.append(wgt * self(xs, ti))
-                stencil[..., i, :, :] = sum(shifts) / (12.0 * h)
-            out[inside] = stencil
-        return out
+        r, q, n_itau = self._theta_dir(x)
+        rs = np.maximum(r, _TINY)
+        xh = x / rs[..., None]
+        u = np.clip(r / self.core_radius, 0.0, 1.0)
+        dq = 30.0 * u**2 * (1.0 - u) ** 2 / self.core_radius
+        ang = 0.5 * t * q
+        s, c = np.sin(ang), np.cos(ang)
+        dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau
+        radial = (0.5 * t * dq)[..., None, None, None] * xh[..., :, None, None] * dg_da[..., None, :, :]
+        proj = (np.eye(3) - xh[..., :, None] * xh[..., None, :]) * (s / rs)[..., None, None]
+        return radial - np.einsum("...ia,ajk->...ijk", proj, ITAU)
 
     def clutching(self, x):
         """h(x) = -g(x, 2 pi)^{-1}."""
@@ -408,52 +391,28 @@ class GaugeMap:
         return -dagger(g2pi)
 
 
-def rotation_gauge(omega_prime, epsilon, core_radius=None) -> GaugeMap:
-    """Rotation map for the mass v = (1/2 - omega')/eps monopole; the default
-    interpolation core is 1/(2v)."""
+def rotation_gauge(omega_prime, epsilon) -> GaugeMap:
+    """Rotation map for the mass v = (1/2 - omega')/eps monopole, with
+    interpolation core 1/(2v)."""
     if not 0.0 < omega_prime < 0.5:
         raise HolonomyParameterError(f"holonomy parameter {omega_prime} outside (0, 1/2)")
     v = (0.5 - omega_prime) / epsilon
-    if core_radius is None:
-        core_radius = 1.0 / (2.0 * v)
-    return GaugeMap(core_radius)
+    return GaugeMap(1.0 / (2.0 * v))
 
 
-class RotatedBPSCaloron(ConnectionSampler):
+class RotatedBPSCaloron(PulledBackSampler):
     """g^* (A_BPS + eps Phi_BPS dt) with mass v = (1/2 - omega')/eps: the
-    second fundamental SU(2) caloron, genuinely t-dependent."""
+    second fundamental SU(2) caloron, genuinely t-dependent.  g commutes
+    with Phihat, so the time component gains g^-1 d_t g / eps = -Phihat/(2 eps)."""
 
-    t_independent = False
-
-    def __init__(self, omega_prime, epsilon, center=(0.0, 0.0, 0.0)):
-        if not 0.0 < omega_prime < 0.5:
-            raise HolonomyParameterError(
-                f"holonomy parameter {omega_prime} outside (0, 1/2)"
-            )
-        self.omega_prime = float(omega_prime)
-        self.epsilon = float(epsilon)
-        self.v = (0.5 - self.omega_prime) / self.epsilon
-        self.center = np.asarray(center, dtype=float)
-        self.gauge = GaugeMap(core_radius=1.0 / (2.0 * self.v))
-        self.n = 2
-
-    def evaluate(self, x, t, chart=None):
-        rel = x - self.center
-        A, Phi = bps_fields(rel, self.v)
-        g = self.gauge(rel, t)
-        A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(rel, t))
-        return A_new, Phi_new - self.gauge.phi_hat(rel) / (2.0 * self.epsilon)
-
-    def exact_curvature(self, x, t, step=None):
-        """g^-1 F_BPS g: the rotation is a gauge transformation, so the
-        curvature needs no derivative of g."""
-        rel = np.asarray(x, float) - self.center
-        E, _ = gauge_transform(self.gauge(rel, t), bps_curvature_fields(rel, self.v))
-        return E, E.copy()
+    def __init__(self, omega_prime, epsilon):
+        gauge = rotation_gauge(omega_prime, epsilon)  # rejects omega' itself, not 1/2 - omega'
+        super().__init__(BPSCaloron(0.5 - omega_prime, epsilon), gauge)
+        self.v = self.base.v
 
 
-def rotated_bps(omega_prime, epsilon, center=(0.0, 0.0, 0.0)) -> RotatedBPSCaloron:
-    return RotatedBPSCaloron(omega_prime, epsilon, center)
+def rotated_bps(omega_prime, epsilon) -> RotatedBPSCaloron:
+    return RotatedBPSCaloron(omega_prime, epsilon)
 
 
 # ---------------------------------------------------------------------------

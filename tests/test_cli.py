@@ -143,18 +143,6 @@ def test_verify_reruns_byte_identical(su2_spec_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_env_validated_and_neutral(su2_spec_file, tmp_path, monkeypatch):
-    out1 = tmp_path / "t1.json"
-    out2 = tmp_path / "t4.json"
-    monkeypatch.setenv("CALORON_THREADS", "1")
-    assert main(["verify", "--spec", str(su2_spec_file), "--out", str(out1)]) == 0
-    monkeypatch.setenv("CALORON_THREADS", "4")
-    assert main(["verify", "--spec", str(su2_spec_file), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("CALORON_THREADS", "zero")
-    assert main(["roots", "--type", "A1"]) == 2
-
-
 def test_index_command_json(tmp_path):
     out = tmp_path / "index.json"
     assert main(["index", "--type", "A2", "--mu", "0", "--omega", "1/3,0,-1/3", "--out", str(out)]) == 0

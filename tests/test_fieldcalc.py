@@ -172,6 +172,23 @@ def test_gauge_invariance_of_energy():
     assert abs(e0.value - e1.value) / e0.value < 1e-3
 
 
+def test_pulled_back_exact_curvature_matches_fd():
+    base = bps_caloron_plus(0.3, 0.8)
+    gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
+    rng = np.random.default_rng(13)
+    pts = rng.normal(size=(15, 3)) * 2
+    ts = rng.uniform(0, 2 * np.pi, 15)
+    E, B = gauged.exact_curvature(pts, ts)
+    # the test gauge's own derivatives are finite differences: a wider
+    # stencil keeps their round-off small
+    curv = curvature_at(gauged, pts, ts, step=3e-3)
+    assert np.max(np.abs(curv.E - E)) < 1e-6
+    assert np.max(np.abs(curv.B - B)) < 1e-6
+    # no closed form for the base, none for its pullback
+    flat = PulledBackSampler(ConstantAbelianSampler(0.3 * ITAU[2], 0.8), _SmoothPeriodicGauge())
+    assert flat.exact_curvature(pts, ts) is None
+
+
 def test_circle_holonomy_flat_connection():
     omega = 0.31 * ITAU[2]
     samp = ConstantAbelianSampler(omega, epsilon=0.5)

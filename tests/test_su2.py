@@ -149,6 +149,21 @@ def test_rotated_closed_form_curvature_vs_fd():
     assert np.max(np.abs(curv.B - B)) < 1e-11
 
 
+def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
+    """Inside the interpolation core the stencil differentiates the closed-form
+    d_i g, so curvature_at resolves g^-1 F_BPS g there as well."""
+    samp = rotated_bps(0.3, 0.02)
+    rc = samp.gauge.core_radius
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(40, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    pts = u * (rc * rng.uniform(0.05, 0.9, 40))[:, None]
+    ts = rng.uniform(0.0, 2.0 * np.pi, 40)
+    _, B = samp.exact_curvature(pts, ts)
+    curv = curvature_at(samp, pts, ts, step=1e-5)
+    assert np.max(np.abs(curv.B - B)) < 1e-6
+
+
 # -- hedgehog framing -------------------------------------------------------------
 
 def test_framing_north_pole_identity():
@@ -330,13 +345,16 @@ def test_rotation_gauge_unitary_everywhere():
 def test_rotation_gauge_spatial_derivative_vs_fd():
     g = rotation_gauge(0.25, 1.0)
     rng = np.random.default_rng(9)
-    # probe both the analytic exterior branch and the FD interior branch
+    # probe inside and outside the interpolation core, the origin and r = r_c
     x = np.concatenate([
         rng.normal(size=(10, 3)) * 0.3 * g.core_radius,
         rng.normal(size=(10, 3)) * 3.0 * g.core_radius,
+        np.zeros((1, 3)),
+        [[0.6 * g.core_radius, 0.0, 0.8 * g.core_radius]],
     ])
-    t = rng.uniform(0, 2 * np.pi, 20)
+    t = rng.uniform(0, 2 * np.pi, len(x))
     dg = g.spatial_derivative(x, t)
+    assert not np.any(dg[20])  # q vanishes to third order at the origin
     h = 1e-5
     for i in range(3):
         xp = x.copy(); xp[:, i] += h
