@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import FluxAmbiguityError
-from .quadrature import VolumeGrid, block_sum, sphere_rule
+from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
 from .samplers import ConnectionSampler, dagger
 
 
@@ -291,25 +291,24 @@ class SdErrorEstimate:
         return self.value
 
 
-def sd_error_l2(sampler, metric: MetricParams, spec, grid=None, n_radial=14, n_theta=8, n_phi=12, nt=8) -> SdErrorEstimate:
+def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
     """L^2 norm of the self-dual curvature error of a glued approximate
     caloron.  Quadrature concentrates on the gluing annuli R/2 <= r <= R
     around each constituent; a sparse finite-difference background check
     over the cores and the exterior region is added so genuine leakage
-    would be seen."""
-    from .quadrature import gauss_legendre, graded_radii
-
+    would be seen.  The annuli use 14 Gauss-Legendre radii, an 8 x 12 sphere
+    rule and 8 t-slices (one for a t-independent sampler)."""
     R = spec.gluing_radius()
     eps = metric.epsilon
-    nt_eff = 1 if sampler.t_independent else nt
+    nt_eff = 1 if sampler.t_independent else 8
     ts = 2.0 * np.pi * (np.arange(nt_eff) + 0.5) / nt_eff
     t_w = eps * 2.0 * np.pi / nt_eff
-    dirs, wdir = sphere_rule(n_theta, n_phi)
+    dirs, wdir = sphere_rule(8, 12)
 
     annulus_terms = []
     for cst in spec.constituents:
         c = np.asarray(cst.position, dtype=float)
-        radii, rw = gauss_legendre(0.5 * R, R, n_radial)
+        radii, rw = gauss_legendre(0.5 * R, R, 14)
         pts = (c[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
         for tval in ts:
@@ -449,20 +448,7 @@ class FieldReport:
     grid: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "ym_energy": self.ym_energy,
-            "ym_energy_raw": self.ym_energy_raw,
-            "energy_formula": self.energy_formula,
-            "sd_error_l2": self.sd_error_l2,
-            "sd_annulus_fraction": self.sd_annulus_fraction,
-            "recovered_charge": list(self.recovered_charge),
-            "charge_residual": self.charge_residual,
-            "holonomy_eigenphases": list(self.holonomy_eigenphases),
-            "holonomy_model_phases": list(self.holonomy_model_phases),
-            "tr_f_wedge_f": self.tr_f_wedge_f,
-            "grid": self.grid,
-        }
-        return out
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

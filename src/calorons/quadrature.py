@@ -110,40 +110,32 @@ def ball_points(center, radii, rweights, n_theta, n_phi):
     return pts.reshape(-1, 3), w.reshape(-1)
 
 
-def build_volume_grid(
-    centers,
-    core_scales,
-    r_max,
-    nt,
-    fd_step,
-    n_theta=6,
-    n_phi=12,
-    n_seg_local=10,
-    n_seg_far=12,
-    local_radius=None,
-    preset="desk",
-):
-    """Partition-of-unity grid: a graded spherical patch around each centre
-    plus a global far-field shell rule, with smooth localizing weights.
+def desk_grid(centers, core_scales, d_max_eff, fd_step, nt, fine=False):
+    """Partition-of-unity grid over the ball of radius 12 d_max_eff: a graded
+    spherical patch around each centre plus a global far-field shell rule,
+    with smooth localizing weights.  'desk' targets a few-minute verify run;
+    'fine' doubles the angular and radial resolution.
 
     The patch around each centre has plateau radius local_radius/2 and
     support local_radius; the far region carries weight 1 - sum(patches).
     """
+    f = 2 if fine else 1
+    n_theta, n_phi = 6 * f, 12 * f
+    r_max = 12.0 * d_max_eff
     centers = [np.asarray(c, float) for c in centers]
-    if local_radius is None:
-        if len(centers) > 1:
-            dmin = min(
-                float(np.linalg.norm(a - b))
-                for i, a in enumerate(centers)
-                for b in centers[i + 1 :]
-            )
-            local_radius = 0.45 * dmin
-        else:
-            local_radius = 0.35 * r_max
+    if len(centers) > 1:
+        dmin = min(
+            float(np.linalg.norm(a - b))
+            for i, a in enumerate(centers)
+            for b in centers[i + 1 :]
+        )
+        local_radius = 0.45 * dmin
+    else:
+        local_radius = 0.35 * r_max
     regions = []
     for k, (c, scale) in enumerate(zip(centers, core_scales)):
         r_min = max(scale / 12.0, 1e-6 * local_radius)
-        radii, rw = graded_radii(r_min, local_radius, n_seg_local, 4)
+        radii, rw = graded_radii(r_min, local_radius, 10 * f, 4)
         # innermost ball [0, r_min]: single GL segment
         r0, w0 = gauss_legendre(0.0, r_min, 3)
         radii = np.concatenate([r0, radii])
@@ -156,7 +148,7 @@ def build_volume_grid(
 
     # global far-field rule over the whole ball; weight 1 - sum of patches
     far_min = min(float(s) for s in core_scales) / 4.0
-    radii, rw = graded_radii(max(far_min, 1e-3 * r_max), r_max, n_seg_far, 4)
+    radii, rw = graded_radii(max(far_min, 1e-3 * r_max), r_max, 12 * f, 4)
     pts, w = ball_points(np.zeros(3), radii, rw, max(n_theta, 8), max(n_phi, 16))
     wloc = np.zeros(pts.shape[0])
     for c in centers:
@@ -171,28 +163,5 @@ def build_volume_grid(
         r_max=float(r_max),
         nt=int(nt),
         fd_step=float(fd_step),
-        meta={
-            "preset": preset,
-            "n_theta": n_theta,
-            "n_phi": n_phi,
-            "local_radius": float(local_radius),
-            "centers": [list(map(float, c)) for c in centers],
-        },
-    )
-
-
-def desk_grid(centers, core_scales, d_max_eff, fd_step, nt, fine=False):
-    """Preset grids: 'desk' targets a few-minute verify run."""
-    f = 2 if fine else 1
-    return build_volume_grid(
-        centers,
-        core_scales,
-        r_max=12.0 * d_max_eff,
-        nt=nt,
-        fd_step=fd_step,
-        n_theta=6 * f,
-        n_phi=12 * f,
-        n_seg_local=10 * f,
-        n_seg_far=12 * f,
-        preset="fine" if fine else "desk",
+        meta={"preset": "fine" if fine else "desk"},
     )

@@ -83,6 +83,16 @@ def pairing(alpha: Sequence, xi: Sequence) -> Fraction:
     return dot(alpha, xi)
 
 
+def lincomb(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vector:
+    """Exact sum of c * v over paired coefficients and vectors; zero
+    coefficients are skipped."""
+    acc = vzero(dim)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = vadd(acc, vscale(c, v))
+    return acc
+
+
 def rational_solve(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
     """Solve a square rational linear system by Gaussian elimination."""
     n = len(A)
@@ -145,16 +155,23 @@ def _simple_roots(series: str, rank: int) -> List[Vector]:
     raise InvalidGroupError(f"unknown series {series!r}")
 
 
-def _reflection_closure(simple: List[Vector]) -> List[Vector]:
-    """All roots as the closure of the simple roots under simple reflections."""
-    coroots = [vscale(Fraction(2) / dot(a, a), a) for a in simple]
-    roots = set(simple)
-    frontier = list(simple)
+def _reflection_closure(simple: List[Vector]) -> List[Tuple[int, ...]]:
+    """All roots as integer coefficient vectors c over the simple roots: the
+    closure of the unit vectors under the simple reflections, where s_i
+    changes only c_i, by -sum_j c_j A_ji with A_ij = <alpha_i, alpha_j^vee>."""
+    cartan = [[2 * dot(a, b) / dot(b, b) for b in simple] for a in simple]
+    if any(x.denominator != 1 for row in cartan for x in row):
+        raise AssertionError("Cartan matrix not integral")
+    A = [[int(x) for x in row] for row in cartan]
+    rank = len(simple)
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(frontier)
     while frontier:
         new = []
-        for beta in frontier:
-            for a, av in zip(simple, coroots):
-                refl = vsub(beta, vscale(dot(beta, av), a))
+        for c in frontier:
+            for i in range(rank):
+                shift = sum(c[j] * A[j][i] for j in range(rank))
+                refl = c[:i] + (c[i] - shift,) + c[i + 1 :]
                 if refl not in roots:
                     roots.add(refl)
                     new.append(refl)
@@ -262,10 +279,8 @@ class RootDatum:
 
     @functools.cached_property
     def _rho(self) -> Vector:
-        acc = vzero(self.ambient_dim)
-        for a in self.positive_roots:
-            acc = vadd(acc, a)
-        return vscale(Fraction(1, 2), acc)
+        half = [Fraction(1, 2)] * len(self.positive_roots)
+        return lincomb(half, self.positive_roots, self.ambient_dim)
 
     # -- alcove geometry -----------------------------------------------------
 
@@ -282,10 +297,7 @@ class RootDatum:
         for mu in range(self.rank):
             rhs = [Fraction(1) if nu == mu else Fraction(0) for nu in range(self.rank)]
             coeffs = rational_solve(cartan, rhs)
-            w = vzero(self.ambient_dim)
-            for c, av in zip(coeffs, self.simple_coroots):
-                w = vadd(w, vscale(c, av))
-            out.append(w)
+            out.append(lincomb(coeffs, self.simple_coroots, self.ambient_dim))
         return tuple(out)
 
     def alcove_vertices(self) -> List[Vector]:
@@ -300,10 +312,7 @@ class RootDatum:
 
     def alcove_barycenter(self) -> Vector:
         verts = self.alcove_vertices()
-        acc = vzero(self.ambient_dim)
-        for v in verts:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, len(verts)), acc)
+        return lincomb([Fraction(1, len(verts))] * len(verts), verts, self.ambient_dim)
 
     # -- serialization -------------------------------------------------------
 
@@ -347,8 +356,10 @@ def parse_group_label(label: str) -> Tuple[str, int]:
 def build_root_datum(series: str, rank: int) -> RootDatum:
     """Construct the full root datum for a simple type.
 
-    Positive roots are generated by reflection closure from the simple roots
-    and cross-checked against the catalogued count for the series.
+    Roots are generated as integer simple-root coefficient vectors by
+    reflection closure and cross-checked against the catalogued count for
+    the series; positivity, height, the marks and the dual Coxeter labels
+    are read off those vectors.
     """
     series = series.upper()
     if series not in _RANK_RANGES:
@@ -359,51 +370,36 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
 
     simple = _simple_roots(series, rank)
     dim = len(simple[0])
-    allroots = _reflection_closure(simple)
+    coeffs = _reflection_closure(simple)
     expected = 2 * _POSITIVE_ROOT_COUNTS[series](rank)
-    if len(allroots) != expected:
+    if len(coeffs) != expected:
         raise AssertionError(
-            f"reflection closure produced {len(allroots)} roots, expected {expected}"
+            f"reflection closure produced {len(coeffs)} roots, expected {expected}"
         )
+    ambient = {c: lincomb(c, simple, dim) for c in coeffs}
 
-    gram = [[dot(a, b) for b in simple] for a in simple]
-
-    def simple_coeffs(beta):
-        rhs = [dot(a, beta) for a in simple]
-        return rational_solve(gram, rhs)
-
-    positive = []
-    for beta in allroots:
-        coeffs = simple_coeffs(beta)
-        if all(c >= 0 for c in coeffs):
-            positive.append((sum(coeffs), beta))
-    positive.sort()
-    positive_roots = tuple(b for _, b in positive)
-    if len(positive_roots) != len(allroots) // 2:
+    # positive roots have nonnegative coefficients; sort by (height, vector)
+    positive = sorted((sum(c), ambient[c], c) for c in coeffs if min(c) >= 0)
+    positive_roots = tuple(beta for _, beta, _ in positive)
+    if len(positive_roots) != len(coeffs) // 2:
         raise AssertionError("positivity split failed")
 
-    highest = positive_roots[-1]
+    _, highest, marks = positive[-1]
+    if any(m <= 0 for m in marks):
+        raise AssertionError("marks not positive integers")
     lowest = vscale(-1, highest)
 
-    coroots = {a: vscale(Fraction(2) / dot(a, a), a) for a in allroots}
+    coroots = {a: vscale(Fraction(2) / dot(a, a), a) for a in ambient.values()}
     lowest_coroot = coroots[lowest]
-
-    # dual Coxeter labels: -alpha_0^vee = sum m_mu alpha_mu^vee
     simple_cor = [coroots[a] for a in simple]
-    gram_cor = [[dot(a, b) for b in simple_cor] for a in simple_cor]
-    target = vscale(-1, lowest_coroot)
-    m = rational_solve(gram_cor, [dot(a, target) for a in simple_cor])
-    recon = vzero(dim)
-    for c, av in zip(m, simple_cor):
-        recon = vadd(recon, vscale(c, av))
-    if recon != target or any(c.denominator != 1 or c <= 0 for c in m):
+
+    # dual Coxeter labels: -alpha_0^vee = theta^vee = sum m_mu alpha_mu^vee
+    # with m_mu = marks_mu |alpha_mu|^2 / |theta|^2
+    theta_sq = dot(highest, highest)
+    m = [mk * dot(a, a) / theta_sq for mk, a in zip(marks, simple)]
+    if any(c.denominator != 1 or c <= 0 for c in m):
         raise AssertionError("dual Coxeter labels not positive integers")
     labels = tuple(int(c) for c in m)
-
-    marks_f = simple_coeffs(highest)
-    if any(c.denominator != 1 or c <= 0 for c in marks_f):
-        raise AssertionError("marks not positive integers")
-    marks = tuple(int(c) for c in marks_f)
 
     node_roots = [lowest] + list(simple)
     node_coroots = [lowest_coroot] + simple_cor
@@ -418,9 +414,8 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
         ext.append(tuple(row))
     extended = tuple(ext)
 
-    # normalize Killing so coroots of long roots have squared norm 2
-    long_sq = max(dot(a, a) for a in allroots)
-    killing_scale = _frac(long_sq) / 2
+    # normalize Killing so coroots of long roots (theta is one) have squared norm 2
+    killing_scale = theta_sq / 2
 
     return RootDatum(
         series=series,
@@ -482,10 +477,7 @@ def reassemble_charge(datum: RootDatum, n: Sequence[int]) -> Tuple[Tuple[int, ..
 
 
 def charge_vector(datum: RootDatum, coroot_coeffs: Sequence[int]) -> Vector:
-    acc = vzero(datum.ambient_dim)
-    for c, av in zip(coroot_coeffs, datum.simple_coroots):
-        acc = vadd(acc, vscale(c, av))
-    return acc
+    return lincomb(coroot_coeffs, datum.simple_coroots, datum.ambient_dim)
 
 
 def dynkin_index_adjoint(datum: RootDatum) -> int:
@@ -545,10 +537,7 @@ def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 1
     verts = datum.alcove_vertices()
     weights = [Fraction(rng.randint(1, max_num)) for _ in verts]
     total = sum(weights)
-    acc = vzero(datum.ambient_dim)
-    for w, v in zip(weights, verts):
-        acc = vadd(acc, vscale(w / total, v))
-    return acc
+    return lincomb([w / total for w in weights], verts, datum.ambient_dim)
 
 
 def as_float(xi: Sequence) -> np.ndarray:

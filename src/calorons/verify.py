@@ -32,8 +32,9 @@ from .fieldcalc import (
     sd_error_l2,
     sphere_averaged_holonomy,
 )
+from .indexes import energy_formula
 from .quadrature import desk_grid
-from .rootsys import alcove_margin, as_float
+from .rootsys import alcove_margin
 from .samplers import dagger
 
 
@@ -52,20 +53,9 @@ class Check:
 
 
 def energy_formula_float(spec: CaloronSpec) -> float:
-    """Closed-form Yang-Mills energy of the spec's charge data in floats."""
-    datum = spec.datum
-    n = spec.counts()
-    omega = np.asarray(spec.omega, dtype=float)
-    total = n[0] * (1.0 + float(as_float(datum.lowest_root) @ omega))
-    for mu in range(1, datum.rank + 1):
-        av = datum.simple_coroots[mu - 1]
-        total += (
-            0.5
-            * float(datum.norm_sq(av))
-            * n[mu]
-            * float(as_float(datum.simple_roots[mu - 1]) @ omega)
-        )
-    return total
+    """Closed-form Yang-Mills energy of the spec's charge data, evaluated
+    exactly by `indexes.energy_formula` and rounded once to a float."""
+    return float(energy_formula(spec.datum, spec.omega, spec.counts()))
 
 
 def _one_form_norm(a_part, phi_part):
@@ -80,7 +70,6 @@ def run_verification(
     grid="desk",
     fd_step: Optional[float] = None,
     seed: int = 0,
-    n_probe: int = 200,
 ):
     """Full invariant suite; returns (FieldReport, [Check])."""
     rng = np.random.default_rng(seed)
@@ -142,8 +131,7 @@ def run_verification(
     # 5. annulus pointwise bound: |F+| <= C [(1/r) max(|b|,|s|) + max(|b|^2,|s|^2)]
     #    with C from the cutoff profile (sup|r chi'| <= 15/4, plus the
     #    quadratic mixing term)
-    n_ann = max(n_probe, 1)
-    per = max(n_ann // max(len(spec.constituents), 1), 10)
+    per = max(200 // max(len(spec.constituents), 1), 10)
     worst_ratio = 0.0
     for k, cst in enumerate(spec.constituents):
         p = spec.positions[k]
@@ -152,7 +140,6 @@ def run_verification(
         radii = rng.uniform(0.5 * R, R, per)
         pts = p + radii[:, None] * u
         tk = rng.uniform(0.0, 2.0 * np.pi, per)
-        chart = samp.chart(pts)
         patches = np.where((pts[:, 2] - p[2]) >= 0, "N", "S")
         for patch in ("N", "S"):
             sel = patches == patch

@@ -151,14 +151,16 @@ def test_index_command_json(tmp_path):
     assert payload["chern_term"] == "2/3"  # 2 (1 + alpha_0(omega)) = 2/3
 
 
-def test_index_sweep_all_csv(tmp_path):
+def test_index_sweep_all_csv(tmp_path, data_dir):
     out = tmp_path / "index.csv"
     assert main(["index", "--sweep-all", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "series,rank,mu,chern,boundary,total"
-    # every simple type A-G up to rank 8, every node: 39 types summed
+    # every simple type A-G up to rank 8, every node: 31 types summed
     assert len(lines) - 1 == sum(rank + 1 for _, rank in _types())
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+    # byte-identical to the frozen seed-0 sweep
+    assert out.read_bytes() == (data_dir / "index_sweep_all_seed0.csv").read_bytes()
 
 
 def _types():

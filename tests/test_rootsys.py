@@ -1,5 +1,6 @@
 """Root-system combinatorics against independent brute-force oracles."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -102,6 +103,20 @@ def test_datum_invariants(series, rank):
     for a in d.positive_roots:
         if dot(a, a) == long_sq:
             assert d.norm_sq(d.coroots[a]) == 2
+    # the highest root is sum marks_mu alpha_mu
+    theta = tuple(Fraction(0) for _ in range(d.ambient_dim))
+    for m, a in zip(d.marks, d.simple_roots):
+        theta = tuple(x + m * y for x, y in zip(theta, a))
+    assert theta == d.highest_root
+    # independent route: every positive root's simple-root coefficients by a
+    # rational solve are nonnegative integers, and heights never decrease
+    gram = [[dot(a, b) for b in d.simple_roots] for a in d.simple_roots]
+    heights = []
+    for beta in d.positive_roots:
+        coeffs = rational_solve(gram, [dot(a, beta) for a in d.simple_roots])
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        heights.append(sum(coeffs))
+    assert heights == sorted(heights)
 
 
 def test_invalid_types():
@@ -323,9 +338,13 @@ def test_json_roundtrip_golden_shape():
     assert payload["extended_cartan"][0][0] == 2
 
 
-@pytest.mark.parametrize("label", ["a2", "g2"])
+@pytest.mark.parametrize("label", [f"{s.lower()}{r}" for s, r in all_simple_types(8)])
 def test_json_golden_files(label, data_dir):
-    """The serialized root datum is byte-stable against the frozen files."""
-    d = build_root_datum(label[0].upper(), int(label[1]))
-    golden = (data_dir / f"root_datum_{label}.json").read_text()
-    assert d.to_json() + "\n" == golden
+    """The serialized root datum is byte-stable: every type against its
+    frozen sha256, A2 and G2 also against the frozen files."""
+    d = build_root_datum(label[0].upper(), int(label[1:]))
+    digests = json.loads((data_dir / "root_datum_sha256.json").read_text())
+    assert hashlib.sha256(d.to_json().encode()).hexdigest() == digests[label.upper()]
+    golden = data_dir / f"root_datum_{label}.json"
+    if golden.exists():
+        assert d.to_json() + "\n" == golden.read_text()
