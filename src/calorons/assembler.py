@@ -37,13 +37,16 @@ from .errors import (
     SingularPointError,
     UnsupportedRepresentationError,
 )
-from .quadrature import _smoothstep
+from .quadrature import _smoothstep, _smoothstep_prime
 from .rootsys import RootDatum, alcove_margin, as_float, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler, gauge_transform
 from .su2 import (
     BPSCaloron,
+    _g_infinity,
+    bps_curvature_fields,
     bps_remainder,
     dirac_potential,
+    hedgehog_framing,
     rotated_remainder,
     RotatedBPSCaloron,
 )
@@ -246,6 +249,10 @@ class GluingProfile:
         r = np.asarray(r, dtype=float)
         return 1.0 - _smoothstep(2.0 * r / self.R - 1.0)
 
+    def chi_prime(self, r):
+        r = np.asarray(r, dtype=float)
+        return -2.0 / self.R * _smoothstep_prime(2.0 * r / self.R - 1.0)
+
     def __call__(self, r):
         return self.chi(r)
 
@@ -365,7 +372,7 @@ class FundamentalCaloron(ConnectionSampler):
         Phi = self.embedding.embed(P2) + self._phi_const
         return A, Phi
 
-    def exact_curvature(self, x, t, step=None):
+    def exact_curvature(self, x, t):
         """The embedded su(2) curvature; the constant Cartan part of Phi
         commutes with the embedded su(2) and adds nothing."""
         E2, _ = self._su2.exact_curvature(np.asarray(x, float) - self.center, t)
@@ -438,7 +445,7 @@ class SingularCaloron(ConnectionSampler):
             Phi -= self.charges[k] / (2.0 * r)[..., None, None]
         return A, Phi
 
-    def exact_curvature(self, x, t, step=None):
+    def exact_curvature(self, x, t):
         """Closed-form E = B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
@@ -567,7 +574,7 @@ class ApproximateCaloron(ConnectionSampler):
     def annulus_parts(self, k, patch, xs, ts):
         """Constituents of the annulus gauge at points xs: the abelian model,
         the framed fundamental remainder b (psi-conjugated) and the abelian
-        remainder s of the spectator monopoles.
+        remainder s of the spectator monopoles, with the 2 x 2 phase frame psi.
 
         psi = exp(phase/2 embed(i tau_3)) is diagonal, so conjugating by it
         is conjugating the su(2) remainder by diag(e^{i phase/2},
@@ -615,6 +622,7 @@ class ApproximateCaloron(ConnectionSampler):
             "model": (model_A, model_P),
             "b": (bA, bP),
             "s": (sA, sP),
+            "psi": psi,
         }
 
     def _annulus_eval(self, k, patch, xs, ts):
@@ -628,31 +636,52 @@ class ApproximateCaloron(ConnectionSampler):
         Phi = model_P + chi[..., None, None] * bP + omchi[..., None, None] * sP
         return A, Phi
 
-    def exact_curvature(self, x, t, step=None):
-        """Curvature per chart: the fundamental caloron's closed form on the
-        cores (r_k <= R/2), the abelian closed form where every r_k > R, and
-        finite differences with `step` only on the gluing annuli."""
+    def _annulus_curvature(self, k, patch, xs, ts):
+        """Closed form on annulus k.  With c = b - s the connection is
+        (M + s) + chi c, where M + s has the singular curvature and M + b is
+        the framed fundamental caloron, so
+
+            F = (1 - chi) F_sing + chi F_fund + dchi ^ c - chi (1 - chi) c ^ c,
+
+        F_fund = embed(h^-1 F_BPS h) with the frame h = framing (g_inf(t)
+        for mu = 0) psi, (c ^ c)_{mu nu} = [c_mu, c_nu] and c_t = eps c_Phi."""
+        fund = self.locals[k]
+        parts = self.annulus_parts(k, patch, xs, ts)
+        rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
+        frame = hedgehog_framing(rel, patch)
+        if fund.mu == 0:
+            frame = frame @ _g_infinity(ts)
+        F2, _ = gauge_transform(frame @ parts["psi"], bps_curvature_fields(rel, fund.v))
+        F = (1.0 - chi)[:, None, None, None] * self.singular.exact_curvature(xs, ts)[0]
+        F += chi[:, None, None, None] * fund.embedding.embed(F2)
+        cA = parts["b"][0] - parts["s"][0]
+        cP = (parts["b"][1] - parts["s"][1])[:, None]
+        dchi = (self.profile.chi_prime(r) / r)[:, None, None, None] * rel[:, :, None, None]
+        mix = (chi * (1.0 - chi))[:, None, None, None]
+        E = F + dchi * cP - mix * (cA @ cP - cP @ cA)
+        a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]  # B_i = F_jk, (i, j, k) cyclic
+        B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (a @ b - b @ a)
+        return E, B
+
+    def exact_curvature(self, x, t):
+        """Closed-form curvature per chart: the fundamental caloron on the
+        cores (r_k <= R/2), the interpolation formula on the gluing annuli,
+        the abelian superposition where every r_k > R."""
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
         chart = self.chart(x)
         E = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
         B = np.zeros_like(E)
-        far = chart < 0
-        if np.any(far):
-            E[far], B[far] = self.singular.exact_curvature(x[far], t[far])
-        k, kind = np.divmod(chart - 1, 4)
-        for j, fund in enumerate(self.locals):
-            core = ~far & (k == j) & (kind == _REGION_CORE)
-            if np.any(core):
-                E[core], B[core] = fund.exact_curvature(x[core], t[core])
-        annulus = ~far & (kind != _REGION_CORE)
-        if np.any(annulus):
-            if step is None:
-                raise ValueError("curvature on the gluing annuli needs a finite-difference step")
-            from .fieldcalc import curvature_at
-
-            curv = curvature_at(self, x[annulus], t[annulus], step=step)
-            E[annulus], B[annulus] = curv.E, curv.B
+        for code in np.unique(chart):
+            sel = chart == code
+            k, kind = divmod(int(code) - 1, 4)
+            if code < 0:
+                E[sel], B[sel] = self.singular.exact_curvature(x[sel], t[sel])
+            elif kind == _REGION_CORE:
+                E[sel], B[sel] = self.locals[k].exact_curvature(x[sel], t[sel])
+            else:
+                patch = "N" if kind == _REGION_ANN_N else "S"
+                E[sel], B[sel] = self._annulus_curvature(k, patch, x[sel], t[sel])
         return E, B
 
 

@@ -81,13 +81,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     spec = _load_spec(args.spec)
-    if args.fd_step is not None and args.fd_step >= spec.epsilon / 10.0:
-        raise InputError(
-            f"--fd-step must be below epsilon/10 = {spec.epsilon / 10.0:.3g}"
-        )
-    report, checks = run_verification(
-        spec, grid=args.grid, fd_step=args.fd_step, seed=args.seed
-    )
+    report, checks = run_verification(spec, grid=args.grid, seed=args.seed)
     for c in checks:
         print(c.line())
     if args.out:
@@ -127,12 +121,7 @@ def cmd_sweep(args):
         err = sd_error_l2(samp, met, spec)
         core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
         grid = desk_grid(
-            list(spec.positions),
-            core_scales,
-            spec.d_max_eff,
-            fd_step=eps / 100.0,
-            nt=16,
-            fine=(args.grid == "fine"),
+            list(spec.positions), core_scales, spec.d_max_eff, nt=16, fine=(args.grid == "fine")
         )
         energy = integrate_energy(samp, met, grid)
         try:
@@ -254,7 +243,6 @@ def build_parser():
     pv.add_argument("--spec", required=True)
     pv.add_argument("--out", default=None, help="write the FieldReport JSON here")
     pv.add_argument("--grid", choices=("desk", "fine"), default="desk")
-    pv.add_argument("--fd-step", type=float, default=None, dest="fd_step")
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)
 

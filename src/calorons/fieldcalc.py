@@ -119,6 +119,8 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -
     All stencil evaluations use the chart of the base point, so multi-chart
     samplers stay in a single smooth gauge per stencil.  t-derivatives
     respect the 2 pi periodicity automatically (samplers are periodic).
+    This is the independent check of the samplers' closed forms
+    (`exact_curvature`), which every curvature integral uses.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -199,13 +201,8 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -
     return CurvatureSample(E=E, B=B, epsilon=eps)
 
 
-def _region_curvature(sampler, pts, t, step):
-    """Curvature at region points: the sampler's closed form where it has
-    one, the finite-difference stencil with `step` elsewhere."""
-    exact = sampler.exact_curvature(pts, t, step)
-    if exact is None:
-        return curvature_at(sampler, pts, t, step=step)
-    E, B = exact
+def _closed_form(sampler, x, t) -> CurvatureSample:
+    E, B = sampler.exact_curvature(x, t)
     return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
 
 
@@ -218,7 +215,7 @@ def _integrate(sampler, metric, grid: VolumeGrid):
     energy, topological = [], []
     for region in grid.regions:
         for tval in ts:
-            curv = _region_curvature(sampler, region.points, tval, grid.fd_step)
+            curv = _closed_form(sampler, region.points, tval)
             energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
             topo = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             topological.append(block_sum(topo, region.weights) * t_weight)
@@ -292,12 +289,12 @@ class SdErrorEstimate:
 
 
 def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
-    """L^2 norm of the self-dual curvature error of a glued approximate
-    caloron.  Quadrature concentrates on the gluing annuli R/2 <= r <= R
-    around each constituent; a sparse finite-difference background check
-    over the cores and the exterior region is added so genuine leakage
-    would be seen.  The annuli use 14 Gauss-Legendre radii, an 8 x 12 sphere
-    rule and 8 t-slices (one for a t-independent sampler)."""
+    """L^2 norm of the self-dual error of a glued approximate caloron, from
+    the sampler's closed-form curvature: 14 Gauss-Legendre radii x an 8 x 12
+    sphere rule x 8 t-slices (one if t-independent) on each gluing annulus
+    R/2 <= r <= R, plus sparse shells over the cores and the exterior.  For
+    the glued caloron those shells are exactly zero (E = B in closed form);
+    the finite-difference probes of `verify` look for leakage off the annuli."""
     R = spec.gluing_radius()
     eps = metric.epsilon
     nt_eff = 1 if sampler.t_independent else 8
@@ -312,7 +309,7 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
         pts = (c[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
         for tval in ts:
-            curv = curvature_at(sampler, pts, tval, step=min(eps / 20.0, R / 50.0))
+            curv = _closed_form(sampler, pts, tval)
             annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
 
@@ -323,15 +320,15 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
         pts = (c[None, None, :] + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
         w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
         for tval in ts:
-            curv = curvature_at(sampler, pts, tval, step=eps / 20.0)
+            curv = _closed_form(sampler, pts, tval)
             background_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
-    # exterior shells, FD route on the abelian region
+    # exterior shells on the abelian region
     d_max = max(float(np.linalg.norm(np.asarray(c.position, float))) for c in spec.constituents)
     r_out_min = d_max + 1.5 * R
     radii, rw = graded_radii(r_out_min, 8.0 * max(d_max, 1.0), 4, 2)
     pts = (radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
     w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
-    curv = curvature_at(sampler, pts, 0.0, step=min(eps / 10.0, 0.02 * r_out_min))
+    curv = _closed_form(sampler, pts, 0.0)
     background_terms.append(block_sum(curv.sd_norm_sq(), w) * (eps * 2.0 * np.pi))
     background_sq = math.fsum(background_terms)
 
@@ -374,14 +371,14 @@ def circle_holonomy(sampler, x, metric: MetricParams, n_steps=64):
     return np.sort(phases)[::-1]
 
 
-def sphere_averaged_holonomy(sampler, radius, metric: MetricParams, n_theta=6, n_phi=8, n_steps=64, center=(0, 0, 0)):
+def sphere_averaged_holonomy(sampler, radius, metric: MetricParams, n_theta=6, n_phi=8, n_steps=64):
     """Holonomy eigenphases averaged over a sphere of the given radius.
 
     Averaging kills the multipole corrections of well-separated constituent
     fields (the mean of 1/|x-p| over the sphere is exactly 1/radius),
     leaving the single-centre abelian model."""
     dirs, w = sphere_rule(n_theta, n_phi)
-    pts = np.asarray(center, float)[None, :] + radius * dirs
+    pts = radius * dirs
     acc = None
     for p, wi in zip(pts, w):
         ph = circle_holonomy(sampler, p, metric, n_steps)
@@ -389,23 +386,22 @@ def sphere_averaged_holonomy(sampler, radius, metric: MetricParams, n_theta=6, n
     return acc / (4.0 * np.pi)
 
 
-def magnetic_charge(sampler, radius, quadrature=(16, 32), datum=None, center=(0, 0, 0), fd_step=None):
+def magnetic_charge(sampler, radius, quadrature=(16, 32)):
     """Recover the total magnetic charge as the 2-sphere flux
-    (1/2 pi) Integral dA, projected on the simple coroots and rounded.
+    (1/2 pi) Integral dA about the origin, projected on the simple coroots
+    of sampler.datum and rounded.  The flux is taken from the connection by
+    finite differences, independently of any closed-form curvature.
 
     Returns (integer coefficient tuple, residual).  A residual above 0.1
     raises FluxAmbiguityError rather than silently misrounding.
     """
+    datum = getattr(sampler, "datum", None)
     if datum is None:
-        datum = getattr(sampler, "datum", None)
-    if datum is None:
-        raise ValueError("magnetic_charge needs a root datum (sampler.datum or argument)")
+        raise ValueError("magnetic_charge needs a sampler with a root datum")
     n_theta, n_phi = quadrature
     dirs, w = sphere_rule(n_theta, n_phi)
-    pts = np.asarray(center, float)[None, :] + radius * dirs
-    if fd_step is None:
-        fd_step = min(0.02 * radius, 0.5)
-    curv = curvature_at(sampler, pts, 0.0, step=fd_step)
+    pts = radius * dirs
+    curv = curvature_at(sampler, pts, 0.0, step=min(0.02 * radius, 0.5))
     B_rad = np.einsum("...a,...aij->...ij", dirs, curv.B)
     flux_mat = np.einsum("p,pij->ij", w, B_rad) * radius**2 / (2.0 * np.pi)
 

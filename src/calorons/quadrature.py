@@ -86,7 +86,6 @@ class VolumeGrid:
     regions: List[Region]
     r_max: float
     nt: int
-    fd_step: float
     meta: dict = field(default_factory=dict)
 
     def total_points(self):
@@ -96,6 +95,12 @@ class VolumeGrid:
 def _smoothstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u**3 * (6.0 * u**2 - 15.0 * u + 10.0)
+
+
+def _smoothstep_prime(u):
+    """Derivative of _smoothstep: 30 u^2 (1 - u)^2 on [0, 1], 0 outside."""
+    u = np.clip(u, 0.0, 1.0)
+    return 30.0 * u**2 * (1.0 - u) ** 2
 
 
 def _plateau_weight(r, r_half, r_full):
@@ -110,11 +115,13 @@ def ball_points(center, radii, rweights, n_theta, n_phi):
     return pts.reshape(-1, 3), w.reshape(-1)
 
 
-def desk_grid(centers, core_scales, d_max_eff, fd_step, nt, fine=False):
-    """Partition-of-unity grid over the ball of radius 12 d_max_eff: a graded
-    spherical patch around each centre plus a global far-field shell rule,
-    with smooth localizing weights.  'desk' targets a few-minute verify run;
-    'fine' doubles the angular and radial resolution.
+def desk_grid(centers, core_scales, d_max_eff, nt, fine=False):
+    """Partition-of-unity grid over the ball of radius 12 d_max_eff, with nt
+    circle slices: a graded spherical patch around each centre plus a global
+    far-field shell rule, with smooth localizing weights.  'fine' doubles
+    the angular and radial resolution of the 'desk' default.  The grid
+    holds no finite-difference step: the integrals take every sampler's
+    closed-form curvature.
 
     The patch around each centre has plateau radius local_radius/2 and
     support local_radius; the far region carries weight 1 - sum(patches).
@@ -162,6 +169,5 @@ def desk_grid(centers, core_scales, d_max_eff, fd_step, nt, fine=False):
         regions=regions,
         r_max=float(r_max),
         nt=int(nt),
-        fd_step=float(fd_step),
         meta={"preset": "fine" if fine else "desk"},
     )

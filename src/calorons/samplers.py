@@ -40,26 +40,11 @@ class ConnectionSampler:
     def evaluate(self, x, t, chart=None):
         raise NotImplementedError
 
-    def exact_curvature(self, x, t, step=None):
-        """Curvature components (E, B) at x in closed form, or None when the
-        sampler has none.  A sampler with a closed form on part of its
-        domain computes the rest by finite differences with `step`."""
-        return None
-
-
-class ConstantAbelianSampler(ConnectionSampler):
-    """Flat connection omega dt: A = 0, Phi = omega_matrix / eps."""
-
-    def __init__(self, omega_matrix, epsilon):
-        self.omega_matrix = np.asarray(omega_matrix, dtype=complex)
-        self.n = self.omega_matrix.shape[0]
-        self.epsilon = float(epsilon)
-
-    def evaluate(self, x, t, chart=None):
-        shape = x.shape[:-1]
-        A = np.zeros(shape + (3, self.n, self.n), dtype=complex)
-        Phi = np.broadcast_to(self.omega_matrix / self.epsilon, shape + (self.n, self.n)).copy()
-        return A, Phi
+    def exact_curvature(self, x, t):
+        """Curvature components (E, B) at x in closed form; every sampler
+        whose curvature is integrated implements it.  Finite differences
+        (`fieldcalc.curvature_at`) are the independent check."""
+        raise NotImplementedError
 
 
 class PulledBackSampler(ConnectionSampler):
@@ -82,12 +67,10 @@ class PulledBackSampler(ConnectionSampler):
         A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
         return A_new, Phi_new + _mul2(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
 
-    def exact_curvature(self, x, t, step=None):
-        """g^-1 F_base g when the base has a closed form: curvature transforms
-        covariantly, so no derivative of g enters."""
-        F = self.base.exact_curvature(x, t, step)
-        if F is None:
-            return None
+    def exact_curvature(self, x, t):
+        """g^-1 F_base g: curvature transforms covariantly, so no derivative
+        of g enters."""
+        F = self.base.exact_curvature(x, t)
         x, t = _broadcast_t(x, t)
         EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(F, axis=-3))
         return EB[..., :3, :, :], EB[..., 3:, :, :]

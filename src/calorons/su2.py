@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
-from .quadrature import _smoothstep
+from .quadrature import _smoothstep, _smoothstep_prime
 from .rootsys import PAULI
 from .samplers import ConnectionSampler, PulledBackSampler, dagger, gauge_transform
 
@@ -153,7 +153,7 @@ class BPSCaloron(ConnectionSampler):
     def evaluate(self, x, t, chart=None):
         return self.pair(x)
 
-    def exact_curvature(self, x, t, step=None):
+    def exact_curvature(self, x, t):
         E = bps_curvature_fields(np.asarray(x, float) - self.pair.center, self.v)
         return E, E.copy()
 
@@ -376,8 +376,7 @@ class GaugeMap:
         r, q, n_itau = self._theta_dir(x)
         rs = np.maximum(r, _TINY)
         xh = x / rs[..., None]
-        u = np.clip(r / self.core_radius, 0.0, 1.0)
-        dq = 30.0 * u**2 * (1.0 - u) ** 2 / self.core_radius
+        dq = _smoothstep_prime(r / self.core_radius) / self.core_radius
         ang = 0.5 * t * q
         s, c = np.sin(ang), np.cos(ang)
         dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .assembler import (
     holonomy_shifts,
 )
 from .fieldcalc import (
+    CurvatureSample,
     FieldReport,
     MetricParams,
     curvature_at,
@@ -65,12 +66,7 @@ def _one_form_norm(a_part, phi_part):
     )
 
 
-def run_verification(
-    spec: CaloronSpec,
-    grid="desk",
-    fd_step: Optional[float] = None,
-    seed: int = 0,
-):
+def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     """Full invariant suite; returns (FieldReport, [Check])."""
     rng = np.random.default_rng(seed)
     checks: List[Check] = []
@@ -79,8 +75,7 @@ def run_verification(
     samp = approximate_caloron(spec)
     R = samp.R
     datum = spec.datum
-    if fd_step is None:
-        fd_step = eps / 100.0
+    fd_step = eps / 100.0  # finite-difference probes only
 
     # 1. alcove membership of omega and of every local parameter
     margin = float(alcove_margin(datum, spec.omega))
@@ -130,9 +125,11 @@ def run_verification(
 
     # 5. annulus pointwise bound: |F+| <= C [(1/r) max(|b|,|s|) + max(|b|^2,|s|^2)]
     #    with C from the cutoff profile (sup|r chi'| <= 15/4, plus the
-    #    quadratic mixing term)
+    #    quadratic mixing term), on the closed-form curvature; the same
+    #    points cross-check that closed form against finite differences
     per = max(200 // max(len(spec.constituents), 1), 10)
     worst_ratio = 0.0
+    worst_fd, max_f = 0.0, 0.0
     for k, cst in enumerate(spec.constituents):
         p = spec.positions[k]
         u = rng.normal(size=(per, 3))
@@ -150,12 +147,19 @@ def run_verification(
             snorm = _one_form_norm(*parts["s"])
             mx = np.maximum(bnorm, snorm)
             bound = mx / parts["r"] + mx**2
-            curv = curvature_at(samp, pts[sel], tk[sel], step=fd_step)
+            curv = CurvatureSample(*samp.exact_curvature(pts[sel], tk[sel]), epsilon=eps)
             ratio = np.sqrt(curv.sd_norm_sq()) / np.maximum(bound, 1e-300)
             worst_ratio = max(worst_ratio, float(np.max(ratio)))
+            fd = curvature_at(samp, pts[sel], tk[sel], step=fd_step)
+            worst_fd = max(worst_fd, np.max(np.abs(fd.E - curv.E)), np.max(np.abs(fd.B - curv.B)))
+            max_f = max(max_f, np.max(np.abs(curv.E)), np.max(np.abs(curv.B)))
     c_profile = 15.0 / 4.0 * 2.0 + 2.0
     checks.append(
         Check("annulus-fplus-bound", worst_ratio <= c_profile, worst_ratio, c_profile)
+    )
+    fd_gap = float(worst_fd / max(max_f, 1e-300))
+    checks.append(
+        Check("annulus-closed-form-vs-fd", fd_gap < 1e-5, fd_gap, 1e-5, f"max|F| = {max_f:.4g}")
     )
 
     # 6. gauge patch consistency on the annuli: the north and south
@@ -233,14 +237,7 @@ def run_verification(
 
     # 11. energy against the closed-form value
     core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
-    vol = desk_grid(
-        list(spec.positions),
-        core_scales,
-        spec.d_max_eff,
-        fd_step=fd_step,
-        nt=16,
-        fine=(grid == "fine"),
-    )
+    vol = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, nt=16, fine=(grid == "fine"))
     energy, topo = energy_and_tr_f_wedge_f(samp, met, vol)
     formula = energy_formula_float(spec)
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import lambertw
 
 from calorons.assembler import (
@@ -472,17 +473,22 @@ def test_approximate_chart_gauges_agree():
     assert np.max(np.abs(c_core.norm_sq() - c_ann.norm_sq())) < 1e-8
 
 
-def test_approximate_exact_curvature_vs_fd_on_cores_and_far():
-    """Closed form on the cores (rotated mu = 0 and mu = 1) and on the
-    abelian exterior agrees with the stencil; annulus points need a step."""
-    spec = CaloronSpec(
-        epsilon=0.05, series="A", rank=2, omega=(1 / 3, 0.0, -1 / 3),
+def _su3_pair_spec(eps=0.05, mu=0, phases=(0.4, 1.1)):
+    """A rotated (mu = 0) or simple-coroot constituent beside a mu = 1 one."""
+    return CaloronSpec(
+        epsilon=eps, series="A", rank=2, omega=(1 / 3, 0.0, -1 / 3),
         constituents=[
-            Constituent(0, (1.5, 0.0, 0.1), 0.4),
-            Constituent(1, (-1.0, 1.2, -0.2), 1.1),
+            Constituent(mu, (1.5, 0.0, 0.1), phases[0]),
+            Constituent(1, (-1.0, 1.2, -0.2), phases[1]),
         ],
         gluing_c=0.3,
     )
+
+
+def test_approximate_exact_curvature_vs_fd_on_cores_and_far():
+    """Closed form on the cores (rotated mu = 0 and mu = 1) and on the
+    abelian exterior agrees with the stencil."""
+    spec = _su3_pair_spec()
     samp = approximate_caloron(spec)
     R = samp.R
     rng = np.random.default_rng(11)
@@ -496,16 +502,62 @@ def test_approximate_exact_curvature_vs_fd_on_cores_and_far():
     far = u * rng.uniform(3.0, 6.0, 20)[:, None]
     assert np.all((samp.chart(core) - 1) % 4 == 0) and np.all(samp.chart(far) < 0)
     for pts, step, tol in ((core, spec.epsilon / 100, 1e-7), (far, 0.01, 1e-8)):
-        E, B = samp.exact_curvature(pts, ts, step=1.0)  # no annulus point: step unused
+        E, B = samp.exact_curvature(pts, ts)
         curv = curvature_at(samp, pts, ts, step=step)
         assert np.max(np.abs(curv.E - E)) < tol
         assert np.max(np.abs(curv.B - B)) < tol
-    ann = spec.positions[0] + 0.75 * R * u[:3]
-    with pytest.raises(ValueError):
-        samp.exact_curvature(ann, 0.0)
-    E, B = samp.exact_curvature(ann, 0.0, step=spec.epsilon / 100)
-    curv = curvature_at(samp, ann, 0.0, step=spec.epsilon / 100)
-    assert np.array_equal(E, curv.E) and np.array_equal(B, curv.B)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+def test_approximate_exact_curvature_vs_fd_on_annuli(eps):
+    """The interpolation formula on the gluing annuli (rotated mu = 0 and
+    mu = 1, both patches) agrees with the stencil at step eps/400.  Radii
+    stay three steps inside (R/2, R): the third derivative of chi jumps at
+    both ends, and a stencil across a jump misses by up to 1e-5 at step
+    eps/100.  The t-step is 1e-3 because the mu = 0 remainder rotates
+    with t."""
+    samp = approximate_caloron(_su3_pair_spec(eps))
+    R, step = samp.R, eps / 400
+    rng = np.random.default_rng(14)
+    for p in samp.positions:
+        u = rng.normal(size=(200, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        pts = p + u * rng.uniform(0.5 * R + 3 * step, R - 3 * step, 200)[:, None]
+        ts = rng.uniform(0.0, 2.0 * np.pi, 200)
+        kinds = (samp.chart(pts) - 1) % 4
+        assert set(kinds) == {1, 2}  # both annulus patches
+        E, B = samp.exact_curvature(pts, ts)
+        curv = curvature_at(samp, pts, ts, step=step, t_step=1e-3)
+        assert np.max(np.abs(curv.E - E)) < 1e-9
+        assert np.max(np.abs(curv.B - B)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.sampled_from([0, 1]),
+    phases=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    eps=st.floats(0.01, 0.08),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_annulus_closed_form_patches_related_by_abelian_transition(mu, phases, eps, seed):
+    """On the equatorial annulus both patches are valid: the closed-form
+    south curvature is u^-1 F_N u with the abelian transition
+    u = exp(-phi gamma_k) (verify's gauge-patch-consistency check)."""
+    samp = approximate_caloron(_su3_pair_spec(eps, mu, phases))
+    rng = np.random.default_rng(seed)
+    for k, p in enumerate(samp.positions):
+        u = rng.normal(size=(12, 3))
+        u[:, 2] *= 0.2
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        pts = p + rng.uniform(0.55 * samp.R, 0.95 * samp.R, 12)[:, None] * u
+        ts = rng.uniform(0.0, 2.0 * np.pi, 12)
+        phi = np.arctan2(u[:, 1], u[:, 0])
+        d = np.exp(-1j * np.outer(phi, np.diag(samp.locals[k].charge_matrix).imag))
+        transition = np.conjugate(d)[:, None, :, None] * d[:, None, None, :]
+        EN, BN = samp._annulus_curvature(k, "N", pts, ts)
+        ES, BS = samp._annulus_curvature(k, "S", pts, ts)
+        assert np.max(np.abs(ES - transition * EN)) < 1e-10
+        assert np.max(np.abs(BS - transition * BN)) < 1e-10
 
 
 def test_annulus_phase_framing_matches_matrix_conjugation():
@@ -559,7 +611,6 @@ def test_energy_additivity_two_constituents():
         list(spec.positions),
         [1.0 / (2 * f.v) for f in samp.locals],
         spec.d_max_eff,
-        fd_step=eps / 100,
         nt=8,
     )
     e = integrate_energy(samp, met, grid)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from calorons.cli import main
+from conftest import all_simple_types
 
 SU2_SPEC = {
     "epsilon": 0.05,
@@ -95,10 +96,6 @@ def test_verify_overlapping_constituents_guidance(tmp_path, capsys):
     assert "epsilon" in err
 
 
-def test_verify_fd_step_bound(su2_spec_file):
-    assert main(["verify", "--spec", str(su2_spec_file), "--fd-step", "0.01"]) == 2
-
-
 def test_sweep_refuses_single_epsilon(su2_spec_file):
     assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", "0.1"]) == 2
 
@@ -157,19 +154,10 @@ def test_index_sweep_all_csv(tmp_path, data_dir):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "series,rank,mu,chern,boundary,total"
     # every simple type A-G up to rank 8, every node: 31 types summed
-    assert len(lines) - 1 == sum(rank + 1 for _, rank in _types())
+    assert len(lines) - 1 == sum(rank + 1 for _, rank in all_simple_types())
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
     # byte-identical to the frozen seed-0 sweep
     assert out.read_bytes() == (data_dir / "index_sweep_all_seed0.csv").read_bytes()
-
-
-def _types():
-    out = [("A", r) for r in range(1, 9)]
-    out += [("B", r) for r in range(2, 9)]
-    out += [("C", r) for r in range(3, 9)]
-    out += [("D", r) for r in range(4, 9)]
-    out += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    return out
 
 
 def test_index_requires_mu_or_sweep():

@@ -29,7 +29,7 @@ from calorons.fieldcalc import (
 )
 from calorons.quadrature import block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.samplers import ConnectionSampler, ConstantAbelianSampler, PulledBackSampler
+from calorons.samplers import ConnectionSampler, PulledBackSampler
 from calorons.su2 import bps_caloron_plus, rotated_bps
 
 ITAU = [
@@ -37,6 +37,25 @@ ITAU = [
     1j * np.array([[0, -1j], [1j, 0]], dtype=complex),
     1j * np.array([[1, 0], [0, -1]], dtype=complex),
 ]
+
+
+class ConstantAbelianSampler(ConnectionSampler):
+    """Flat connection omega dt: A = 0, Phi = omega_matrix / eps."""
+
+    def __init__(self, omega_matrix, epsilon):
+        self.omega_matrix = np.asarray(omega_matrix, dtype=complex)
+        self.n = self.omega_matrix.shape[0]
+        self.epsilon = float(epsilon)
+
+    def evaluate(self, x, t, chart=None):
+        shape = x.shape[:-1]
+        A = np.zeros(shape + (3, self.n, self.n), dtype=complex)
+        Phi = np.broadcast_to(self.omega_matrix / self.epsilon, shape + (self.n, self.n)).copy()
+        return A, Phi
+
+    def exact_curvature(self, x, t):
+        E = np.zeros(np.shape(x)[:-1] + (3, self.n, self.n), dtype=complex)
+        return E, E.copy()
 
 
 # -- curvature ------------------------------------------------------------------
@@ -166,7 +185,7 @@ def test_gauge_invariance_of_energy():
     met = MetricParams(0.8)
     base = bps_caloron_plus(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5, fd_step=5e-4, nt=8)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5, nt=8)
     e0 = integrate_energy(base, met, grid, charge_matrix=ITAU[2])
     e1 = integrate_energy(gauged, met, grid, charge_matrix=ITAU[2])
     assert abs(e0.value - e1.value) / e0.value < 1e-3
@@ -184,9 +203,14 @@ def test_pulled_back_exact_curvature_matches_fd():
     curv = curvature_at(gauged, pts, ts, step=3e-3)
     assert np.max(np.abs(curv.E - E)) < 1e-6
     assert np.max(np.abs(curv.B - B)) < 1e-6
-    # no closed form for the base, none for its pullback
+    # a flat base stays flat under the pullback
     flat = PulledBackSampler(ConstantAbelianSampler(0.3 * ITAU[2], 0.8), _SmoothPeriodicGauge())
-    assert flat.exact_curvature(pts, ts) is None
+    E, B = flat.exact_curvature(pts, ts)
+    assert not np.any(E) and not np.any(B)
+    # a base without a closed form has no pullback closed form either
+    no_closed_form = PulledBackSampler(ConnectionSampler(), _SmoothPeriodicGauge())
+    with pytest.raises(NotImplementedError):
+        no_closed_form.exact_curvature(pts, ts)
 
 
 def test_circle_holonomy_flat_connection():
@@ -320,7 +344,7 @@ def test_magnetic_charge_ambiguity_raises():
 
 def test_energy_zero_field():
     samp = ConstantAbelianSampler(np.zeros((2, 2)), epsilon=1.0)
-    grid = desk_grid([np.zeros(3)], [0.5], 0.5, fd_step=1e-3, nt=4)
+    grid = desk_grid([np.zeros(3)], [0.5], 0.5, nt=4)
     e = integrate_energy(samp, MetricParams(1.0), grid)
     assert abs(e.value) < 1e-12
 
@@ -330,7 +354,7 @@ def test_energy_bps_and_rotated_quarter():
     carry energy 1/2 (= 2 omega' and 1 - 2 omega')."""
     met = MetricParams(1.0)
     bps = bps_caloron_plus(0.25, 1.0)
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, fd_step=0.02, nt=8)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, nt=8)
     e_bps = integrate_energy(bps, met, grid, charge_matrix=ITAU[2])
     assert abs(e_bps.value - 0.5) < 0.005
     q = tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
@@ -345,7 +369,7 @@ def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
     samp = fundamental_caloron(d, 0, (0.15, -0.15), eps)
     assert not samp.t_independent
     met = MetricParams(eps)
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5, fd_step=eps / 50, nt=2)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5, nt=2)
     energy, topo = energy_and_tr_f_wedge_f(samp, met, grid)
     assert energy == integrate_energy(samp, met, grid)
     assert topo == tr_f_wedge_f(samp, met, grid)
@@ -355,7 +379,7 @@ def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
     dens = {"energy": [], "topo": []}
     for region in grid.regions:
         for t in ts:
-            E, B = samp.exact_curvature(region.points, t, grid.fd_step)
+            E, B = samp.exact_curvature(region.points, t)
             curv = CurvatureSample(E=E, B=B, epsilon=eps)
             dens["energy"].append(block_sum(curv.norm_sq(), region.weights) * t_w)
             top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
@@ -373,7 +397,7 @@ def test_rotated_energy_equals_circle_invariant():
     met = MetricParams(1.0)
     bps, rot = bps_caloron_plus(0.25, 1.0), rotated_bps(0.25, 1.0)
     assert bps.v == rot.v
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, fd_step=0.02, nt=16)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, nt=16)
     e_bps, q_bps = energy_and_tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
     e_rot, q_rot = energy_and_tr_f_wedge_f(rot, met, grid, charge_matrix=ITAU[2])
     assert abs(e_rot.value - e_bps.value) <= 1e-12
@@ -424,7 +448,7 @@ def test_sphere_averaged_holonomy_kills_dipole():
 
 def test_sd_error_of_exact_caloron_is_fd_floor():
     """Feeding an exact caloron (no gluing) through the L^2 error pipeline
-    returns only the finite-difference floor."""
+    returns zero: its closed-form curvature has E = B."""
     spec = CaloronSpec(
         epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
