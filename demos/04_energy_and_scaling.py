@@ -26,7 +26,7 @@ ITAU3 = 1j * np.diag([1.0, -1.0])
 print("== energy of the circle-invariant fundamental caloron ==")
 met = MetricParams(1.0)
 samp = bps_caloron_plus(omega_prime=0.25, epsilon=1.0)
-grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0, nt=8)
+grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0)
 e = integrate_energy(samp, met, grid, charge_matrix=ITAU3)
 q = tr_f_wedge_f(samp, met, grid, charge_matrix=ITAU3)
 print(f"  quadrature: {grid.total_points()} points, tail beyond r = {grid.r_max:.0f} added analytically")

@@ -349,12 +349,7 @@ class FundamentalCaloron(ConnectionSampler):
         a_omega = float(node @ omega)
         self.omega = omega
         self.omega_prime = omega - 0.5 * a_omega * coroot
-        if mu == 0:
-            self.su2_parameter = -0.5 * a_omega
-            self.t_independent = False
-        else:
-            self.su2_parameter = 0.5 * a_omega
-            self.t_independent = True
+        self.su2_parameter = (-0.5 if mu == 0 else 0.5) * a_omega
         if not 0.0 < self.su2_parameter < 0.5:
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
@@ -395,8 +390,6 @@ def _patch_mask(rel_z):
 class SingularCaloron(ConnectionSampler):
     """Cartan-valued caloron: superposition of Dirac monopoles at the
     constituent positions plus the constant omega/eps."""
-
-    t_independent = True
 
     def __init__(self, spec: CaloronSpec):
         if spec.series != "A":
@@ -485,7 +478,6 @@ class ApproximateCaloron(ConnectionSampler):
         self.singular = SingularCaloron(spec)
         self.charge_matrix = self.singular.charge_matrix
         self.omega_shifts = holonomy_shifts(spec)
-        self.t_independent = all(c.mu != 0 for c in spec.constituents)
 
         self.locals: List[FundamentalCaloron] = []
         for k, c in enumerate(spec.constituents):

@@ -120,9 +120,7 @@ def cmd_sweep(args):
         met = MetricParams(eps)
         err = sd_error_l2(samp, met, spec)
         core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
-        grid = desk_grid(
-            list(spec.positions), core_scales, spec.d_max_eff, nt=16, fine=(args.grid == "fine")
-        )
+        grid = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(args.grid == "fine"))
         energy = integrate_energy(samp, met, grid)
         try:
             _, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.0), quadrature=(12, 24))

@@ -100,6 +100,10 @@ class CurvatureSample:
     def asd_norm_sq(self):
         return 2.0 * np.sum(lie_norm_sq(self.asd_part), axis=-1)
 
+    def topological_density(self):
+        """2 sum_a <E_a, B_a>, the density of tr_f_wedge_f."""
+        return 2.0 * np.sum(lie_inner(self.E, self.B), axis=-1)
+
     def inner_sd_asd(self):
         """<F^+, F^-> pointwise; vanishes identically (projector property)."""
         return self.norm_sq() - self.sd_norm_sq() - self.asd_norm_sq()
@@ -113,13 +117,14 @@ def sd_split(curv: CurvatureSample):
 _FD4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
-def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -> CurvatureSample:
+def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSample:
     """Curvature by 4th-order central differences plus exact commutators.
 
     All stencil evaluations use the chart of the base point, so multi-chart
-    samplers stay in a single smooth gauge per stencil.  t-derivatives
-    respect the 2 pi periodicity automatically (samplers are periodic).
-    This is the independent check of the samplers' closed forms
+    samplers stay in a single smooth gauge per stencil.  The t-step is
+    step/eps, the same proper length as the spatial step under g_eps;
+    t-derivatives respect the 2 pi periodicity automatically (samplers are
+    periodic).  This is the independent check of the samplers' closed forms
     (`exact_curvature`), which every curvature integral uses.
     """
     x = np.asarray(x, dtype=float)
@@ -128,59 +133,33 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3, t_step=None) -
         x = x[None, :]
     batch = x.shape[:-1]
     t = np.broadcast_to(np.asarray(t, dtype=float), batch).copy()
-    if t_step is None:
-        t_step = 0.01
 
     chart = sampler.chart(x, t)
     eps = sampler.epsilon
-    n = sampler.n
+    dt = step / eps
 
-    shifts_x = []
-    for axis in range(3):
-        for mult, _ in _FD4:
-            xs = x.copy()
-            xs[..., axis] += mult * step
-            shifts_x.append(xs)
-    t_dep = not sampler.t_independent
-    shifts_t = []
-    if t_dep:
-        for mult, _ in _FD4:
-            shifts_t.append(t + mult * t_step)
-
-    all_x = np.concatenate([x[None]] + [s[None] for s in shifts_x] + [x[None]] * len(shifts_t), axis=0)
-    all_t = np.concatenate(
-        [t[None]] + [t[None]] * len(shifts_x) + [s[None] for s in shifts_t], axis=0
-    )
-    n_eval = all_x.shape[0]
+    # evaluation 0 is the base point, then 4 shifts along each axis of x,
+    # then 4 shifts in t
+    shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
+    shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
+    all_x = np.stack([x] + [x + sx for sx, _ in shifts])
+    all_t = np.stack([t] + [t + st for _, st in shifts])
+    all_chart = None
     if chart is not None:
-        all_chart = np.broadcast_to(np.asarray(chart), (n_eval,) + batch)
-    else:
-        all_chart = None
+        all_chart = np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
 
     A_all, Phi_all = sampler(all_x, all_t, all_chart)
     A0, Phi0 = A_all[0], Phi_all[0]
 
-    dA = np.zeros(batch + (3, 3, n, n), dtype=complex)  # [deriv, comp]
-    dPhi = np.zeros(batch + (3, n, n), dtype=complex)
-    idx = 1
-    for axis in range(3):
-        accA = 0.0
-        accP = 0.0
-        for _, wgt in _FD4:
-            accA = accA + wgt * A_all[idx]
-            accP = accP + wgt * Phi_all[idx]
-            idx += 1
-        dA[..., axis, :, :, :] = accA / (12.0 * step)
-        dPhi[..., axis, :, :] = accP / (12.0 * step)
+    def fd(values, h):
+        acc = 0.0
+        for (_, wgt), v in zip(_FD4, values):
+            acc = acc + wgt * v
+        return acc / (12.0 * h)
 
-    if t_dep:
-        accA = 0.0
-        for _, wgt in _FD4:
-            accA = accA + wgt * A_all[idx]
-            idx += 1
-        dAdt = accA / (12.0 * t_step)
-    else:
-        dAdt = np.zeros_like(A0)
+    dA = np.stack([fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-4)  # [deriv, comp]
+    dPhi = np.stack([fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-3)
+    dAdt = fd(A_all[13:], dt)
 
     comm_AP = np.einsum("...aij,...jk->...aik", A0, Phi0) - np.einsum(
         "...ij,...ajk->...aik", Phi0, A0
@@ -206,19 +185,22 @@ def _closed_form(sampler, x, t) -> CurvatureSample:
     return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
 
 
+# Every sampler here is, chart by chart, gauge-equivalent to a t-independent
+# connection (the mu = 0 pieces by g(x, t) or the diagonal g_inf(t)), so the
+# gauge-invariant densities |F|^2, <E, B> and |F+|^2 do not depend on t: the
+# integrals take the one slice t = pi with weight 2 pi eps.
+_T_SLICE = np.pi
+
+
 def _integrate(sampler, metric, grid: VolumeGrid):
     """Energy and topological density integrals over the grid, from one
-    curvature evaluation per grid point and t-slice."""
-    nt = 1 if sampler.t_independent else grid.nt
-    ts = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
-    t_weight = metric.epsilon * 2.0 * np.pi / nt
+    curvature evaluation per grid point."""
+    t_weight = metric.epsilon * 2.0 * np.pi
     energy, topological = [], []
     for region in grid.regions:
-        for tval in ts:
-            curv = _closed_form(sampler, region.points, tval)
-            energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
-            topo = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
-            topological.append(block_sum(topo, region.weights) * t_weight)
+        curv = _closed_form(sampler, region.points, _T_SLICE)
+        energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
+        topological.append(block_sum(curv.topological_density(), region.weights) * t_weight)
     return math.fsum(energy), math.fsum(topological)
 
 
@@ -289,17 +271,15 @@ class SdErrorEstimate:
 
 
 def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
-    """L^2 norm of the self-dual error of a glued approximate caloron, from
-    the sampler's closed-form curvature: 14 Gauss-Legendre radii x an 8 x 12
-    sphere rule x 8 t-slices (one if t-independent) on each gluing annulus
-    R/2 <= r <= R, plus sparse shells over the cores and the exterior.  For
-    the glued caloron those shells are exactly zero (E = B in closed form);
-    the finite-difference probes of `verify` look for leakage off the annuli."""
+    """L^2 norm of the self-dual error of a glued approximate caloron on the
+    slice t = pi: 14 Gauss-Legendre radii x an 8 x 12 sphere rule on each
+    gluing annulus R/2 <= r <= R, from the closed-form curvature, plus
+    sparse shells over the cores and the exterior.  The closed form has
+    E = B on those shells by construction, so they take finite differences
+    at step eps/100 and measure the self-dual leakage off the annuli."""
     R = spec.gluing_radius()
     eps = metric.epsilon
-    nt_eff = 1 if sampler.t_independent else 8
-    ts = 2.0 * np.pi * (np.arange(nt_eff) + 0.5) / nt_eff
-    t_w = eps * 2.0 * np.pi / nt_eff
+    t_w = eps * 2.0 * np.pi
     dirs, wdir = sphere_rule(8, 12)
 
     annulus_terms = []
@@ -308,28 +288,23 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
         radii, rw = gauss_legendre(0.5 * R, R, 14)
         pts = (c[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
-        for tval in ts:
-            curv = _closed_form(sampler, pts, tval)
-            annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
+        curv = _closed_form(sampler, pts, _T_SLICE)
+        annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
 
-    background_terms = []
+    shells = []
     for cst in spec.constituents:
         c = np.asarray(cst.position, dtype=float)
-        radii, rw = graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)
-        pts = (c[None, None, :] + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
-        w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
-        for tval in ts:
-            curv = _closed_form(sampler, pts, tval)
-            background_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
+        shells.append((c, graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)))
     # exterior shells on the abelian region
     d_max = max(float(np.linalg.norm(np.asarray(c.position, float))) for c in spec.constituents)
-    r_out_min = d_max + 1.5 * R
-    radii, rw = graded_radii(r_out_min, 8.0 * max(d_max, 1.0), 4, 2)
-    pts = (radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
-    w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
-    curv = _closed_form(sampler, pts, 0.0)
-    background_terms.append(block_sum(curv.sd_norm_sq(), w) * (eps * 2.0 * np.pi))
+    shells.append((np.zeros(3), graded_radii(d_max + 1.5 * R, 8.0 * max(d_max, 1.0), 4, 2)))
+    background_terms = []
+    for c, (radii, rw) in shells:
+        pts = (c[None, None, :] + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
+        w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
+        curv = curvature_at(sampler, pts, _T_SLICE, step=eps / 100.0)
+        background_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
     background_sq = math.fsum(background_terms)
 
     return SdErrorEstimate(annulus_sq=annulus_sq, background_sq=background_sq)
@@ -341,32 +316,28 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
 def circle_holonomy(sampler, x, metric: MetricParams, n_steps=64):
     """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
     computed as the path-ordered exponential of eps Phi dt via a 4th-order
-    Magnus / Gauss two-point product."""
+    Magnus / Gauss two-point product (exact for a constant Phi)."""
     x = np.asarray(x, dtype=float)
     eps = metric.epsilon
     chart = sampler.chart(x[None, :], np.zeros(1))
-    if sampler.t_independent:
-        _, Phi = sampler(x[None, :], np.zeros(1), chart)
-        U = expm_antiherm(2.0 * np.pi * eps * Phi[0])
-    else:
-        h = 2.0 * np.pi / n_steps
-        offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-        t0 = np.arange(n_steps) * h
-        t_nodes = np.concatenate([t0 + offs[0] * h, t0 + offs[1] * h])
-        pts = np.broadcast_to(x, (t_nodes.size, 3))
-        charts = None
-        if chart is not None:
-            charts = np.broadcast_to(np.asarray(chart), (t_nodes.size,))
-        _, Phi = sampler(pts, t_nodes, charts)
-        M = eps * Phi
-        M1, M2 = M[:n_steps], M[n_steps:]
-        omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * (
-            M2 @ M1 - M1 @ M2
-        )
-        steps = expm_antiherm(omega)
-        U = np.eye(sampler.n, dtype=complex)
-        for k in range(n_steps):
-            U = steps[k] @ U
+    h = 2.0 * np.pi / n_steps
+    offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    t0 = np.arange(n_steps) * h
+    t_nodes = np.concatenate([t0 + offs[0] * h, t0 + offs[1] * h])
+    pts = np.broadcast_to(x, (t_nodes.size, 3))
+    charts = None
+    if chart is not None:
+        charts = np.broadcast_to(np.asarray(chart), (t_nodes.size,))
+    _, Phi = sampler(pts, t_nodes, charts)
+    M = eps * Phi
+    M1, M2 = M[:n_steps], M[n_steps:]
+    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * (
+        M2 @ M1 - M1 @ M2
+    )
+    steps = expm_antiherm(omega)
+    U = np.eye(sampler.n, dtype=complex)
+    for k in range(n_steps):
+        U = steps[k] @ U
     phases = np.angle(np.linalg.eigvals(U))
     return np.sort(phases)[::-1]
 

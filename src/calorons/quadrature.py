@@ -1,17 +1,17 @@
 """Deterministic quadrature grids for fields on R^3 x S^1.
 
 Product rules: Gauss-Legendre in the radius and in cos(theta), uniform in
-phi and in the periodic circle coordinate.  Radial meshes are graded
-geometrically so that epsilon-size cores and 1/r tails are both resolved at
-desk scale.  Accumulation is fixed-order (block sums combined by math.fsum)
-so results are independent of any worker count.
+phi; the circle coordinate takes one slice (see `fieldcalc._T_SLICE`).
+Radial meshes are graded geometrically so that epsilon-size cores and 1/r
+tails are both resolved at desk scale.  Accumulation is fixed-order (block
+sums combined by math.fsum) so results are independent of any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import ClassVar, List
 
 import numpy as np
 
@@ -81,11 +81,12 @@ class Region:
 
 @dataclass
 class VolumeGrid:
-    """Product quadrature for volume integrals over a ball of radius r_max."""
+    """Product quadrature for volume integrals over a ball of radius r_max,
+    on one t-slice."""
 
+    nt: ClassVar[int] = 1
     regions: List[Region]
     r_max: float
-    nt: int
     meta: dict = field(default_factory=dict)
 
     def total_points(self):
@@ -115,10 +116,10 @@ def ball_points(center, radii, rweights, n_theta, n_phi):
     return pts.reshape(-1, 3), w.reshape(-1)
 
 
-def desk_grid(centers, core_scales, d_max_eff, nt, fine=False):
-    """Partition-of-unity grid over the ball of radius 12 d_max_eff, with nt
-    circle slices: a graded spherical patch around each centre plus a global
-    far-field shell rule, with smooth localizing weights.  'fine' doubles
+def desk_grid(centers, core_scales, d_max_eff, fine=False):
+    """Partition-of-unity grid over the ball of radius 12 d_max_eff: a
+    graded spherical patch around each centre plus a global far-field shell
+    rule, with smooth localizing weights.  'fine' doubles
     the angular and radial resolution of the 'desk' default.  The grid
     holds no finite-difference step: the integrals take every sampler's
     closed-form curvature.
@@ -168,6 +169,5 @@ def desk_grid(centers, core_scales, d_max_eff, nt, fine=False):
     return VolumeGrid(
         regions=regions,
         r_max=float(r_max),
-        nt=int(nt),
         meta={"preset": "fine" if fine else "desk"},
     )

@@ -28,7 +28,6 @@ class ConnectionSampler:
 
     n = 2
     epsilon = 1.0
-    t_independent = True
 
     def chart(self, x, t=None):
         return None
@@ -56,7 +55,6 @@ class PulledBackSampler(ConnectionSampler):
         self.gauge = gauge_map
         self.n = base.n
         self.epsilon = base.epsilon
-        self.t_independent = base.t_independent and gauge_map.t_independent
 
     def chart(self, x, t=None):
         return self.base.chart(x, t)

@@ -137,8 +137,6 @@ def bps_pair(v, center=(0.0, 0.0, 0.0)) -> BPSPair:
 class BPSCaloron(ConnectionSampler):
     """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps."""
 
-    t_independent = True
-
     def __init__(self, omega_prime, epsilon, center=(0.0, 0.0, 0.0)):
         if not 0.0 < omega_prime < 0.5:
             raise HolonomyParameterError(
@@ -334,8 +332,6 @@ class GaugeMap:
     all of R^3 x R.  The clutching descriptor h(x) = -g(x, 2pi)^{-1} equals
     the identity wherever q = 1.
     """
-
-    t_independent = False
 
     def __init__(self, core_radius):
         self.core_radius = float(core_radius)

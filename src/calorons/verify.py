@@ -126,10 +126,13 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     # 5. annulus pointwise bound: |F+| <= C [(1/r) max(|b|,|s|) + max(|b|^2,|s|^2)]
     #    with C from the cutoff profile (sup|r chi'| <= 15/4, plus the
     #    quadratic mixing term), on the closed-form curvature; the same
-    #    points cross-check that closed form against finite differences
+    #    points cross-check that closed form against finite differences and
+    #    check that its gauge-invariant densities are the same at t + pi,
+    #    which the one-slice integrals assume
     per = max(200 // max(len(spec.constituents), 1), 10)
     worst_ratio = 0.0
     worst_fd, max_f = 0.0, 0.0
+    worst_dt, max_f2 = 0.0, 0.0
     for k, cst in enumerate(spec.constituents):
         p = spec.positions[k]
         u = rng.normal(size=(per, 3))
@@ -153,6 +156,11 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
             fd = curvature_at(samp, pts[sel], tk[sel], step=fd_step)
             worst_fd = max(worst_fd, np.max(np.abs(fd.E - curv.E)), np.max(np.abs(fd.B - curv.B)))
             max_f = max(max_f, np.max(np.abs(curv.E)), np.max(np.abs(curv.B)))
+            shifted = CurvatureSample(*samp.exact_curvature(pts[sel], tk[sel] + np.pi), epsilon=eps)
+            for density in (CurvatureSample.norm_sq, CurvatureSample.sd_norm_sq,
+                            CurvatureSample.topological_density):
+                worst_dt = max(worst_dt, float(np.max(np.abs(density(curv) - density(shifted)))))
+            max_f2 = max(max_f2, float(np.max(curv.norm_sq())))
     c_profile = 15.0 / 4.0 * 2.0 + 2.0
     checks.append(
         Check("annulus-fplus-bound", worst_ratio <= c_profile, worst_ratio, c_profile)
@@ -161,6 +169,8 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     checks.append(
         Check("annulus-closed-form-vs-fd", fd_gap < 1e-5, fd_gap, 1e-5, f"max|F| = {max_f:.4g}")
     )
+    dt_gap = worst_dt / max(max_f2, 1e-300)
+    checks.append(Check("density-t-invariance", dt_gap < 1e-12, dt_gap, 1e-12))
 
     # 6. gauge patch consistency on the annuli: the north and south
     #    presentations differ by the recorded abelian transition
@@ -237,7 +247,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
 
     # 11. energy against the closed-form value
     core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
-    vol = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, nt=16, fine=(grid == "fine"))
+    vol = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(grid == "fine"))
     energy, topo = energy_and_tr_f_wedge_f(samp, met, vol)
     formula = energy_formula_float(spec)
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)

@@ -135,7 +135,7 @@ def test_criterion_03_energy_of_fundamental_calorons():
         ("rotated", rotated_bps(0.25, 1.0), 0.5),                # 1 - 2 omega'
     ):
         t0 = time.monotonic()
-        grid = desk_grid([np.zeros(3)], [1.0 / (2.0 * samp.v)], 1.0, nt=16)
+        grid = desk_grid([np.zeros(3)], [1.0 / (2.0 * samp.v)], 1.0)
         e = integrate_energy(samp, met, grid, charge_matrix=ITAU3)
         q = tr_f_wedge_f(samp, met, grid, charge_matrix=ITAU3)
         elapsed = time.monotonic() - t0

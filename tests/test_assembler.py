@@ -3,6 +3,7 @@ calorons, and the assembled approximate caloron."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from calorons.errors import (
     UnsupportedRepresentationError,
 )
 from calorons.fieldcalc import (
+    CurvatureSample,
     MetricParams,
     circle_holonomy,
     curvature_at,
@@ -36,7 +38,7 @@ from calorons.fieldcalc import (
 )
 from calorons.samplers import dagger
 from calorons.quadrature import desk_grid
-from calorons.rootsys import as_float, build_root_datum
+from calorons.rootsys import as_float, build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
 
 
@@ -454,7 +456,7 @@ def test_approximate_chart_gauges_agree():
     pts *= (0.49 * R / np.linalg.norm(pts, axis=1))[:, None]
 
     class ForcedChart:
-        n, epsilon, t_independent = samp.n, samp.epsilon, samp.t_independent
+        n, epsilon = samp.n, samp.epsilon
 
         def __init__(self, codes):
             self.codes = np.asarray(codes)
@@ -514,8 +516,7 @@ def test_approximate_exact_curvature_vs_fd_on_annuli(eps):
     mu = 1, both patches) agrees with the stencil at step eps/400.  Radii
     stay three steps inside (R/2, R): the third derivative of chi jumps at
     both ends, and a stencil across a jump misses by up to 1e-5 at step
-    eps/100.  The t-step is 1e-3 because the mu = 0 remainder rotates
-    with t."""
+    eps/100."""
     samp = approximate_caloron(_su3_pair_spec(eps))
     R, step = samp.R, eps / 400
     rng = np.random.default_rng(14)
@@ -527,7 +528,7 @@ def test_approximate_exact_curvature_vs_fd_on_annuli(eps):
         kinds = (samp.chart(pts) - 1) % 4
         assert set(kinds) == {1, 2}  # both annulus patches
         E, B = samp.exact_curvature(pts, ts)
-        curv = curvature_at(samp, pts, ts, step=step, t_step=1e-3)
+        curv = curvature_at(samp, pts, ts, step=step)
         assert np.max(np.abs(curv.E - E)) < 1e-9
         assert np.max(np.abs(curv.B - B)) < 1e-9
 
@@ -558,6 +559,55 @@ def test_annulus_closed_form_patches_related_by_abelian_transition(mu, phases, e
         ES, BS = samp._annulus_curvature(k, "S", pts, ts)
         assert np.max(np.abs(ES - transition * EN)) < 1e-10
         assert np.max(np.abs(BS - transition * BN)) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    rank=st.integers(1, 3),
+    n0=st.integers(0, 2),
+    n_other=st.integers(0, 2),
+    eps=st.floats(0.02, 0.06),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_densities_do_not_depend_on_t(rank, n0, n_other, eps, seed):
+    """|F|^2, |F+|^2 and <E, B> of the glued caloron agree at 6 values of t
+    on the cores, the annuli and the exterior: every chart is a gauge
+    transform of a t-independent connection, which the one-slice integrals
+    rely on."""
+    rng = np.random.default_rng(seed)
+    datum = build_root_datum("A", rank)
+    mus = [0] * n0 + list(rng.integers(1, rank + 1, n_other)) or [1]
+    angles = 2.0 * np.pi * np.arange(len(mus)) / len(mus) + rng.uniform(0.0, 2.0 * np.pi)
+    z = rng.uniform(-0.2, 0.2, len(mus))
+    positions = np.stack([1.6 * np.cos(angles), 1.6 * np.sin(angles), z], -1)
+    omega = as_float(random_interior_omega(datum, random.Random(seed)))
+    spec = CaloronSpec(
+        epsilon=eps, series="A", rank=rank, omega=tuple(omega),
+        constituents=[
+            Constituent(int(mu), tuple(p), float(rng.uniform(0.0, 2.0 * np.pi)))
+            for mu, p in zip(mus, positions)
+        ],
+        gluing_c=0.3,
+    )
+    samp = approximate_caloron(spec)
+    R = samp.R
+    u = rng.normal(size=(20, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ts = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(6) / 6
+    for lo, hi in ((0.02, 0.45), (0.5, 1.0)):
+        pts = np.concatenate([p + u * R * rng.uniform(lo, hi, 20)[:, None] for p in samp.positions])
+        _assert_densities_agree_over_t(samp, pts, ts)
+    far = u * (spec.d_max + 1.5 * R) * rng.uniform(1.0, 3.0, 20)[:, None]
+    _assert_densities_agree_over_t(samp, far, ts)
+
+
+def _assert_densities_agree_over_t(samp, pts, ts):
+    dens = []
+    for t in ts:
+        curv = CurvatureSample(*samp.exact_curvature(pts, t), epsilon=samp.epsilon)
+        dens.append(np.stack([curv.norm_sq(), curv.sd_norm_sq(), curv.topological_density()]))
+    dens = np.asarray(dens)
+    assert np.max(np.abs(dens - dens[0])) <= 1e-12 * np.max(dens[0, 0])
 
 
 def test_annulus_phase_framing_matches_matrix_conjugation():
@@ -607,12 +657,7 @@ def test_energy_additivity_two_constituents():
     )
     samp = approximate_caloron(spec)
     met = MetricParams(eps)
-    grid = desk_grid(
-        list(spec.positions),
-        [1.0 / (2 * f.v) for f in samp.locals],
-        spec.d_max_eff,
-        nt=8,
-    )
+    grid = desk_grid(list(spec.positions), [1.0 / (2 * f.v) for f in samp.locals], spec.d_max_eff)
     e = integrate_energy(samp, met, grid)
     formula = energy_formula_float(spec)
     assert abs(formula - 1.0) < 1e-12  # 2 * (1/2)|coroot|^2 alpha(omega) = 4 w

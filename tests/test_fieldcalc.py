@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from calorons.assembler import (
+    ApproximateCaloron,
     CaloronSpec,
     Constituent,
     approximate_caloron,
@@ -23,6 +24,7 @@ from calorons.fieldcalc import (
     lie_inner,
     lie_norm_sq,
     magnetic_charge,
+    sd_error_l2,
     sd_split,
     sphere_averaged_holonomy,
     tr_f_wedge_f,
@@ -138,8 +140,6 @@ def test_abelian_bianchi_third_order():
 class _SmoothPeriodicGauge:
     """g = exp(sin(t) u(x) i tau_2) exp(w(x) i tau_3), periodic in t."""
 
-    t_independent = False
-
     def _factors(self, x, t):
         x = np.asarray(x, float)
         t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
@@ -185,7 +185,7 @@ def test_gauge_invariance_of_energy():
     met = MetricParams(0.8)
     base = bps_caloron_plus(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5, nt=8)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5)
     e0 = integrate_energy(base, met, grid, charge_matrix=ITAU[2])
     e1 = integrate_energy(gauged, met, grid, charge_matrix=ITAU[2])
     assert abs(e0.value - e1.value) / e0.value < 1e-3
@@ -237,7 +237,7 @@ def test_circle_holonomy_abelian_model_shift():
 
 def test_circle_holonomy_fourth_order_convergence():
     class Wobble(ConnectionSampler):
-        n, epsilon, t_independent = 2, 1.0, False
+        n, epsilon = 2, 1.0
 
         def evaluate(self, x, t, chart=None):
             A = np.zeros(x.shape[:-1] + (3, 2, 2), dtype=complex)
@@ -304,7 +304,7 @@ def test_magnetic_charge_su3_cancellation():
 
 def test_magnetic_charge_ambiguity_raises():
     class Junk(ConnectionSampler):
-        n, epsilon, t_independent = 2, 1.0, True
+        n, epsilon = 2, 1.0
 
         def evaluate(self, x, t, chart=None):
             # a non-quantized radial "flux" field: B_rad ~ 0.4 xhat/2r^2
@@ -324,7 +324,7 @@ def test_magnetic_charge_ambiguity_raises():
     d = build_root_datum("A", 1)
 
     class FakeFlux(ConnectionSampler):
-        n, epsilon, t_independent = 2, 1.0, True
+        n, epsilon = 2, 1.0
         datum = d
 
         def evaluate(self, x, t, chart=None):
@@ -344,7 +344,7 @@ def test_magnetic_charge_ambiguity_raises():
 
 def test_energy_zero_field():
     samp = ConstantAbelianSampler(np.zeros((2, 2)), epsilon=1.0)
-    grid = desk_grid([np.zeros(3)], [0.5], 0.5, nt=4)
+    grid = desk_grid([np.zeros(3)], [0.5], 0.5)
     e = integrate_energy(samp, MetricParams(1.0), grid)
     assert abs(e.value) < 1e-12
 
@@ -354,7 +354,7 @@ def test_energy_bps_and_rotated_quarter():
     carry energy 1/2 (= 2 omega' and 1 - 2 omega')."""
     met = MetricParams(1.0)
     bps = bps_caloron_plus(0.25, 1.0)
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, nt=8)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
     e_bps = integrate_energy(bps, met, grid, charge_matrix=ITAU[2])
     assert abs(e_bps.value - 0.5) < 0.005
     q = tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
@@ -362,20 +362,21 @@ def test_energy_bps_and_rotated_quarter():
 
 
 def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
-    """The fused pass returns exactly what the two wrappers return and what
-    a separate pass per density (the fsum of per-slice block sums) gives."""
+    """The fused pass returns exactly what the two wrappers return, and its
+    one t-slice matches a 4-slice reference loop (the fsum of per-slice
+    block sums, none at t = pi) of the t-dependent rotated caloron."""
     d = build_root_datum("A", 1)
     eps = 0.2
     samp = fundamental_caloron(d, 0, (0.15, -0.15), eps)
-    assert not samp.t_independent
     met = MetricParams(eps)
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5, nt=2)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5)
     energy, topo = energy_and_tr_f_wedge_f(samp, met, grid)
     assert energy == integrate_energy(samp, met, grid)
     assert topo == tr_f_wedge_f(samp, met, grid)
 
-    ts = 2.0 * np.pi * (np.arange(grid.nt) + 0.5) / grid.nt
-    t_w = eps * 2.0 * np.pi / grid.nt
+    nt = 4
+    ts = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
+    t_w = eps * 2.0 * np.pi / nt
     dens = {"energy": [], "topo": []}
     for region in grid.regions:
         for t in ts:
@@ -385,9 +386,11 @@ def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
             top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             dens["topo"].append(block_sum(top, region.weights) * t_w)
     tail = eps * float(lie_norm_sq(samp.charge_matrix)) / (2.0 * grid.r_max)
-    assert energy.raw == math.fsum(dens["energy"]) / (8.0 * np.pi**2)
     assert energy.tail == tail
-    assert topo == math.fsum(dens["topo"]) / (8.0 * np.pi**2) + tail
+    ref_energy = math.fsum(dens["energy"]) / (8.0 * np.pi**2)
+    ref_topo = math.fsum(dens["topo"]) / (8.0 * np.pi**2) + tail
+    assert abs(energy.raw - ref_energy) <= 1e-14 * abs(ref_energy)
+    assert abs(topo - ref_topo) <= 1e-14 * abs(ref_topo)
 
 
 def test_rotated_energy_equals_circle_invariant():
@@ -397,7 +400,7 @@ def test_rotated_energy_equals_circle_invariant():
     met = MetricParams(1.0)
     bps, rot = bps_caloron_plus(0.25, 1.0), rotated_bps(0.25, 1.0)
     assert bps.v == rot.v
-    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0, nt=16)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
     e_bps, q_bps = energy_and_tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
     e_rot, q_rot = energy_and_tr_f_wedge_f(rot, met, grid, charge_matrix=ITAU[2])
     assert abs(e_rot.value - e_bps.value) <= 1e-12
@@ -448,19 +451,44 @@ def test_sphere_averaged_holonomy_kills_dipole():
 
 def test_sd_error_of_exact_caloron_is_fd_floor():
     """Feeding an exact caloron (no gluing) through the L^2 error pipeline
-    returns zero: its closed-form curvature has E = B."""
+    returns the finite-difference floor: E = B on the annuli in closed form
+    and on the background shells up to the stencil's error."""
     spec = CaloronSpec(
         epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
-    from calorons.fieldcalc import sd_error_l2
-
     exact = bps_caloron_plus(0.25, 0.05)
     est = sd_error_l2(exact, MetricParams(0.05), spec)
     glued = approximate_caloron(spec)
     est_glued = sd_error_l2(glued, MetricParams(0.05), spec)
     assert est.value < 1e-6
     assert est_glued.value > 1e-2  # the glue error is real by comparison
+
+
+def test_sd_error_localization_sees_leakage_off_the_annuli():
+    """The background shells take finite differences of the connection, so
+    a self-dual error off the annuli shows even where the closed form is
+    exact: a Cartan Higgs gradient E_1 = gamma on the cores and the exterior
+    leaves exact_curvature untouched but pulls the annulus fraction down."""
+    class Leaky(ApproximateCaloron):
+        def evaluate(self, x, t, chart=None):
+            if chart is None:
+                chart = self.chart(x)
+            A, Phi = super().evaluate(x, t, chart)
+            code = np.asarray(chart)
+            off_annuli = (code < 0) | ((code - 1) % 4 == 0)
+            return A, Phi + (off_annuli * x[..., 0])[..., None, None] * self.charge_matrix
+
+    spec = CaloronSpec(
+        epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
+        constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
+    )
+    met = MetricParams(0.05)
+    glued, leaky = approximate_caloron(spec), Leaky(spec)
+    x = np.array([[0.1, 0.0, 0.05], [3.0, 1.0, -2.0]])
+    assert np.array_equal(glued.exact_curvature(x, 1.0)[0], leaky.exact_curvature(x, 1.0)[0])
+    assert sd_error_l2(glued, met, spec).annulus_fraction > 0.999
+    assert sd_error_l2(leaky, met, spec).annulus_fraction < 0.95
 
 
 def test_holonomy_phases_continuous_and_converge():

@@ -144,7 +144,7 @@ def test_rotated_closed_form_curvature_vs_fd():
     ts = rng.uniform(0.0, 2.0 * np.pi, 40)
     E, B = samp.exact_curvature(pts, ts)
     assert np.array_equal(E, B)
-    curv = curvature_at(samp, pts, ts, step=1e-3, t_step=1e-3)
+    curv = curvature_at(samp, pts, ts, step=1e-3)
     assert np.max(np.abs(curv.E - E)) < 1e-11
     assert np.max(np.abs(curv.B - B)) < 1e-11
 
@@ -292,7 +292,6 @@ def test_dirac_closed_form_curvature_vs_fd():
     from calorons.samplers import ConnectionSampler
 
     class DiracSampler(ConnectionSampler):
-        t_independent = True
         epsilon = 1.0
         n = 2
 
