@@ -26,7 +26,7 @@ from .errors import (
 from .fieldcalc import MetricParams, integrate_energy, magnetic_charge, sd_error_l2
 from .indexes import moduli_dimension, transverse_index
 from .quadrature import desk_grid
-from .rootsys import build_root_datum, parse_group_label, random_interior_omega
+from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
 from .verify import energy_formula_float, run_verification
 
 EXIT_OK = 0
@@ -176,23 +176,12 @@ def _parse_rational_vector(text):
         raise InputError(f"bad rational vector {text!r}") from exc
 
 
-def _all_simple_types(max_rank=8):
-    out = [("A", r) for r in range(1, max_rank + 1)]
-    out += [("B", r) for r in range(2, max_rank + 1)]
-    out += [("C", r) for r in range(3, max_rank + 1)]
-    out += [("D", r) for r in range(4, max_rank + 1)]
-    out += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    return out
-
-
 def cmd_index(args):
     if args.sweep_all:
         import random
 
         rng = random.Random(args.seed)
-        types = (
-            [parse_group_label(args.type)] if args.type else _all_simple_types()
-        )
+        types = [parse_group_label(args.type)] if args.type else all_simple_types()
         lines = ["series,rank,mu,chern,boundary,total"]
         for series, rank in types:
             datum = build_root_datum(series, rank)

@@ -53,25 +53,12 @@ def moduli_dimension(n: Sequence[int]) -> int:
     return 4 * sum(int(x) for x in n)
 
 
-def dynkin_index_su2(datum: RootDatum, mu: int) -> Fraction:
+def dynkin_index_su2(datum: RootDatum, mu: int) -> int:
     """Dynkin index of the su(2) embedding at node mu acting on the
     complexified complement: (1/2) sum over roots alpha != +-(node root) of
-    alpha(coroot)^2."""
-    node = datum.node_root(mu)
-    coroot = datum.node_coroot(mu)
-    total = Fraction(0)
-    for a in datum.positive_roots:
-        total += pairing(a, coroot) ** 2
-    # drop the +-node pair: its positive representative contributes 2^2
-    total -= pairing(node, coroot) ** 2
-    return total
-
-
-def dynkin_index_su2_via_adjoint(datum: RootDatum, mu: int) -> Fraction:
-    """Same quantity through the adjoint-index identity
-    (1/2) ind_Ad |coroot|^2 - 4."""
-    coroot = datum.node_coroot(mu)
-    return Fraction(dynkin_index_adjoint(datum), 2) * datum.norm_sq(coroot) - 4
+    alpha(coroot)^2, an integer sum over the positive roots."""
+    # drop the +-node pair: its positive representative pairs to +-2
+    return sum(p * p for p in datum.coroot_pairings(mu)) - 4
 
 
 @dataclass(frozen=True)
@@ -108,19 +95,15 @@ def transverse_index(datum: RootDatum, mu: int, omega: Sequence) -> IndexReport:
     Vanishes identically (exactly) for every simple type and every node.
     """
     omega = tuple(Fraction(c) for c in omega)
-    node = datum.node_root(mu)
-    coroot = datum.node_coroot(mu)
     sign = -1 if mu == 0 else 1
     n0 = 1 if mu == 0 else 0
 
-    ind_p = dynkin_index_su2(datum, mu)
-    a_omega = pairing(node, omega)
-    chern = ind_p * (n0 + a_omega)
+    a_omega = pairing(datum.node_root(mu), omega)
+    chern = dynkin_index_su2(datum, mu) * (n0 + a_omega)
 
-    rho = datum.rho()
     ind_ad = dynkin_index_adjoint(datum)
-    boundary = 2 * (pairing(rho, coroot) - sign) - (
-        Fraction(ind_ad, 2) * datum.norm_sq(coroot) - 4
+    boundary = 2 * (datum.rho_pairing(mu) - sign) - (
+        Fraction(ind_ad, 2) * datum.norm_sq(datum.node_coroot(mu)) - 4
     ) * a_omega
     return IndexReport(datum.series, datum.rank, mu, omega, chern, boundary)
 
@@ -271,13 +254,3 @@ def twisted_dirac_index_adjoint(
         total += delta * pairing(a, gamma)
     assert total.denominator == 1
     return int(total)
-
-
-def positive_root_charge_sum(datum: RootDatum, gamma_coeffs: Sequence[int], n0: int):
-    """Both sides of the identity sum_{alpha in R+} alpha(gamma_m)
-    = 2 sum_mu (n_mu - n0 m_mu), exposed for experimentation."""
-    gamma = charge_vector(datum, gamma_coeffs)
-    lhs = sum((pairing(a, gamma) for a in datum.positive_roots), Fraction(0))
-    n = [n0] + [c + n0 * m for c, m in zip(gamma_coeffs, datum.dual_coxeter_labels)]
-    rhs = 2 * sum(n[mu] - n0 * m for mu, m in zip(range(1, datum.rank + 1), datum.dual_coxeter_labels))
-    return lhs, rhs

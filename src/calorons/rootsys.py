@@ -1,20 +1,24 @@
 """Exact combinatorics of simple root systems.
 
-Everything here is computed in rational arithmetic (`fractions.Fraction`)
-over the standard orthogonal coordinate models: A_n lives in the sum-zero
-hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in the sum-zero hyperplane
-of R^3, E_6/7/8 inside the Bourbaki R^8 model.  Cartan vectors are tuples of
-ambient coordinates; the pairing alpha(xi) is the plain dot product of the
-realization.  The inner product used for Killing norms is the ambient dot
-product rescaled per series so that the coroot of a long root has squared
-norm 2 (equivalently, long roots have squared norm 2).  Floating point only
-enters when a caller converts to numpy at the field-evaluation boundary.
+Roots are generated and paired in integer simple-root coordinates: the
+extended Cartan matrix is an integer table and each pairing
+alpha(alpha_mu^vee) an integer dot product against one of its rows.
+`fractions.Fraction` appears only at the ambient boundary: stored root and
+coroot vectors, coweights and alcove points, `to_json`, and index terms at a
+rational holonomy.  The ambient models are the standard orthogonal ones: A_n
+in the sum-zero hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in the
+sum-zero hyperplane of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The
+simple roots times the series denominator D (2 for E and F, else 1) are
+integer vectors x, so roots are x / D and coroots 2 D x / |x|^2.  Killing
+norms rescale the ambient dot product so that long roots have squared norm
+2.  Floating point only enters at the numpy field-evaluation boundary.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +29,7 @@ import numpy as np
 from .errors import InvalidGroupError, UnsupportedRepresentationError
 
 Vector = Tuple[Fraction, ...]
+Coeffs = Tuple[int, ...]
 
 _POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -47,12 +52,15 @@ _RANK_RANGES = {
 }
 
 
+def all_simple_types(max_rank: int = 8) -> List[Tuple[str, int]]:
+    """The classical types A-D of rank <= max_rank, series by series, then
+    the five exceptional types: the order of `caloron index --sweep-all`."""
+    classical = [(s, r) for s in "ABCD" for r in range(_RANK_RANGES[s][0], max_rank + 1)]
+    return classical + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vec(*coords) -> Vector:
-    return tuple(_frac(c) for c in coords)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
@@ -63,10 +71,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 def vadd(a: Sequence, b: Sequence) -> Vector:
     return tuple(_frac(x) + _frac(y) for x, y in zip(a, b))
-
-
-def vsub(a: Sequence, b: Sequence) -> Vector:
-    return tuple(_frac(x) - _frac(y) for x, y in zip(a, b))
 
 
 def vscale(c, a: Sequence) -> Vector:
@@ -93,77 +97,86 @@ def lincomb(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vector:
     return acc
 
 
-def rational_solve(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    """Solve a square rational linear system by Gaussian elimination."""
-    n = len(A)
-    M = [[_frac(x) for x in row] + [_frac(b[i])] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular rational system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+def _int_comb(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> Coeffs:
+    """Integer sum of c * v over paired coefficients and integer vectors."""
+    acc = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                acc[k] += c * x
+    return tuple(acc)
+
+
+def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _exact_ratio(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; AssertionError naming `what` if not."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{what} not integral")
+    return q
+
+
+def _inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[Coeffs], List[int]]:
+    """Exact inverse of a Cartan matrix as integer rows and row denominators,
+    inverse[i][j] = rows[i][j] / dens[i]: one fraction-free Gauss-Jordan
+    elimination of [matrix | I]."""
+    n = len(matrix)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    for col in range(n):  # a Cartan matrix's leading minors are positive: no pivoting
+        p = rows[col]
         for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+            f = rows[r][col]
+            if r != col and f:
+                new = [p[col] * x - f * y for x, y in zip(rows[r], p)]
+                g = math.gcd(*new)
+                rows[r] = [x // g for x in new]
+    return [tuple(r[n:]) for r in rows], [r[i] for i, r in enumerate(rows)]
 
 
-def _simple_roots(series: str, rank: int) -> List[Vector]:
-    e = lambda i, dim: tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+def _over_common_denominator(vectors: Sequence[Vector]) -> Tuple[int, List[Coeffs]]:
+    """(L, rows) with integer rows and vectors = rows / L."""
+    L = math.lcm(*(x.denominator for v in vectors for x in v))
+    return L, [tuple(x.numerator * (L // x.denominator) for x in v) for v in vectors]
+
+
+def _unit_diffs(dim: int, count: int, scale: int = 1) -> List[Coeffs]:
+    """scale * (e_i - e_{i+1}) for i < count."""
+    return [tuple(scale * ((j == i) - (j == i + 1)) for j in range(dim)) for i in range(count)]
+
+
+def _scaled_simple_roots(series: str, rank: int) -> Tuple[int, List[Coeffs]]:
+    """The series denominator D and the simple roots times D, as integer
+    ambient vectors."""
     if series == "A":
-        dim = rank + 1
-        return [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank)]
-    if series == "B":
-        roots = [vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        roots.append(e(rank - 1, rank))
-        return roots
-    if series == "C":
-        roots = [vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        roots.append(vscale(2, e(rank - 1, rank)))
-        return roots
-    if series == "D":
-        roots = [vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        roots.append(vadd(e(rank - 2, rank), e(rank - 1, rank)))
-        return roots
+        return 1, _unit_diffs(rank + 1, rank)
+    if series in "BCD":
+        last = {"B": {rank - 1: 1}, "C": {rank - 1: 2}, "D": {rank - 2: 1, rank - 1: 1}}[series]
+        return 1, _unit_diffs(rank, rank - 1) + [tuple(last.get(j, 0) for j in range(rank))]
     if series == "E":
-        dim = 8
-        half = Fraction(1, 2)
-        a1 = tuple([half, -half, -half, -half, -half, -half, -half, half][j] for j in range(8))
         # Bourbaki: alpha1 = (e1+e8)/2 - (e2+...+e7)/2, alpha2 = e1+e2,
         # alpha_k = e_{k-1} - e_{k-2} for k=3..8.
-        roots = [a1, vadd(e(0, dim), e(1, dim))]
-        for k in range(3, 9):
-            roots.append(vsub(e(k - 2, dim), e(k - 3, dim)))
-        return roots[:rank]
+        roots = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
+        return 2, (roots + _unit_diffs(8, 6, -2))[:rank]
     if series == "F":
-        dim = 4
-        half = Fraction(1, 2)
-        return [
-            vsub(e(1, dim), e(2, dim)),
-            vsub(e(2, dim), e(3, dim)),
-            e(3, dim),
-            (half, -half, -half, -half),
-        ]
+        return 2, _unit_diffs(4, 3, 2)[1:] + [(0, 0, 0, 2), (1, -1, -1, -1)]
     if series == "G":
-        return [
-            vec(1, -1, 0),
-            vec(-2, 1, 1),
-        ]
+        return 1, [(1, -1, 0), (-2, 1, 1)]
     raise InvalidGroupError(f"unknown series {series!r}")
 
 
-def _reflection_closure(simple: List[Vector]) -> List[Tuple[int, ...]]:
+def _reflection_closure(gram: Sequence[Sequence[int]]) -> List[Coeffs]:
     """All roots as integer coefficient vectors c over the simple roots: the
     closure of the unit vectors under the simple reflections, where s_i
-    changes only c_i, by -sum_j c_j A_ji with A_ij = <alpha_i, alpha_j^vee>."""
-    cartan = [[2 * dot(a, b) / dot(b, b) for b in simple] for a in simple]
-    if any(x.denominator != 1 for row in cartan for x in row):
-        raise AssertionError("Cartan matrix not integral")
-    A = [[int(x) for x in row] for row in cartan]
-    rank = len(simple)
+    changes only c_i, by -sum_j c_j A_ji with A_ij = <alpha_i, alpha_j^vee>
+    = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) from the integer Gram matrix."""
+    rank = len(gram)
+    A = [
+        [_exact_ratio(2 * gram[i][j], gram[j][j], "Cartan matrix") for j in range(rank)]
+        for i in range(rank)
+    ]
     frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     roots = set(frontier)
     while frontier:
@@ -225,7 +238,13 @@ PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dty
 
 @dataclass(frozen=True)
 class RootDatum:
-    """A simple Lie type's root-system data in an orthogonal coordinate model."""
+    """A simple Lie type's root-system data in an orthogonal coordinate model.
+
+    `extended_cartan[mu][nu]` is alpha_nu(alpha_mu^vee) over the nodes of the
+    extended diagram (0 is the lowest root); `positive_root_coeffs` holds the
+    positive roots' integer simple-root coefficients, in `positive_roots`
+    order.
+    """
 
     series: str
     rank: int
@@ -240,17 +259,12 @@ class RootDatum:
     marks: Tuple[int, ...]
     extended_cartan: Tuple[Tuple[int, ...], ...]
     killing_scale: Fraction
+    positive_root_coeffs: Tuple[Coeffs, ...] = field(hash=False, compare=False)
 
     # -- basic linear algebra over the model --------------------------------
 
-    def coroot(self, alpha: Vector) -> Vector:
-        return vscale(Fraction(2) / dot(alpha, alpha), alpha)
-
-    def killing(self, a: Sequence, b: Sequence) -> Fraction:
-        return self.killing_scale * dot(a, b)
-
     def norm_sq(self, a: Sequence) -> Fraction:
-        return self.killing(a, a)
+        return self.killing_scale * dot(a, a)
 
     # Derived data is computed once per datum: functools.cached_property
     # stores into the instance __dict__, which a frozen dataclass allows.
@@ -274,13 +288,31 @@ class RootDatum:
             return self.lowest_coroot
         return self.simple_coroots[mu - 1]
 
-    def rho(self) -> Vector:
-        return self._rho
+    # -- integer pairings with the node coroots ------------------------------
+
+    def coroot_pairings(self, mu: int) -> Coeffs:
+        """alpha(alpha_mu^vee) for every positive root alpha, in
+        `positive_roots` order."""
+        return self._coroot_pairings[mu]
 
     @functools.cached_property
-    def _rho(self) -> Vector:
-        half = [Fraction(1, 2)] * len(self.positive_roots)
-        return lincomb(half, self.positive_roots, self.ambient_dim)
+    def _coroot_pairings(self) -> Tuple[Coeffs, ...]:
+        # alpha = sum_i c_i alpha_i pairs with alpha_mu^vee through row mu
+        return tuple(
+            tuple(_int_dot(c, row[1:]) for c in self.positive_root_coeffs)
+            for row in self.extended_cartan
+        )
+
+    def rho_pairing(self, mu: int) -> int:
+        """rho(alpha_mu^vee) for the Weyl vector rho, half the sum of the
+        positive roots."""
+        return self._rho[mu]
+
+    @functools.cached_property
+    def _rho(self) -> Coeffs:
+        return tuple(
+            _exact_ratio(sum(p), 2, "rho on a coroot") for p in self._coroot_pairings
+        )
 
     # -- alcove geometry -----------------------------------------------------
 
@@ -290,15 +322,14 @@ class RootDatum:
 
     @functools.cached_property
     def _fundamental_coweights(self) -> Tuple[Vector, ...]:
-        cartan = [
-            [dot(a, av) for av in self.simple_coroots] for a in self.simple_roots
-        ]
-        out = []
-        for mu in range(self.rank):
-            rhs = [Fraction(1) if nu == mu else Fraction(0) for nu in range(self.rank)]
-            coeffs = rational_solve(cartan, rhs)
-            out.append(lincomb(coeffs, self.simple_coroots, self.ambient_dim))
-        return tuple(out)
+        # varpi_mu = sum_j B_mu_j alpha_j^vee needs sum_j B_mu_j alpha_nu(alpha_j^vee)
+        # = delta_mu_nu: B is the inverse of the Cartan block of extended_cartan
+        rows, dens = _inverse([row[1:] for row in self.extended_cartan[1:]])
+        L, coroots = _over_common_denominator(self.simple_coroots)
+        return tuple(
+            tuple(Fraction(n, d * L) for n in _int_comb(b, coroots))
+            for b, d in zip(rows, dens)
+        )
 
     def alcove_vertices(self) -> List[Vector]:
         return list(self._alcove_vertices)
@@ -310,9 +341,19 @@ class RootDatum:
             verts.append(vscale(Fraction(1, a), w))
         return tuple(verts)
 
+    def alcove_point(self, weights: Sequence[int]) -> Vector:
+        """sum_v w_v v / sum_v w_v over the alcove vertices v, for
+        nonnegative integer weights w_v, not all zero."""
+        L, verts = self._alcove_numerators
+        total = L * sum(weights)
+        return tuple(Fraction(n, total) for n in _int_comb(weights, verts))
+
+    @functools.cached_property
+    def _alcove_numerators(self) -> Tuple[int, List[Coeffs]]:
+        return _over_common_denominator(self._alcove_vertices)
+
     def alcove_barycenter(self) -> Vector:
-        verts = self.alcove_vertices()
-        return lincomb([Fraction(1, len(verts))] * len(verts), verts, self.ambient_dim)
+        return self.alcove_point([1] * (self.rank + 1))
 
     # -- serialization -------------------------------------------------------
 
@@ -358,8 +399,10 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
 
     Roots are generated as integer simple-root coefficient vectors by
     reflection closure and cross-checked against the catalogued count for
-    the series; positivity, height, the marks and the dual Coxeter labels
-    are read off those vectors.
+    the series; positivity, height, the marks, the dual Coxeter labels and
+    the extended Cartan matrix are read off those vectors and the integer
+    Gram matrix of the scaled simple roots.  Each ambient root and coroot is
+    made once from its integer vector x: x / D and 2 D x / |x|^2.
     """
     series = series.upper()
     if series not in _RANK_RANGES:
@@ -368,69 +411,72 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
         raise InvalidGroupError(f"rank {rank} invalid for series {series}")
 
-    simple = _simple_roots(series, rank)
-    dim = len(simple[0])
-    coeffs = _reflection_closure(simple)
+    denom, simple = _scaled_simple_roots(series, rank)
+    gram = [[_int_dot(a, b) for b in simple] for a in simple]
+    coeffs = _reflection_closure(gram)
     expected = 2 * _POSITIVE_ROOT_COUNTS[series](rank)
     if len(coeffs) != expected:
         raise AssertionError(
             f"reflection closure produced {len(coeffs)} roots, expected {expected}"
         )
-    ambient = {c: lincomb(c, simple, dim) for c in coeffs}
 
-    # positive roots have nonnegative coefficients; sort by (height, vector)
-    positive = sorted((sum(c), ambient[c], c) for c in coeffs if min(c) >= 0)
-    positive_roots = tuple(beta for _, beta, _ in positive)
-    if len(positive_roots) != len(coeffs) // 2:
+    def to_ambient(x):
+        return tuple(Fraction(n, denom) for n in x)
+
+    scaled = {c: _int_comb(c, simple) for c in coeffs}
+    ambient = {c: to_ambient(x) for c, x in scaled.items()}
+    coroots = {}
+    for c, x in scaled.items():
+        x_sq = _int_dot(x, x)
+        coroots[ambient[c]] = tuple(Fraction(2 * denom * n, x_sq) for n in x)
+
+    # positive roots have nonnegative coefficients; sort by (height, vector):
+    # the scaled vectors order as the ambient ones, D being positive
+    positive = sorted((sum(c), scaled[c], c) for c in coeffs if min(c) >= 0)
+    positive_coeffs = tuple(c for _, _, c in positive)
+    if len(positive_coeffs) != len(coeffs) // 2:
         raise AssertionError("positivity split failed")
 
-    _, highest, marks = positive[-1]
+    marks = positive_coeffs[-1]
     if any(m <= 0 for m in marks):
         raise AssertionError("marks not positive integers")
-    lowest = vscale(-1, highest)
-
-    coroots = {a: vscale(Fraction(2) / dot(a, a), a) for a in ambient.values()}
-    lowest_coroot = coroots[lowest]
-    simple_cor = [coroots[a] for a in simple]
+    lowest = ambient[tuple(-m for m in marks)]
 
     # dual Coxeter labels: -alpha_0^vee = theta^vee = sum m_mu alpha_mu^vee
     # with m_mu = marks_mu |alpha_mu|^2 / |theta|^2
-    theta_sq = dot(highest, highest)
-    m = [mk * dot(a, a) / theta_sq for mk, a in zip(marks, simple)]
+    theta = scaled[marks]
+    theta_sq = _int_dot(theta, theta)
+    m = [Fraction(mk * gram[i][i], theta_sq) for i, mk in enumerate(marks)]
     if any(c.denominator != 1 or c <= 0 for c in m):
         raise AssertionError("dual Coxeter labels not positive integers")
     labels = tuple(int(c) for c in m)
 
-    node_roots = [lowest] + list(simple)
-    node_coroots = [lowest_coroot] + simple_cor
-    ext = []
-    for mu in range(rank + 1):
-        row = []
-        for nu in range(rank + 1):
-            val = dot(node_roots[nu], node_coroots[mu])
-            if val.denominator != 1:
-                raise AssertionError("extended Cartan matrix entry not integral")
-            row.append(int(val))
-        ext.append(tuple(row))
-    extended = tuple(ext)
-
-    # normalize Killing so coroots of long roots (theta is one) have squared norm 2
-    killing_scale = theta_sq / 2
+    nodes = [tuple(-x for x in theta)] + simple
+    extended = tuple(
+        tuple(
+            _exact_ratio(2 * _int_dot(x_nu, x_mu), _int_dot(x_mu, x_mu),
+                         "extended Cartan matrix entry")
+            for x_nu in nodes
+        )
+        for x_mu in nodes
+    )
 
     return RootDatum(
         series=series,
         rank=rank,
-        ambient_dim=dim,
-        simple_roots=tuple(simple),
-        positive_roots=positive_roots,
+        ambient_dim=len(simple[0]),
+        simple_roots=tuple(map(to_ambient, simple)),
+        positive_roots=tuple(ambient[c] for c in positive_coeffs),
         coroots=coroots,
-        highest_root=highest,
+        highest_root=ambient[marks],
         lowest_root=lowest,
-        lowest_coroot=lowest_coroot,
+        lowest_coroot=coroots[lowest],
         dual_coxeter_labels=labels,
         marks=marks,
         extended_cartan=extended,
-        killing_scale=killing_scale,
+        # normalize Killing so coroots of long roots (theta is one) have squared norm 2
+        killing_scale=Fraction(theta_sq, 2 * denom * denom),
+        positive_root_coeffs=positive_coeffs,
     )
 
 
@@ -482,20 +528,7 @@ def charge_vector(datum: RootDatum, coroot_coeffs: Sequence[int]) -> Vector:
 
 def dynkin_index_adjoint(datum: RootDatum) -> int:
     """Dynkin index of the adjoint representation, 2(1 - rho(alpha_0^vee))."""
-    val = 2 * (1 - pairing(datum.rho(), datum.lowest_coroot))
-    if val.denominator != 1:
-        raise AssertionError("adjoint index not integral")
-    return int(val)
-
-
-def dynkin_index_adjoint_bruteforce(datum: RootDatum) -> int:
-    """Independent route: sum of alpha(theta^vee)^2 over positive roots for
-    the coroot theta^vee of a long root."""
-    thetav = datum.coroots[datum.highest_root]
-    val = sum((pairing(a, thetav) ** 2 for a in datum.positive_roots), Fraction(0))
-    if val.denominator != 1:
-        raise AssertionError("brute-force adjoint index not integral")
-    return int(val)
+    return 2 * (1 - datum.rho_pairing(0))
 
 
 def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
@@ -508,7 +541,7 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     """
     if not 0 <= mu <= datum.rank:
         raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
-    root = vscale(-1, datum.lowest_root) if mu == 0 else datum.simple_roots[mu - 1]
+    root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
     coroot = datum.coroots[root]
     p_dim = datum.dim_g - datum.rank - 2
 
@@ -534,10 +567,7 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
 def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 12) -> Vector:
     """Random rational point in the open alcove: a strictly positive rational
     convex combination of the alcove vertices."""
-    verts = datum.alcove_vertices()
-    weights = [Fraction(rng.randint(1, max_num)) for _ in verts]
-    total = sum(weights)
-    return lincomb([w / total for w in weights], verts, datum.ambient_dim)
+    return datum.alcove_point([rng.randint(1, max_num) for _ in range(datum.rank + 1)])
 
 
 def as_float(xi: Sequence) -> np.ndarray:

@@ -9,11 +9,3 @@ DATA = Path(__file__).parent / "data"
 def data_dir():
     return DATA
 
-
-def all_simple_types(max_rank=8):
-    out = [("A", r) for r in range(1, max_rank + 1)]
-    out += [("B", r) for r in range(2, max_rank + 1)]
-    out += [("C", r) for r in range(3, max_rank + 1)]
-    out += [("D", r) for r in range(4, max_rank + 1)]
-    out += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    return out

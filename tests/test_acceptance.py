@@ -30,7 +30,6 @@ from calorons.fieldcalc import (
 from calorons.indexes import (
     adjoint_weights,
     dynkin_index_su2,
-    dynkin_index_su2_via_adjoint,
     jump_loci,
     moduli_dimension,
     transverse_index,
@@ -40,10 +39,10 @@ from calorons.indexes import (
 from calorons.quadrature import desk_grid
 from calorons.rootsys import (
     alcove_margin,
+    all_simple_types,
     build_root_datum,
     charge_vector,
     dynkin_index_adjoint,
-    dynkin_index_adjoint_bruteforce,
     pairing,
     random_interior_omega,
 )
@@ -54,7 +53,7 @@ from calorons.su2 import (
     hedgehog_framing,
     rotated_bps,
 )
-from conftest import all_simple_types
+from oracles import dynkin_index_adjoint_bruteforce, dynkin_index_su2_via_adjoint
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from calorons.cli import main
-from conftest import all_simple_types
+from calorons.rootsys import all_simple_types
 
 SU2_SPEC = {
     "epsilon": 0.05,

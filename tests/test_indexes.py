@@ -5,17 +5,16 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calorons.errors import ResonanceError
 from calorons.indexes import (
     adjoint_weights,
     defining_weights,
     dynkin_index_su2,
-    dynkin_index_su2_via_adjoint,
     energy_formula,
     jump_loci,
     moduli_dimension,
-    positive_root_charge_sum,
     transverse_index,
     twisted_dirac_index,
     twisted_dirac_index_adjoint,
@@ -23,6 +22,7 @@ from calorons.indexes import (
     weyl_closed,
 )
 from calorons.rootsys import (
+    all_simple_types,
     build_root_datum,
     charge_vector,
     dynkin_index_adjoint,
@@ -30,7 +30,14 @@ from calorons.rootsys import (
     random_interior_omega,
     vscale,
 )
-from conftest import all_simple_types
+from oracles import (
+    dynkin_index_adjoint_ambient,
+    dynkin_index_su2_ambient,
+    dynkin_index_su2_via_adjoint,
+    positive_root_charge_sum,
+    rho_pairing_ambient,
+    transverse_terms_ambient,
+)
 
 
 # -- energy formula ------------------------------------------------------------
@@ -91,6 +98,35 @@ def test_dynkin_su2_identity_exact(series, rank):
         assert dynkin_index_su2(d, mu) == dynkin_index_su2_via_adjoint(d, mu)
 
 
+@pytest.mark.parametrize("series,rank", all_simple_types(8))
+def test_integer_route_matches_ambient_formulas(series, rank):
+    """The integer sums against rows of extended_cartan equal the ambient
+    Fraction formulas at every node: alpha(alpha_mu^vee) for each positive
+    root, the su(2)-embedding index, rho(alpha_mu^vee) and the adjoint index."""
+    d = build_root_datum(series, rank)
+    assert dynkin_index_adjoint(d) == dynkin_index_adjoint_ambient(d)
+    for mu in range(rank + 1):
+        coroot = d.node_coroot(mu)
+        assert d.coroot_pairings(mu) == tuple(pairing(a, coroot) for a in d.positive_roots)
+        assert dynkin_index_su2(d, mu) == dynkin_index_su2_ambient(d, mu)
+        assert d.rho_pairing(mu) == rho_pairing_ambient(d, mu)
+
+
+def test_extended_cartan_column_is_not_a_row_on_g2():
+    """The comparison above tells a row of extended_cartan from a column:
+    on G2, sums against a column give a different su(2)-embedding index."""
+    d = build_root_datum("G", 2)
+    ext = d.extended_cartan
+
+    def index_from(line):
+        pairings = [sum(c * x for c, x in zip(cs, line[1:])) for cs in d.positive_root_coeffs]
+        return sum(p * p for p in pairings) - 4
+
+    reference = [dynkin_index_su2_ambient(d, mu) for mu in range(3)]
+    assert [index_from(ext[mu]) for mu in range(3)] == reference
+    assert [index_from([row[mu] for row in ext]) for mu in range(3)] != reference
+
+
 # -- transverse index --------------------------------------------------------------
 
 def test_transverse_index_a1():
@@ -126,6 +162,22 @@ def test_transverse_index_vanishes_everywhere(series, rank):
             om = random_interior_omega(d, rng)
             rep = transverse_index(d, mu, om)
             assert rep.chern_term + rep.boundary_term == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(all_simple_types(8)),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_transverse_terms_match_ambient_formulas(group, node, seed):
+    """The Chern and boundary terms at a random interior omega equal the
+    ambient Fraction formulas, term by term."""
+    d = build_root_datum(*group)
+    mu = node % (d.rank + 1)
+    om = random_interior_omega(d, random.Random(seed))
+    rep = transverse_index(d, mu, om)
+    assert (rep.chern_term, rep.boundary_term) == transverse_terms_ambient(d, mu, om)
 
 
 # -- weights -----------------------------------------------------------------------

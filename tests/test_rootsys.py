@@ -18,17 +18,16 @@ from calorons.rootsys import (
     charge_vector,
     decompose_charge,
     dot,
+    all_simple_types,
     dynkin_index_adjoint,
-    dynkin_index_adjoint_bruteforce,
     pairing,
     parse_group_label,
     random_interior_omega,
-    rational_solve,
     reassemble_charge,
     su2_embedding,
     vscale,
 )
-from conftest import all_simple_types
+from oracles import dynkin_index_adjoint_bruteforce, rational_solve, rho_pairing_ambient
 
 # catalogued positive-root counts
 EXPECTED_COUNTS = {
@@ -128,6 +127,19 @@ def test_invalid_types():
 
 
 # -- alcove -----------------------------------------------------------------
+
+@pytest.mark.parametrize("series,rank", all_simple_types(8))
+def test_fundamental_coweights_dual_to_simple_roots(series, rank):
+    """alpha_nu(varpi_mu) = delta_{nu mu}, and rho(alpha_i^vee) = 1 for every
+    simple coroot, both by the integer route and as an ambient pairing."""
+    d = build_root_datum(series, rank)
+    coweights = d.fundamental_coweights()
+    assert len(coweights) == rank
+    for mu, w in enumerate(coweights):
+        assert [pairing(a, w) for a in d.simple_roots] == [int(nu == mu) for nu in range(rank)]
+    for i in range(1, rank + 1):
+        assert d.rho_pairing(i) == rho_pairing_ambient(d, i) == 1
+
 
 def test_alcove_su2_examples():
     d = build_root_datum("A", 1)
