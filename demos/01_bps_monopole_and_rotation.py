@@ -9,7 +9,6 @@ magnetic charge and unit instanton number.
 import numpy as np
 
 from calorons import (
-    MetricParams,
     bps_caloron_plus,
     bps_pair,
     circle_holonomy,
@@ -52,10 +51,9 @@ print("  g(x, 2 pi)   = -id outside the core:", np.allclose(g(far, 2 * np.pi), -
 print("  clutching h  = id there:", np.allclose(g.clutching(far), np.eye(2)))
 
 rot = rotated_bps(omega_prime=0.25, epsilon=1.0)
-met = MetricParams(1.0)
 xprobe = np.array([6.0, 2.0, 3.0])
 r = np.linalg.norm(xprobe)
-phases = circle_holonomy(rot, xprobe, met, n_steps=96)
+phases = circle_holonomy(rot, xprobe, n_steps=96)
 model = 2 * np.pi * (0.25 + 1.0 / (2 * r))
 print(f"\n  rotated-monopole holonomy phases at r={r:.2f}: {phases}")
 print(f"  charge -1 abelian model:                    [{model:+.6f} {-model:+.6f}]")

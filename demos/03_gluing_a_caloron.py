@@ -12,7 +12,6 @@ import numpy as np
 from calorons import (
     CaloronSpec,
     Constituent,
-    MetricParams,
     approximate_caloron,
     curvature_at,
     holonomy_shifts,
@@ -34,7 +33,6 @@ spec = CaloronSpec(
     gluing_c=0.15,
 )
 samp = approximate_caloron(spec)
-met = MetricParams(spec.epsilon)
 
 print("== construction data ==")
 print(f"  constituent counts (n0, n1, n2): {spec.counts()}")
@@ -58,14 +56,14 @@ for name, scale in (("core (r = 0.3 R)", 0.3), ("annulus (r = 0.75 R)", 0.75), (
     curv = curvature_at(samp, pts, ts, step=spec.epsilon / 100)
     print(f"  max |F+| {name:>22}: {np.sqrt(np.max(curv.sd_norm_sq())):.3e}")
 
-err = sd_error_l2(samp, met, spec)
+err = sd_error_l2(samp, spec)
 print(f"  ||F+||_L2 = {err.value:.4f}, fraction on annuli = {err.annulus_fraction:.6f}")
 
 print("\n== charges and holonomy at infinity ==")
-coeffs, resid = magnetic_charge(samp, radius=8.0, quadrature=(12, 24))
+coeffs, resid = magnetic_charge(samp, radius=8.0)
 print(f"  flux-recovered charge: {coeffs} (residual {resid:.1e})")
 L = 10 * spec.d_max
-phases = sphere_averaged_holonomy(samp, L, met, n_theta=6, n_phi=8)
+phases = sphere_averaged_holonomy(samp, L)
 model = np.sort(2 * np.pi * np.array(spec.omega))[::-1]  # gamma_m = 0 here
 print(f"  holonomy eigenphases at |x| = {L:.0f}: {phases}")
 print(f"  abelian model 2 pi w(omega):        {model}")

@@ -12,23 +12,17 @@ import numpy as np
 from calorons import (
     CaloronSpec,
     Constituent,
-    MetricParams,
     approximate_caloron,
     bps_caloron_plus,
-    integrate_energy,
+    energy_and_tr_f_wedge_f,
     sd_error_l2,
-    tr_f_wedge_f,
 )
 from calorons.quadrature import desk_grid
 
-ITAU3 = 1j * np.diag([1.0, -1.0])
-
 print("== energy of the circle-invariant fundamental caloron ==")
-met = MetricParams(1.0)
 samp = bps_caloron_plus(omega_prime=0.25, epsilon=1.0)
 grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0)
-e = integrate_energy(samp, met, grid, charge_matrix=ITAU3)
-q = tr_f_wedge_f(samp, met, grid, charge_matrix=ITAU3)
+e, q = energy_and_tr_f_wedge_f(samp, grid)  # tail from the caloron's charge i tau_3
 print(f"  quadrature: {grid.total_points()} points, tail beyond r = {grid.r_max:.0f} added analytically")
 print(f"  energy = {e.raw:.6f} (ball) + {e.tail:.6f} (tail) = {e.value:.6f}   [2 omega' = 0.5]")
 print(f"  -(1/8 pi^2) Tr(F ^ F) = {q:.6f}   [= energy: the field is a caloron]")
@@ -41,7 +35,7 @@ for eps in (0.1, 0.05, 0.025):
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
     glued = approximate_caloron(spec)
-    err = sd_error_l2(glued, MetricParams(eps), spec)
+    err = sd_error_l2(glued, spec)
     rows.append((eps, glued.R, err.total_sq))
     print(f"  eps = {eps:<6} R = {glued.R:.4f}  ||F+||^2 = {err.total_sq:.4e}")
 

@@ -36,16 +36,12 @@ from .errors import (
 from .fieldcalc import (
     CurvatureSample,
     FieldReport,
-    MetricParams,
     circle_holonomy,
     curvature_at,
     energy_and_tr_f_wedge_f,
-    integrate_energy,
     magnetic_charge,
     sd_error_l2,
-    sd_split,
     sphere_averaged_holonomy,
-    tr_f_wedge_f,
 )
 from .indexes import (
     IndexReport,

@@ -253,9 +253,6 @@ class GluingProfile:
         r = np.asarray(r, dtype=float)
         return -2.0 / self.R * _smoothstep_prime(2.0 * r / self.R - 1.0)
 
-    def __call__(self, r):
-        return self.chi(r)
-
 
 # ---------------------------------------------------------------------------
 # gluing radius
@@ -461,6 +458,7 @@ def singular_caloron(spec: CaloronSpec) -> SingularCaloron:
 _REGION_CORE = 0
 _REGION_ANN_N = 1
 _REGION_ANN_S = 2
+_PATCH = {_REGION_CORE: None, _REGION_ANN_N: "N", _REGION_ANN_S: "S"}
 
 
 class ApproximateCaloron(ConnectionSampler):
@@ -526,6 +524,17 @@ class ApproximateCaloron(ConnectionSampler):
             code[ann] = kmin[ann] * 4 + kind[ann] + 1
         return code
 
+    def _by_chart(self, chart):
+        """Decode a batch of chart codes: (mask, k, patch) per code present.
+        Off every gluing ball k is None and patch the singular caloron's
+        chart code; on core k patch is None, on annulus k "N" or "S"."""
+        for code in np.unique(chart):
+            if code < 0:
+                yield chart == code, None, int(-code - 1)
+            else:
+                k, kind = divmod(int(code) - 1, 4)
+                yield chart == code, k, _PATCH[kind]
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x, t, chart=None):
@@ -534,33 +543,16 @@ class ApproximateCaloron(ConnectionSampler):
         if chart is None:
             chart = self.chart(x)
         chart = np.broadcast_to(np.asarray(chart), x.shape[:-1])
-        shape = x.shape[:-1]
-        A = np.zeros(shape + (3, self.n, self.n), dtype=complex)
-        Phi = np.zeros(shape + (self.n, self.n), dtype=complex)
-
-        flat_x = x.reshape(-1, 3)
-        flat_t = t.reshape(-1)
-        flat_c = chart.reshape(-1)
-        flat_A = A.reshape(-1, 3, self.n, self.n)
-        flat_P = Phi.reshape(-1, self.n, self.n)
-
-        for code in np.unique(flat_c):
-            sel = flat_c == code
-            xs, ts = flat_x[sel], flat_t[sel]
-            if code < 0:
-                mask = int(-code - 1)
-                a, p = self.singular.evaluate(
-                    xs, ts, np.full(xs.shape[0], mask, dtype=np.int64)
-                )
+        A = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
+        Phi = np.zeros(x.shape[:-1] + (self.n, self.n), dtype=complex)
+        for sel, k, patch in self._by_chart(chart):
+            xs, ts = x[sel], t[sel]
+            if k is None:
+                A[sel], Phi[sel] = self.singular.evaluate(xs, ts, np.full(len(xs), patch))
+            elif patch is None:
+                A[sel], Phi[sel] = self.locals[k].evaluate(xs, ts)
             else:
-                k, kind = divmod(int(code) - 1, 4)
-                if kind == _REGION_CORE:
-                    a, p = self.locals[k].evaluate(xs, ts)
-                else:
-                    patch = "N" if kind == _REGION_ANN_N else "S"
-                    a, p = self._annulus_eval(k, patch, xs, ts)
-            flat_A[sel] = a
-            flat_P[sel] = p
+                A[sel], Phi[sel] = self._annulus_eval(k, patch, xs, ts)
         return A, Phi
 
     def annulus_parts(self, k, patch, xs, ts):
@@ -661,19 +653,16 @@ class ApproximateCaloron(ConnectionSampler):
         the abelian superposition where every r_k > R."""
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-        chart = self.chart(x)
         E = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
         B = np.zeros_like(E)
-        for code in np.unique(chart):
-            sel = chart == code
-            k, kind = divmod(int(code) - 1, 4)
-            if code < 0:
-                E[sel], B[sel] = self.singular.exact_curvature(x[sel], t[sel])
-            elif kind == _REGION_CORE:
-                E[sel], B[sel] = self.locals[k].exact_curvature(x[sel], t[sel])
+        for sel, k, patch in self._by_chart(self.chart(x)):
+            xs, ts = x[sel], t[sel]
+            if k is None:
+                E[sel], B[sel] = self.singular.exact_curvature(xs, ts)
+            elif patch is None:
+                E[sel], B[sel] = self.locals[k].exact_curvature(xs, ts)
             else:
-                patch = "N" if kind == _REGION_ANN_N else "S"
-                E[sel], B[sel] = self._annulus_curvature(k, patch, x[sel], t[sel])
+                E[sel], B[sel] = self._annulus_curvature(k, patch, xs, ts)
         return E, B
 
 

@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     InvalidGroupError,
 )
-from .fieldcalc import MetricParams, integrate_energy, magnetic_charge, sd_error_l2
+from .fieldcalc import energy_and_tr_f_wedge_f, magnetic_charge, sd_error_l2
 from .indexes import moduli_dimension, transverse_index
 from .quadrature import desk_grid
 from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
@@ -117,13 +117,12 @@ def cmd_sweep(args):
             gluing_c=template.gluing_c,
         )
         samp = approximate_caloron(spec)
-        met = MetricParams(eps)
-        err = sd_error_l2(samp, met, spec)
+        err = sd_error_l2(samp, spec)
         core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
         grid = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(args.grid == "fine"))
-        energy = integrate_energy(samp, met, grid)
+        energy = energy_and_tr_f_wedge_f(samp, grid)[0]
         try:
-            _, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.0), quadrature=(12, 24))
+            _, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.0))
         except CaloronError:
             resid = float("nan")
         rows.append(

@@ -15,8 +15,12 @@ have vanishing *self-dual* error:
 
 Lie-algebra norms use <X, Y> = -Tr(XY) on anti-Hermitian matrices, under
 which simple coroots of su(n) have squared norm 2.  The topological density
-used by tr_f_wedge_f is 2 sum_a <E_a, B_a>, normalized so that both
+of energy_and_tr_f_wedge_f is 2 sum_a <E_a, B_a>, normalized so that both
 fundamental SU(2) calorons have positive values (2 omega' and 1 - 2 omega').
+
+Every diagnostic reads eps from `sampler.epsilon`, and the energy functions
+read the asymptotic abelian charge from `sampler.charge_matrix`, which every
+integrated sampler declares.
 """
 
 from __future__ import annotations
@@ -31,11 +35,6 @@ import numpy as np
 from .errors import FluxAmbiguityError
 from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
 from .samplers import ConnectionSampler, dagger
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    epsilon: float
 
 
 def commutator(a, b):
@@ -74,21 +73,12 @@ class CurvatureSample:
 
     @property
     def sd_part(self):
+        """Projection onto the +1 eigenspace of the Hodge star of g_eps."""
         return 0.5 * (self.E - self.B)
 
     @property
     def asd_part(self):
         return 0.5 * (self.E + self.B)
-
-    @property
-    def f_mixed(self):
-        """F_{it} components (i = 1..3)."""
-        return self.epsilon * self.E
-
-    @property
-    def f_spatial(self):
-        """(F_23, F_31, F_12)."""
-        return self.B
 
     def norm_sq(self):
         return np.sum(lie_norm_sq(self.E) + lie_norm_sq(self.B), axis=-1)
@@ -109,12 +99,46 @@ class CurvatureSample:
         return self.norm_sq() - self.sd_norm_sq() - self.asd_norm_sq()
 
 
-def sd_split(curv: CurvatureSample):
-    """Projection onto the +-1 eigenspaces of the Hodge star of g_eps."""
-    return curv.sd_part, curv.asd_part
-
-
 _FD4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+
+
+def _fd(values, h):
+    acc = 0.0
+    for (_, wgt), v in zip(_FD4, values):
+        acc = acc + wgt * v
+    return acc / (12.0 * h)
+
+
+def _stencil(sampler, x, t, step, dt=None):
+    """The 4th-order stencil about each point of the batch x, every
+    evaluation in the chart of its base point: the base point and 4 shifts
+    along each axis of x, plus 4 shifts in t when dt is given, in one sampler
+    call.  Returns (A0, Phi0, dPhi, B, dA/dt), with dA/dt None without dt."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
+    chart = sampler.chart(x, t)
+    shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
+    if dt is not None:
+        shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
+    all_x = np.stack([x] + [x + sx for sx, _ in shifts])
+    all_t = np.stack([t] + [t + st for _, st in shifts])
+    all_chart = None
+    if chart is not None:
+        all_chart = np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
+
+    A_all, Phi_all = sampler(all_x, all_t, all_chart)
+    A0, Phi0 = A_all[0], Phi_all[0]
+    dA = np.stack([_fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-4)  # [deriv, comp]
+    dPhi = np.stack([_fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-3)
+
+    def f_ij(i, j):
+        return (
+            dA[..., i, j, :, :]
+            - dA[..., j, i, :, :]
+            + commutator(A0[..., i, :, :], A0[..., j, :, :])
+        )
+
+    B = np.stack([f_ij(1, 2), f_ij(2, 0), f_ij(0, 1)], axis=-3)
+    return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt)
 
 
 def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSample:
@@ -131,50 +155,12 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSa
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    batch = x.shape[:-1]
-    t = np.broadcast_to(np.asarray(t, dtype=float), batch).copy()
-
-    chart = sampler.chart(x, t)
     eps = sampler.epsilon
-    dt = step / eps
-
-    # evaluation 0 is the base point, then 4 shifts along each axis of x,
-    # then 4 shifts in t
-    shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
-    shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
-    all_x = np.stack([x] + [x + sx for sx, _ in shifts])
-    all_t = np.stack([t] + [t + st for _, st in shifts])
-    all_chart = None
-    if chart is not None:
-        all_chart = np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
-
-    A_all, Phi_all = sampler(all_x, all_t, all_chart)
-    A0, Phi0 = A_all[0], Phi_all[0]
-
-    def fd(values, h):
-        acc = 0.0
-        for (_, wgt), v in zip(_FD4, values):
-            acc = acc + wgt * v
-        return acc / (12.0 * h)
-
-    dA = np.stack([fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-4)  # [deriv, comp]
-    dPhi = np.stack([fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-3)
-    dAdt = fd(A_all[13:], dt)
-
+    A0, Phi0, dPhi, B, dAdt = _stencil(sampler, x, t, step, dt=step / eps)
     comm_AP = np.einsum("...aij,...jk->...aik", A0, Phi0) - np.einsum(
         "...ij,...ajk->...aik", Phi0, A0
     )
     E = dPhi - dAdt / eps + comm_AP
-
-    def f_ij(i, j):
-        return (
-            dA[..., i, j, :, :]
-            - dA[..., j, i, :, :]
-            + commutator(A0[..., i, :, :], A0[..., j, :, :])
-        )
-
-    B = np.stack([f_ij(1, 2), f_ij(2, 0), f_ij(0, 1)], axis=-3)
-
     if single:
         E, B = E[0], B[0]
     return CurvatureSample(E=E, B=B, epsilon=eps)
@@ -192,10 +178,10 @@ def _closed_form(sampler, x, t) -> CurvatureSample:
 _T_SLICE = np.pi
 
 
-def _integrate(sampler, metric, grid: VolumeGrid):
+def _integrate(sampler, grid: VolumeGrid):
     """Energy and topological density integrals over the grid, from one
     curvature evaluation per grid point."""
-    t_weight = metric.epsilon * 2.0 * np.pi
+    t_weight = sampler.epsilon * 2.0 * np.pi
     energy, topological = [], []
     for region in grid.regions:
         curv = _closed_form(sampler, region.points, _T_SLICE)
@@ -213,36 +199,23 @@ class EnergyEstimate:
     def value(self):
         return self.raw + self.tail
 
-    def __float__(self):
-        return self.value
 
+def energy_and_tr_f_wedge_f(sampler, grid: VolumeGrid):
+    """(energy, trF^F) of one sampler over one grid, from a single curvature
+    pass per grid point.
 
-def energy_and_tr_f_wedge_f(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None):
-    """(integrate_energy, tr_f_wedge_f) of one sampler over one grid, with a
-    single curvature pass per grid point."""
-    energy, topological = _integrate(sampler, metric, grid)
+    The energy is (1/8 pi^2) ||F||^2_{L^2} over the ball of radius
+    grid.r_max plus the analytic abelian tail eps |gamma|^2 / (2 r_max)
+    beyond it, with gamma = sampler.charge_matrix.  trF^F is
+    -(1/8 pi^2) Integral Trace(F ^ F), oriented so the circle-invariant BPS
+    caloron returns +2 omega', plus the same tail; it equals +-energy for
+    E = +-B."""
+    energy, topological = _integrate(sampler, grid)
     raw = energy / (8.0 * np.pi**2)
     if not np.isfinite(raw):
         raise ArithmeticError("non-finite energy integrand")
-    if charge_matrix is None:
-        charge_matrix = getattr(sampler, "charge_matrix", None)
-    tail = 0.0
-    if charge_matrix is not None:
-        tail = metric.epsilon * float(lie_norm_sq(np.asarray(charge_matrix))) / (2.0 * grid.r_max)
+    tail = sampler.epsilon * float(lie_norm_sq(np.asarray(sampler.charge_matrix))) / (2.0 * grid.r_max)
     return EnergyEstimate(raw=raw, tail=tail), topological / (8.0 * np.pi**2) + tail
-
-
-def integrate_energy(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None) -> EnergyEstimate:
-    """(1/8 pi^2) ||F||^2_{L^2} over the ball of radius grid.r_max, plus the
-    analytic abelian tail eps |gamma|^2 / (2 r_max) beyond it."""
-    return energy_and_tr_f_wedge_f(sampler, metric, grid, charge_matrix)[0]
-
-
-def tr_f_wedge_f(sampler, metric: MetricParams, grid: VolumeGrid, charge_matrix=None) -> float:
-    """-(1/8 pi^2) Integral Trace(F ^ F), oriented so the circle-invariant
-    BPS caloron returns +2 omega', plus the same abelian tail as
-    integrate_energy.  Equals +-energy for E = +-B."""
-    return energy_and_tr_f_wedge_f(sampler, metric, grid, charge_matrix)[1]
 
 
 @dataclass
@@ -266,19 +239,19 @@ class SdErrorEstimate:
             return 1.0
         return self.annulus_sq / self.total_sq
 
-    def __float__(self):
-        return self.value
 
-
-def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
+def sd_error_l2(sampler, spec) -> SdErrorEstimate:
     """L^2 norm of the self-dual error of a glued approximate caloron on the
     slice t = pi: 14 Gauss-Legendre radii x an 8 x 12 sphere rule on each
     gluing annulus R/2 <= r <= R, from the closed-form curvature, plus
     sparse shells over the cores and the exterior.  The closed form has
     E = B on those shells by construction, so they take finite differences
-    at step eps/100 and measure the self-dual leakage off the annuli."""
+    at step eps/100 and measure the self-dual leakage off the annuli.  The
+    spec supplies the annulus geometry; it must share the sampler's eps."""
+    eps = sampler.epsilon
+    if eps != spec.epsilon:
+        raise ValueError(f"sampler epsilon {eps} differs from the spec's {spec.epsilon}")
     R = spec.gluing_radius()
-    eps = metric.epsilon
     t_w = eps * 2.0 * np.pi
     dirs, wdir = sphere_rule(8, 12)
 
@@ -297,8 +270,7 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
         c = np.asarray(cst.position, dtype=float)
         shells.append((c, graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)))
     # exterior shells on the abelian region
-    d_max = max(float(np.linalg.norm(np.asarray(c.position, float))) for c in spec.constituents)
-    shells.append((np.zeros(3), graded_radii(d_max + 1.5 * R, 8.0 * max(d_max, 1.0), 4, 2)))
+    shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
     background_terms = []
     for c, (radii, rw) in shells:
         pts = (c[None, None, :] + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
@@ -313,12 +285,12 @@ def sd_error_l2(sampler, metric: MetricParams, spec) -> SdErrorEstimate:
 # ---------------------------------------------------------------------------
 # holonomy and flux
 
-def circle_holonomy(sampler, x, metric: MetricParams, n_steps=64):
+def circle_holonomy(sampler, x, n_steps=64):
     """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
     computed as the path-ordered exponential of eps Phi dt via a 4th-order
     Magnus / Gauss two-point product (exact for a constant Phi)."""
     x = np.asarray(x, dtype=float)
-    eps = metric.epsilon
+    eps = sampler.epsilon
     chart = sampler.chart(x[None, :], np.zeros(1))
     h = 2.0 * np.pi / n_steps
     offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -342,26 +314,27 @@ def circle_holonomy(sampler, x, metric: MetricParams, n_steps=64):
     return np.sort(phases)[::-1]
 
 
-def sphere_averaged_holonomy(sampler, radius, metric: MetricParams, n_theta=6, n_phi=8, n_steps=64):
-    """Holonomy eigenphases averaged over a sphere of the given radius.
+def sphere_averaged_holonomy(sampler, radius):
+    """Holonomy eigenphases averaged over a 6 x 8 sphere rule of the given
+    radius, each circle in 64 Magnus steps.
 
     Averaging kills the multipole corrections of well-separated constituent
     fields (the mean of 1/|x-p| over the sphere is exactly 1/radius),
     leaving the single-centre abelian model."""
-    dirs, w = sphere_rule(n_theta, n_phi)
-    pts = radius * dirs
+    dirs, w = sphere_rule(6, 8)
     acc = None
-    for p, wi in zip(pts, w):
-        ph = circle_holonomy(sampler, p, metric, n_steps)
+    for p, wi in zip(radius * dirs, w):
+        ph = circle_holonomy(sampler, p)
         acc = wi * ph if acc is None else acc + wi * ph
     return acc / (4.0 * np.pi)
 
 
-def magnetic_charge(sampler, radius, quadrature=(16, 32)):
+def magnetic_charge(sampler, radius):
     """Recover the total magnetic charge as the 2-sphere flux
-    (1/2 pi) Integral dA about the origin, projected on the simple coroots
-    of sampler.datum and rounded.  The flux is taken from the connection by
-    finite differences, independently of any closed-form curvature.
+    (1/2 pi) Integral dA about the origin over a 12 x 24 sphere rule,
+    projected on the simple coroots of sampler.datum and rounded.  The flux
+    is taken from the connection by the spatial finite-difference stencil at
+    t = 0, independently of any closed-form curvature.
 
     Returns (integer coefficient tuple, residual).  A residual above 0.1
     raises FluxAmbiguityError rather than silently misrounding.
@@ -369,11 +342,9 @@ def magnetic_charge(sampler, radius, quadrature=(16, 32)):
     datum = getattr(sampler, "datum", None)
     if datum is None:
         raise ValueError("magnetic_charge needs a sampler with a root datum")
-    n_theta, n_phi = quadrature
-    dirs, w = sphere_rule(n_theta, n_phi)
-    pts = radius * dirs
-    curv = curvature_at(sampler, pts, 0.0, step=min(0.02 * radius, 0.5))
-    B_rad = np.einsum("...a,...aij->...ij", dirs, curv.B)
+    dirs, w = sphere_rule(12, 24)
+    B = _stencil(sampler, radius * dirs, 0.0, min(0.02 * radius, 0.5))[3]
+    B_rad = np.einsum("...a,...aij->...ij", dirs, B)
     flux_mat = np.einsum("p,pij->ij", w, B_rad) * radius**2 / (2.0 * np.pi)
 
     offdiag = flux_mat - np.diag(np.diag(flux_mat))

@@ -8,6 +8,9 @@ Samplers may be defined through several overlapping local gauges ("charts").
 Finite-difference stencils must evaluate every stencil point in the chart of
 the base point; `chart(x, t)` returns a per-point chart code (None when the
 sampler is single-chart) and `__call__` accepts it back.
+
+A sampler whose energy is integrated declares its asymptotic abelian charge
+as `charge_matrix`, the gamma of the energy tail eps |gamma|^2 / (2 r_max).
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class PulledBackSampler(ConnectionSampler):
         self.gauge = gauge_map
         self.n = base.n
         self.epsilon = base.epsilon
+
+    @property
+    def charge_matrix(self):
+        """The base's charge: a gauge transform leaves |gamma| unchanged."""
+        return self.base.charge_matrix
 
     def chart(self, x, t=None):
         return self.base.chart(x, t)

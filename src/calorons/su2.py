@@ -137,6 +137,8 @@ def bps_pair(v, center=(0.0, 0.0, 0.0)) -> BPSPair:
 class BPSCaloron(ConnectionSampler):
     """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps."""
 
+    charge_matrix = ITAU[2]  # the asymptotic charge, in the abelian gauge
+
     def __init__(self, omega_prime, epsilon, center=(0.0, 0.0, 0.0)):
         if not 0.0 < omega_prime < 0.5:
             raise HolonomyParameterError(

@@ -25,7 +25,6 @@ from .assembler import (
 from .fieldcalc import (
     CurvatureSample,
     FieldReport,
-    MetricParams,
     curvature_at,
     energy_and_tr_f_wedge_f,
     lie_norm_sq,
@@ -71,7 +70,6 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     rng = np.random.default_rng(seed)
     checks: List[Check] = []
     eps = spec.epsilon
-    met = MetricParams(eps)
     samp = approximate_caloron(spec)
     R = samp.R
     datum = spec.datum
@@ -217,7 +215,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
 
     # 8. magnetic charge recovery
     radius = 2.0 * (spec.d_max + 1.0)
-    coeffs, resid = magnetic_charge(samp, radius, quadrature=(12, 24))
+    coeffs, resid = magnetic_charge(samp, radius)
     expected = spec.charge_coefficients()
     ok = coeffs == expected and resid < 0.05
     checks.append(
@@ -226,7 +224,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
 
     # 9. holonomy at infinity vs the abelian model
     L = 10.0 * spec.d_max_eff
-    phases = sphere_averaged_holonomy(samp, L, met, n_theta=6, n_phi=8, n_steps=64)
+    phases = sphere_averaged_holonomy(samp, L)
     gamma_vec = spec.charge_vector()
     model = 2.0 * np.pi * (np.asarray(spec.omega) - eps * gamma_vec / (2.0 * L))
     model = np.sort(model)[::-1]
@@ -234,7 +232,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     checks.append(Check("holonomy-infinity", hol_err < 1e-4, hol_err, 1e-4))
 
     # 10. self-dual error: localization on the annuli
-    sd = sd_error_l2(samp, met, spec)
+    sd = sd_error_l2(samp, spec)
     checks.append(
         Check(
             "sd-error-localization",
@@ -248,7 +246,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     # 11. energy against the closed-form value
     core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
     vol = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(grid == "fine"))
-    energy, topo = energy_and_tr_f_wedge_f(samp, met, vol)
+    energy, topo = energy_and_tr_f_wedge_f(samp, vol)
     formula = energy_formula_float(spec)
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)
     checks.append(

@@ -20,12 +20,10 @@ from calorons.assembler import (
 )
 from calorons.errors import ResonanceError
 from calorons.fieldcalc import (
-    MetricParams,
-    integrate_energy,
+    energy_and_tr_f_wedge_f,
     magnetic_charge,
     sd_error_l2,
     sphere_averaged_holonomy,
-    tr_f_wedge_f,
 )
 from calorons.indexes import (
     adjoint_weights,
@@ -127,7 +125,6 @@ def test_criterion_02_framed_higgs_decay():
 # -- 3. energy --------------------------------------------------------------------
 
 def test_criterion_03_energy_of_fundamental_calorons():
-    met = MetricParams(1.0)
     results = {}
     for name, samp, target in (
         ("circle-invariant", bps_caloron_plus(0.25, 1.0), 0.5),   # 2 omega'
@@ -135,8 +132,7 @@ def test_criterion_03_energy_of_fundamental_calorons():
     ):
         t0 = time.monotonic()
         grid = desk_grid([np.zeros(3)], [1.0 / (2.0 * samp.v)], 1.0)
-        e = integrate_energy(samp, met, grid, charge_matrix=ITAU3)
-        q = tr_f_wedge_f(samp, met, grid, charge_matrix=ITAU3)
+        e, q = energy_and_tr_f_wedge_f(samp, grid)
         elapsed = time.monotonic() - t0
         results[name] = (e.value, q, elapsed)
     ok = all(
@@ -161,7 +157,7 @@ def test_criterion_04_error_scaling():
             constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
         )
         samp = approximate_caloron(spec)
-        est = sd_error_l2(samp, MetricParams(eps), spec)
+        est = sd_error_l2(samp, spec)
         rows.append((eps, est.total_sq, est.annulus_fraction))
     xs = [math.log(eps) for eps, _, _ in rows]
     ys = [math.log(v / abs(math.log(eps)) ** 3) for eps, v, _ in rows]
@@ -244,11 +240,10 @@ def test_criterion_06_charge_and_holonomy():
     for series, rank in cases:
         spec = _random_spec(rng, series, rank)
         samp = approximate_caloron(spec)
-        met = MetricParams(spec.epsilon)
-        coeffs, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.5), quadrature=(12, 24))
+        coeffs, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.5))
         expected = spec.charge_coefficients()
         L = 10.0 * spec.d_max_eff
-        phases = sphere_averaged_holonomy(samp, L, met, n_theta=6, n_phi=8, n_steps=64)
+        phases = sphere_averaged_holonomy(samp, L)
         model = np.sort(
             2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * spec.charge_vector() / (2.0 * L))
         )[::-1]

@@ -31,10 +31,9 @@ from calorons.errors import (
 )
 from calorons.fieldcalc import (
     CurvatureSample,
-    MetricParams,
     circle_holonomy,
     curvature_at,
-    integrate_energy,
+    energy_and_tr_f_wedge_f,
 )
 from calorons.samplers import dagger
 from calorons.quadrature import desk_grid
@@ -285,7 +284,7 @@ def test_singular_flux_recovers_total_charge():
         gluing_c=0.15,
     )
     sing = singular_caloron(spec)
-    coeffs, resid = magnetic_charge(sing, 6.0, quadrature=(12, 24))
+    coeffs, resid = magnetic_charge(sing, 6.0)
     assert coeffs == (2, 1)
     assert resid < 1e-6
 
@@ -353,12 +352,11 @@ def test_fundamental_holonomy_matches_model():
     d = build_root_datum("A", 2)
     eps = 0.05
     omega = np.array([0.35, -0.02, -0.33])
-    met = MetricParams(eps)
     for mu in (0, 1, 2):
         f = fundamental_caloron(d, mu, omega, eps)
         r = 30 * eps
         x = np.array([0.0, 0.0, r])  # on-axis: clean diagonal comparison
-        phases = circle_holonomy(f, x, met, n_steps=64)
+        phases = circle_holonomy(f, x, n_steps=64)
         coroot = as_float(d.node_coroot(mu))
         model = np.sort(2 * np.pi * (omega - eps * coroot / (2 * r)))[::-1]
         assert np.max(np.abs(phases - model)) < 1e-4
@@ -656,9 +654,8 @@ def test_energy_additivity_two_constituents():
         ],
     )
     samp = approximate_caloron(spec)
-    met = MetricParams(eps)
     grid = desk_grid(list(spec.positions), [1.0 / (2 * f.v) for f in samp.locals], spec.d_max_eff)
-    e = integrate_energy(samp, met, grid)
+    e = energy_and_tr_f_wedge_f(samp, grid)[0]
     formula = energy_formula_float(spec)
     assert abs(formula - 1.0) < 1e-12  # 2 * (1/2)|coroot|^2 alpha(omega) = 4 w
     assert abs(e.value - formula) / formula < 0.02

@@ -1,6 +1,7 @@
 """CLI contract: commands, exit codes, deterministic outputs."""
 
 import json
+import math
 
 import pytest
 
@@ -138,6 +139,33 @@ def test_verify_reruns_byte_identical(su2_spec_file, tmp_path):
     for out in (out1, out2):
         assert main(["verify", "--spec", str(su2_spec_file), "--out", str(out), "--seed", "7"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _assert_matches_golden(fresh, golden, where="report"):
+    """Strings, integers and lists exactly; floats to 1e-10 relative or
+    absolute (charge_residual is finite-difference noise of about 1e-11)."""
+    if isinstance(golden, dict):
+        assert sorted(fresh) == sorted(golden), where
+        for key in golden:
+            _assert_matches_golden(fresh[key], golden[key], f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert isinstance(fresh, list) and len(fresh) == len(golden), where
+        for i, (a, b) in enumerate(zip(fresh, golden)):
+            _assert_matches_golden(a, b, f"{where}[{i}]")
+    elif isinstance(golden, float):
+        assert isinstance(fresh, float), where
+        assert math.isclose(fresh, golden, rel_tol=1e-10, abs_tol=1e-10), (where, fresh, golden)
+    else:
+        assert type(fresh) is type(golden) and fresh == golden, (where, fresh, golden)
+
+
+@pytest.mark.parametrize("name", ["su3_triple", "su2_single"])
+def test_verify_report_matches_golden(name, data_dir, tmp_path):
+    """A fresh `verify --seed 1` report against the one frozen in tests/data."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--spec", str(data_dir / f"{name}.json"), "--seed", "1", "--out", str(out)]) == 0
+    golden = json.loads((data_dir / f"verify_{name}_seed1.json").read_text())
+    _assert_matches_golden(json.loads(out.read_text()), golden)
 
 
 def test_index_command_json(tmp_path):

@@ -16,18 +16,14 @@ from calorons.assembler import (
 from calorons.errors import FluxAmbiguityError
 from calorons.fieldcalc import (
     CurvatureSample,
-    MetricParams,
     circle_holonomy,
     curvature_at,
     energy_and_tr_f_wedge_f,
-    integrate_energy,
     lie_inner,
     lie_norm_sq,
     magnetic_charge,
     sd_error_l2,
-    sd_split,
     sphere_averaged_holonomy,
-    tr_f_wedge_f,
 )
 from calorons.quadrature import block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
@@ -42,12 +38,13 @@ ITAU = [
 
 
 class ConstantAbelianSampler(ConnectionSampler):
-    """Flat connection omega dt: A = 0, Phi = omega_matrix / eps."""
+    """Flat connection omega dt: A = 0, Phi = omega_matrix / eps; no charge."""
 
     def __init__(self, omega_matrix, epsilon):
         self.omega_matrix = np.asarray(omega_matrix, dtype=complex)
         self.n = self.omega_matrix.shape[0]
         self.epsilon = float(epsilon)
+        self.charge_matrix = np.zeros_like(self.omega_matrix)
 
     def evaluate(self, x, t, chart=None):
         shape = x.shape[:-1]
@@ -80,14 +77,14 @@ def test_bps_curvature_is_anti_self_dual():
     assert np.sqrt(np.min(curv.asd_norm_sq())) > 1e-4
 
 
-def test_sd_split_projector_properties():
+def test_sd_asd_projector_properties():
     rng = np.random.default_rng(2)
     E = rng.normal(size=(10, 3, 2, 2)) + 1j * rng.normal(size=(10, 3, 2, 2))
     E = 0.5 * (E - np.conjugate(np.swapaxes(E, -1, -2)))
     B = rng.normal(size=(10, 3, 2, 2)) + 1j * rng.normal(size=(10, 3, 2, 2))
     B = 0.5 * (B - np.conjugate(np.swapaxes(B, -1, -2)))
     curv = CurvatureSample(E=E, B=B, epsilon=0.3)
-    sd, asd = sd_split(curv)
+    sd, asd = curv.sd_part, curv.asd_part
     assert np.allclose(sd + asd, E)
     assert np.allclose(asd - sd, B)
     # norm additivity <=> orthogonality of the two projections
@@ -97,7 +94,7 @@ def test_sd_split_projector_properties():
     assert np.max(np.abs(pure.asd_part)) < 1e-14
 
 
-def test_sd_split_epsilon_covariance():
+def test_sd_asd_epsilon_covariance():
     """The split for eps equals the unit-metric split after rescaling the
     circle coordinate t -> eps t (i.e. F_it -> F_it/eps)."""
     rng = np.random.default_rng(3)
@@ -182,12 +179,11 @@ def test_gauge_invariance_of_curvature_norm():
 
 
 def test_gauge_invariance_of_energy():
-    met = MetricParams(0.8)
     base = bps_caloron_plus(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5)
-    e0 = integrate_energy(base, met, grid, charge_matrix=ITAU[2])
-    e1 = integrate_energy(gauged, met, grid, charge_matrix=ITAU[2])
+    e0 = energy_and_tr_f_wedge_f(base, grid)[0]
+    e1 = energy_and_tr_f_wedge_f(gauged, grid)[0]
     assert abs(e0.value - e1.value) / e0.value < 1e-3
 
 
@@ -216,7 +212,7 @@ def test_pulled_back_exact_curvature_matches_fd():
 def test_circle_holonomy_flat_connection():
     omega = 0.31 * ITAU[2]
     samp = ConstantAbelianSampler(omega, epsilon=0.5)
-    phases = circle_holonomy(samp, np.array([1.0, 0.0, 0.0]), MetricParams(0.5))
+    phases = circle_holonomy(samp, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(phases, [2 * np.pi * 0.31, -2 * np.pi * 0.31], atol=1e-12)
 
 
@@ -230,7 +226,7 @@ def test_circle_holonomy_abelian_model_shift():
     sing = singular_caloron(spec)
     x = np.array([2.0, 1.0, -1.5])
     r = np.linalg.norm(x)
-    phases = circle_holonomy(sing, x, MetricParams(eps))
+    phases = circle_holonomy(sing, x)
     expect = 2 * np.pi * (0.15 - eps / (2 * r))
     assert abs(phases[0] - expect) < 1e-10
 
@@ -248,11 +244,10 @@ def test_circle_holonomy_fourth_order_convergence():
             )
             return A, Phi
 
-    met = MetricParams(1.0)
     w = Wobble()
     x = np.array([1.0, 0.0, 0.0])
-    ref = circle_holonomy(w, x, met, n_steps=2048)
-    errs = [np.max(np.abs(circle_holonomy(w, x, met, n_steps=n) - ref)) for n in (16, 32, 64)]
+    ref = circle_holonomy(w, x, n_steps=2048)
+    errs = [np.max(np.abs(circle_holonomy(w, x, n_steps=n) - ref)) for n in (16, 32, 64)]
     assert errs[0] / errs[1] >= 8.0
     assert errs[1] / errs[2] >= 8.0
 
@@ -281,7 +276,7 @@ def test_magnetic_charge_su2_mixed_constituents():
         gluing_c=0.3,
     )
     samp = approximate_caloron(spec)
-    coeffs, resid = magnetic_charge(samp, 7.0, quadrature=(12, 24))
+    coeffs, resid = magnetic_charge(samp, 7.0)
     assert coeffs == (1,)
     assert resid < 0.05
 
@@ -297,7 +292,7 @@ def test_magnetic_charge_su3_cancellation():
         gluing_c=0.15,
     )
     samp = approximate_caloron(spec)
-    coeffs, resid = magnetic_charge(samp, 8.0, quadrature=(12, 24))
+    coeffs, resid = magnetic_charge(samp, 8.0)
     assert coeffs == (0, 0)
     assert resid < 1e-6
 
@@ -345,34 +340,29 @@ def test_magnetic_charge_ambiguity_raises():
 def test_energy_zero_field():
     samp = ConstantAbelianSampler(np.zeros((2, 2)), epsilon=1.0)
     grid = desk_grid([np.zeros(3)], [0.5], 0.5)
-    e = integrate_energy(samp, MetricParams(1.0), grid)
+    e = energy_and_tr_f_wedge_f(samp, grid)[0]
     assert abs(e.value) < 1e-12
 
 
 def test_energy_bps_and_rotated_quarter():
     """The two fundamental SU(2) calorons at omega' = 1/4, eps = 1 both
     carry energy 1/2 (= 2 omega' and 1 - 2 omega')."""
-    met = MetricParams(1.0)
     bps = bps_caloron_plus(0.25, 1.0)
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
-    e_bps = integrate_energy(bps, met, grid, charge_matrix=ITAU[2])
+    e_bps, q = energy_and_tr_f_wedge_f(bps, grid)
     assert abs(e_bps.value - 0.5) < 0.005
-    q = tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
     assert abs(q - 0.5) < 0.005
 
 
-def test_energy_and_tr_f_wedge_f_single_pass_matches_two_passes():
-    """The fused pass returns exactly what the two wrappers return, and its
-    one t-slice matches a 4-slice reference loop (the fsum of per-slice
-    block sums, none at t = pi) of the t-dependent rotated caloron."""
+def test_energy_and_tr_f_wedge_f_one_slice_matches_four_slices():
+    """The fused pass's one t-slice matches a 4-slice reference loop (the
+    fsum of per-slice block sums, none at t = pi) of the t-dependent rotated
+    caloron, energy and trF^F each."""
     d = build_root_datum("A", 1)
     eps = 0.2
     samp = fundamental_caloron(d, 0, (0.15, -0.15), eps)
-    met = MetricParams(eps)
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 0.5)
-    energy, topo = energy_and_tr_f_wedge_f(samp, met, grid)
-    assert energy == integrate_energy(samp, met, grid)
-    assert topo == tr_f_wedge_f(samp, met, grid)
+    energy, topo = energy_and_tr_f_wedge_f(samp, grid)
 
     nt = 4
     ts = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
@@ -397,12 +387,11 @@ def test_rotated_energy_equals_circle_invariant():
     """The rotated caloron is a gauge transform of the circle-invariant one
     with the same mass at omega' = 1/4: closed-form curvature gives it the
     same energy and trF^F on the same grid."""
-    met = MetricParams(1.0)
     bps, rot = bps_caloron_plus(0.25, 1.0), rotated_bps(0.25, 1.0)
     assert bps.v == rot.v
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
-    e_bps, q_bps = energy_and_tr_f_wedge_f(bps, met, grid, charge_matrix=ITAU[2])
-    e_rot, q_rot = energy_and_tr_f_wedge_f(rot, met, grid, charge_matrix=ITAU[2])
+    e_bps, q_bps = energy_and_tr_f_wedge_f(bps, grid)
+    e_rot, q_rot = energy_and_tr_f_wedge_f(rot, grid)
     assert abs(e_rot.value - e_bps.value) <= 1e-12
     assert abs(q_rot - q_bps) <= 1e-12
 
@@ -442,9 +431,8 @@ def test_sphere_averaged_holonomy_kills_dipole():
         constituents=[Constituent(1, (1.1, -0.7, 0.4), 0.0)], gluing_c=0.3,
     )
     sing = singular_caloron(spec)
-    met = MetricParams(eps)
     L = 12.0
-    phases = sphere_averaged_holonomy(sing, L, met, n_theta=6, n_phi=8)
+    phases = sphere_averaged_holonomy(sing, L)
     model = 2 * np.pi * (0.2 - eps / (2 * L))
     assert abs(phases[0] - model) < 1e-9
 
@@ -458,11 +446,22 @@ def test_sd_error_of_exact_caloron_is_fd_floor():
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
     exact = bps_caloron_plus(0.25, 0.05)
-    est = sd_error_l2(exact, MetricParams(0.05), spec)
+    est = sd_error_l2(exact, spec)
     glued = approximate_caloron(spec)
-    est_glued = sd_error_l2(glued, MetricParams(0.05), spec)
+    est_glued = sd_error_l2(glued, spec)
     assert est.value < 1e-6
     assert est_glued.value > 1e-2  # the glue error is real by comparison
+
+
+def test_sd_error_rejects_a_spec_with_another_epsilon():
+    """The annulus geometry comes from the spec and eps from the sampler, so
+    the two must agree."""
+    spec = CaloronSpec(
+        epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
+        constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
+    )
+    with pytest.raises(ValueError, match="epsilon"):
+        sd_error_l2(bps_caloron_plus(0.25, 0.1), spec)
 
 
 def test_sd_error_localization_sees_leakage_off_the_annuli():
@@ -483,12 +482,11 @@ def test_sd_error_localization_sees_leakage_off_the_annuli():
         epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
-    met = MetricParams(0.05)
     glued, leaky = approximate_caloron(spec), Leaky(spec)
     x = np.array([[0.1, 0.0, 0.05], [3.0, 1.0, -2.0]])
     assert np.array_equal(glued.exact_curvature(x, 1.0)[0], leaky.exact_curvature(x, 1.0)[0])
-    assert sd_error_l2(glued, met, spec).annulus_fraction > 0.999
-    assert sd_error_l2(leaky, met, spec).annulus_fraction < 0.95
+    assert sd_error_l2(glued, spec).annulus_fraction > 0.999
+    assert sd_error_l2(leaky, spec).annulus_fraction < 0.95
 
 
 def test_holonomy_phases_continuous_and_converge():
@@ -499,10 +497,9 @@ def test_holonomy_phases_continuous_and_converge():
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
     sing = singular_caloron(spec)
-    met = MetricParams(eps)
     dirn = np.array([1.0, 2.0, 2.0]) / 3.0
     radii = np.geomspace(2.0, 500.0, 12)
-    tops = [circle_holonomy(sing, r * dirn, met)[0] for r in radii]
+    tops = [circle_holonomy(sing, r * dirn)[0] for r in radii]
     target = 2 * np.pi * 0.2
     devs = np.abs(np.array(tops) - target)
     assert np.all(np.diff(tops) > 0)  # monotone approach from below (charge +1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPointError
-from calorons.fieldcalc import MetricParams, circle_holonomy, curvature_at, lie_norm_sq
+from calorons.fieldcalc import circle_holonomy, curvature_at, lie_norm_sq
 from calorons.quadrature import sphere_rule
 from calorons.samplers import gauge_transform
 from calorons.su2 import (
@@ -398,10 +398,9 @@ def test_rotated_bps_is_genuinely_t_dependent():
 def test_rotated_holonomy_matches_charge_minus_one_model():
     eps, op = 0.25, 0.3
     rot = rotated_bps(op, eps)
-    met = MetricParams(eps)
     r = 12.0
     x = np.array([3.0, -4.0, np.sqrt(r * r - 25.0)])
-    phases = circle_holonomy(rot, x, met, n_steps=96)
+    phases = circle_holonomy(rot, x, n_steps=96)
     model = 2 * np.pi * (op + eps / (2 * r))
     assert abs(phases[0] - model) < 2e-4
     assert abs(phases[1] + model) < 2e-4
