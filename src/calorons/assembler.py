@@ -37,9 +37,9 @@ from .errors import (
     SingularPointError,
     UnsupportedRepresentationError,
 )
-from .quadrature import _smoothstep, _smoothstep_prime
+from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
 from .rootsys import RootDatum, alcove_margin, as_float, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, gauge_transform
+from .samplers import ConnectionSampler, _mul, gauge_transform
 from .su2 import (
     BPSCaloron,
     _g_infinity,
@@ -528,7 +528,8 @@ class ApproximateCaloron(ConnectionSampler):
         """Decode a batch of chart codes: (mask, k, patch) per code present.
         Off every gluing ball k is None and patch the singular caloron's
         chart code; on core k patch is None, on annulus k "N" or "S"."""
-        for code in np.unique(chart):
+        codes = np.sort(chart, axis=None)  # np.unique would import numpy.ma (13 ms)
+        for code in np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]]):
             if code < 0:
                 yield chart == code, None, int(-code - 1)
             else:
@@ -634,17 +635,17 @@ class ApproximateCaloron(ConnectionSampler):
         rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
         frame = hedgehog_framing(rel, patch)
         if fund.mu == 0:
-            frame = frame @ _g_infinity(ts)
-        F2, _ = gauge_transform(frame @ parts["psi"], bps_curvature_fields(rel, fund.v))
+            frame = _mul(frame, _g_infinity(ts))
+        F2, _ = gauge_transform(_mul(frame, parts["psi"]), bps_curvature_fields(rel, fund.v))
         F = (1.0 - chi)[:, None, None, None] * self.singular.exact_curvature(xs, ts)[0]
         F += chi[:, None, None, None] * fund.embedding.embed(F2)
         cA = parts["b"][0] - parts["s"][0]
         cP = (parts["b"][1] - parts["s"][1])[:, None]
         dchi = (self.profile.chi_prime(r) / r)[:, None, None, None] * rel[:, :, None, None]
         mix = (chi * (1.0 - chi))[:, None, None, None]
-        E = F + dchi * cP - mix * (cA @ cP - cP @ cA)
+        E = F + dchi * cP - mix * (_mul(cA, cP) - _mul(cP, cA))
         a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]  # B_i = F_jk, (i, j, k) cyclic
-        B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (a @ b - b @ a)
+        B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (_mul(a, b) - _mul(b, a))
         return E, B
 
     def exact_curvature(self, x, t):
@@ -689,41 +690,23 @@ def alcove_exclusion_constant(spec: CaloronSpec) -> float:
 def alcove_margin_report(spec: CaloronSpec, refine=1):
     """Scan the abelian Higgs field eps*Phi_sing outside the exclusion balls
     r_k >= c_excl * eps and report the worst facet margin sigma."""
-    from .quadrature import sphere_rule
-
     datum = spec.datum
     eps = spec.epsilon
     c_excl = alcove_exclusion_constant(spec)
     r0 = c_excl * eps
     sing = singular_caloron(spec)
 
-    simple = [as_float(a) for a in datum.simple_roots]
-    lowest = as_float(datum.lowest_root)
-
-    def margins(pts):
-        _, Phi = sing(pts, 0.0)
-        h = np.diagonal(eps * Phi, axis1=-2, axis2=-1).imag
-        vals = [h @ a for a in simple]
-        vals.append(1.0 + h @ lowest)
-        return np.min(np.stack(vals, axis=-1), axis=-1)
-
+    # shells of 8 radii about every constituent, then a coarse background
+    # lattice out to the far zone, all in one sampler call
     dirs, _ = sphere_rule(6 * refine, 10 * refine)
-    worst = math.inf
     radii_factors = np.array([1.0, 1.25, 1.6, 2.2, 3.5, 6.0, 12.0, 30.0])
-    for p in spec.positions:
-        for f in radii_factors:
-            pts = p[None, :] + (r0 * f) * dirs
-            r_all = np.linalg.norm(pts[:, None, :] - spec.positions[None, :, :], axis=-1)
-            ok = np.all(r_all >= r0 * 0.999999, axis=-1)
-            if np.any(ok):
-                worst = min(worst, float(np.min(margins(pts[ok]))))
-    # coarse background lattice out to the far zone
-    span = spec.d_max_eff * 3.0
-    n_lat = 7 * refine
-    grid = np.linspace(-span, span, n_lat)
-    gx, gy, gz = np.meshgrid(grid, grid, grid, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    r_all = np.linalg.norm(pts[:, None, :] - spec.positions[None, :, :], axis=-1)
-    ok = np.all(r_all >= r0, axis=-1)
-    worst = min(worst, float(np.min(margins(pts[ok]))))
+    shells = (spec.positions[:, None, None, :] + (r0 * radii_factors)[:, None, None] * dirs).reshape(-1, 3)
+    grid = np.linspace(-spec.d_max_eff * 3.0, spec.d_max_eff * 3.0, 7 * refine)
+    lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    ok = [np.all(np.linalg.norm(pts[:, None, :] - spec.positions, axis=-1) >= r_min, axis=-1)
+          for pts, r_min in ((shells, r0 * 0.999999), (lattice, r0))]
+    _, Phi = sing(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0)
+    h = np.diagonal(eps * Phi, axis1=-2, axis2=-1).imag
+    margins = [h @ as_float(a) for a in datum.simple_roots] + [1.0 + h @ as_float(datum.lowest_root)]
+    worst = float(np.min(np.stack(margins, axis=-1)))
     return {"sigma": worst, "c_exclusion": c_excl, "r_exclusion": r0}

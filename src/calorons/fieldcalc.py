@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import FluxAmbiguityError
 from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
-from .samplers import ConnectionSampler, dagger
+from .samplers import ConnectionSampler, _mul, dagger
 
 
 def commutator(a, b):
-    return a @ b - b @ a
+    return _mul(a, b) - _mul(b, a)
 
 
 def lie_norm_sq(x):
@@ -55,8 +55,7 @@ def expm_antiherm(m):
     """exp of anti-Hermitian matrices (batched) via eigh."""
     h = (m / 1j + dagger(m / 1j)) / 2.0
     w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phases, np.conjugate(v))
+    return _mul(v * np.exp(1j * w)[..., None, :], dagger(v))
 
 
 @dataclass
@@ -69,7 +68,6 @@ class CurvatureSample:
 
     E: np.ndarray
     B: np.ndarray
-    epsilon: float
 
     @property
     def sd_part(self):
@@ -157,18 +155,14 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSa
         x = x[None, :]
     eps = sampler.epsilon
     A0, Phi0, dPhi, B, dAdt = _stencil(sampler, x, t, step, dt=step / eps)
-    comm_AP = np.einsum("...aij,...jk->...aik", A0, Phi0) - np.einsum(
-        "...ij,...ajk->...aik", Phi0, A0
-    )
-    E = dPhi - dAdt / eps + comm_AP
+    E = dPhi - dAdt / eps + commutator(A0, Phi0[..., None, :, :])
     if single:
         E, B = E[0], B[0]
-    return CurvatureSample(E=E, B=B, epsilon=eps)
+    return CurvatureSample(E=E, B=B)
 
 
 def _closed_form(sampler, x, t) -> CurvatureSample:
-    E, B = sampler.exact_curvature(x, t)
-    return CurvatureSample(E=E, B=B, epsilon=sampler.epsilon)
+    return CurvatureSample(*sampler.exact_curvature(x, t))
 
 
 # Every sampler here is, chart by chart, gauge-equivalent to a t-independent
@@ -255,29 +249,28 @@ def sd_error_l2(sampler, spec) -> SdErrorEstimate:
     t_w = eps * 2.0 * np.pi
     dirs, wdir = sphere_rule(8, 12)
 
+    # sparse shells about the cores and over the exterior, every stencil in
+    # one sampler call.  They go before the annuli, so that no annulus
+    # curvature is still held while that call, the largest of a verify run,
+    # sets the run's peak memory.
+    core_radii = graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)
+    shells = [(c, core_radii) for c in spec.positions]
+    shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
+    pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
+    sd = curvature_at(sampler, np.concatenate(pts), _T_SLICE, step=eps / 100.0).sd_norm_sq()
+    background_terms = []
+    for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
+        w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
+        background_terms.append(block_sum(d, w) * t_w)
+    background_sq = math.fsum(background_terms)
+
+    radii, rw = gauss_legendre(0.5 * R, R, 14)
+    w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
     annulus_terms = []
-    for cst in spec.constituents:
-        c = np.asarray(cst.position, dtype=float)
-        radii, rw = gauss_legendre(0.5 * R, R, 14)
-        pts = (c[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
-        curv = _closed_form(sampler, pts, _T_SLICE)
+    for c in spec.positions:
+        curv = _closed_form(sampler, (c + radii[:, None, None] * dirs).reshape(-1, 3), _T_SLICE)
         annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
-
-    shells = []
-    for cst in spec.constituents:
-        c = np.asarray(cst.position, dtype=float)
-        shells.append((c, graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)))
-    # exterior shells on the abelian region
-    shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
-    background_terms = []
-    for c, (radii, rw) in shells:
-        pts = (c[None, None, :] + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3)
-        w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
-        curv = curvature_at(sampler, pts, _T_SLICE, step=eps / 100.0)
-        background_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
-    background_sq = math.fsum(background_terms)
 
     return SdErrorEstimate(annulus_sq=annulus_sq, background_sq=background_sq)
 
@@ -288,30 +281,29 @@ def sd_error_l2(sampler, spec) -> SdErrorEstimate:
 def circle_holonomy(sampler, x, n_steps=64):
     """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
     computed as the path-ordered exponential of eps Phi dt via a 4th-order
-    Magnus / Gauss two-point product (exact for a constant Phi)."""
+    Magnus / Gauss two-point product (exact for a constant Phi).  x is one
+    point (3,) or a batch (..., 3); each point keeps its own t = 0 chart, and
+    every circle of the batch is evaluated in one sampler call."""
     x = np.asarray(x, dtype=float)
     eps = sampler.epsilon
-    chart = sampler.chart(x[None, :], np.zeros(1))
+    chart = sampler.chart(x, np.zeros(x.shape[:-1]))
     h = 2.0 * np.pi / n_steps
     offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
     t0 = np.arange(n_steps) * h
     t_nodes = np.concatenate([t0 + offs[0] * h, t0 + offs[1] * h])
-    pts = np.broadcast_to(x, (t_nodes.size, 3))
-    charts = None
+    shape = x.shape[:-1] + t_nodes.shape
     if chart is not None:
-        charts = np.broadcast_to(np.asarray(chart), (t_nodes.size,))
-    _, Phi = sampler(pts, t_nodes, charts)
+        chart = np.broadcast_to(np.asarray(chart)[..., None], shape)
+    _, Phi = sampler(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
     M = eps * Phi
-    M1, M2 = M[:n_steps], M[n_steps:]
-    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * (
-        M2 @ M1 - M1 @ M2
-    )
+    M1, M2 = M[..., :n_steps, :, :], M[..., n_steps:, :, :]
+    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * commutator(M2, M1)
     steps = expm_antiherm(omega)
-    U = np.eye(sampler.n, dtype=complex)
-    for k in range(n_steps):
-        U = steps[k] @ U
+    U = steps[..., 0, :, :]
+    for k in range(1, n_steps):
+        U = _mul(steps[..., k, :, :], U)
     phases = np.angle(np.linalg.eigvals(U))
-    return np.sort(phases)[::-1]
+    return np.sort(phases, axis=-1)[..., ::-1]
 
 
 def sphere_averaged_holonomy(sampler, radius):
@@ -323,8 +315,7 @@ def sphere_averaged_holonomy(sampler, radius):
     leaving the single-centre abelian model."""
     dirs, w = sphere_rule(6, 8)
     acc = None
-    for p, wi in zip(radius * dirs, w):
-        ph = circle_holonomy(sampler, p)
+    for ph, wi in zip(circle_holonomy(sampler, radius * dirs), w):
         acc = wi * ph if acc is None else acc + wi * ph
     return acc / (4.0 * np.pi)
 

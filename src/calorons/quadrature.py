@@ -9,6 +9,7 @@ sums combined by math.fsum) so results are independent of any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, List
@@ -28,9 +29,18 @@ def block_sum(values, weights=None):
     return math.fsum(partials)
 
 
+@functools.cache
+def _leggauss(n):
+    """GL nodes and weights on [-1, 1], computed once per order, read-only."""
+    nodes = np.polynomial.legendre.leggauss(n)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def gauss_legendre(a, b, n):
     """GL nodes and weights on [a, b]."""
-    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * xs, half * ws
 
@@ -54,7 +64,7 @@ def sphere_rule(n_theta, n_phi):
 
     Returns unit vectors (N, 3) and weights summing to 4 pi.
     """
-    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
+    mu, wmu = _leggauss(n_theta)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     wphi = 2.0 * np.pi / n_phi
     st = np.sqrt(1.0 - mu**2)

@@ -52,10 +52,10 @@ _RANK_RANGES = {
 }
 
 
-def all_simple_types(max_rank: int = 8) -> List[Tuple[str, int]]:
-    """The classical types A-D of rank <= max_rank, series by series, then
-    the five exceptional types: the order of `caloron index --sweep-all`."""
-    classical = [(s, r) for s in "ABCD" for r in range(_RANK_RANGES[s][0], max_rank + 1)]
+def all_simple_types() -> List[Tuple[str, int]]:
+    """The classical types A-D of rank <= 8, series by series, then the five
+    exceptional types: the order of `caloron index --sweep-all`."""
+    classical = [(s, r) for s in "ABCD" for r in range(_RANK_RANGES[s][0], 9)]
     return classical + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 

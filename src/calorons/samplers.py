@@ -71,7 +71,7 @@ class PulledBackSampler(ConnectionSampler):
         A, Phi = self.base(x, t, chart)
         g = self.gauge(x, t)
         A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
-        return A_new, Phi_new + _mul2(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
+        return A_new, Phi_new + _mul(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
 
     def exact_curvature(self, x, t):
         """g^-1 F_base g: curvature transforms covariantly, so no derivative
@@ -82,15 +82,14 @@ class PulledBackSampler(ConnectionSampler):
         return EB[..., :3, :, :], EB[..., 3:, :, :]
 
 
-def _mul2(a, b):
-    """Batched 2x2 matrix product a @ b, written out entry by entry."""
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+def _mul(a, b):
+    """Batched small-matrix product a @ b as the explicit sum over j of
+    a[..., :, j] b[..., j, :], accumulated in j order: every operation runs
+    over the whole batch, and each point's product is independent of the
+    batch it sits in."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
     return out
 
 
@@ -103,10 +102,10 @@ def gauge_transform(g, A, Phi=None, dg=None):
     """
     ginv = dagger(g)
     ginv_a = ginv[..., None, :, :]
-    A_new = _mul2(ginv_a, _mul2(A, g[..., None, :, :]))
+    A_new = _mul(ginv_a, _mul(A, g[..., None, :, :]))
     if dg is not None:
-        A_new += _mul2(ginv_a, dg)
-    return A_new, None if Phi is None else _mul2(ginv, _mul2(Phi, g))
+        A_new += _mul(ginv_a, dg)
+    return A_new, None if Phi is None else _mul(ginv, _mul(Phi, g))
 
 
 def dagger(m):

@@ -33,12 +33,21 @@ def _r_of(x):
     return np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1))
 
 
+def _itau(v):
+    """v . (i tau) for real v (..., 3), written entry by entry."""
+    out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1j * v[..., 2]
+    out[..., 0, 1] = v[..., 1] + 1j * v[..., 0]
+    out[..., 1, 0] = -v[..., 1] + 1j * v[..., 0]
+    out[..., 1, 1] = -1j * v[..., 2]
+    return out
+
+
 def xhat_itau(x):
     """Hedgehog direction xhat . (i tau), zero-safe at the origin."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)[..., None]
-    xh = x / np.maximum(r, _TINY)
-    return np.einsum("...j,jab->...ab", xh, ITAU)
+    return _itau(x / np.maximum(r, _TINY))
 
 
 def bps_higgs_profile(v, r):
@@ -66,12 +75,6 @@ def bps_gauge_profile(v, r):
     return np.where(small, series, closed)
 
 
-_EPS_IJK = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS_IJK[_i, _j, _k] = 1.0
-    _EPS_IJK[_i, _k, _j] = -1.0
-
-
 def bps_fields(x, v):
     """(A, Phi) of the mass-v BPS monopole centred at the origin."""
     x = np.asarray(x, dtype=float)
@@ -79,10 +82,9 @@ def bps_fields(x, v):
     xh = x / np.maximum(r, _TINY)[..., None]
     phi = bps_higgs_profile(v, r)
     k = bps_gauge_profile(v, r)
-    Phi = phi[..., None, None] * np.einsum("...j,jab->...ab", xh, ITAU)
-    # (eps . xhat)_ia = eps_ija xhat_j, then contracted with i tau_a
-    eps_x = np.tensordot(xh, _EPS_IJK, axes=([-1], [1]))
-    A = -k[..., None, None, None] * (eps_x @ ITAU.reshape(3, 4)).reshape(xh.shape[:-1] + (3, 2, 2))
+    Phi = phi[..., None, None] * _itau(xh)
+    # eps_ija xhat_j = (e_i x xhat)_a, contracted with i tau_a
+    A = -k[..., None, None, None] * _itau(np.cross(np.eye(3), xh[..., None, :]))
     return A, Phi
 
 
@@ -112,8 +114,8 @@ def bps_curvature_fields(x, v):
         v**2 * (2.0 / 3.0 - 2.0 * us**2 / 9.0),
         phi * w / np.maximum(r, _TINY),
     )
-    rad = np.einsum("...i,...a,ajk->...ijk", xh, xh, ITAU)
-    tan = np.einsum("ia,ajk->ijk", np.eye(3), ITAU) - rad
+    rad = xh[..., :, None, None] * _itau(xh)[..., None, :, :]
+    tan = ITAU - rad
     return dphi[..., None, None, None] * rad + phw[..., None, None, None] * tan
 
 
@@ -380,7 +382,7 @@ class GaugeMap:
         dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau
         radial = (0.5 * t * dq)[..., None, None, None] * xh[..., :, None, None] * dg_da[..., None, :, :]
         proj = (np.eye(3) - xh[..., :, None] * xh[..., None, :]) * (s / rs)[..., None, None]
-        return radial - np.einsum("...ia,ajk->...ijk", proj, ITAU)
+        return radial - _itau(proj)
 
     def clutching(self, x):
         """h(x) = -g(x, 2 pi)^{-1}."""

@@ -128,37 +128,31 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     #    check that its gauge-invariant densities are the same at t + pi,
     #    which the one-slice integrals assume
     per = max(200 // max(len(spec.constituents), 1), 10)
-    worst_ratio = 0.0
-    worst_fd, max_f = 0.0, 0.0
-    worst_dt, max_f2 = 0.0, 0.0
-    for k, cst in enumerate(spec.constituents):
-        p = spec.positions[k]
+    probes = []
+    for k, p in enumerate(spec.positions):
         u = rng.normal(size=(per, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
         radii = rng.uniform(0.5 * R, R, per)
         pts = p + radii[:, None] * u
         tk = rng.uniform(0.0, 2.0 * np.pi, per)
-        patches = np.where((pts[:, 2] - p[2]) >= 0, "N", "S")
-        for patch in ("N", "S"):
-            sel = patches == patch
-            if not np.any(sel):
-                continue
-            parts = samp.annulus_parts(k, patch, pts[sel], tk[sel])
-            bnorm = _one_form_norm(*parts["b"])
-            snorm = _one_form_norm(*parts["s"])
-            mx = np.maximum(bnorm, snorm)
-            bound = mx / parts["r"] + mx**2
-            curv = CurvatureSample(*samp.exact_curvature(pts[sel], tk[sel]), epsilon=eps)
-            ratio = np.sqrt(curv.sd_norm_sq()) / np.maximum(bound, 1e-300)
-            worst_ratio = max(worst_ratio, float(np.max(ratio)))
-            fd = curvature_at(samp, pts[sel], tk[sel], step=fd_step)
-            worst_fd = max(worst_fd, np.max(np.abs(fd.E - curv.E)), np.max(np.abs(fd.B - curv.B)))
-            max_f = max(max_f, np.max(np.abs(curv.E)), np.max(np.abs(curv.B)))
-            shifted = CurvatureSample(*samp.exact_curvature(pts[sel], tk[sel] + np.pi), epsilon=eps)
-            for density in (CurvatureSample.norm_sq, CurvatureSample.sd_norm_sq,
-                            CurvatureSample.topological_density):
-                worst_dt = max(worst_dt, float(np.max(np.abs(density(curv) - density(shifted)))))
-            max_f2 = max(max_f2, float(np.max(curv.norm_sq())))
+        bound = np.empty(per)
+        for patch, sel in (("N", pts[:, 2] >= p[2]), ("S", pts[:, 2] < p[2])):
+            if np.any(sel):
+                parts = samp.annulus_parts(k, patch, pts[sel], tk[sel])
+                mx = np.maximum(_one_form_norm(*parts["b"]), _one_form_norm(*parts["s"]))
+                bound[sel] = mx / parts["r"] + mx**2
+        probes.append((pts, tk, bound))
+    pts, tk, bound = (np.concatenate(a) for a in zip(*probes))
+    curv = CurvatureSample(*samp.exact_curvature(pts, tk))
+    shifted = CurvatureSample(*samp.exact_curvature(pts, tk + np.pi))
+    fd = curvature_at(samp, pts, tk, step=fd_step)
+    worst_ratio = float(np.max(np.sqrt(curv.sd_norm_sq()) / np.maximum(bound, 1e-300)))
+    worst_fd = max(np.max(np.abs(fd.E - curv.E)), np.max(np.abs(fd.B - curv.B)))
+    max_f = max(np.max(np.abs(curv.E)), np.max(np.abs(curv.B)))
+    worst_dt = max(float(np.max(np.abs(density(curv) - density(shifted))))
+                   for density in (CurvatureSample.norm_sq, CurvatureSample.sd_norm_sq,
+                                   CurvatureSample.topological_density))
+    max_f2 = float(np.max(curv.norm_sq()))
     c_profile = 15.0 / 4.0 * 2.0 + 2.0
     checks.append(
         Check("annulus-fplus-bound", worst_ratio <= c_profile, worst_ratio, c_profile)

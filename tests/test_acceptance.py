@@ -263,7 +263,7 @@ def test_criterion_07_transverse_index_vanishes():
     t0 = time.monotonic()
     seed = random.Random(123)
     count = 0
-    for series, rank in all_simple_types(8):
+    for series, rank in all_simple_types():
         datum = build_root_datum(series, rank)
         for mu in range(rank + 1):
             for _ in range(10):
@@ -286,7 +286,7 @@ def test_criterion_07_transverse_index_vanishes():
 
 def test_criterion_08_dynkin_identities():
     checked = 0
-    for series, rank in all_simple_types(8):
+    for series, rank in all_simple_types():
         datum = build_root_datum(series, rank)
         assert dynkin_index_adjoint(datum) == dynkin_index_adjoint_bruteforce(datum)
         for mu in range(rank + 1):
@@ -295,7 +295,7 @@ def test_criterion_08_dynkin_identities():
     _report(
         8, "Dynkin index identities",
         True,
-        f"adjoint index: closed form == brute-force root sum for all {len(all_simple_types(8))} types; "
+        f"adjoint index: closed form == brute-force root sum for all {len(all_simple_types())} types; "
         f"su(2)-embedding identity exact at {checked} nodes",
     )
 

@@ -602,7 +602,7 @@ def test_closed_form_densities_do_not_depend_on_t(rank, n0, n_other, eps, seed):
 def _assert_densities_agree_over_t(samp, pts, ts):
     dens = []
     for t in ts:
-        curv = CurvatureSample(*samp.exact_curvature(pts, t), epsilon=samp.epsilon)
+        curv = CurvatureSample(*samp.exact_curvature(pts, t))
         dens.append(np.stack([curv.norm_sq(), curv.sd_norm_sq(), curv.topological_density()]))
     dens = np.asarray(dens)
     assert np.max(np.abs(dens - dens[0])) <= 1e-12 * np.max(dens[0, 0])

@@ -83,28 +83,15 @@ def test_sd_asd_projector_properties():
     E = 0.5 * (E - np.conjugate(np.swapaxes(E, -1, -2)))
     B = rng.normal(size=(10, 3, 2, 2)) + 1j * rng.normal(size=(10, 3, 2, 2))
     B = 0.5 * (B - np.conjugate(np.swapaxes(B, -1, -2)))
-    curv = CurvatureSample(E=E, B=B, epsilon=0.3)
+    curv = CurvatureSample(E=E, B=B)
     sd, asd = curv.sd_part, curv.asd_part
     assert np.allclose(sd + asd, E)
     assert np.allclose(asd - sd, B)
     # norm additivity <=> orthogonality of the two projections
     assert np.max(np.abs(curv.inner_sd_asd())) < 1e-10
     # a purely self-dual input has vanishing asd part
-    pure = CurvatureSample(E=E, B=-E, epsilon=0.3)
+    pure = CurvatureSample(E=E, B=-E)
     assert np.max(np.abs(pure.asd_part)) < 1e-14
-
-
-def test_sd_asd_epsilon_covariance():
-    """The split for eps equals the unit-metric split after rescaling the
-    circle coordinate t -> eps t (i.e. F_it -> F_it/eps)."""
-    rng = np.random.default_rng(3)
-    f_spatial = rng.normal(size=(5, 3, 2, 2)) * 1j
-    f_mixed = rng.normal(size=(5, 3, 2, 2)) * 1j
-    eps = 0.37
-    direct = CurvatureSample(E=f_mixed / eps, B=f_spatial, epsilon=eps)
-    rescaled = CurvatureSample(E=f_mixed / eps, B=f_spatial, epsilon=1.0)
-    assert np.allclose(direct.sd_part, rescaled.sd_part)
-    assert np.allclose(direct.asd_part, rescaled.asd_part)
 
 
 def test_abelian_bianchi_third_order():
@@ -214,6 +201,26 @@ def test_circle_holonomy_flat_connection():
     samp = ConstantAbelianSampler(omega, epsilon=0.5)
     phases = circle_holonomy(samp, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(phases, [2 * np.pi * 0.31, -2 * np.pi * 0.31], atol=1e-12)
+
+
+def test_circle_holonomy_batch_equals_single_points(data_dir):
+    """A batch of points in four charts of the su3_triple caloron (the
+    rotated core, both annulus patches, the far region) gives exactly the
+    phases of four single-point calls."""
+    spec = CaloronSpec.from_json((data_dir / "su3_triple.json").read_text())
+    samp = approximate_caloron(spec)
+    p, R = samp.positions, samp.R
+    pts = np.array([
+        p[0] + [0.1 * R, 0.0, 0.2 * R],
+        p[1] + [0.5 * R, 0.0, 0.5 * R],
+        p[2] + [0.0, -0.5 * R, -0.5 * R],
+        [6.0, 5.0, -4.0],
+    ])
+    codes = samp.chart(pts)
+    assert list(codes[:3] % 4) == [1, 2, 3] and codes[3] < 0  # core, annulus N, annulus S, far
+    batch = circle_holonomy(samp, pts)
+    assert batch.shape == (4, 3)
+    assert np.array_equal(batch, np.stack([circle_holonomy(samp, x) for x in pts]))
 
 
 def test_circle_holonomy_abelian_model_shift():
@@ -371,7 +378,7 @@ def test_energy_and_tr_f_wedge_f_one_slice_matches_four_slices():
     for region in grid.regions:
         for t in ts:
             E, B = samp.exact_curvature(region.points, t)
-            curv = CurvatureSample(E=E, B=B, epsilon=eps)
+            curv = CurvatureSample(E=E, B=B)
             dens["energy"].append(block_sum(curv.norm_sq(), region.weights) * t_w)
             top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             dens["topo"].append(block_sum(top, region.weights) * t_w)

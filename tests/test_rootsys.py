@@ -81,7 +81,7 @@ def test_g2_dual_coxeter_by_integer_solve():
     assert tuple(int(c) for c in m) == d.dual_coxeter_labels == (1, 2)
 
 
-@pytest.mark.parametrize("series,rank", all_simple_types(8))
+@pytest.mark.parametrize("series,rank", all_simple_types())
 def test_datum_invariants(series, rank):
     d = build_root_datum(series, rank)
     # extended Cartan: diagonal 2, off-diagonal <= 0
@@ -128,7 +128,7 @@ def test_invalid_types():
 
 # -- alcove -----------------------------------------------------------------
 
-@pytest.mark.parametrize("series,rank", all_simple_types(8))
+@pytest.mark.parametrize("series,rank", all_simple_types())
 def test_fundamental_coweights_dual_to_simple_roots(series, rank):
     """alpha_nu(varpi_mu) = delta_{nu mu}, and rho(alpha_i^vee) = 1 for every
     simple coroot, both by the integer route and as an ambient pairing."""
@@ -191,7 +191,8 @@ def test_decompose_charge_a2():
     assert decompose_charge(d, (0, 0), 2) == (2, 2, 2)
 
 
-@pytest.mark.parametrize("series,rank", all_simple_types(6))
+# classical types of rank <= 6 and all five exceptional types
+@pytest.mark.parametrize("series,rank", [(s, r) for s, r in all_simple_types() if s not in "ABCD" or r <= 6])
 def test_charge_roundtrip(series, rank):
     rng = random.Random(hash((series, rank)) & 0xFFFF)
     d = build_root_datum(series, rank)
@@ -230,7 +231,7 @@ def test_dynkin_adjoint_a_series_bruteforce():
         assert dynkin_index_adjoint(d) == brute / 2 == 2 * n
 
 
-@pytest.mark.parametrize("series,rank", all_simple_types(8))
+@pytest.mark.parametrize("series,rank", all_simple_types())
 def test_dynkin_adjoint_two_routes(series, rank):
     d = build_root_datum(series, rank)
     assert dynkin_index_adjoint(d) == dynkin_index_adjoint_bruteforce(d)
@@ -350,7 +351,7 @@ def test_json_roundtrip_golden_shape():
     assert payload["extended_cartan"][0][0] == 2
 
 
-@pytest.mark.parametrize("label", [f"{s.lower()}{r}" for s, r in all_simple_types(8)])
+@pytest.mark.parametrize("label", [f"{s.lower()}{r}" for s, r in all_simple_types()])
 def test_json_golden_files(label, data_dir):
     """The serialized root datum is byte-stable: every type against its
     frozen sha256, A2 and G2 also against the frozen files."""

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from calorons.fieldcalc import circle_holonomy, curvature_at, lie_norm_sq
 from calorons.quadrature import sphere_rule
-from calorons.samplers import gauge_transform
+from calorons.samplers import _mul, gauge_transform
 from calorons.su2 import (
+    ITAU,
+    _itau,
     bps_caloron_plus,
     bps_curvature_fields,
     bps_fields,
@@ -472,3 +475,47 @@ def test_gauge_transform_matches_einsum_conjugation():
     A_con, Phi_con = gauge_transform(g, A, Phi)
     assert np.max(np.abs(A_con - conj_A)) <= 1e-13
     assert np.max(np.abs(Phi_con - ref_Phi)) <= 1e-13
+
+
+# -- small-matrix kernels -------------------------------------------------------
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    layout=st.sampled_from(["3x1", "1x3", "3xconst", "constx3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_matches_matmul(n, batch, layout, seed):
+    """_mul is a @ b under broadcasting, to 1e-14 of sum_j |a_ij| |b_jk|;
+    for n = 2 it equals the entry-by-entry 2 x 2 formula exactly."""
+    rng = np.random.default_rng(seed)
+    shapes = {
+        "3x1": (batch + (3, n, n), batch + (1, n, n)),
+        "1x3": (batch + (1, n, n), batch + (3, n, n)),
+        "3xconst": (batch + (3, n, n), (n, n)),
+        "constx3": ((n, n), batch + (3, n, n)),
+    }[layout]
+    a, b = (_complex_normal(rng, shape) for shape in shapes)
+    out = _mul(a, b)
+    assert out.shape == np.broadcast_shapes(a.shape, b.shape)
+    scale = np.abs(a) @ np.abs(b)
+    assert np.all(np.abs(out - a @ b) <= 1e-14 * scale)
+    if n == 2:
+        ref = np.empty_like(out)
+        ref[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+        ref[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
+        ref[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
+        ref[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+        assert np.array_equal(out, ref)
+
+
+def test_itau_matches_einsum():
+    rng = np.random.default_rng(12)
+    for shape in [(3,), (7, 3), (4, 5, 3)]:
+        v = rng.normal(size=shape)
+        assert np.array_equal(_itau(v), np.einsum("...j,jab->...ab", v, ITAU))
