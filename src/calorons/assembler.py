@@ -38,18 +38,9 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
-from .rootsys import RootDatum, alcove_margin, as_float, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, _mul, gauge_transform
-from .su2 import (
-    BPSCaloron,
-    _g_infinity,
-    bps_curvature_fields,
-    bps_remainder,
-    dirac_potential,
-    hedgehog_framing,
-    rotated_remainder,
-    RotatedBPSCaloron,
-)
+from .rootsys import RootDatum, alcove_margin, ambient_dim, as_float, build_root_datum, su2_embedding
+from .samplers import ConnectionSampler
+from .su2 import BPSCaloron, RotatedBPSCaloron, dirac_potential, string_gauge_fields
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +110,12 @@ class CaloronSpec:
             raise InputError("epsilon must be positive")
         if self.gluing_c <= 0:
             raise InputError("gluing constant c must be positive")
+        if not self.constituents:
+            raise InputError("a caloron spec needs at least one constituent")
+        dim = ambient_dim(self.series, self.rank)  # before the datum, whose size follows the rank
+        if len(self.omega) != dim:
+            raise InputError(f"omega must have {dim} ambient coordinates for {self.series}{self.rank}")
         datum = self.datum
-        if len(self.omega) != datum.ambient_dim:
-            raise InputError(
-                f"omega must have {datum.ambient_dim} ambient coordinates for "
-                f"{self.series}{self.rank}"
-            )
         if abs(sum(self.omega)) > 1e-9 and self.series == "A":
             raise InputError("omega coordinates must sum to zero for type A")
         margin = float(alcove_margin(datum, self.omega))
@@ -135,11 +126,12 @@ class CaloronSpec:
         for c in self.constituents:
             if not 0 <= c.mu <= self.rank:
                 raise InputError(f"constituent type mu={c.mu} out of range 0..{self.rank}")
-        pos = [np.asarray(c.position, float) for c in self.constituents]
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if np.linalg.norm(pos[i] - pos[j]) == 0.0:
-                    raise InputError("constituent positions must be distinct")
+        pos = [c.position for c in self.constituents]
+        if any(math.dist(p, q) == 0.0 for i, p in enumerate(pos) for q in pos[i + 1 :]):
+            raise InputError("constituent positions must be distinct")
+        r_max = 12.0 * max(max(math.hypot(*p) for p in pos), 1.0)  # the integrals take r^3 there
+        if not math.isfinite(r_max * r_max * r_max):
+            raise InputError(f"constituent positions too large: the grid radius {r_max:.3g} has no finite cube")
 
     @property
     def datum(self) -> RootDatum:
@@ -215,6 +207,8 @@ class CaloronSpec:
     def from_dict(cls, payload):
         try:
             group = payload["group"]
+            if not isinstance(payload["constituents"], list):
+                raise InputError("constituents must be a list of constituent objects")
             constituents = tuple(
                 Constituent(mu=c["mu"], position=c["position"], phase=c.get("phase", 0.0))
                 for c in payload["constituents"]
@@ -319,8 +313,18 @@ def local_holonomy_shift(spec: CaloronSpec, mu: int, i: int):
 # ---------------------------------------------------------------------------
 # fundamental calorons
 
-def _cartan_matrix(vec_ambient):
-    return 1j * np.diag(np.asarray(vec_ambient, dtype=float)).astype(complex)
+def _cartan_matrix(diag, block=None, off=None):
+    """i diag(d) for real Cartan diagonals d (..., n) as (..., n, n), plus the
+    su(2) entries off and -conj(off) at (a, b) and (b, a) of block = (a, b)."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.shape[-1]
+    out = np.zeros(diag.shape[:-1] + (n, n), dtype=complex)
+    out.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] = 1j * diag
+    if off is not None:
+        a, b = block
+        out[..., a, b] = off
+        out[..., b, a] = -np.conjugate(off)
+    return out
 
 
 class FundamentalCaloron(ConnectionSampler):
@@ -341,6 +345,7 @@ class FundamentalCaloron(ConnectionSampler):
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
         self.embedding = su2_embedding(datum, mu)
+        self.tau3 = as_float(self.embedding.coroot)  # the image of i tau_3, as a Cartan diagonal
         node = as_float(datum.node_root(mu))
         coroot = as_float(datum.node_coroot(mu))
         a_omega = float(node @ omega)
@@ -386,7 +391,8 @@ def _patch_mask(rel_z):
 
 class SingularCaloron(ConnectionSampler):
     """Cartan-valued caloron: superposition of Dirac monopoles at the
-    constituent positions plus the constant omega/eps."""
+    constituent positions plus the constant omega/eps.  Its fields are
+    accumulated as real Cartan diagonals and written as matrices once."""
 
     def __init__(self, spec: CaloronSpec):
         if spec.series != "A":
@@ -398,10 +404,8 @@ class SingularCaloron(ConnectionSampler):
         self.epsilon = float(spec.epsilon)
         self.n = self.datum.ambient_dim
         self.positions = spec.positions
-        self.charges = np.stack(
-            [_cartan_matrix(as_float(self.datum.node_coroot(c.mu))) for c in spec.constituents]
-        )
-        self.omega_matrix = _cartan_matrix(spec.omega)
+        self.coroots = np.stack([as_float(self.datum.node_coroot(c.mu)) for c in spec.constituents])
+        self.omega = np.asarray(spec.omega, dtype=float)
         self.charge_matrix = _cartan_matrix(spec.charge_vector())
 
     def chart(self, x, t=None):
@@ -418,33 +422,31 @@ class SingularCaloron(ConnectionSampler):
             chart = self.chart(x)
         chart = np.asarray(chart)
         shape = x.shape[:-1]
-        A = np.zeros(shape + (3, self.n, self.n), dtype=complex)
-        Phi = np.broadcast_to(self.omega_matrix / self.epsilon, shape + (self.n, self.n)).copy()
+        A = np.zeros(shape + (3, self.n))
+        Phi = np.broadcast_to(self.omega / self.epsilon, shape + (self.n,)).copy()
         for k, p in enumerate(self.positions):
             rel = x - p
             r = np.linalg.norm(rel, axis=-1)
             if np.any(r == 0.0):
                 raise SingularPointError("evaluation at a constituent position")
             south = ((chart >> k) & 1).astype(bool)
-            coeff = np.zeros(shape + (3,))
-            if np.any(~south):
-                coeff[~south] = dirac_potential(rel[~south], "N")
-            if np.any(south):
-                coeff[south] = dirac_potential(rel[south], "S")
-            A += coeff[..., :, None, None] * self.charges[k]
-            Phi -= self.charges[k] / (2.0 * r)[..., None, None]
-        return A, Phi
+            A += dirac_potential(rel, south)[..., :, None] * self.coroots[k]
+            Phi -= self.coroots[k] / (2.0 * r)[..., None]
+        return _cartan_matrix(A), _cartan_matrix(Phi)
 
-    def exact_curvature(self, x, t):
-        """Closed-form E = B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
+    def field_strength_diagonal(self, x):
+        """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
         x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        E = np.zeros(shape + (3, self.n, self.n), dtype=complex)
+        B = np.zeros(x.shape[:-1] + (3, self.n))
         for k, p in enumerate(self.positions):
             rel = x - p
             r = np.linalg.norm(rel, axis=-1)
-            coeff = rel / (2.0 * r**3)[..., None]
-            E += coeff[..., :, None, None] * self.charges[k]
+            B += (rel / (2.0 * r**3)[..., None])[..., :, None] * self.coroots[k]
+        return B
+
+    def exact_curvature(self, x, t):
+        """Closed-form E = B, the Dirac field strengths."""
+        E = _cartan_matrix(self.field_strength_diagonal(x))
         return E, E.copy()
 
 
@@ -490,14 +492,8 @@ class ApproximateCaloron(ConnectionSampler):
             )
 
         # per-(k,l) patch for the spectator monopole l seen from annulus k
-        npts = len(self.positions)
-        self._spect_patch = np.zeros((npts, npts), dtype=bool)
-        for k in range(npts):
-            for l in range(npts):
-                if l != k:
-                    self._spect_patch[k, l] = _patch_mask(
-                        self.positions[k][2] - self.positions[l][2]
-                    )
+        z = self.positions[:, 2]
+        self._spect_patch = _patch_mask(z[:, None] - z[None, :])
 
     # -- charts --------------------------------------------------------------
 
@@ -557,69 +553,56 @@ class ApproximateCaloron(ConnectionSampler):
         return A, Phi
 
     def annulus_parts(self, k, patch, xs, ts):
-        """Constituents of the annulus gauge at points xs: the abelian model,
-        the framed fundamental remainder b (psi-conjugated) and the abelian
-        remainder s of the spectator monopoles, with the 2 x 2 phase frame psi.
-
-        psi = exp(phase/2 embed(i tau_3)) is diagonal, so conjugating by it
-        is conjugating the su(2) remainder by diag(e^{i phase/2},
-        e^{-i phase/2}) before embedding."""
+        """Constituents of the annulus gauge at points xs, none of them an
+        n x n matrix: the abelian model and the abelian remainder s of the
+        spectator monopoles as real Cartan diagonals, (A (..., 3, n), Phi
+        (..., n)); the framed fundamental remainder b as (the (a, b) entries
+        (..., 3) of b_A in the su(2) block, the diagonal of b_Phi); the framed
+        fundamental curvature F as (diagonal, (a, b) entries).  The su(2)
+        pieces are `string_gauge_fields`, with the phase frame
+        psi = exp(phase/2 embed(i tau_3))."""
         spec = self.spec
         cst = spec.constituents[k]
         fund = self.locals[k]
-        gamma_k = fund.charge_matrix
-        om_k = self.omega_shifts[k]
+        coroots = self.singular.coroots
         rel = xs - self.positions[k]
         r = np.linalg.norm(rel, axis=-1)
 
-        model_A = dirac_potential(rel, patch)[..., :, None, None] * gamma_k
-        model_P = _cartan_matrix(om_k) / self.epsilon - gamma_k / (2.0 * r)[..., None, None]
+        model_A = dirac_potential(rel, patch)[..., :, None] * coroots[k]
+        model_P = self.omega_shifts[k] / self.epsilon - coroots[k] / (2.0 * r)[..., None]
+        zA, hP, hF, zF = string_gauge_fields(
+            rel, fund.v, patch, ts if cst.mu == 0 else None, cst.phase
+        )
 
-        if cst.mu == 0:
-            bA2, bP2 = rotated_remainder(rel, ts, fund.v, patch)
-        else:
-            bA2, bP2 = bps_remainder(rel, fund.v, patch)
-        half = 0.5 * cst.phase
-        psi = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-        bA2, bP2 = gauge_transform(psi, bA2, bP2)
-        bA = fund.embedding.embed(bA2)
-        bP = fund.embedding.embed(bP2)
-
-        sA = np.zeros_like(bA)
-        sP = np.zeros_like(bP)
-        for l, cl in enumerate(spec.constituents):
+        sA = np.zeros_like(model_A)
+        sP = np.zeros_like(model_P)
+        for l in range(len(spec.constituents)):
             if l == k:
                 continue
-            gamma_l = self.singular.charges[l]
             pl = self.positions[l]
             d_kl = float(np.linalg.norm(self.positions[k] - pl))
-            lpatch = "S" if self._spect_patch[k, l] else "N"
-            coeff = dirac_potential(xs - pl, lpatch) - dirac_potential(
-                (self.positions[k] - pl)[None, :], lpatch
-            )
-            sA += coeff[..., :, None, None] * gamma_l
+            south = self._spect_patch[k, l]
+            coeff = dirac_potential(xs - pl, south) - dirac_potential(self.positions[k] - pl, south)
+            sA += coeff[..., :, None] * coroots[l]
             rl = np.linalg.norm(xs - pl, axis=-1)
-            sP += (1.0 / (2.0 * d_kl) - 1.0 / (2.0 * rl))[..., None, None] * gamma_l
+            sP += (1.0 / (2.0 * d_kl) - 1.0 / (2.0 * rl))[..., None] * coroots[l]
 
         return {
             "r": r,
             "chi": self.profile.chi(r),
             "model": (model_A, model_P),
-            "b": (bA, bP),
+            "b": (zA, hP[..., None] * fund.tau3),
             "s": (sA, sP),
-            "psi": psi,
+            "F": (hF[..., None] * fund.tau3, zF),
         }
 
     def _annulus_eval(self, k, patch, xs, ts):
         parts = self.annulus_parts(k, patch, xs, ts)
-        chi = parts["chi"]
-        model_A, model_P = parts["model"]
-        bA, bP = parts["b"]
-        sA, sP = parts["s"]
-        omchi = 1.0 - chi
-        A = model_A + chi[..., None, None, None] * bA + omchi[..., None, None, None] * sA
-        Phi = model_P + chi[..., None, None] * bP + omchi[..., None, None] * sP
-        return A, Phi
+        chi = parts["chi"][..., None]
+        (model_A, model_P), (zA, bP), (sA, sP) = parts["model"], parts["b"], parts["s"]
+        block = self.locals[k].embedding.block
+        A = _cartan_matrix(model_A + (1.0 - chi)[..., None] * sA, block, chi * zA)
+        return A, _cartan_matrix(model_P + chi * bP + (1.0 - chi) * sP)
 
     def _annulus_curvature(self, k, patch, xs, ts):
         """Closed form on annulus k.  With c = b - s the connection is
@@ -628,24 +611,30 @@ class ApproximateCaloron(ConnectionSampler):
 
             F = (1 - chi) F_sing + chi F_fund + dchi ^ c - chi (1 - chi) c ^ c,
 
-        F_fund = embed(h^-1 F_BPS h) with the frame h = framing (g_inf(t)
-        for mu = 0) psi, (c ^ c)_{mu nu} = [c_mu, c_nu] and c_t = eps c_Phi."""
+        with F_fund from `annulus_parts`, (c ^ c)_{mu nu} = [c_mu, c_nu] and
+        c_t = eps c_Phi.  Every piece is a Cartan diagonal plus an (a, b)
+        entry z of the su(2) block, so with Delta(d) = d_b - d_a the
+        brackets are [z, d] = i z Delta(d) and [z_j, z_k] = -2 Im(z_j conj z_k) i tau_3."""
         fund = self.locals[k]
+        a, b = fund.embedding.block
         parts = self.annulus_parts(k, patch, xs, ts)
         rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
-        frame = hedgehog_framing(rel, patch)
-        if fund.mu == 0:
-            frame = _mul(frame, _g_infinity(ts))
-        F2, _ = gauge_transform(_mul(frame, parts["psi"]), bps_curvature_fields(rel, fund.v))
-        F = (1.0 - chi)[:, None, None, None] * self.singular.exact_curvature(xs, ts)[0]
-        F += chi[:, None, None, None] * fund.embedding.embed(F2)
-        cA = parts["b"][0] - parts["s"][0]
-        cP = (parts["b"][1] - parts["s"][1])[:, None]
-        dchi = (self.profile.chi_prime(r) / r)[:, None, None, None] * rel[:, :, None, None]
-        mix = (chi * (1.0 - chi))[:, None, None, None]
-        E = F + dchi * cP - mix * (_mul(cA, cP) - _mul(cP, cA))
-        a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]  # B_i = F_jk, (i, j, k) cyclic
-        B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (_mul(a, b) - _mul(b, a))
+        mix = (chi * (1.0 - chi))[:, None]
+        (z, bP), (sA, sP) = parts["b"], parts["s"]
+        cA, cP = -sA, bP - sP  # c = b - s: diagonals, and z the (a, b) entries of c_A
+        fdiag, foff = parts["F"]
+        Fd = (1.0 - chi)[:, None, None] * self.singular.field_strength_diagonal(xs) + chi[:, None, None] * fdiag
+        Fz = chi[:, None] * foff
+        dchi = (self.profile.chi_prime(r) / r)[:, None] * rel
+        E = _cartan_matrix(Fd + dchi[..., None] * cP[:, None], (a, b), Fz - 1j * mix * z * (cP[:, b] - cP[:, a])[:, None])
+        j, k = [1, 2, 0], [2, 0, 1]  # B_i = F_jk, (i, j, k) cyclic
+        dA = cA[..., b] - cA[..., a]
+        zz = (2.0 * mix * (z[:, j] * np.conjugate(z[:, k])).imag)[..., None] * fund.tau3
+        B = _cartan_matrix(
+            Fd + dchi[:, j, None] * cA[:, k] - dchi[:, k, None] * cA[:, j] + zz,
+            (a, b),
+            Fz + dchi[:, j] * z[:, k] - dchi[:, k] * z[:, j] - 1j * mix * (z[:, j] * dA[:, k] - z[:, k] * dA[:, j]),
+        )
         return E, B
 
     def exact_curvature(self, x, t):

@@ -394,6 +394,22 @@ def parse_group_label(label: str) -> Tuple[str, int]:
     return label[0].upper(), rank
 
 
+def _checked_type(series: str, rank: int) -> str:
+    series = series.upper()
+    if series not in _RANK_RANGES:
+        raise InvalidGroupError(f"unknown series {series!r}")
+    lo, hi = _RANK_RANGES[series]
+    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
+        raise InvalidGroupError(f"rank {rank} invalid for series {series}")
+    return series
+
+
+def ambient_dim(series: str, rank: int) -> int:
+    """Dimension of the ambient model of a simple type, read off without
+    building its root datum."""
+    return {"A": rank + 1, "E": 8, "F": 4, "G": 3}.get(_checked_type(series, rank), rank)
+
+
 def build_root_datum(series: str, rank: int) -> RootDatum:
     """Construct the full root datum for a simple type.
 
@@ -404,13 +420,7 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     Gram matrix of the scaled simple roots.  Each ambient root and coroot is
     made once from its integer vector x: x / D and 2 D x / |x|^2.
     """
-    series = series.upper()
-    if series not in _RANK_RANGES:
-        raise InvalidGroupError(f"unknown series {series!r}")
-    lo, hi = _RANK_RANGES[series]
-    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
-        raise InvalidGroupError(f"rank {rank} invalid for series {series}")
-
+    series = _checked_type(series, rank)
     denom, simple = _scaled_simple_roots(series, rank)
     gram = [[_int_dot(a, b) for b in simple] for a in simple]
     coeffs = _reflection_closure(gram)

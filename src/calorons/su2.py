@@ -9,6 +9,9 @@ its lift to a circle-invariant caloron A + eps Phi dt, the hedgehog framing
 that diagonalizes the asymptotic Higgs field, abelian Dirac monopoles in the
 two-patch gauge, and the t-dependent "rotation" gauge transformation
 g(x,t) = exp(-t Phihat(x)/2) whose pullback produces the rotated monopole.
+The framed caloron is also written down in the abelian ("string") gauge of
+each patch, in closed form (`string_gauge_fields`): the gluing annuli take
+it with no frame, derivative or conjugation computed as a matrix product.
 
 Radial profiles switch to 5th-order Taylor series for 2vr < 1e-4 so the
 removable singularity at the core never produces NaN.
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from .quadrature import _smoothstep, _smoothstep_prime
 from .rootsys import PAULI
-from .samplers import ConnectionSampler, PulledBackSampler, dagger, gauge_transform
+from .samplers import ConnectionSampler, PulledBackSampler, dagger
 
 _SERIES_CUT = 1e-4
 _TINY = 1e-300
@@ -88,6 +91,26 @@ def bps_fields(x, v):
     return A, Phi
 
 
+def _radial_profiles(v, r):
+    """phi'(r), w(r) = 2vr/sinh(2vr) and phi w / r, each with its series for
+    2vr < 1e-4; phi w / r -> 2v^2/3 at the core."""
+    u = 2.0 * v * r
+    small = u < _SERIES_CUT
+    ub = np.where(small, 1.0, u)
+    us = np.where(small, u, 1.0)
+    # phi'(r) = 1/(2 r^2) - 2 v^2 / sinh^2(2 v r); series: 2v^2/3 - 8 v^4 r^2 / 15
+    dphi_closed = 1.0 / (2.0 * np.maximum(r, _TINY) ** 2) - 2.0 * v**2 / np.sinh(ub) ** 2
+    dphi_series = 2.0 * v**2 / 3.0 - 2.0 * v**2 * us**2 / 15.0 + 4.0 * v**2 * us**4 / 189.0
+    dphi = np.where(small, dphi_series, dphi_closed)
+    w = np.where(small, 1.0 - us**2 / 6.0 + 7.0 * us**4 / 360.0, ub / np.sinh(ub))
+    phw = np.where(
+        small,
+        v**2 * (2.0 / 3.0 - 2.0 * us**2 / 9.0),
+        bps_higgs_profile(v, r) * w / np.maximum(r, _TINY),
+    )
+    return dphi, w, phw
+
+
 def bps_curvature_fields(x, v):
     """Closed-form E = B of the BPS caloron (independent of any finite
     difference):
@@ -98,22 +121,7 @@ def bps_curvature_fields(x, v):
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
     xh = x / np.maximum(r, _TINY)[..., None]
-    u = 2.0 * v * r
-    small = u < _SERIES_CUT
-    ub = np.where(small, 1.0, u)
-    # phi'(r) = 1/(2 r^2) - 2 v^2 / sinh^2(2 v r); series: 2v^2/3 - 8 v^4 r^2 / 15
-    dphi_closed = 1.0 / (2.0 * np.maximum(r, _TINY) ** 2) - 2.0 * v**2 / np.sinh(ub) ** 2
-    us = np.where(small, u, 1.0)
-    dphi_series = 2.0 * v**2 / 3.0 - 2.0 * v**2 * us**2 / 15.0 + 4.0 * v**2 * us**4 / 189.0
-    dphi = np.where(small, dphi_series, dphi_closed)
-    phi = bps_higgs_profile(v, r)
-    w = np.where(small, 1.0 - us**2 / 6.0 + 7.0 * us**4 / 360.0, ub / np.sinh(ub))
-    # phi w / r -> (2 v^2/3) r * 1 / r = 2v^2/3 at the core
-    phw = np.where(
-        small,
-        v**2 * (2.0 / 3.0 - 2.0 * us**2 / 9.0),
-        phi * w / np.maximum(r, _TINY),
-    )
+    dphi, _, phw = _radial_profiles(v, r)
     rad = xh[..., :, None, None] * _itau(xh)[..., None, :, :]
     tan = ITAU - rad
     return dphi[..., None, None, None] * rad + phw[..., None, None, None] * tan
@@ -205,78 +213,27 @@ def hedgehog_framing(x, patch="N"):
     return out
 
 
-def hedgehog_framing_derivative(x, patch="N"):
-    """Analytic spatial derivative d_i f, shape (..., 3, 2, 2)."""
-    x = np.asarray(x, dtype=float)
-    r = _r_of(x)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    rh = x / r[..., None]
-    e3 = np.zeros_like(x)
-    e3[..., 2] = 1.0
-    shape = x.shape[:-1]
-    df = np.zeros(shape + (3, 2, 2), dtype=complex)
-    if patch == "N":
-        u = np.sqrt(2.0 * r * (r + x3))
-        # du_i = (rhat_i (2r + z) + r delta_{i3}) / u
-        du = (rh * (2.0 * r + x3)[..., None] + r[..., None] * e3) / u[..., None]
-        # diag = u/(2r): d = du/(2r) - u rhat /(2 r^2)
-        ddiag = du / (2.0 * r[..., None]) - (u / (2.0 * r**2))[..., None] * rh
-        df[..., 0, 0] = ddiag
-        df[..., 1, 1] = ddiag
-        # offdiag(0,1) = (-x + iy)/u
-        num01 = (-x1 + 1j * x2)[..., None]
-        dnum01 = np.zeros(shape + (3,), dtype=complex)
-        dnum01[..., 0] = -1.0
-        dnum01[..., 1] = 1j
-        df[..., 0, 1] = dnum01 / u[..., None] - num01 * du / (u**2)[..., None]
-        num10 = (x1 + 1j * x2)[..., None]
-        dnum10 = np.zeros(shape + (3,), dtype=complex)
-        dnum10[..., 0] = 1.0
-        dnum10[..., 1] = 1j
-        df[..., 1, 0] = dnum10 / u[..., None] - num10 * du / (u**2)[..., None]
-    elif patch == "S":
-        w = np.sqrt(2.0 * r * (r - x3))
-        dw = (rh * (2.0 * r - x3)[..., None] - r[..., None] * e3) / w[..., None]
-        num00 = (x1 - 1j * x2)[..., None]
-        dnum00 = np.zeros(shape + (3,), dtype=complex)
-        dnum00[..., 0] = 1.0
-        dnum00[..., 1] = -1j
-        df[..., 0, 0] = dnum00 / w[..., None] - num00 * dw / (w**2)[..., None]
-        num11 = (x1 + 1j * x2)[..., None]
-        dnum11 = np.zeros(shape + (3,), dtype=complex)
-        dnum11[..., 0] = 1.0
-        dnum11[..., 1] = 1j
-        df[..., 1, 1] = dnum11 / w[..., None] - num11 * dw / (w**2)[..., None]
-        doff = dw / (2.0 * r[..., None]) - (w / (2.0 * r**2))[..., None] * rh
-        df[..., 0, 1] = -doff
-        df[..., 1, 0] = doff
-    else:
-        raise ValueError("patch must be 'N' or 'S'")
-    return df
-
-
 # ---------------------------------------------------------------------------
 # Dirac monopoles (abelian, two patches)
 
 def dirac_potential(x, patch="N"):
     """Unit-charge Dirac vector potential coefficients: A = a_i dx^i * gamma
-    with a = (-y, x, 0) / (2 r (r +- z)) for the north/south patch."""
+    with a = (-y, x, 0) / (2 r (r +- z)) for the north/south patch.  `patch`
+    is "N", "S" or booleans broadcast against x[..., 0], True for south."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    if patch == "N":
-        denom = 2.0 * r * (r + x3)
-        sign = 1.0
-    elif patch == "S":
-        denom = -2.0 * r * (r - x3)
-        sign = 1.0
-    else:
-        raise ValueError("patch must be 'N' or 'S'")
+    if isinstance(patch, str):
+        if patch not in ("N", "S"):
+            raise ValueError("patch must be 'N' or 'S'")
+        patch = patch == "S"
+    sign = np.where(patch, -1.0, 1.0)
+    denom = sign * (2.0 * r * (r + sign * x3))
     if np.any(denom == 0):
         raise ChartDomainError("Dirac potential evaluated on its string")
     a = np.zeros_like(x)
-    a[..., 0] = -x2 / denom * sign
-    a[..., 1] = x1 / denom * sign
+    a[..., 0] = -x2 / denom
+    a[..., 1] = x1 / denom
     return a
 
 
@@ -415,37 +372,57 @@ def rotated_bps(omega_prime, epsilon) -> RotatedBPSCaloron:
 
 
 # ---------------------------------------------------------------------------
-# framed remainders: fundamental caloron minus its abelian model
+# the framed BPS caloron in the string gauge
 
-def bps_remainder(x, v, patch="N"):
-    """a+_BPS at the su(2) level: the framed BPS caloron minus the abelian
-    model (v - 1/(2r)) i tau_3.  Returns (A-part, Phi-part); both decay like
-    exp(-2 v r)."""
+def string_gauge_fields(x, v, patch="N", t=None, phase=0.0):
+    """The BPS caloron conjugated by the hedgehog frame of `patch`, in closed
+    form: the abelian model (v - 1/(2r)) i tau_3 with the Dirac potential,
+    plus a remainder b that decays like exp(-2vr), and the framed curvature
+    F = E = B.  With zeta = x1 + i x2 and the patch direction vectors
+
+        u_N = (1, -i, 0) - conj(zeta) (x1, x2, r + x3) / (r (r + x3)),
+        u_S = -(1, i, 0) + zeta (x1, x2, x3 - r) / (r (r - x3)),
+
+    rational and regular off the patch's string, every piece is diagonal or
+    off-diagonal in su(2):
+
+        b_A,i  = [[0, z_i], [-conj z_i, 0]],  z_i = -(w / 2r) u_i,
+        b_Phi  = v (coth(2vr) - 1) i tau_3,
+        F_i    = phi'(r) xhat_i i tau_3 + [[0, z_i], [-conj z_i, 0]],  z_i = i (phi w / r) u_i.
+
+    For the rotated monopole (t given) the frame ends in g_inf(t) =
+    exp(-i t tau_3 / 2) i tau_2, which flips the diagonal and takes z to
+    e^{-it} conj z; then psi = diag(e^{i phase/2}, e^{-i phase/2}) takes z
+    to e^{-i phase} z.
+
+    Returns (z_A, h_Phi, h_F, z_F): the (0, 1) entries z (..., 3) and the
+    i tau_3 coefficients h of b_A, b_Phi and F."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
-    A, Phi = bps_fields(x, v)
-    A_framed, Phi_framed = gauge_transform(
-        hedgehog_framing(x, patch), A, Phi, hedgehog_framing_derivative(x, patch)
-    )
-    a_model = dirac_potential(x, patch)[..., :, None, None] * ITAU[2]
-    phi_model = (v - 1.0 / (2.0 * r))[..., None, None] * ITAU[2]
-    return A_framed - a_model, Phi_framed - phi_model
-
-
-def _g_infinity(t):
-    """Weyl-flip framing factor exp(-i t tau_3 / 2) (i tau_2)."""
-    t = np.asarray(t, dtype=float)
-    phase = np.exp(-0.5j * t)
-    g = np.zeros(t.shape + (2, 2), dtype=complex)
-    # exp(-i t tau3/2) = diag(e^{-it/2}, e^{it/2}); times i tau_2 = [[0,1],[-1,0]]
-    g[..., 0, 1] = phase
-    g[..., 1, 0] = -np.conjugate(phase)
-    return g
-
-
-def rotated_remainder(x, t, v, patch="N"):
-    """a-_BPS: the framed rotated monopole minus the abelian model of charge
-    -1.  Equals the t-dependent conjugation g_inf(t)^-1 a+_BPS(x) g_inf(t)."""
-    aA, aPhi = bps_remainder(x, v, patch)
-    t = np.broadcast_to(np.asarray(t, float), np.asarray(x, float).shape[:-1])
-    return gauge_transform(_g_infinity(t), aA, aPhi)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    if patch == "N":
+        den, lead, last, zeta = r * (r + x3), (1.0, -1j), r + x3, -(x1 - 1j * x2)
+    elif patch == "S":
+        den, lead, last, zeta = r * (r - x3), (-1.0, -1j), x3 - r, x1 + 1j * x2
+    else:
+        raise ValueError("patch must be 'N' or 'S'")
+    if np.any(den == 0):
+        raise ChartDomainError(f"{patch} string gauge evaluated on its string")
+    q = zeta / den
+    u = np.empty(x.shape, dtype=complex)
+    u[..., 0] = lead[0] + q * x1
+    u[..., 1] = lead[1] + q * x2
+    u[..., 2] = q * last
+    dphi, w, phw = _radial_profiles(v, r)
+    z_A = (-0.5 * w / r)[..., None] * u
+    z_F = (1j * phw)[..., None] * u
+    h_Phi = 2.0 * v / np.expm1(4.0 * v * r)  # v (coth 2vr - 1) without cancellation
+    h_F = (dphi / r)[..., None] * x
+    if t is not None:
+        rot = np.exp(-1j * np.asarray(t, dtype=float))[..., None]
+        z_A, z_F = rot * np.conjugate(z_A), rot * np.conjugate(z_F)
+        h_Phi, h_F = -h_Phi, -h_F
+    if phase:
+        rot = np.exp(-1j * phase)
+        z_A, z_F = rot * z_A, rot * z_F
+    return z_A, h_Phi, h_F, z_F

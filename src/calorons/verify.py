@@ -11,6 +11,7 @@ pass/fail ledger.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List
 
@@ -27,7 +28,6 @@ from .fieldcalc import (
     FieldReport,
     curvature_at,
     energy_and_tr_f_wedge_f,
-    lie_norm_sq,
     magnetic_charge,
     sd_error_l2,
     sphere_averaged_holonomy,
@@ -58,16 +58,18 @@ def energy_formula_float(spec: CaloronSpec) -> float:
     return float(energy_formula(spec.datum, spec.omega, spec.counts()))
 
 
-def _one_form_norm(a_part, phi_part):
-    """|a|_{g_eps} for a = a_i dx^i + eps*phi dt (orthonormal frame)."""
-    return np.sqrt(
-        np.sum(lie_norm_sq(a_part), axis=-1) + lie_norm_sq(phi_part)
-    )
+def _normal(rng, rows):
+    """(rows, 3) standard normal probe coordinates."""
+    return np.array([[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(rows)])
+
+
+def _uniform(rng, lo, hi, n):
+    return np.array([rng.uniform(lo, hi) for _ in range(n)])
 
 
 def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     """Full invariant suite; returns (FieldReport, [Check])."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks: List[Check] = []
     eps = spec.epsilon
     samp = approximate_caloron(spec)
@@ -104,19 +106,19 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     # 3. Bogomolny residual at the cores (self-dual error ~ FD noise)
     core_pts = []
     for p in spec.positions:
-        u = rng.normal(size=(8, 3))
+        u = _normal(rng, 8)
         u *= (0.3 * R / np.linalg.norm(u, axis=1))[:, None]
         core_pts.append(p + u)
     core_pts = np.concatenate(core_pts)
-    ts = rng.uniform(0.0, 2.0 * np.pi, len(core_pts))
+    ts = _uniform(rng, 0.0, 2.0 * np.pi, len(core_pts))
     curv = curvature_at(samp, core_pts, ts, step=fd_step)
     core_sd = float(np.sqrt(np.max(curv.sd_norm_sq())))
     checks.append(Check("core-self-dual-error", core_sd < 1e-3, core_sd, 1e-3))
 
     # 4. exterior region exactly abelian: FD self-dual error at far probes
-    far_pts = rng.normal(size=(24, 3))
+    far_pts = _normal(rng, 24)
     far_pts /= np.linalg.norm(far_pts, axis=1)[:, None]
-    far_pts *= (spec.d_max + 3.0 * R + 1.0) * rng.uniform(1.0, 2.0, 24)[:, None]
+    far_pts *= (spec.d_max + 3.0 * R + 1.0) * _uniform(rng, 1.0, 2.0, 24)[:, None]
     curv = curvature_at(samp, far_pts, 0.0, step=min(eps / 10.0, 0.05))
     far_sd = float(np.sqrt(np.max(curv.sd_norm_sq())))
     checks.append(Check("far-self-dual-error", far_sd < 1e-6, far_sd, 1e-6))
@@ -130,16 +132,18 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     per = max(200 // max(len(spec.constituents), 1), 10)
     probes = []
     for k, p in enumerate(spec.positions):
-        u = rng.normal(size=(per, 3))
+        u = _normal(rng, per)
         u /= np.linalg.norm(u, axis=1)[:, None]
-        radii = rng.uniform(0.5 * R, R, per)
+        radii = _uniform(rng, 0.5 * R, R, per)
         pts = p + radii[:, None] * u
-        tk = rng.uniform(0.0, 2.0 * np.pi, per)
+        tk = _uniform(rng, 0.0, 2.0 * np.pi, per)
         bound = np.empty(per)
         for patch, sel in (("N", pts[:, 2] >= p[2]), ("S", pts[:, 2] < p[2])):
             if np.any(sel):
                 parts = samp.annulus_parts(k, patch, pts[sel], tk[sel])
-                mx = np.maximum(_one_form_norm(*parts["b"]), _one_form_norm(*parts["s"]))
+                (zA, bP), (sA, sP) = parts["b"], parts["s"]  # |i diag(d)| = |d|; z enters twice
+                b_norm = np.sqrt(2.0 * np.sum(np.abs(zA) ** 2, axis=-1) + np.sum(bP**2, axis=-1))
+                mx = np.maximum(b_norm, np.sqrt(np.sum(sA**2, axis=(-2, -1)) + np.sum(sP**2, axis=-1)))
                 bound[sel] = mx / parts["r"] + mx**2
         probes.append((pts, tk, bound))
     pts, tk, bound = (np.concatenate(a) for a in zip(*probes))
@@ -169,12 +173,12 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     worst_gauge = 0.0
     for k, cst in enumerate(spec.constituents):
         p = spec.positions[k]
-        u = rng.normal(size=(12, 3))
+        u = _normal(rng, 12)
         u /= np.linalg.norm(u, axis=1)[:, None]
         u[:, 2] *= 0.2  # stay near the equator, away from both strings
         u /= np.linalg.norm(u, axis=1)[:, None]
-        pts = p + rng.uniform(0.55 * R, 0.95 * R, 12)[:, None] * u
-        tk = rng.uniform(0.0, 2.0 * np.pi, 12)
+        pts = p + _uniform(rng, 0.55 * R, 0.95 * R, 12)[:, None] * u
+        tk = _uniform(rng, 0.0, 2.0 * np.pi, 12)
         aN, pN = samp._annulus_eval(k, "N", pts, tk)
         aS, pS = samp._annulus_eval(k, "S", pts, tk)
         rel = pts - p

@@ -1,18 +1,34 @@
-"""Independent reference routes for the exact root-system and index code.
+"""Independent reference routes for code the library computes another way.
 
-These are the ambient-coordinate `Fraction` formulas (and a general
-rational solver) that the library replaced by integer sums in simple-root
-coordinates.  They stay here, outside the package, as oracles: every
-quantity is recomputed from the stored ambient root and coroot vectors.
+Root systems and indexes: the ambient-coordinate `Fraction` formulas (and a
+general rational solver) that the library replaced by integer sums in
+simple-root coordinates; every quantity is recomputed from the stored
+ambient root and coroot vectors.
+
+Framed SU(2) fields: the matrix route to the string gauge that
+`su2.string_gauge_fields` replaced by closed forms.  The BPS caloron is
+conjugated by the hedgehog framing, with its analytic derivative, and by
+g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from calorons.rootsys import (
     charge_vector,
     dynkin_index_adjoint,
     lincomb,
     pairing,
+)
+from calorons.samplers import _mul, gauge_transform
+from calorons.su2 import (
+    ITAU,
+    _r_of,
+    bps_curvature_fields,
+    bps_fields,
+    dirac_potential,
+    hedgehog_framing,
 )
 
 
@@ -101,3 +117,145 @@ def positive_root_charge_sum(datum, gamma_coeffs, n0):
     rhs = 2 * sum(n[mu] - n0 * m for mu, m in zip(range(1, datum.rank + 1), datum.dual_coxeter_labels))
     return lhs, rhs
 
+
+
+# -- framed SU(2) fields as matrix products ---------------------------------------
+
+def hedgehog_framing_derivative(x, patch="N"):
+    """Analytic spatial derivative d_i f, shape (..., 3, 2, 2)."""
+    x = np.asarray(x, dtype=float)
+    r = _r_of(x)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    rh = x / r[..., None]
+    e3 = np.zeros_like(x)
+    e3[..., 2] = 1.0
+    shape = x.shape[:-1]
+    df = np.zeros(shape + (3, 2, 2), dtype=complex)
+    if patch == "N":
+        u = np.sqrt(2.0 * r * (r + x3))
+        # du_i = (rhat_i (2r + z) + r delta_{i3}) / u
+        du = (rh * (2.0 * r + x3)[..., None] + r[..., None] * e3) / u[..., None]
+        # diag = u/(2r): d = du/(2r) - u rhat /(2 r^2)
+        ddiag = du / (2.0 * r[..., None]) - (u / (2.0 * r**2))[..., None] * rh
+        df[..., 0, 0] = ddiag
+        df[..., 1, 1] = ddiag
+        # offdiag(0,1) = (-x + iy)/u
+        num01 = (-x1 + 1j * x2)[..., None]
+        dnum01 = np.zeros(shape + (3,), dtype=complex)
+        dnum01[..., 0] = -1.0
+        dnum01[..., 1] = 1j
+        df[..., 0, 1] = dnum01 / u[..., None] - num01 * du / (u**2)[..., None]
+        num10 = (x1 + 1j * x2)[..., None]
+        dnum10 = np.zeros(shape + (3,), dtype=complex)
+        dnum10[..., 0] = 1.0
+        dnum10[..., 1] = 1j
+        df[..., 1, 0] = dnum10 / u[..., None] - num10 * du / (u**2)[..., None]
+    elif patch == "S":
+        w = np.sqrt(2.0 * r * (r - x3))
+        dw = (rh * (2.0 * r - x3)[..., None] - r[..., None] * e3) / w[..., None]
+        num00 = (x1 - 1j * x2)[..., None]
+        dnum00 = np.zeros(shape + (3,), dtype=complex)
+        dnum00[..., 0] = 1.0
+        dnum00[..., 1] = -1j
+        df[..., 0, 0] = dnum00 / w[..., None] - num00 * dw / (w**2)[..., None]
+        num11 = (x1 + 1j * x2)[..., None]
+        dnum11 = np.zeros(shape + (3,), dtype=complex)
+        dnum11[..., 0] = 1.0
+        dnum11[..., 1] = 1j
+        df[..., 1, 1] = dnum11 / w[..., None] - num11 * dw / (w**2)[..., None]
+        doff = dw / (2.0 * r[..., None]) - (w / (2.0 * r**2))[..., None] * rh
+        df[..., 0, 1] = -doff
+        df[..., 1, 0] = doff
+    else:
+        raise ValueError("patch must be 'N' or 'S'")
+    return df
+
+
+def bps_remainder(x, v, patch="N"):
+    """a+_BPS at the su(2) level: the framed BPS caloron minus the abelian
+    model (v - 1/(2r)) i tau_3.  Returns (A-part, Phi-part); both decay like
+    exp(-2 v r)."""
+    x = np.asarray(x, dtype=float)
+    r = _r_of(x)
+    A, Phi = bps_fields(x, v)
+    A_framed, Phi_framed = gauge_transform(
+        hedgehog_framing(x, patch), A, Phi, hedgehog_framing_derivative(x, patch)
+    )
+    a_model = dirac_potential(x, patch)[..., :, None, None] * ITAU[2]
+    phi_model = (v - 1.0 / (2.0 * r))[..., None, None] * ITAU[2]
+    return A_framed - a_model, Phi_framed - phi_model
+
+
+def _g_infinity(t):
+    """Weyl-flip framing factor exp(-i t tau_3 / 2) (i tau_2)."""
+    t = np.asarray(t, dtype=float)
+    phase = np.exp(-0.5j * t)
+    g = np.zeros(t.shape + (2, 2), dtype=complex)
+    # exp(-i t tau3/2) = diag(e^{-it/2}, e^{it/2}); times i tau_2 = [[0,1],[-1,0]]
+    g[..., 0, 1] = phase
+    g[..., 1, 0] = -np.conjugate(phase)
+    return g
+
+
+def rotated_remainder(x, t, v, patch="N"):
+    """a-_BPS: the framed rotated monopole minus the abelian model of charge
+    -1.  Equals the t-dependent conjugation g_inf(t)^-1 a+_BPS(x) g_inf(t)."""
+    aA, aPhi = bps_remainder(x, v, patch)
+    t = np.broadcast_to(np.asarray(t, float), np.asarray(x, float).shape[:-1])
+    return gauge_transform(_g_infinity(t), aA, aPhi)
+
+
+def string_gauge_matrices(x, v, patch="N", t=None, phase=0.0):
+    """(b_A, b_Phi, F) of `su2.string_gauge_fields` as 2 x 2 matrices: the
+    remainders conjugated by psi = diag(e^{i phase/2}, e^{-i phase/2}), and
+    the BPS curvature conjugated by the whole frame framing (g_inf(t)) psi."""
+    x = np.asarray(x, dtype=float)
+    frame = hedgehog_framing(x, patch)
+    if t is None:
+        bA, bP = bps_remainder(x, v, patch)
+    else:
+        t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
+        bA, bP = rotated_remainder(x, t, v, patch)
+        frame = frame @ _g_infinity(t)
+    psi = np.diag([np.exp(0.5j * phase), np.exp(-0.5j * phase)])
+    bA, bP = gauge_transform(psi, bA, bP)
+    F, _ = gauge_transform(frame @ psi, bps_curvature_fields(x, v))
+    return bA, bP, F
+
+
+def annulus_fields_dense(samp, k, patch, xs, ts):
+    """(A, Phi, E, B) of an `ApproximateCaloron` on annulus k with every
+    piece an n x n matrix: the abelian model and spectator terms summed as
+    matrices, the framed remainder and curvature from `string_gauge_matrices`
+    embedded, and c ^ c as matrix commutators."""
+    fund, cst = samp.locals[k], samp.spec.constituents[k]
+    gamma = [1j * np.diag(c) for c in samp.singular.coroots]
+    rel = xs - samp.positions[k]
+    r = np.linalg.norm(rel, axis=-1)
+    chi = samp.profile.chi(r)
+    model_A = dirac_potential(rel, patch)[..., :, None, None] * gamma[k]
+    model_P = 1j * np.diag(samp.omega_shifts[k]) / samp.epsilon - gamma[k] / (2.0 * r)[..., None, None]
+    bA2, bP2, F2 = string_gauge_matrices(rel, fund.v, patch, ts if cst.mu == 0 else None, cst.phase)
+    bA, bP, F_fund = (fund.embedding.embed(m) for m in (bA2, bP2, F2))
+    sA, sP = np.zeros_like(bA), np.zeros_like(bP)
+    F_sing = np.zeros_like(bA)
+    for l, p in enumerate(samp.positions):
+        rl = np.linalg.norm(xs - p, axis=-1)
+        F_sing += ((xs - p) / (2.0 * rl**3)[:, None])[..., None, None] * gamma[l]
+        if l == k:
+            continue
+        patch_l = "S" if samp._spect_patch[k, l] else "N"
+        coeff = dirac_potential(xs - p, patch_l) - dirac_potential(samp.positions[k] - p, patch_l)
+        sA += coeff[..., :, None, None] * gamma[l]
+        d_kl = np.linalg.norm(samp.positions[k] - p)
+        sP += (1.0 / (2.0 * d_kl) - 1.0 / (2.0 * rl))[..., None, None] * gamma[l]
+    A = model_A + chi[:, None, None, None] * bA + (1.0 - chi)[:, None, None, None] * sA
+    Phi = model_P + chi[:, None, None] * bP + (1.0 - chi)[:, None, None] * sP
+    F = (1.0 - chi)[:, None, None, None] * F_sing + chi[:, None, None, None] * F_fund
+    cA, cP = bA - sA, (bP - sP)[:, None]
+    dchi = (samp.profile.chi_prime(r) / r)[:, None, None, None] * rel[:, :, None, None]
+    mix = (chi * (1.0 - chi))[:, None, None, None]
+    E = F + dchi * cP - mix * (_mul(cA, cP) - _mul(cP, cA))
+    a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]
+    B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (_mul(a, b) - _mul(b, a))
+    return A, Phi, E, B

@@ -36,9 +36,11 @@ from calorons.fieldcalc import (
     energy_and_tr_f_wedge_f,
 )
 from calorons.samplers import dagger
+from calorons.su2 import dirac_monopole
 from calorons.quadrature import desk_grid
 from calorons.rootsys import as_float, build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
+from oracles import annulus_fields_dense
 
 
 def _su2_spec(eps=0.05, w=0.25, c=0.3, constituents=None):
@@ -289,6 +291,39 @@ def test_singular_flux_recovers_total_charge():
     assert resid < 1e-6
 
 
+@settings(max_examples=20, deadline=None)
+@given(rank=st.integers(1, 3), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_singular_caloron_diagonals_match_dense_reference(rank, count, seed):
+    """The singular caloron accumulates its fields as real Cartan diagonals;
+    the dense reference sums n x n Dirac monopoles (`su2.AbelianPair`), each
+    in the patch of the point's chart, plus i diag(omega) / eps."""
+    rng = np.random.default_rng(seed)
+    datum = build_root_datum("A", rank)
+    omega = as_float(random_interior_omega(datum, random.Random(seed)))
+    mus = rng.integers(0, rank + 1, count)
+    positions = rng.uniform(-2.0, 2.0, (count, 3))
+    spec = CaloronSpec(
+        epsilon=0.05, series="A", rank=rank, omega=tuple(omega),
+        constituents=[Constituent(int(mu), tuple(p), 0.0) for mu, p in zip(mus, positions)],
+    )
+    sing = singular_caloron(spec)
+    x = rng.normal(size=(30, 3)) * 2.0
+    chart = sing.chart(x)
+    A, Phi = sing(x, 0.7, chart)
+    E, B = sing.exact_curvature(x, 0.7)
+    A_ref = np.zeros_like(A)
+    Phi_ref = np.broadcast_to(1j * np.diag(omega) / spec.epsilon, Phi.shape).astype(complex)
+    E_ref = np.zeros_like(E)
+    for k, (mu, p) in enumerate(zip(mus, positions)):
+        pair = dirac_monopole(p, as_float(datum.node_coroot(int(mu))))
+        south = ((chart >> k) & 1).astype(bool)[:, None, None, None]
+        A_ref += np.where(south, pair.potential(x, "S"), pair.potential(x, "N"))
+        Phi_ref = Phi_ref + pair.higgs(x)
+        E_ref += pair.field_strength(x)
+    for got, ref in ((A, A_ref), (Phi, Phi_ref), (E, E_ref), (B, E_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_singular_point_error():
     spec = _su2_spec()
     sing = singular_caloron(spec)
@@ -508,6 +543,30 @@ def test_approximate_exact_curvature_vs_fd_on_cores_and_far():
         assert np.max(np.abs(curv.B - B)) < tol
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.sampled_from([0, 1, 2]),
+    phases=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    eps=st.floats(0.01, 0.08),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_annulus_closed_form_matches_dense_matrix_route(mu, phases, eps, seed):
+    """The annulus connection and curvature, built from Cartan diagonals,
+    su(2)-block entries and closed-form brackets, equal the all-matrix route
+    of tests/oracles.py to 1e-12 of their size, on both patches."""
+    samp = approximate_caloron(_su3_pair_spec(eps, mu, phases))
+    rng = np.random.default_rng(seed)
+    for k, p in enumerate(samp.positions):
+        u = rng.normal(size=(30, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        pts = p + rng.uniform(0.5, 1.0, 30)[:, None] * samp.R * u
+        ts = rng.uniform(0.0, 2.0 * np.pi, 30)
+        for patch, sel in (("N", u[:, 2] > -0.5), ("S", u[:, 2] < 0.5)):
+            got = samp._annulus_eval(k, patch, pts[sel], ts[sel]) + samp._annulus_curvature(k, patch, pts[sel], ts[sel])
+            for g, ref in zip(got, annulus_fields_dense(samp, k, patch, pts[sel], ts[sel])):
+                assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.02])
 def test_approximate_exact_curvature_vs_fd_on_annuli(eps):
     """The interpolation formula on the gluing annuli (rotated mu = 0 and
@@ -635,11 +694,22 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
         u /= np.linalg.norm(u, axis=1)[:, None]
         pts = spec.positions[0] + 0.75 * samp.R * u
         ts = rng.uniform(0.0, 2.0 * np.pi, 10)
+        block = samp.locals[0].embedding.block
         for patch in ("N", "S"):
-            bA, bP = samp.annulus_parts(0, patch, pts, ts)["b"]
-            bA0, bP0 = plain.annulus_parts(0, patch, pts, ts)["b"]
+            bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block)
+            bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block)
             assert np.max(np.abs(bA - dagger(psi) @ bA0 @ psi)) < 1e-15
             assert np.max(np.abs(bP - dagger(psi) @ bP0 @ psi)) < 1e-15
+
+
+def _b_matrices(parts, block):
+    """The framed remainder b of `annulus_parts` as n x n matrices."""
+    zA, diag = parts["b"]
+    a, b = block
+    bA = np.zeros(zA.shape + diag.shape[-1:] * 2, dtype=complex)
+    bA[..., a, b] = zA
+    bA[..., b, a] = -np.conjugate(zA)
+    return bA, 1j * np.einsum("...i,ij->...ij", diag, np.eye(diag.shape[-1]))
 
 
 def test_energy_additivity_two_constituents():

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +100,69 @@ def test_verify_overlapping_constituents_guidance(tmp_path, capsys):
     assert main(["verify", "--spec", str(path)]) == 2
     err = capsys.readouterr().err
     assert "epsilon" in err
+
+
+@pytest.mark.parametrize("constituents", [[], "", {}], ids=["list", "string", "object"])
+def test_verify_without_constituents_is_input_error(constituents, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(SU2_SPEC, constituents=constituents)))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert "constituent" in capsys.readouterr().err
+
+
+def _run_capped(code, limit=1 << 30):
+    """Run `code` in a child Python whose address space is capped, so that a
+    runaway allocation ends as MemoryError there instead of exhausting the
+    machine."""
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_verify_huge_integral_rank_is_input_error(tmp_path):
+    """rank 1e308 is integral, so it passes as a rank; omega's length must be
+    checked against the ambient dimension before the root datum is built."""
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(dict(SU2_SPEC, group={"series": "A", "rank": 1e308})))
+    proc = _run_capped(f"""
+        import sys
+        from calorons.cli import main
+        sys.exit(main(["verify", "--spec", {str(path)!r}]))
+    """)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "omega must have" in proc.stderr
+
+
+@pytest.mark.parametrize("position", [[1e308, 0.0, 0.0], [0.0, -1e200, 0.0], [1e103, 0.0, 1e103]])
+def test_verify_position_with_non_finite_geometry_is_input_error(position, tmp_path, capsys):
+    spec = dict(SU2_SPEC, constituents=SU2_SPEC["constituents"] + [{"mu": 1, "position": position}])
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert "positions too large" in capsys.readouterr().err
+
+
+def test_verify_imports_neither_numpy_random_nor_polynomial(su2_spec_file):
+    """Probe points come from the stdlib generator and Gauss-Legendre nodes
+    from the library's own Newton iteration, so verify loads neither numpy
+    subpackage (about 20 ms of import)."""
+    proc = _run_capped(f"""
+        import json, sys
+        import numpy
+        lazy = ("numpy.random", "numpy.polynomial")
+        eager = [m for m in lazy if m in sys.modules]
+        from calorons.cli import main
+        code = main(["verify", "--spec", {str(su2_spec_file)!r}, "--seed", "1"])
+        print(json.dumps({{"code": code, "eager": eager, "loaded": [m for m in lazy if m in sys.modules]}}))
+    """)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["eager"]:
+        pytest.skip(f"this numpy imports {result['eager']} with numpy itself")
+    assert result["code"] == 0
+    assert result["loaded"] == []
 
 
 def test_sweep_refuses_single_epsilon(su2_spec_file):

@@ -25,7 +25,7 @@ from calorons.fieldcalc import (
     sd_error_l2,
     sphere_averaged_holonomy,
 )
-from calorons.quadrature import block_sum, desk_grid, graded_radii, sphere_rule
+from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
 from calorons.samplers import ConnectionSampler, PulledBackSampler
 from calorons.su2 import bps_caloron_plus, rotated_bps
@@ -523,3 +523,13 @@ def test_block_sum_deterministic_and_accurate():
     s2 = block_sum(vals, w)
     assert s1 == s2
     assert abs(s1 - math.fsum(vals * w)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 14, 16, 24, 32])
+def test_gauss_legendre_nodes_match_numpy(n):
+    """The Newton iteration on the Legendre recurrence gives numpy's nodes
+    and weights for every order the grids use (3, 4, 6, 8, 12, 14, 24)."""
+    x, w = _leggauss(n)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_np)) < 1e-14
+    assert np.max(np.abs(w - w_np)) < 1e-14

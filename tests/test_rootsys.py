@@ -14,6 +14,7 @@ from calorons.rootsys import (
     PAULI,
     alcove_check,
     alcove_margin,
+    ambient_dim,
     build_root_datum,
     charge_vector,
     decompose_charge,
@@ -361,3 +362,12 @@ def test_json_golden_files(label, data_dir):
     golden = data_dir / f"root_datum_{label}.json"
     if golden.exists():
         assert d.to_json() + "\n" == golden.read_text()
+
+
+def test_ambient_dim_without_building_the_datum():
+    for series, rank in all_simple_types():
+        assert ambient_dim(series, rank) == build_root_datum(series, rank).ambient_dim
+    for series, rank in (("E", 9), ("Q", 2), ("B", 1)):
+        with pytest.raises(InvalidGroupError):
+            ambient_dim(series, rank)
+    assert ambient_dim("A", 10**300) == 10**300 + 1  # no allocation that follows the rank

@@ -18,15 +18,19 @@ from calorons.su2 import (
     bps_fields,
     bps_higgs_profile,
     bps_pair,
-    bps_remainder,
     dirac_monopole,
     dirac_potential,
     hedgehog_framing,
-    hedgehog_framing_derivative,
     rotated_bps,
-    rotated_remainder,
     rotation_gauge,
+    string_gauge_fields,
     xhat_itau,
+)
+from oracles import (
+    bps_remainder,
+    hedgehog_framing_derivative,
+    rotated_remainder,
+    string_gauge_matrices,
 )
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
@@ -443,6 +447,57 @@ def test_remainder_makes_framed_field():
     framed_P = finv @ Phi @ f
     assert np.max(np.abs(model_A + aA - framed_A)) < 1e-12
     assert np.max(np.abs(model_P + aP - framed_P)) < 1e-12
+
+
+def _su2_matrix(h, z):
+    """h i tau_3 + [[0, z], [-conj z, 0]]."""
+    out = np.empty(np.broadcast_shapes(np.shape(h), np.shape(z)) + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1j * h
+    out[..., 1, 1] = -1j * h
+    out[..., 0, 1] = z
+    out[..., 1, 0] = -np.conjugate(z)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    patch=st.sampled_from(["N", "S"]),
+    rotated=st.booleans(),
+    near_axis=st.booleans(),
+    v=st.floats(0.2, 30.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    t=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_string_gauge_fields_match_matrix_route(patch, rotated, near_axis, v, phase, t, seed):
+    """The closed-form framed remainder and curvature equal the matrix route
+    of tests/oracles.py (framing, its derivative, g_inf(t) and psi as 2 x 2
+    products) to 1e-12 of the framed fields' size, v + 1/r for (b_A, b_Phi)
+    and its square for F: on both patches, for mu = 0 (t given) and mu >= 1,
+    at radii from the series branch (2vr < 1e-4) to 2vr = 10, near the
+    patch's own axis or anywhere at least 25 degrees from its string."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(1e-5), np.log(5.0), 24)) / v
+    cos_theta = rng.uniform(1.0 - 1e-6, 1.0, 24) if near_axis else rng.uniform(-0.9, 1.0, 24)
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 24)
+    sign = 1.0 if patch == "N" else -1.0
+    x = r[:, None] * np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), sign * cos_theta], -1)
+    ts = rng.uniform(0.0, 2.0 * np.pi, 24) + t if rotated else None
+    zA, hP, hF, zF = string_gauge_fields(x, v, patch, ts, phase)
+    bA, bP, F = string_gauge_matrices(x, v, patch, ts, phase)
+    scale = v + 1.0 / r
+    gap = lambda a, b: np.max(np.abs(a - b), axis=tuple(range(1, a.ndim)))  # noqa: E731
+    assert np.all(gap(_su2_matrix(0.0, zA), bA) <= 1e-12 * scale)
+    assert np.all(gap(_su2_matrix(hP, 0.0), bP) <= 1e-12 * scale)
+    assert np.all(gap(_su2_matrix(hF, zF), F) <= 1e-12 * scale**2)
+
+
+def test_string_gauge_fields_raise_on_their_string():
+    with pytest.raises(ChartDomainError):
+        string_gauge_fields(np.array([[0.0, 0.0, -1.0]]), 1.0, "N")
+    with pytest.raises(ChartDomainError):
+        string_gauge_fields(np.array([[0.0, 0.0, 1.0]]), 1.0, "S")
 
 
 # -- gauge conjugation ---------------------------------------------------------
