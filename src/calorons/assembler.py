@@ -57,7 +57,7 @@ def _finite(value, what) -> float:
     """value as a finite float, else InputError."""
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
         raise InputError(f"{what} must be finite, got {value!r}")
@@ -129,9 +129,13 @@ class CaloronSpec:
         pos = [c.position for c in self.constituents]
         if any(math.dist(p, q) == 0.0 for i, p in enumerate(pos) for q in pos[i + 1 :]):
             raise InputError("constituent positions must be distinct")
-        r_max = 12.0 * max(max(math.hypot(*p) for p in pos), 1.0)  # the integrals take r^3 there
-        if not math.isfinite(r_max * r_max * r_max):
-            raise InputError(f"constituent positions too large: the grid radius {r_max:.3g} has no finite cube")
+        # verify's FD steps, eps/100 at the cores and min(0.02 radius, 0.5) on the flux sphere
+        # of radius 2(d_max + 1), must be resolved to 1e-6 there (this bounds r^3 too)
+        radius = 2.0 * (max(max(math.hypot(*p) for p in pos), 1.0) + 1.0)
+        step = min(self.epsilon / 100.0, 0.02 * radius, 0.5)
+        if not math.ulp(radius) <= 1e-6 * step:
+            raise InputError(f"constituent positions too large: the float spacing at |x| = {radius:.3g} "
+                             f"does not resolve the finite-difference step {step:.3g} to 1e-6")
 
     @property
     def datum(self) -> RootDatum:
@@ -228,8 +232,8 @@ class CaloronSpec:
     def from_json(cls, text):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+            raise InputError(f"malformed JSON: {exc}") from exc
         return cls.from_dict(payload)
 
 

@@ -1,8 +1,8 @@
 """Closed-form index, energy and dimension formulas, in exact arithmetic.
 
 All holonomy parameters entering these evaluators are rational Cartan
-vectors; vanishing statements are asserted exactly, never to a floating
-tolerance.
+vectors; integrality is checked exactly, never to a floating tolerance, and
+by an explicit raise that `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import ResonanceError
 from .rootsys import (
     RootDatum,
     Vector,
+    _exact_ratio,
     charge_vector,
     dynkin_index_adjoint,
     pairing,
@@ -73,8 +74,7 @@ class IndexReport:
     @property
     def total_index(self) -> int:
         total = self.chern_term + self.boundary_term
-        assert total.denominator == 1
-        return int(total)
+        return _exact_ratio(total.numerator, total.denominator, "transverse index")
 
     def to_dict(self):
         return {
@@ -125,7 +125,7 @@ class WeightList:
 
 
 def _rep_dynkin_index(datum: RootDatum, weights) -> Fraction:
-    thetav = datum.coroots[datum.highest_root]
+    thetav = vscale(-1, datum.lowest_coroot)
     return sum((pairing(w, thetav) ** 2 for w in weights), Fraction(0)) / 2
 
 
@@ -135,8 +135,7 @@ def weyl_closed(datum: RootDatum, weights) -> bool:
     from collections import Counter
 
     bag = Counter(tuple(Fraction(c) for c in w) for w in weights)
-    for a in datum.simple_roots:
-        av = datum.coroots[a]
+    for a, av in zip(datum.simple_roots, datum.simple_coroots):
         refl = Counter()
         for w, k in bag.items():
             img = tuple(wc - pairing(w, av) * ac for wc, ac in zip(w, a))
@@ -212,8 +211,7 @@ def twisted_dirac_index(
         total += fl * w_gamma
         if s_w < s:
             total += w_gamma
-    assert total.denominator == 1, "twisted index not integral"
-    return int(total)
+    return _exact_ratio(total.numerator, total.denominator, "twisted index")
 
 
 def jump_loci(datum: RootDatum, rep: WeightList, omega: Sequence):
@@ -252,5 +250,4 @@ def twisted_dirac_index_adjoint(
             raise ResonanceError(s, a)
         delta = (1 if s > s_plus else 0) - (1 if s > s_minus else 0)
         total += delta * pairing(a, gamma)
-    assert total.denominator == 1
-    return int(total)
+    return _exact_ratio(total.numerator, total.denominator, "adjoint twisted index")

@@ -1,13 +1,14 @@
 """Exact combinatorics of simple root systems.
 
 Roots are generated and paired in integer simple-root coordinates: the
-extended Cartan matrix is an integer table and each pairing
-alpha(alpha_mu^vee) an integer dot product against one of its rows.
-`fractions.Fraction` appears only at the ambient boundary: stored root and
-coroot vectors, coweights and alcove points, `to_json`, and index terms at a
-rational holonomy.  The ambient models are the standard orthogonal ones: A_n
-in the sum-zero hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in the
-sum-zero hyperplane of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The
+reflection closure carries each root's pairings alpha(alpha_i^vee) with the
+simple coroots, and the pairing table over the extended diagram is read from
+them.  `fractions.Fraction` appears only at the ambient boundary: root and
+coroot vectors (the full lists built on first use), coweights and alcove
+points, `to_json`, and index terms at a rational holonomy, where `dot` sums
+over one common denominator.  The ambient models are the standard orthogonal
+ones: A_n in the sum-zero hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in
+the sum-zero hyperplane of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The
 simple roots times the series denominator D (2 for E and F, else 1) are
 integer vectors x, so roots are x / D and coroots 2 D x / |x|^2.  Killing
 norms rescale the ambient dot product so that long roots have squared norm
@@ -64,13 +65,19 @@ def _frac(x) -> Fraction:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
+    """Exact sum of x * y over ints, Fractions or binary floats, accumulated
+    over one running common denominator and normalized once."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return sum((_frac(x) * _frac(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def vadd(a: Sequence, b: Sequence) -> Vector:
-    return tuple(_frac(x) + _frac(y) for x, y in zip(a, b))
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        y = y if isinstance(y, (int, Fraction)) else Fraction(y)
+        d = x.denominator * y.denominator
+        lcm = den // math.gcd(den, d) * d
+        num = num * (lcm // den) + x.numerator * y.numerator * (lcm // d)
+        den = lcm
+    return Fraction(num, den)
 
 
 def vscale(c, a: Sequence) -> Vector:
@@ -87,16 +94,6 @@ def pairing(alpha: Sequence, xi: Sequence) -> Fraction:
     return dot(alpha, xi)
 
 
-def lincomb(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vector:
-    """Exact sum of c * v over paired coefficients and vectors; zero
-    coefficients are skipped."""
-    acc = vzero(dim)
-    for c, v in zip(coeffs, vectors):
-        if c:
-            acc = vadd(acc, vscale(c, v))
-    return acc
-
-
 def _int_comb(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> Coeffs:
     """Integer sum of c * v over paired coefficients and integer vectors."""
     acc = [0] * len(vectors[0])
@@ -109,6 +106,17 @@ def _int_comb(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> Coeffs
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _ambient(denom: int, x: Sequence[int]) -> Vector:
+    """The ambient vector x / D of a scaled integer vector x."""
+    return tuple(Fraction(n, denom) for n in x)
+
+
+def _coroot(denom: int, x: Sequence[int]) -> Vector:
+    """The coroot 2 D x / |x|^2 of the root x / D."""
+    x_sq = _int_dot(x, x)
+    return tuple(Fraction(2 * denom * n, x_sq) for n in x)
 
 
 def _exact_ratio(num: int, den: int, what: str) -> int:
@@ -167,29 +175,30 @@ def _scaled_simple_roots(series: str, rank: int) -> Tuple[int, List[Coeffs]]:
     raise InvalidGroupError(f"unknown series {series!r}")
 
 
-def _reflection_closure(gram: Sequence[Sequence[int]]) -> List[Coeffs]:
-    """All roots as integer coefficient vectors c over the simple roots: the
-    closure of the unit vectors under the simple reflections, where s_i
-    changes only c_i, by -sum_j c_j A_ji with A_ij = <alpha_i, alpha_j^vee>
-    = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) from the integer Gram matrix."""
+def _reflection_closure(gram: Sequence[Sequence[int]]) -> Dict[Coeffs, Coeffs]:
+    """Every root's simple-root coefficients c mapped to its pairings
+    p_j = alpha(alpha_j^vee) = sum_i c_i A_ij, A_ij = 2 (alpha_i, alpha_j) /
+    (alpha_j, alpha_j) from the integer Gram matrix: the closure of the simple
+    roots under the simple reflections s_i, which lower c_i by p_i and p by
+    p_i A_i (row i) and fix the roots with p_i = 0."""
     rank = len(gram)
     A = [
-        [_exact_ratio(2 * gram[i][j], gram[j][j], "Cartan matrix") for j in range(rank)]
+        tuple(_exact_ratio(2 * gram[i][j], gram[j][j], "Cartan matrix") for j in range(rank))
         for i in range(rank)
     ]
-    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(frontier)
+    roots = {tuple(int(i == j) for j in range(rank)): A[i] for i in range(rank)}
+    frontier = list(roots.items())
     while frontier:
         new = []
-        for c in frontier:
-            for i in range(rank):
-                shift = sum(c[j] * A[j][i] for j in range(rank))
-                refl = c[:i] + (c[i] - shift,) + c[i + 1 :]
-                if refl not in roots:
-                    roots.add(refl)
-                    new.append(refl)
+        for c, p in frontier:
+            for i, p_i in enumerate(p):
+                if p_i:
+                    refl = c[:i] + (c[i] - p_i,) + c[i + 1 :]
+                    if refl not in roots:
+                        roots[refl] = tuple(x - p_i * a for x, a in zip(p, A[i]))
+                        new.append((refl, roots[refl]))
         frontier = new
-    return sorted(roots)
+    return roots
 
 
 class EmbeddingData:
@@ -241,17 +250,18 @@ class RootDatum:
     """A simple Lie type's root-system data in an orthogonal coordinate model.
 
     `extended_cartan[mu][nu]` is alpha_nu(alpha_mu^vee) over the nodes of the
-    extended diagram (0 is the lowest root); `positive_root_coeffs` holds the
-    positive roots' integer simple-root coefficients, in `positive_roots`
-    order.
+    extended diagram (0 is the lowest root).  Each positive root, in
+    `positive_roots` order, has its integer simple-root coefficients and
+    pairings (alpha(alpha_1^vee), .., alpha(alpha_rk^vee)); with D times the
+    simple roots they give the ambient roots and coroots on first use.
     """
 
     series: str
     rank: int
     ambient_dim: int
+    denominator: int
+    scaled_simple_roots: Tuple[Coeffs, ...]
     simple_roots: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
-    coroots: Dict[Vector, Vector] = field(hash=False)
     highest_root: Vector
     lowest_root: Vector
     lowest_coroot: Vector
@@ -260,6 +270,7 @@ class RootDatum:
     extended_cartan: Tuple[Tuple[int, ...], ...]
     killing_scale: Fraction
     positive_root_coeffs: Tuple[Coeffs, ...] = field(hash=False, compare=False)
+    positive_root_pairings: Tuple[Coeffs, ...] = field(hash=False, compare=False)
 
     # -- basic linear algebra over the model --------------------------------
 
@@ -269,12 +280,23 @@ class RootDatum:
     # Derived data is computed once per datum: functools.cached_property
     # stores into the instance __dict__, which a frozen dataclass allows.
     @functools.cached_property
+    def positive_roots(self) -> Tuple[Vector, ...]:
+        simple = self.scaled_simple_roots
+        return tuple(_ambient(self.denominator, _int_comb(c, simple)) for c in self.positive_root_coeffs)
+
+    @functools.cached_property
+    def coroots(self) -> Dict[Vector, Vector]:
+        """The coroot 2 a / (a, a) of every root a, positive and negative."""
+        roots = self.positive_roots + tuple(vscale(-1, a) for a in self.positive_roots)
+        return {a: vscale(2 / dot(a, a), a) for a in roots}
+
+    @functools.cached_property
     def simple_coroots(self) -> Tuple[Vector, ...]:
-        return tuple(self.coroots[a] for a in self.simple_roots)
+        return tuple(_coroot(self.denominator, x) for x in self.scaled_simple_roots)
 
     @property
     def dim_g(self) -> int:
-        return self.rank + 2 * len(self.positive_roots)
+        return self.rank + 2 * len(self.positive_root_coeffs)
 
     def node_root(self, mu: int) -> Vector:
         """Root attached to node mu of the extended diagram: alpha_mu, or the
@@ -297,11 +319,10 @@ class RootDatum:
 
     @functools.cached_property
     def _coroot_pairings(self) -> Tuple[Coeffs, ...]:
-        # alpha = sum_i c_i alpha_i pairs with alpha_mu^vee through row mu
-        return tuple(
-            tuple(_int_dot(c, row[1:]) for c in self.positive_root_coeffs)
-            for row in self.extended_cartan
-        )
+        # rows 1..rk transpose the pairing vectors; alpha_0^vee = -sum_i labels_i alpha_i^vee
+        pairings = self.positive_root_pairings
+        row0 = tuple(-_int_dot(self.dual_coxeter_labels, p) for p in pairings)
+        return (row0,) + tuple(zip(*pairings))
 
     def rho_pairing(self, mu: int) -> int:
         """rho(alpha_mu^vee) for the Weyl vector rho, half the sum of the
@@ -325,11 +346,15 @@ class RootDatum:
         # varpi_mu = sum_j B_mu_j alpha_j^vee needs sum_j B_mu_j alpha_nu(alpha_j^vee)
         # = delta_mu_nu: B is the inverse of the Cartan block of extended_cartan
         rows, dens = _inverse([row[1:] for row in self.extended_cartan[1:]])
-        L, coroots = _over_common_denominator(self.simple_coroots)
+        L, coroots = self._coroot_numerators
         return tuple(
             tuple(Fraction(n, d * L) for n in _int_comb(b, coroots))
             for b, d in zip(rows, dens)
         )
+
+    @functools.cached_property
+    def _coroot_numerators(self) -> Tuple[int, List[Coeffs]]:
+        return _over_common_denominator(self.simple_coroots)
 
     def alcove_vertices(self) -> List[Vector]:
         return list(self._alcove_vertices)
@@ -417,51 +442,39 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     reflection closure and cross-checked against the catalogued count for
     the series; positivity, height, the marks, the dual Coxeter labels and
     the extended Cartan matrix are read off those vectors and the integer
-    Gram matrix of the scaled simple roots.  Each ambient root and coroot is
-    made once from its integer vector x: x / D and 2 D x / |x|^2.
+    Gram matrix of the scaled simple roots.  The closure also yields each
+    root's pairings with the simple coroots.  Ambient roots and coroots are
+    made from integer vectors x as x / D and 2 D x / |x|^2: the simple,
+    highest and lowest ones here, the rest on first use.
     """
     series = _checked_type(series, rank)
     denom, simple = _scaled_simple_roots(series, rank)
     gram = [[_int_dot(a, b) for b in simple] for a in simple]
-    coeffs = _reflection_closure(gram)
+    roots = _reflection_closure(gram)
     expected = 2 * _POSITIVE_ROOT_COUNTS[series](rank)
-    if len(coeffs) != expected:
+    if len(roots) != expected:
         raise AssertionError(
-            f"reflection closure produced {len(coeffs)} roots, expected {expected}"
+            f"reflection closure produced {len(roots)} roots, expected {expected}"
         )
-
-    def to_ambient(x):
-        return tuple(Fraction(n, denom) for n in x)
-
-    scaled = {c: _int_comb(c, simple) for c in coeffs}
-    ambient = {c: to_ambient(x) for c, x in scaled.items()}
-    coroots = {}
-    for c, x in scaled.items():
-        x_sq = _int_dot(x, x)
-        coroots[ambient[c]] = tuple(Fraction(2 * denom * n, x_sq) for n in x)
 
     # positive roots have nonnegative coefficients; sort by (height, vector):
     # the scaled vectors order as the ambient ones, D being positive
-    positive = sorted((sum(c), scaled[c], c) for c in coeffs if min(c) >= 0)
+    positive = sorted((sum(c), _int_comb(c, simple), c) for c in roots if min(c) >= 0)
     positive_coeffs = tuple(c for _, _, c in positive)
-    if len(positive_coeffs) != len(coeffs) // 2:
+    if len(positive_coeffs) != len(roots) // 2:
         raise AssertionError("positivity split failed")
-
-    marks = positive_coeffs[-1]
-    if any(m <= 0 for m in marks):
-        raise AssertionError("marks not positive integers")
-    lowest = ambient[tuple(-m for m in marks)]
 
     # dual Coxeter labels: -alpha_0^vee = theta^vee = sum m_mu alpha_mu^vee
     # with m_mu = marks_mu |alpha_mu|^2 / |theta|^2
-    theta = scaled[marks]
+    _, theta, marks = positive[-1]
     theta_sq = _int_dot(theta, theta)
-    m = [Fraction(mk * gram[i][i], theta_sq) for i, mk in enumerate(marks)]
-    if any(c.denominator != 1 or c <= 0 for c in m):
-        raise AssertionError("dual Coxeter labels not positive integers")
-    labels = tuple(int(c) for c in m)
+    labels = tuple(_exact_ratio(mk * gram[i][i], theta_sq, "dual Coxeter label")
+                   for i, mk in enumerate(marks))
+    if any(m <= 0 for m in marks + labels):
+        raise AssertionError("marks or dual Coxeter labels not positive")
 
-    nodes = [tuple(-x for x in theta)] + simple
+    lowest = tuple(-x for x in theta)
+    nodes = [lowest] + simple
     extended = tuple(
         tuple(
             _exact_ratio(2 * _int_dot(x_nu, x_mu), _int_dot(x_mu, x_mu),
@@ -475,18 +488,19 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
         series=series,
         rank=rank,
         ambient_dim=len(simple[0]),
-        simple_roots=tuple(map(to_ambient, simple)),
-        positive_roots=tuple(ambient[c] for c in positive_coeffs),
-        coroots=coroots,
-        highest_root=ambient[marks],
-        lowest_root=lowest,
-        lowest_coroot=coroots[lowest],
+        denominator=denom,
+        scaled_simple_roots=tuple(simple),
+        simple_roots=tuple(_ambient(denom, x) for x in simple),
+        highest_root=_ambient(denom, theta),
+        lowest_root=_ambient(denom, lowest),
+        lowest_coroot=_coroot(denom, lowest),
         dual_coxeter_labels=labels,
         marks=marks,
         extended_cartan=extended,
         # normalize Killing so coroots of long roots (theta is one) have squared norm 2
         killing_scale=Fraction(theta_sq, 2 * denom * denom),
         positive_root_coeffs=positive_coeffs,
+        positive_root_pairings=tuple(roots[c] for c in positive_coeffs),
     )
 
 
@@ -533,7 +547,9 @@ def reassemble_charge(datum: RootDatum, n: Sequence[int]) -> Tuple[Tuple[int, ..
 
 
 def charge_vector(datum: RootDatum, coroot_coeffs: Sequence[int]) -> Vector:
-    return lincomb(coroot_coeffs, datum.simple_coroots, datum.ambient_dim)
+    """gamma_m = sum_i c_i alpha_i^vee, over the simple coroots' common denominator."""
+    L, coroots = datum._coroot_numerators
+    return tuple(Fraction(n, L) for n in _int_comb(coroot_coeffs, coroots))
 
 
 def dynkin_index_adjoint(datum: RootDatum) -> int:
@@ -552,7 +568,7 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     if not 0 <= mu <= datum.rank:
         raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
     root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
-    coroot = datum.coroots[root]
+    coroot = vscale(-1, datum.lowest_coroot) if mu == 0 else datum.simple_coroots[mu - 1]
     p_dim = datum.dim_g - datum.rank - 2
 
     matrices = block = None

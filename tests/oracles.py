@@ -3,7 +3,11 @@
 Root systems and indexes: the ambient-coordinate `Fraction` formulas (and a
 general rational solver) that the library replaced by integer sums in
 simple-root coordinates; every quantity is recomputed from the stored
-ambient root and coroot vectors.
+ambient root and coroot vectors.  The eager root datum builds every ambient
+root and coroot up front and pairs each positive root with each row of the
+extended Cartan matrix, where the library reads the pairings off its
+reflection closure and builds ambient vectors on first use; `dot_fraction`
+sums one normalized `Fraction` per term.
 
 Framed SU(2) fields: the matrix route to the string gauge that
 `su2.string_gauge_fields` replaced by closed forms.  The BPS caloron is
@@ -12,13 +16,17 @@ g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from calorons.rootsys import (
+    _exact_ratio,
+    _int_comb,
+    _int_dot,
+    _scaled_simple_roots,
     charge_vector,
     dynkin_index_adjoint,
-    lincomb,
     pairing,
 )
 from calorons.samplers import _mul, gauge_transform
@@ -48,6 +56,82 @@ def rational_solve(A, b):
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
+
+
+# -- eager root data and the term-by-term Fraction dot -----------------------------
+
+def dot_fraction(a, b):
+    """sum of Fraction(x) * Fraction(y), one normalized Fraction per term."""
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def lincomb(coeffs, vectors, dim):
+    """Exact sum of c * v over paired coefficients and vectors, in Fractions."""
+    acc = (Fraction(0),) * dim
+    for c, v in zip(coeffs, vectors):
+        acc = tuple(x + Fraction(c) * Fraction(y) for x, y in zip(acc, v))
+    return acc
+
+
+def _closure_by_redotting(gram):
+    """All roots' simple-root coefficients: the closure of the unit vectors
+    under s_i, which lowers c_i by sum_j c_j A_ji, recomputed for every root
+    and every i."""
+    rank = len(gram)
+    A = [[_exact_ratio(2 * gram[i][j], gram[j][j], "Cartan matrix") for j in range(rank)]
+         for i in range(rank)]
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(frontier)
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in range(rank):
+                shift = sum(c[j] * A[j][i] for j in range(rank))
+                refl = c[:i] + (c[i] - shift,) + c[i + 1:]
+                if refl not in roots:
+                    roots.add(refl)
+                    new.append(refl)
+        frontier = new
+    return sorted(roots)
+
+
+def eager_root_datum(series, rank):
+    """Every ambient root x / D and coroot 2 D x / |x|^2 made up front from the
+    scaled integer vector x, and the pairing table alpha(alpha_mu^vee) as an
+    integer dot of each positive root's coefficients with row mu of the
+    extended Cartan matrix."""
+    denom, simple = _scaled_simple_roots(series, rank)
+    gram = [[_int_dot(a, b) for b in simple] for a in simple]
+    coeffs = _closure_by_redotting(gram)
+    scaled = {c: _int_comb(c, simple) for c in coeffs}
+    ambient = {c: tuple(Fraction(n, denom) for n in x) for c, x in scaled.items()}
+    coroots = {
+        ambient[c]: tuple(Fraction(2 * denom * n, _int_dot(x, x)) for n in x)
+        for c, x in scaled.items()
+    }
+    positive = [c for _, _, c in sorted((sum(c), scaled[c], c) for c in coeffs if min(c) >= 0)]
+    marks = positive[-1]
+    nodes = [tuple(-x for x in scaled[marks])] + simple
+    extended = tuple(
+        tuple(_exact_ratio(2 * _int_dot(x_nu, x_mu), _int_dot(x_mu, x_mu), "entry") for x_nu in nodes)
+        for x_mu in nodes
+    )
+    pairings = tuple(tuple(_int_dot(c, row[1:]) for c in positive) for row in extended)
+    highest, lowest = ambient[marks], ambient[tuple(-m for m in marks)]
+    return SimpleNamespace(
+        positive_roots=tuple(ambient[c] for c in positive),
+        coroots=coroots,
+        simple_coroots=tuple(coroots[ambient[tuple(int(i == j) for j in range(rank))]] for i in range(rank)),
+        highest_root=highest,
+        highest_coroot=coroots[highest],
+        lowest_root=lowest,
+        lowest_coroot=coroots[lowest],
+        extended_cartan=extended,
+        coroot_pairings=pairings,
+        rho=tuple(_exact_ratio(sum(p), 2, "rho") for p in pairings),
+    )
 
 
 # -- ambient-coordinate formulas -------------------------------------------------

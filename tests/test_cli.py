@@ -145,6 +145,86 @@ def test_verify_position_with_non_finite_geometry_is_input_error(position, tmp_p
     assert "positions too large" in capsys.readouterr().err
 
 
+def test_verify_position_that_swallows_the_fd_step_is_input_error(data_dir, tmp_path, capsys):
+    """At |p| = 1e20 the float spacing (16384) dwarfs verify's finite-difference
+    steps; before the spec bound this ended as a flux-ambiguity check error."""
+    spec = json.loads((data_dir / "su3_triple.json").read_text())
+    spec["constituents"][0]["position"] = [1e20, 0.0, 0.1]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(path), "--seed", "1"]) == 2
+    assert "does not resolve the finite-difference step" in capsys.readouterr().err
+
+
+def test_verify_integer_past_the_json_digit_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(SU2_SPEC).replace('"epsilon": 0.05', '"epsilon": ' + "1" * 5000))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_spec_fuzz_gives_a_spec_or_an_input_error(data_dir):
+    """Single and double mutations of su3_triple.json (a value replaced by an
+    edge value or random JSON, or a key deleted) through
+    `CaloronSpec.from_json` + `approximate_caloron` build a caloron or raise
+    one of the errors `caloron` maps to exit 2, nothing else.  One capped
+    child runs the whole derandomized loop."""
+    proc = _run_capped(f"""
+        import json
+        from hypothesis import HealthCheck, given, settings, strategies as st
+        from calorons.assembler import CaloronSpec, approximate_caloron
+        from calorons.errors import GluingInfeasibleError, HolonomyParameterError, InputError, InvalidGroupError
+
+        BASE = json.loads(open({str(data_dir / "su3_triple.json")!r}).read())
+        EXIT_2 = (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError)
+
+        def paths(node, prefix=()):
+            yield prefix
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                yield from paths(value, prefix + (key,))
+
+        edge = st.sampled_from([None, True, 0, -1, 2, 40, 1e-300, 1e20, 1e308, -0.0, 10**400, "", "A", "E", [], {{}}])
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+        values = st.one_of(edge, st.recursive(
+            scalars, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+            max_leaves=6,
+        ))
+        # a path and its new value, or None to delete it
+        mutation = st.tuples(st.sampled_from(list(paths(BASE))), st.one_of(st.none(), values.map(lambda v: (v,))))
+
+        def mutate(spec, path, new):
+            if not path:
+                return new[0] if new else {{}}
+            parent = spec
+            for key in path[:-1]:
+                parent = parent[key]
+            if new is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new[0]
+            return spec
+
+        @settings(max_examples=500, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(st.lists(mutation, min_size=1, max_size=2))
+        def fuzz(mutations):
+            spec = json.loads(json.dumps(BASE))
+            for path, new in mutations:
+                try:
+                    spec = mutate(spec, path, new)
+                except (KeyError, IndexError, TypeError):
+                    pass  # the first mutation removed the second one's path
+            try:
+                approximate_caloron(CaloronSpec.from_json(json.dumps(spec)))
+            except EXIT_2:
+                pass
+
+        fuzz()
+    """)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
 def test_verify_imports_neither_numpy_random_nor_polynomial(su2_spec_file):
     """Probe points come from the stdlib generator and Gauss-Legendre nodes
     from the library's own Newton iteration, so verify loads neither numpy

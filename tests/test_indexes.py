@@ -1,8 +1,13 @@
 """Closed-form index/energy/dimension formulas: exact identities only."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,3 +295,34 @@ def test_positive_root_charge_sum_identity():
             n0 = rng.randint(-2, 2)
             lhs, rhs = positive_root_charge_sum(d, coeffs, n0)
             assert lhs == rhs
+
+
+def test_integrality_checks_survive_python_O():
+    """Non-integral totals raise under `python -O` too, which strips bare
+    asserts: the transverse total, the twisted index (weights without a
+    Weyl-closed index) and the adjoint one at a fractional charge."""
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from calorons.indexes import IndexReport, WeightList, twisted_dirac_index, twisted_dirac_index_adjoint
+        from calorons.rootsys import build_root_datum
+        d = build_root_datum("A", 1)
+        omega = (Fraction(1, 4), Fraction(-1, 4))  # alpha(omega) = 1/2
+        calls = [
+            lambda: IndexReport("A", 1, 0, (Fraction(1, 4),), Fraction(1, 3), Fraction(0)).total_index,
+            lambda: twisted_dirac_index(d, WeightList((), Fraction(1, 3)), omega, (0,), 1, Fraction(1, 2)),
+            lambda: twisted_dirac_index_adjoint(d, omega, (Fraction(1, 4),), 0, Fraction(1, 4)),
+        ]
+        for call in calls:
+            try:
+                print("returned", call())
+            except AssertionError as exc:
+                print(exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [
+        "transverse index not integral",
+        "twisted index not integral",
+        "adjoint twisted index not integral",
+    ]

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calorons.errors import InvalidGroupError, UnsupportedRepresentationError
 from calorons.rootsys import (
@@ -28,7 +29,15 @@ from calorons.rootsys import (
     su2_embedding,
     vscale,
 )
-from oracles import dynkin_index_adjoint_bruteforce, rational_solve, rho_pairing_ambient
+from calorons.indexes import transverse_index
+from oracles import (
+    dot_fraction,
+    dynkin_index_adjoint_bruteforce,
+    eager_root_datum,
+    lincomb,
+    rational_solve,
+    rho_pairing_ambient,
+)
 
 # catalogued positive-root counts
 EXPECTED_COUNTS = {
@@ -117,6 +126,66 @@ def test_datum_invariants(series, rank):
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         heights.append(sum(coeffs))
     assert heights == sorted(heights)
+
+
+@pytest.mark.parametrize("series,rank", all_simple_types())
+def test_lazy_root_data_match_the_eager_oracle(series, rank):
+    """The ambient roots and coroots built on first use, and the pairing
+    table read off the reflection closure, equal the eager route that made
+    every ambient vector up front and dotted each positive root with each
+    extended-Cartan row."""
+    d = build_root_datum(series, rank)
+    o = eager_root_datum(series, rank)
+    for mu in range(rank + 1):  # before any ambient root exists
+        assert d.coroot_pairings(mu) == o.coroot_pairings[mu]
+        assert d.rho_pairing(mu) == o.rho[mu]
+    assert d.extended_cartan == o.extended_cartan
+    assert d.simple_coroots == o.simple_coroots
+    assert (d.highest_root, d.lowest_root, d.lowest_coroot) == (o.highest_root, o.lowest_root, o.lowest_coroot)
+    assert d.positive_roots == o.positive_roots
+    assert d.coroots == o.coroots
+    assert d.coroots[d.highest_root] == o.highest_coroot
+    assert charge_vector(d, range(1, rank + 1)) == lincomb(range(1, rank + 1), o.simple_coroots, d.ambient_dim)
+
+
+def test_index_sweep_builds_no_ambient_root_list():
+    """The transverse index reads the integer pairing table: a fresh datum
+    swept over every node never makes its positive_roots or coroots."""
+    rng = random.Random(0)
+    for series, rank in all_simple_types():
+        d = build_root_datum(series, rank)
+        for mu in range(rank + 1):
+            assert transverse_index(d, mu, random_interior_omega(d, rng)).total_index == 0
+        assert "positive_roots" not in vars(d) and "coroots" not in vars(d)
+
+
+_exact_numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(*[st.lists(_exact_numbers, min_size=n, max_size=n)] * 2)
+))
+@example(([], []))
+@example(([0, 0.0, Fraction(0), np.float64(0.0)], [0, 0, 0, 0]))
+@example(([Fraction(1, 3), 0.1, np.float64(-2.5), 7], [0, 0.0, Fraction(0), np.float64(-0.0)]))
+def test_dot_matches_fraction_oracle(pair):
+    a, b = pair
+    got = dot(a, b)
+    assert type(got) is Fraction and got == dot_fraction(a, b)
+    assert dot(b, a) == got
+
+
+def test_dot_length_mismatch_raises():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((), (Fraction(1, 2),))
 
 
 def test_invalid_types():
