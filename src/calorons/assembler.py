@@ -37,8 +37,9 @@ from .errors import (
     SingularPointError,
     UnsupportedRepresentationError,
 )
+from .fieldcalc import _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
-from .rootsys import RootDatum, alcove_margin, ambient_dim, as_float, build_root_datum, su2_embedding
+from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler
 from .su2 import BPSCaloron, RotatedBPSCaloron, dirac_potential, string_gauge_fields
 
@@ -129,10 +130,10 @@ class CaloronSpec:
         pos = [c.position for c in self.constituents]
         if any(math.dist(p, q) == 0.0 for i, p in enumerate(pos) for q in pos[i + 1 :]):
             raise InputError("constituent positions must be distinct")
-        # verify's FD steps, eps/100 at the cores and min(0.02 radius, 0.5) on the flux sphere
-        # of radius 2(d_max + 1), must be resolved to 1e-6 there (this bounds r^3 too)
-        radius = 2.0 * (max(max(math.hypot(*p) for p in pos), 1.0) + 1.0)
-        step = min(self.epsilon / 100.0, 0.02 * radius, 0.5)
+        # verify's FD steps at the cores and on the flux sphere must be resolved
+        # to 1e-6 at that sphere's radius, taken for d_max >= 1 (this bounds r^3 too)
+        radius = _flux_radius(max(max(math.hypot(*p) for p in pos), 1.0))
+        step = min(_core_step(self.epsilon), _flux_step(radius))
         if not math.ulp(radius) <= 1e-6 * step:
             raise InputError(f"constituent positions too large: the float spacing at |x| = {radius:.3g} "
                              f"does not resolve the finite-difference step {step:.3g} to 1e-6")
@@ -184,7 +185,7 @@ class CaloronSpec:
     def charge_vector(self):
         gam = np.zeros(self.datum.ambient_dim)
         for c in self.constituents:
-            gam += as_float(self.datum.node_coroot(c.mu))
+            gam += np.asarray(self.datum.node_coroot(c.mu), dtype=float)
         return gam
 
     def gluing_radius(self) -> float:
@@ -301,7 +302,7 @@ def holonomy_shifts(spec: CaloronSpec):
             if l == k:
                 continue
             d = float(np.linalg.norm(pos[l] - pos[k]))
-            om = om - spec.epsilon * as_float(datum.node_coroot(cl.mu)) / (2.0 * d)
+            om = om - spec.epsilon * np.asarray(datum.node_coroot(cl.mu), dtype=float) / (2.0 * d)
         out.append(om)
     return out
 
@@ -315,7 +316,24 @@ def local_holonomy_shift(spec: CaloronSpec, mu: int, i: int):
 
 
 # ---------------------------------------------------------------------------
-# fundamental calorons
+# the defining representation of su(n)
+#
+# Fields are n x n matrices whose ambient Cartan coordinates are the weights
+# e_1, .., e_n of the defining representation: a Cartan vector d acts as
+# i diag(d), and the su(2) of a node sits in the (a, b) block with
+# i tau_3 -> i diag(e_a - e_b).  This holds for type A only; the other
+# series would plug their defining representations in here.
+
+def _su2_block(datum: RootDatum, mu: int) -> Tuple[int, int]:
+    """The block (a, b) of node mu's su(2), read off its Cartan diagonal
+    tau3 = e_a - e_b, the image of i tau_3."""
+    if datum.series != "A":
+        raise UnsupportedRepresentationError(
+            "field evaluation requires the defining representation of su(n)"
+        )
+    tau3 = su2_embedding(datum, mu).coroot
+    return tau3.index(1), tau3.index(-1)
+
 
 def _cartan_matrix(diag, block=None, off=None):
     """i diag(d) for real Cartan diagonals d (..., n) as (..., n, n), plus the
@@ -331,16 +349,29 @@ def _cartan_matrix(diag, block=None, off=None):
     return out
 
 
+def _embed(x, tau3, block, shift=None):
+    """A 2 x 2 matrix x (batched ok) in su(n), with the su(2) block and
+    Cartan diagonal tau3 of a node, plus the real Cartan diagonal shift.
+
+    x is first projected orthogonally onto su(2): the (a, b) entry becomes
+    (x01 - conj(x10))/2 and the Cartan part h tau3 with h = (Im x00 - Im x11)/2.
+    """
+    diag = 0.5 * (x[..., 0, 0].imag - x[..., 1, 1].imag)[..., None] * tau3
+    if shift is not None:
+        diag = diag + shift
+    return _cartan_matrix(diag, block, 0.5 * (x[..., 0, 1] - np.conjugate(x[..., 1, 0])))
+
+
+# ---------------------------------------------------------------------------
+# fundamental calorons
+
 class FundamentalCaloron(ConnectionSampler):
     """Embedded fundamental caloron of type alpha_mu^vee with holonomy
     parameter omega: rho_mu(BPS caloron + omega'_mu dt) for mu >= 1, the
     embedded rotated monopole for mu = 0."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
-        if datum.series != "A":
-            raise UnsupportedRepresentationError(
-                "field evaluation requires the defining representation of su(n)"
-            )
+        self.block = _su2_block(datum, mu)
         omega = np.asarray([float(c) for c in omega], dtype=float)
         if float(alcove_margin(datum, omega)) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
@@ -348,10 +379,9 @@ class FundamentalCaloron(ConnectionSampler):
         self.mu = int(mu)
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
-        self.embedding = su2_embedding(datum, mu)
-        self.tau3 = as_float(self.embedding.coroot)  # the image of i tau_3, as a Cartan diagonal
-        node = as_float(datum.node_root(mu))
-        coroot = as_float(datum.node_coroot(mu))
+        self.tau3 = np.asarray(su2_embedding(datum, mu).coroot, dtype=float)  # the image of i tau_3
+        node = np.asarray(datum.node_root(mu), dtype=float)
+        coroot = np.asarray(datum.node_coroot(mu), dtype=float)
         a_omega = float(node @ omega)
         self.omega = omega
         self.omega_prime = omega - 0.5 * a_omega * coroot
@@ -365,19 +395,17 @@ class FundamentalCaloron(ConnectionSampler):
         self.v = self._su2.v
         self.n = datum.ambient_dim
         self.charge_matrix = _cartan_matrix(coroot)
-        self._phi_const = _cartan_matrix(self.omega_prime) / self.epsilon
 
     def evaluate(self, x, t, chart=None):
         A2, P2 = self._su2.evaluate(x - self.center, t)
-        A = self.embedding.embed(A2)
-        Phi = self.embedding.embed(P2) + self._phi_const
-        return A, Phi
+        A = _embed(A2, self.tau3, self.block)
+        return A, _embed(P2, self.tau3, self.block, self.omega_prime / self.epsilon)
 
     def exact_curvature(self, x, t):
         """The embedded su(2) curvature; the constant Cartan part of Phi
         commutes with the embedded su(2) and adds nothing."""
         E2, _ = self._su2.exact_curvature(np.asarray(x, float) - self.center, t)
-        E = self.embedding.embed(E2)
+        E = _embed(E2, self.tau3, self.block)
         return E, E.copy()
 
 
@@ -399,16 +427,13 @@ class SingularCaloron(ConnectionSampler):
     accumulated as real Cartan diagonals and written as matrices once."""
 
     def __init__(self, spec: CaloronSpec):
-        if spec.series != "A":
-            raise UnsupportedRepresentationError(
-                "field evaluation requires the defining representation of su(n)"
-            )
+        _su2_block(spec.datum, 0)  # its Cartan diagonals are weights of the defining representation
         self.spec = spec
         self.datum = spec.datum
         self.epsilon = float(spec.epsilon)
         self.n = self.datum.ambient_dim
         self.positions = spec.positions
-        self.coroots = np.stack([as_float(self.datum.node_coroot(c.mu)) for c in spec.constituents])
+        self.coroots = np.array([self.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
         self.omega = np.asarray(spec.omega, dtype=float)
         self.charge_matrix = _cartan_matrix(spec.charge_vector())
 
@@ -604,8 +629,7 @@ class ApproximateCaloron(ConnectionSampler):
         parts = self.annulus_parts(k, patch, xs, ts)
         chi = parts["chi"][..., None]
         (model_A, model_P), (zA, bP), (sA, sP) = parts["model"], parts["b"], parts["s"]
-        block = self.locals[k].embedding.block
-        A = _cartan_matrix(model_A + (1.0 - chi)[..., None] * sA, block, chi * zA)
+        A = _cartan_matrix(model_A + (1.0 - chi)[..., None] * sA, self.locals[k].block, chi * zA)
         return A, _cartan_matrix(model_P + chi * bP + (1.0 - chi) * sP)
 
     def _annulus_curvature(self, k, patch, xs, ts):
@@ -620,7 +644,7 @@ class ApproximateCaloron(ConnectionSampler):
         entry z of the su(2) block, so with Delta(d) = d_b - d_a the
         brackets are [z, d] = i z Delta(d) and [z_j, z_k] = -2 Im(z_j conj z_k) i tau_3."""
         fund = self.locals[k]
-        a, b = fund.embedding.block
+        a, b = fund.block
         parts = self.annulus_parts(k, patch, xs, ts)
         rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
         mix = (chi * (1.0 - chi))[:, None]
@@ -700,6 +724,7 @@ def alcove_margin_report(spec: CaloronSpec, refine=1):
           for pts, r_min in ((shells, r0 * 0.999999), (lattice, r0))]
     _, Phi = sing(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0)
     h = np.diagonal(eps * Phi, axis1=-2, axis2=-1).imag
-    margins = [h @ as_float(a) for a in datum.simple_roots] + [1.0 + h @ as_float(datum.lowest_root)]
+    margins = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
+    margins.append(1.0 + h @ np.asarray(datum.lowest_root, dtype=float))
     worst = float(np.min(np.stack(margins, axis=-1)))
     return {"sigma": worst, "c_exclusion": c_excl, "r_exclusion": r0}

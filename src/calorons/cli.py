@@ -1,7 +1,8 @@
 """Batch front-end: construct specs, run verification suites, sweep epsilon,
 evaluate index formulas, and emit report/plot data.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or a
+group whose fields are not evaluated (any but SU(n)).
 Output files are byte-identical across reruns with the same seed.
 """
 
@@ -22,8 +23,9 @@ from .errors import (
     HolonomyParameterError,
     InputError,
     InvalidGroupError,
+    UnsupportedRepresentationError,
 )
-from .fieldcalc import energy_and_tr_f_wedge_f, magnetic_charge, sd_error_l2
+from .fieldcalc import _flux_radius, energy_and_tr_f_wedge_f, magnetic_charge, sd_error_l2
 from .indexes import moduli_dimension, transverse_index
 from .quadrature import desk_grid
 from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
@@ -122,7 +124,7 @@ def cmd_sweep(args):
         grid = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(args.grid == "fine"))
         energy = energy_and_tr_f_wedge_f(samp, grid)[0]
         try:
-            _, resid = magnetic_charge(samp, 2.0 * (spec.d_max + 1.0))
+            _, resid = magnetic_charge(samp, _flux_radius(spec.d_max))
         except CaloronError:
             resid = float("nan")
         rows.append(
@@ -255,7 +257,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError) as exc:
+    except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError,
+            UnsupportedRepresentationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CaloronError as exc:

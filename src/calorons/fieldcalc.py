@@ -139,6 +139,23 @@ def _stencil(sampler, x, t, step, dt=None):
     return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt)
 
 
+# The finite-difference step policy of the diagnostics, which verify, the CLI
+# and the spec's position bound all read from here: step eps/100 at the
+# cores, and the flux sphere of radius 2(d + 1) about the origin, d the
+# largest constituent distance, with step min(0.02 radius, 0.5).
+
+def _core_step(epsilon):
+    return epsilon / 100.0
+
+
+def _flux_radius(d_max):
+    return 2.0 * (d_max + 1.0)
+
+
+def _flux_step(radius):
+    return min(0.02 * radius, 0.5)
+
+
 def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSample:
     """Curvature by 4th-order central differences plus exact commutators.
 
@@ -257,7 +274,7 @@ def sd_error_l2(sampler, spec) -> SdErrorEstimate:
     shells = [(c, core_radii) for c in spec.positions]
     shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
     pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
-    sd = curvature_at(sampler, np.concatenate(pts), _T_SLICE, step=eps / 100.0).sd_norm_sq()
+    sd = curvature_at(sampler, np.concatenate(pts), _T_SLICE, step=_core_step(eps)).sd_norm_sq()
     background_terms = []
     for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
         w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
@@ -334,7 +351,7 @@ def magnetic_charge(sampler, radius):
     if datum is None:
         raise ValueError("magnetic_charge needs a sampler with a root datum")
     dirs, w = sphere_rule(12, 24)
-    B = _stencil(sampler, radius * dirs, 0.0, min(0.02 * radius, 0.5))[3]
+    B = _stencil(sampler, radius * dirs, 0.0, _flux_step(radius))[3]
     B_rad = np.einsum("...a,...aij->...ij", dirs, B)
     flux_mat = np.einsum("p,pij->ij", w, B_rad) * radius**2 / (2.0 * np.pi)
 

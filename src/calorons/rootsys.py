@@ -12,7 +12,9 @@ the sum-zero hyperplane of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The
 simple roots times the series denominator D (2 for E and F, else 1) are
 integer vectors x, so roots are x / D and coroots 2 D x / |x|^2.  Killing
 norms rescale the ambient dot product so that long roots have squared norm
-2.  Floating point only enters at the numpy field-evaluation boundary.
+2.  The module is exact and imports no numpy: the su(2) embedding of a node
+is its root and coroot, and `assembler` owns the matrices that realize it
+in the defining representation of su(n).
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .errors import InvalidGroupError, UnsupportedRepresentationError
+from .errors import InvalidGroupError
 
 Vector = Tuple[Fraction, ...]
 Coeffs = Tuple[int, ...]
@@ -201,48 +201,19 @@ def _reflection_closure(gram: Sequence[Sequence[int]]) -> Dict[Coeffs, Coeffs]:
     return roots
 
 
+@dataclass(frozen=True)
 class EmbeddingData:
     """su(2) embedding attached to a node of the extended Dynkin diagram.
 
     `root` is the positive root used (alpha_mu for mu >= 1, the highest root
-    for mu = 0); `coroot` is its coroot, which is the image of i*tau_3.  For
-    type A the image is the (a, b) block with root = e_a - e_b: `block` holds
-    (a, b) and `matrices` the defining-representation images of i*tau_1..3.
+    for mu = 0); `coroot` is its coroot, the image of i*tau_3; `p_dim` is
+    dim g - rank - 2.
     """
 
-    def __init__(self, mu, root, coroot, p_dim, matrices=None, block=None):
-        self.mu = mu
-        self.root = root
-        self.coroot = coroot
-        self.p_dim = p_dim
-        self.matrices = matrices
-        self.block = block
-
-    def embed(self, x):
-        """Map a 2x2 anti-Hermitian traceless matrix (batched ok) into su(n).
-
-        Any 2x2 input is first projected orthogonally onto su(2): the
-        off-diagonal entry becomes (x01 - conj(x10))/2 and the diagonal
-        +-i(Im x00 - Im x11)/2, then scattered into the (a, b) block.
-        """
-        if self.block is None:
-            raise UnsupportedRepresentationError(
-                "matrix embedding only available for type A"
-            )
-        x = np.asarray(x, dtype=complex)
-        a, b = self.block
-        n = len(self.root)
-        off = 0.5 * (x[..., 0, 1] - np.conjugate(x[..., 1, 0]))
-        diag = 0.5j * (x[..., 0, 0].imag - x[..., 1, 1].imag)
-        out = np.zeros(x.shape[:-2] + (n, n), dtype=complex)
-        out[..., a, b] = off
-        out[..., b, a] = -np.conjugate(off)
-        out[..., a, a] = diag
-        out[..., b, b] = -diag
-        return out
-
-
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+    mu: int
+    root: Vector
+    coroot: Vector
+    p_dim: int
 
 
 @dataclass(frozen=True)
@@ -559,42 +530,16 @@ def dynkin_index_adjoint(datum: RootDatum) -> int:
 
 def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     """su(2) triple for node mu: along alpha_mu (mu >= 1) or the highest
-    root -alpha_0 (mu = 0).
-
-    The image of i*tau_3 is the corresponding coroot (so -alpha_0^vee when
-    mu = 0).  Type A additionally carries the three n x n matrices in the
-    defining representation.
-    """
+    root -alpha_0 (mu = 0).  The image of i*tau_3 is the corresponding
+    coroot (so -alpha_0^vee when mu = 0)."""
     if not 0 <= mu <= datum.rank:
         raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
     root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
     coroot = vscale(-1, datum.lowest_coroot) if mu == 0 else datum.simple_coroots[mu - 1]
-    p_dim = datum.dim_g - datum.rank - 2
-
-    matrices = block = None
-    if datum.series == "A":
-        n = datum.ambient_dim
-        a = next(i for i, c in enumerate(root) if c == 1)
-        b = next(i for i, c in enumerate(root) if c == -1)
-        m1 = np.zeros((n, n), dtype=complex)
-        m1[a, b] = 1j
-        m1[b, a] = 1j
-        m2 = np.zeros((n, n), dtype=complex)
-        m2[a, b] = 1.0
-        m2[b, a] = -1.0
-        m3 = np.zeros((n, n), dtype=complex)
-        m3[a, a] = 1j
-        m3[b, b] = -1j
-        matrices = np.stack([m1, m2, m3])
-        block = (a, b)
-    return EmbeddingData(mu, root, coroot, p_dim, matrices, block)
+    return EmbeddingData(mu, root, coroot, datum.dim_g - datum.rank - 2)
 
 
 def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 12) -> Vector:
     """Random rational point in the open alcove: a strictly positive rational
     convex combination of the alcove vertices."""
     return datum.alcove_point([rng.randint(1, max_num) for _ in range(datum.rank + 1)])
-
-
-def as_float(xi: Sequence) -> np.ndarray:
-    return np.asarray([float(c) for c in xi], dtype=float)

@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from .quadrature import _smoothstep, _smoothstep_prime
-from .rootsys import PAULI
 from .samplers import ConnectionSampler, PulledBackSampler, dagger
 
 _SERIES_CUT = 1e-4
 _TINY = 1e-300
 
-ITAU = 1j * PAULI  # (3, 2, 2)
+ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  # i tau_a, (3, 2, 2)
 
 
 def _r_of(x):

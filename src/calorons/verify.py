@@ -26,6 +26,8 @@ from .assembler import (
 from .fieldcalc import (
     CurvatureSample,
     FieldReport,
+    _core_step,
+    _flux_radius,
     curvature_at,
     energy_and_tr_f_wedge_f,
     magnetic_charge,
@@ -35,7 +37,6 @@ from .fieldcalc import (
 from .indexes import energy_formula
 from .quadrature import desk_grid
 from .rootsys import alcove_margin
-from .samplers import dagger
 
 
 @dataclass
@@ -75,7 +76,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     samp = approximate_caloron(spec)
     R = samp.R
     datum = spec.datum
-    fd_step = eps / 100.0  # finite-difference probes only
+    fd_step = _core_step(eps)  # finite-difference probes only
 
     # 1. alcove membership of omega and of every local parameter
     margin = float(alcove_margin(datum, spec.omega))
@@ -182,16 +183,15 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
         aN, pN = samp._annulus_eval(k, "N", pts, tk)
         aS, pS = samp._annulus_eval(k, "S", pts, tk)
         rel = pts - p
-        phi_az = np.arctan2(rel[:, 1], rel[:, 0])
-        gamma = samp.locals[k].charge_matrix
-        w, v = np.linalg.eigh(gamma / 1j)
-        uu = np.einsum("ij,pj,kj->pik", v, np.exp(-1j * np.outer(phi_az, w)), np.conjugate(v))
-        uud = dagger(uu)
+        # the transition u = exp(-i phi gamma_k) is diagonal: u^-1 X u = conj(u_i) X_il u_l
+        gamma = samp.singular.coroots[k]
+        u = np.exp(-1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]), gamma))
+        conj = np.conjugate(u)[:, :, None] * u[:, None, :]
         # grad(phi) = (-y, x, 0)/rho^2
         rho2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
         dphi = np.stack([-rel[:, 1] / rho2, rel[:, 0] / rho2, np.zeros(len(pts))], axis=-1)
-        pred_A = np.einsum("pij,pajk,pkl->pail", uud, aN, uu) - dphi[..., :, None, None] * gamma
-        pred_P = uud @ pN @ uu
+        pred_A = conj[:, None] * aN - dphi[..., :, None, None] * (1j * np.diag(gamma))
+        pred_P = conj * pN
         err = max(float(np.max(np.abs(aS - pred_A))), float(np.max(np.abs(pS - pred_P))))
         worst_gauge = max(worst_gauge, err)
     checks.append(Check("gauge-patch-consistency", worst_gauge < 1e-10, worst_gauge, 1e-10))
@@ -212,8 +212,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     )
 
     # 8. magnetic charge recovery
-    radius = 2.0 * (spec.d_max + 1.0)
-    coeffs, resid = magnetic_charge(samp, radius)
+    coeffs, resid = magnetic_charge(samp, _flux_radius(spec.d_max))
     expected = spec.charge_coefficients()
     ok = coeffs == expected and resid < 0.05
     checks.append(

@@ -28,6 +28,7 @@ from calorons.rootsys import (
     charge_vector,
     dynkin_index_adjoint,
     pairing,
+    su2_embedding,
 )
 from calorons.samplers import _mul, gauge_transform
 from calorons.su2 import (
@@ -307,6 +308,27 @@ def string_gauge_matrices(x, v, patch="N", t=None, phase=0.0):
     return bA, bP, F
 
 
+def su2_matrices(datum, mu):
+    """The images of i tau_1, i tau_2, i tau_3 under node mu's su(2) in the
+    defining representation of su(n), entry by entry: i(E_ab + E_ba),
+    E_ab - E_ba and i(E_aa - E_bb) for the root e_a - e_b."""
+    root = su2_embedding(datum, mu).root
+    a, b = root.index(1), root.index(-1)
+    m = np.zeros((3, datum.ambient_dim, datum.ambient_dim), dtype=complex)
+    m[0, a, b] = m[0, b, a] = 1j
+    m[1, a, b], m[1, b, a] = 1.0, -1.0
+    m[2, a, a], m[2, b, b] = 1j, -1j
+    return m
+
+
+def embed_reference(datum, mu, x):
+    """Node mu's su(2) image of 2 x 2 matrices x by Pauli coefficients:
+    sum_a c_a su2_matrices[a] with c_a = -Re Tr(x i tau_a) / 2, the orthogonal
+    projection of x onto su(2) first."""
+    coeff = np.stack([-0.5 * np.trace(x @ t, axis1=-2, axis2=-1).real for t in ITAU], axis=-1)
+    return np.einsum("...a,aij->...ij", coeff, su2_matrices(datum, mu))
+
+
 def annulus_fields_dense(samp, k, patch, xs, ts):
     """(A, Phi, E, B) of an `ApproximateCaloron` on annulus k with every
     piece an n x n matrix: the abelian model and spectator terms summed as
@@ -320,7 +342,7 @@ def annulus_fields_dense(samp, k, patch, xs, ts):
     model_A = dirac_potential(rel, patch)[..., :, None, None] * gamma[k]
     model_P = 1j * np.diag(samp.omega_shifts[k]) / samp.epsilon - gamma[k] / (2.0 * r)[..., None, None]
     bA2, bP2, F2 = string_gauge_matrices(rel, fund.v, patch, ts if cst.mu == 0 else None, cst.phase)
-    bA, bP, F_fund = (fund.embedding.embed(m) for m in (bA2, bP2, F2))
+    bA, bP, F_fund = (embed_reference(samp.datum, fund.mu, m) for m in (bA2, bP2, F2))
     sA, sP = np.zeros_like(bA), np.zeros_like(bP)
     F_sing = np.zeros_like(bA)
     for l, p in enumerate(samp.positions):

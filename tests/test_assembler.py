@@ -38,7 +38,7 @@ from calorons.fieldcalc import (
 from calorons.samplers import dagger
 from calorons.su2 import dirac_monopole
 from calorons.quadrature import desk_grid
-from calorons.rootsys import as_float, build_root_datum, random_interior_omega
+from calorons.rootsys import build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
 from oracles import annulus_fields_dense
 
@@ -202,7 +202,7 @@ def test_shift_two_points_formula():
         ],
     )
     om1 = local_holonomy_shift(spec, 1, 1)
-    coroot = as_float(spec.datum.simple_coroots[0])
+    coroot = np.asarray(spec.datum.simple_coroots[0], dtype=float)
     expected = np.array(spec.omega) - (eps / 4.0) * coroot
     assert np.allclose(om1, expected, atol=1e-15)
 
@@ -299,7 +299,7 @@ def test_singular_caloron_diagonals_match_dense_reference(rank, count, seed):
     in the patch of the point's chart, plus i diag(omega) / eps."""
     rng = np.random.default_rng(seed)
     datum = build_root_datum("A", rank)
-    omega = as_float(random_interior_omega(datum, random.Random(seed)))
+    omega = np.asarray(random_interior_omega(datum, random.Random(seed)), dtype=float)
     mus = rng.integers(0, rank + 1, count)
     positions = rng.uniform(-2.0, 2.0, (count, 3))
     spec = CaloronSpec(
@@ -315,7 +315,7 @@ def test_singular_caloron_diagonals_match_dense_reference(rank, count, seed):
     Phi_ref = np.broadcast_to(1j * np.diag(omega) / spec.epsilon, Phi.shape).astype(complex)
     E_ref = np.zeros_like(E)
     for k, (mu, p) in enumerate(zip(mus, positions)):
-        pair = dirac_monopole(p, as_float(datum.node_coroot(int(mu))))
+        pair = dirac_monopole(p, np.asarray(datum.node_coroot(int(mu)), dtype=float))
         south = ((chart >> k) & 1).astype(bool)[:, None, None, None]
         A_ref += np.where(south, pair.potential(x, "S"), pair.potential(x, "N"))
         Phi_ref = Phi_ref + pair.higgs(x)
@@ -359,7 +359,7 @@ def test_fundamental_higgs_traces_alcove_line():
     omega = np.array([1 / 3, 0.0, -1 / 3])
     for mu in (0, 1, 2):
         f = fundamental_caloron(d, mu, omega, eps)
-        node = as_float(d.node_root(mu))
+        node = np.asarray(d.node_root(mu), dtype=float)
         r_min = 1e-9 if mu else 1.0 / (2 * f.v)  # mu=0: start at the core radius
         zs = np.array([[0.0, 0.0, z] for z in np.geomspace(max(r_min, 1e-9), 60.0, 12)])
         _, Phi = f(zs, 0.0)
@@ -392,7 +392,7 @@ def test_fundamental_holonomy_matches_model():
         r = 30 * eps
         x = np.array([0.0, 0.0, r])  # on-axis: clean diagonal comparison
         phases = circle_holonomy(f, x, n_steps=64)
-        coroot = as_float(d.node_coroot(mu))
+        coroot = np.asarray(d.node_coroot(mu), dtype=float)
         model = np.sort(2 * np.pi * (omega - eps * coroot / (2 * r)))[::-1]
         assert np.max(np.abs(phases - model)) < 1e-4
 
@@ -637,7 +637,7 @@ def test_closed_form_densities_do_not_depend_on_t(rank, n0, n_other, eps, seed):
     angles = 2.0 * np.pi * np.arange(len(mus)) / len(mus) + rng.uniform(0.0, 2.0 * np.pi)
     z = rng.uniform(-0.2, 0.2, len(mus))
     positions = np.stack([1.6 * np.cos(angles), 1.6 * np.sin(angles), z], -1)
-    omega = as_float(random_interior_omega(datum, random.Random(seed)))
+    omega = np.asarray(random_interior_omega(datum, random.Random(seed)), dtype=float)
     spec = CaloronSpec(
         epsilon=eps, series="A", rank=rank, omega=tuple(omega),
         constituents=[
@@ -686,7 +686,7 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
             gluing_c=0.3,
         ))
         samp = approximate_caloron(spec)
-        m3 = samp.locals[0].embedding.embed(1j * np.diag([1.0, -1.0]))
+        m3 = 1j * np.diag(samp.locals[0].tau3)  # the image of i tau_3
         w, v = np.linalg.eigh(m3 / 1j)
         psi = v @ np.diag(np.exp(0.5j * phase * w)) @ dagger(v)
         rng = np.random.default_rng(12)
@@ -694,7 +694,7 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
         u /= np.linalg.norm(u, axis=1)[:, None]
         pts = spec.positions[0] + 0.75 * samp.R * u
         ts = rng.uniform(0.0, 2.0 * np.pi, 10)
-        block = samp.locals[0].embedding.block
+        block = samp.locals[0].block
         for patch in ("N", "S"):
             bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block)
             bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block)

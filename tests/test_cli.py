@@ -110,6 +110,24 @@ def test_verify_without_constituents_is_input_error(constituents, tmp_path, caps
     assert "constituent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"], ["construct"], ["sweep", "--epsilons", "0.04,0.02,0.01"],
+], ids=["verify", "construct", "sweep"])
+def test_spec_of_a_group_other_than_su_n_is_input_error(command, tmp_path, capsys):
+    """A well-formed B2 spec asks for fields outside the defining
+    representation of su(n): an input the package refuses (exit 2), not a
+    failed check (exit 1)."""
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(dict(
+        SU2_SPEC,
+        group={"series": "B", "rank": 2},
+        omega=[0.2, 0.1],
+        constituents=[{"mu": 1, "position": [1.5, 0.0, 0.0]}, {"mu": 2, "position": [-1.5, 0.0, 0.0]}],
+    )))
+    assert main([command[0], "--spec", str(path)] + command[1:]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def _run_capped(code, limit=1 << 30):
     """Run `code` in a child Python whose address space is capped, so that a
     runaway allocation ends as MemoryError there instead of exhausting the

@@ -5,14 +5,15 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from calorons.assembler import _embed, _su2_block
 from calorons.errors import InvalidGroupError, UnsupportedRepresentationError
 from calorons.rootsys import (
-    PAULI,
     alcove_check,
     alcove_margin,
     ambient_dim,
@@ -30,13 +31,16 @@ from calorons.rootsys import (
     vscale,
 )
 from calorons.indexes import transverse_index
+from calorons.su2 import ITAU
 from oracles import (
     dot_fraction,
     dynkin_index_adjoint_bruteforce,
     eager_root_datum,
+    embed_reference,
     lincomb,
     rational_solve,
     rho_pairing_ambient,
+    su2_matrices,
 )
 
 # catalogued positive-root counts
@@ -309,6 +313,11 @@ def test_dynkin_adjoint_two_routes(series, rank):
 
 # -- su(2) embeddings ---------------------------------------------------------
 
+def _scatter(d, mu, x):
+    """Node mu's su(2) image of x through the field layer's scatter."""
+    return _embed(x, np.asarray(su2_embedding(d, mu).coroot, dtype=float), _su2_block(d, mu))
+
+
 def _su2_brackets_ok(m):
     comm = lambda a, b: a @ b - b @ a
     return (
@@ -320,25 +329,23 @@ def _su2_brackets_ok(m):
 
 def test_su2_embedding_a1_is_pauli():
     d = build_root_datum("A", 1)
-    emb = su2_embedding(d, 1)
     taus = [
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
-    for a in range(3):
-        assert np.allclose(emb.matrices[a], 1j * taus[a])
+    assert np.array_equal(ITAU, [1j * t for t in taus])
+    assert np.array_equal(_scatter(d, 1, ITAU), ITAU)
 
 
 def test_su2_embedding_a2():
     d = build_root_datum("A", 2)
-    emb1 = su2_embedding(d, 1)
-    assert np.allclose(emb1.matrices[2], np.diag([1j, -1j, 0]))
-    assert _su2_brackets_ok(emb1.matrices)
+    assert np.array_equal(_scatter(d, 1, ITAU[2]), np.diag([1j, -1j, 0]))
+    assert _su2_brackets_ok(_scatter(d, 1, ITAU))
     # mu = 0: corner embedding along the highest root e1 - e3
     emb0 = su2_embedding(d, 0)
     assert emb0.root == d.highest_root
-    assert np.allclose(emb0.matrices[2], np.diag([1j, 0, -1j]))
+    assert np.array_equal(_scatter(d, 0, ITAU[2]), np.diag([1j, 0, -1j]))
     assert emb0.p_dim == 8 - 2 - 2
     # image of i tau_3 is the coroot of the highest root = -alpha_0^vee
     assert emb0.coroot == vscale(-1, d.lowest_coroot)
@@ -348,36 +355,27 @@ def test_su2_embedding_a2():
 def test_su2_embedding_brackets_all_nodes(series, rank):
     d = build_root_datum(series, rank)
     for mu in range(rank + 1):
-        emb = su2_embedding(d, mu)
-        assert _su2_brackets_ok(emb.matrices)
-        # anti-Hermitian
-        for m in emb.matrices:
-            assert np.allclose(m + m.conj().T, 0, atol=1e-14)
+        m = _scatter(d, mu, ITAU)
+        assert np.array_equal(m, su2_matrices(d, mu))
+        assert _su2_brackets_ok(m)
+        assert np.array_equal(m + np.conjugate(np.swapaxes(m, -1, -2)), np.zeros_like(m))
 
 
 def test_su2_embedding_non_a_matrix_unavailable():
     d = build_root_datum("B", 2)
-    emb = su2_embedding(d, 1)
-    assert emb.matrices is None
     with pytest.raises(UnsupportedRepresentationError):
-        emb.embed(np.zeros((2, 2)))
+        _su2_block(d, 1)
     # abstract data still present
+    emb = su2_embedding(d, 1)
     assert emb.p_dim == d.dim_g - d.rank - 2
 
 
 def test_embed_linearity():
     d = build_root_datum("A", 2)
-    emb = su2_embedding(d, 2)
-    rng = np.random.default_rng(0)
-    c = rng.normal(size=3)
-    taus = [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    x = sum(ci * 1j * t for ci, t in zip(c, taus))
-    expected = sum(ci * m for ci, m in zip(c, emb.matrices))
-    assert np.allclose(emb.embed(x), expected, atol=1e-14)
+    c = np.random.default_rng(0).normal(size=3)
+    x = np.einsum("a,aij->ij", c, ITAU)
+    expected = np.einsum("a,aij->ij", c, su2_matrices(d, 2))
+    assert np.allclose(_scatter(d, 2, x), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -388,12 +386,22 @@ def test_embed_matches_pauli_coefficient_reference(rank):
     d = build_root_datum("A", rank)
     rng = np.random.default_rng(rank)
     x = rng.normal(size=(64, 3, 2, 2)) + 1j * rng.normal(size=(64, 3, 2, 2))
-    coeff = np.stack(
-        [-0.5 * np.trace(x @ (1j * t), axis1=-2, axis2=-1).real for t in PAULI], axis=-1
-    )
     for mu in range(rank + 1):
-        emb = su2_embedding(d, mu)
-        assert np.array_equal(emb.embed(x), np.einsum("...a,aij->...ij", coeff, emb.matrices))
+        assert np.array_equal(_scatter(d, mu, x), embed_reference(d, mu, x))
+
+
+def test_exact_layers_import_no_numpy():
+    """rootsys and indexes are exact: neither module imports numpy, so the
+    index commands need no float layer."""
+    import ast
+    import calorons
+
+    src = Path(calorons.__file__).parent
+    for name in ("rootsys.py", "indexes.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], (name, imported)
 
 
 # -- CartanVector pairing exactness -------------------------------------------
