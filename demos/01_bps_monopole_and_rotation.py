@@ -9,26 +9,25 @@ magnetic charge and unit instanton number.
 import numpy as np
 
 from calorons import (
-    bps_caloron_plus,
-    bps_pair,
+    BPSCaloron,
+    RotatedBPSCaloron,
+    bps_fields,
     circle_holonomy,
     curvature_at,
     hedgehog_framing,
-    rotated_bps,
     rotation_gauge,
 )
-from calorons.su2 import bps_fields, bps_higgs_profile
+from calorons.su2 import bps_higgs_profile
 
 rng = np.random.default_rng(0)
 
 print("== the BPS monopole ==")
-pair = bps_pair(v=1.0)
-print("Phi and A vanish at the core:", [np.max(np.abs(f)) for f in pair(np.zeros(3))])
+print("Phi and A vanish at the core:", [np.max(np.abs(f)) for f in bps_fields(np.zeros(3), v=1.0)])
 for r in (0.5, 2.0, 5.0, 10.0):
     print(f"  |Phi|({r:4.1f}) = {bps_higgs_profile(1.0, r):.6f}   (mass v = 1 is the bound)")
 
 print("\nthe Bogomolny equation makes the caloron anti-self-dual:")
-samp = bps_caloron_plus(omega_prime=0.25, epsilon=1.0)
+samp = BPSCaloron(omega_prime=0.25, epsilon=1.0)
 pts = rng.uniform(-2, 2, (20, 3))
 curv = curvature_at(samp, pts, 0.0, step=1e-3)
 print(f"  max |F+| over 20 random points: {np.sqrt(np.max(curv.sd_norm_sq())):.2e}")
@@ -50,7 +49,7 @@ print("  g(x, 0)      = id:", np.allclose(g(far, 0.0), np.eye(2)))
 print("  g(x, 2 pi)   = -id outside the core:", np.allclose(g(far, 2 * np.pi), -np.eye(2)))
 print("  clutching h  = id there:", np.allclose(g.clutching(far), np.eye(2)))
 
-rot = rotated_bps(omega_prime=0.25, epsilon=1.0)
+rot = RotatedBPSCaloron(omega_prime=0.25, epsilon=1.0)
 xprobe = np.array([6.0, 2.0, 3.0])
 r = np.linalg.norm(xprobe)
 phases = circle_holonomy(rot, xprobe, n_steps=96)
@@ -59,6 +58,6 @@ print(f"\n  rotated-monopole holonomy phases at r={r:.2f}: {phases}")
 print(f"  charge -1 abelian model:                    [{model:+.6f} {-model:+.6f}]")
 
 c_rot = curvature_at(rot, pts, rng.uniform(0, 2 * np.pi, 20), step=2e-4)
-c_ref = curvature_at(bps_caloron_plus(0.25, 1.0), pts, 0.0, step=2e-4)
+c_ref = curvature_at(BPSCaloron(0.25, 1.0), pts, 0.0, step=2e-4)
 print(f"\n  |F|^2 pointwise match with the mass-matched BPS caloron: "
       f"{np.max(np.abs(c_rot.norm_sq() - c_ref.norm_sq())):.2e} (gauge invariance)")

@@ -14,7 +14,6 @@ from calorons import (
     Constituent,
     approximate_caloron,
     curvature_at,
-    holonomy_shifts,
     magnetic_charge,
     sd_error_l2,
     sphere_averaged_holonomy,
@@ -39,7 +38,7 @@ print(f"  constituent counts (n0, n1, n2): {spec.counts()}")
 print(f"  total magnetic charge coefficients: {spec.charge_coefficients()} (cancels)")
 print(f"  gluing radius R = {samp.R:.4f}  (R/eps = {samp.R / spec.epsilon:.1f}, d_min = {spec.d_min:.2f})")
 print("  local holonomy parameters (shift from omega is O(eps)):")
-for k, om in enumerate(holonomy_shifts(spec)):
+for k, om in enumerate(samp.omega_shifts):
     shift = np.linalg.norm(np.array(om) - np.array(spec.omega))
     print(f"    constituent {k}: |omega_k - omega| = {shift:.5f}")
 
@@ -56,7 +55,7 @@ for name, scale in (("core (r = 0.3 R)", 0.3), ("annulus (r = 0.75 R)", 0.75), (
     curv = curvature_at(samp, pts, ts, step=spec.epsilon / 100)
     print(f"  max |F+| {name:>22}: {np.sqrt(np.max(curv.sd_norm_sq())):.3e}")
 
-err = sd_error_l2(samp, spec)
+err = sd_error_l2(samp)
 print(f"  ||F+||_L2 = {err.value:.4f}, fraction on annuli = {err.annulus_fraction:.6f}")
 
 print("\n== charges and holonomy at infinity ==")

@@ -10,17 +10,17 @@ import math
 import numpy as np
 
 from calorons import (
+    BPSCaloron,
     CaloronSpec,
     Constituent,
     approximate_caloron,
-    bps_caloron_plus,
     energy_and_tr_f_wedge_f,
     sd_error_l2,
 )
 from calorons.quadrature import desk_grid
 
 print("== energy of the circle-invariant fundamental caloron ==")
-samp = bps_caloron_plus(omega_prime=0.25, epsilon=1.0)
+samp = BPSCaloron(omega_prime=0.25, epsilon=1.0)
 grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0)
 e, q = energy_and_tr_f_wedge_f(samp, grid)  # tail from the caloron's charge i tau_3
 print(f"  quadrature: {grid.total_points()} points, tail beyond r = {grid.r_max:.0f} added analytically")
@@ -35,7 +35,7 @@ for eps in (0.1, 0.05, 0.025):
         constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
     )
     glued = approximate_caloron(spec)
-    err = sd_error_l2(glued, spec)
+    err = sd_error_l2(glued)
     rows.append((eps, glued.R, err.total_sq))
     print(f"  eps = {eps:<6} R = {glued.R:.4f}  ||F+||^2 = {err.total_sq:.4e}")
 

@@ -11,15 +11,14 @@ from .assembler import (
     ApproximateCaloron,
     CaloronSpec,
     Constituent,
+    FundamentalCaloron,
     GluingProfile,
+    SingularCaloron,
     alcove_exclusion_constant,
     alcove_margin_report,
     approximate_caloron,
-    fundamental_caloron,
     gluing_radius,
     holonomy_shifts,
-    local_holonomy_shift,
-    singular_caloron,
 )
 from .errors import (
     CaloronError,
@@ -69,13 +68,12 @@ from .rootsys import (
 )
 from .su2 import (
     AbelianPair,
-    BPSPair,
+    BPSCaloron,
     GaugeMap,
-    bps_caloron_plus,
-    bps_pair,
+    RotatedBPSCaloron,
+    bps_fields,
     dirac_monopole,
     hedgehog_framing,
-    rotated_bps,
     rotation_gauge,
 )
 from .verify import run_verification

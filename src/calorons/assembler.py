@@ -188,9 +188,6 @@ class CaloronSpec:
             gam += np.asarray(self.datum.node_coroot(c.mu), dtype=float)
         return gam
 
-    def gluing_radius(self) -> float:
-        return gluing_radius(self.epsilon, self.gluing_c, d_min=self.d_min)
-
     # -- JSON schema ---------------------------------------------------------
 
     def to_dict(self):
@@ -258,7 +255,8 @@ class GluingProfile:
 
 def gluing_radius(epsilon, c, d_min=None) -> float:
     """Unique R > 0 with R = eps^-1 exp(-c R/eps), by safeguarded Newton on
-    g(R) = ln R + ln eps + c R / eps.  R ~ eps |ln eps| / c for small eps."""
+    g(R) = ln R + ln eps + c R / eps, until g(R) = 0 or a step that leaves R
+    unchanged.  R ~ eps |ln eps| / c for small eps."""
     if epsilon <= 0 or c <= 0:
         raise InputError("epsilon and c must be positive")
     lo, hi = 1e-300, 1.0 / epsilon
@@ -266,16 +264,16 @@ def gluing_radius(epsilon, c, d_min=None) -> float:
     R = max(R, 1e-12)
     for _ in range(200):
         g = math.log(R) + math.log(epsilon) + c * R / epsilon
+        if g == 0.0:
+            break
         if g > 0:
             hi = min(hi, R)
         else:
             lo = max(lo, R)
-        dg = 1.0 / R + c / epsilon
-        step = g / dg
-        R_new = R - step
+        R_new = R - g / (1.0 / R + c / epsilon)
         if not (lo < R_new < hi):
             R_new = 0.5 * (lo + hi)
-        if abs(R_new - R) <= 1e-16 * max(R, 1.0):
+        if abs(R_new - R) <= 1e-16 * R:
             R = R_new
             break
         R = R_new
@@ -305,14 +303,6 @@ def holonomy_shifts(spec: CaloronSpec):
             om = om - spec.epsilon * np.asarray(datum.node_coroot(cl.mu), dtype=float) / (2.0 * d)
         out.append(om)
     return out
-
-
-def local_holonomy_shift(spec: CaloronSpec, mu: int, i: int):
-    """omega^i_mu for the i-th constituent (0-based) of type mu."""
-    flat = [k for k, c in enumerate(spec.constituents) if c.mu == mu]
-    if i < 0 or i >= len(flat):
-        raise InputError(f"no constituent ({mu}, {i})")
-    return holonomy_shifts(spec)[flat[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +399,6 @@ class FundamentalCaloron(ConnectionSampler):
         return E, E.copy()
 
 
-def fundamental_caloron(datum, mu, omega, epsilon, center=(0.0, 0.0, 0.0)) -> FundamentalCaloron:
-    return FundamentalCaloron(datum, mu, omega, epsilon, center)
-
-
 # ---------------------------------------------------------------------------
 # singular abelian caloron
 
@@ -479,10 +465,6 @@ class SingularCaloron(ConnectionSampler):
         return E, E.copy()
 
 
-def singular_caloron(spec: CaloronSpec) -> SingularCaloron:
-    return SingularCaloron(spec)
-
-
 # ---------------------------------------------------------------------------
 # the glued approximate caloron
 
@@ -494,14 +476,19 @@ _PATCH = {_REGION_CORE: None, _REGION_ANN_N: "N", _REGION_ANN_S: "S"}
 
 class ApproximateCaloron(ConnectionSampler):
     """The glued connection: fundamental calorons inside r_k <= R/2, the
-    chi-interpolation on the annuli, the singular abelian caloron outside."""
+    chi-interpolation on the annuli, the singular abelian caloron outside.
+
+    It owns everything the construction derives from its spec: the gluing
+    radius R, the local holonomy parameters omega_shifts, the singular
+    background and the fundamental calorons (`locals`, whose masses v set
+    the core scales 1/(2v)); the diagnostics read them from here."""
 
     def __init__(self, spec: CaloronSpec):
         self.spec = spec
         self.datum = spec.datum
         self.epsilon = float(spec.epsilon)
         self.n = self.datum.ambient_dim
-        self.R = spec.gluing_radius()
+        self.R = gluing_radius(spec.epsilon, spec.gluing_c, d_min=spec.d_min)
         self.profile = GluingProfile(self.R)
         self.positions = spec.positions
         self.singular = SingularCaloron(spec)
@@ -704,14 +691,13 @@ def alcove_exclusion_constant(spec: CaloronSpec) -> float:
     return max(pairings) / sigma_inf
 
 
-def alcove_margin_report(spec: CaloronSpec, refine=1):
-    """Scan the abelian Higgs field eps*Phi_sing outside the exclusion balls
-    r_k >= c_excl * eps and report the worst facet margin sigma."""
-    datum = spec.datum
-    eps = spec.epsilon
+def alcove_margin_report(samp: ApproximateCaloron, refine=1):
+    """Scan the abelian Higgs field eps*Phi_sing of the glued caloron's
+    singular background outside the exclusion balls r_k >= c_excl * eps and
+    report the worst facet margin sigma."""
+    spec, datum, eps = samp.spec, samp.datum, samp.epsilon
     c_excl = alcove_exclusion_constant(spec)
     r0 = c_excl * eps
-    sing = singular_caloron(spec)
 
     # shells of 8 radii about every constituent, then a coarse background
     # lattice out to the far zone, all in one sampler call
@@ -722,7 +708,7 @@ def alcove_margin_report(spec: CaloronSpec, refine=1):
     lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     ok = [np.all(np.linalg.norm(pts[:, None, :] - spec.positions, axis=-1) >= r_min, axis=-1)
           for pts, r_min in ((shells, r0 * 0.999999), (lattice, r0))]
-    _, Phi = sing(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0)
+    _, Phi = samp.singular(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0)
     h = np.diagonal(eps * Phi, axis1=-2, axis2=-1).imag
     margins = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
     margins.append(1.0 + h @ np.asarray(datum.lowest_root, dtype=float))

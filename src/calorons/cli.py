@@ -9,6 +9,7 @@ Output files are byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembler import CaloronSpec, approximate_caloron, gluing_radius, holonomy_shifts
+from .assembler import CaloronSpec, approximate_caloron
 from .errors import (
     CaloronError,
     GluingInfeasibleError,
@@ -25,11 +26,10 @@ from .errors import (
     InvalidGroupError,
     UnsupportedRepresentationError,
 )
-from .fieldcalc import _flux_radius, energy_and_tr_f_wedge_f, magnetic_charge, sd_error_l2
+from .fieldcalc import _flux_radius, magnetic_charge
 from .indexes import moduli_dimension, transverse_index
-from .quadrature import desk_grid
 from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
-from .verify import energy_formula_float, run_verification
+from .verify import energy_formula_float, field_integrals, run_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,7 +63,6 @@ def cmd_roots(args):
 def cmd_construct(args):
     spec = _load_spec(args.spec)
     samp = approximate_caloron(spec)
-    shifts = holonomy_shifts(spec)
     n = spec.counts()
     payload = {
         "group": f"{spec.series}{spec.rank}",
@@ -75,7 +74,7 @@ def cmd_construct(args):
         "charge_coefficients": list(spec.charge_coefficients()),
         "moduli_dimension": moduli_dimension(n),
         "energy_formula": energy_formula_float(spec),
-        "local_holonomy_parameters": [[float(v) for v in om] for om in shifts],
+        "local_holonomy_parameters": [[float(v) for v in om] for om in samp.omega_shifts],
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -100,9 +99,14 @@ def _parse_epsilons(text):
         raise InputError(f"bad --epsilons list {text!r}") from exc
     if len(eps) < 3:
         raise InputError("sweep needs at least 3 epsilon values")
+    if not all(e > 0 for e in eps):  # also NaN
+        raise InputError(f"sweep epsilons must be positive, got {text!r}")
     if max(eps) / min(eps) < 3.9:
         raise InputError("sweep epsilons should span at least a factor of 4")
     return sorted(eps, reverse=True)
+
+
+SWEEP_COLUMNS = ("epsilon", "R", "sd_error_l2_sq", "energy", "energy_formula", "charge_residual")
 
 
 def cmd_sweep(args):
@@ -110,50 +114,17 @@ def cmd_sweep(args):
     epsilons = _parse_epsilons(args.epsilons)
     rows = []
     for eps in epsilons:
-        spec = CaloronSpec(
-            epsilon=eps,
-            series=template.series,
-            rank=template.rank,
-            omega=template.omega,
-            constituents=template.constituents,
-            gluing_c=template.gluing_c,
-        )
+        spec = dataclasses.replace(template, epsilon=eps)
         samp = approximate_caloron(spec)
-        err = sd_error_l2(samp, spec)
-        core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
-        grid = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(args.grid == "fine"))
-        energy = energy_and_tr_f_wedge_f(samp, grid)[0]
+        err, energy, _, _ = field_integrals(samp, args.grid)
         try:
             _, resid = magnetic_charge(samp, _flux_radius(spec.d_max))
         except CaloronError:
             resid = float("nan")
-        rows.append(
-            {
-                "epsilon": eps,
-                "R": samp.R,
-                "sd_error_l2_sq": err.total_sq,
-                "energy": energy.value,
-                "energy_formula": energy_formula_float(spec),
-                "charge_residual": resid,
-            }
-        )
+        values = (eps, samp.R, err.total_sq, energy.value, energy_formula_float(spec), resid)
+        rows.append(dict(zip(SWEEP_COLUMNS, values)))
 
-    header = "epsilon,R,sd_error_l2_sq,energy,energy_formula,charge_residual"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                "%.17g" % row[k]
-                for k in (
-                    "epsilon",
-                    "R",
-                    "sd_error_l2_sq",
-                    "energy",
-                    "energy_formula",
-                    "charge_residual",
-                )
-            )
-        )
+    lines = [",".join(SWEEP_COLUMNS)] + [",".join("%.17g" % row[k] for k in SWEEP_COLUMNS) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
 
     xs = [math.log(r["epsilon"]) for r in rows]

@@ -141,11 +141,16 @@ def _stencil(sampler, x, t, step, dt=None):
 
 # The finite-difference step policy of the diagnostics, which verify, the CLI
 # and the spec's position bound all read from here: step eps/100 at the
-# cores, and the flux sphere of radius 2(d + 1) about the origin, d the
-# largest constituent distance, with step min(0.02 radius, 0.5).
+# cores, min(eps/10, 0.05) at verify's probes of the abelian exterior, and
+# the flux sphere of radius 2(d + 1) about the origin, d the largest
+# constituent distance, with step min(0.02 radius, 0.5).
 
 def _core_step(epsilon):
     return epsilon / 100.0
+
+
+def _far_step(epsilon):
+    return min(epsilon / 10.0, 0.05)
 
 
 def _flux_radius(d_max):
@@ -251,18 +256,15 @@ class SdErrorEstimate:
         return self.annulus_sq / self.total_sq
 
 
-def sd_error_l2(sampler, spec) -> SdErrorEstimate:
-    """L^2 norm of the self-dual error of a glued approximate caloron on the
-    slice t = pi: 14 Gauss-Legendre radii x an 8 x 12 sphere rule on each
-    gluing annulus R/2 <= r <= R, from the closed-form curvature, plus
-    sparse shells over the cores and the exterior.  The closed form has
-    E = B on those shells by construction, so they take finite differences
-    at step eps/100 and measure the self-dual leakage off the annuli.  The
-    spec supplies the annulus geometry; it must share the sampler's eps."""
-    eps = sampler.epsilon
-    if eps != spec.epsilon:
-        raise ValueError(f"sampler epsilon {eps} differs from the spec's {spec.epsilon}")
-    R = spec.gluing_radius()
+def sd_error_l2(samp) -> SdErrorEstimate:
+    """L^2 norm of the self-dual error of a glued approximate caloron
+    (`assembler.ApproximateCaloron`) on the slice t = pi: 14 Gauss-Legendre
+    radii x an 8 x 12 sphere rule on each gluing annulus R/2 <= r <= R,
+    from the closed-form curvature, plus sparse shells over the cores and
+    the exterior.  The closed form has E = B on those shells by
+    construction, so they take finite differences at step eps/100 and
+    measure the self-dual leakage off the annuli."""
+    eps, R, spec = samp.epsilon, samp.R, samp.spec
     t_w = eps * 2.0 * np.pi
     dirs, wdir = sphere_rule(8, 12)
 
@@ -271,10 +273,10 @@ def sd_error_l2(sampler, spec) -> SdErrorEstimate:
     # curvature is still held while that call, the largest of a verify run,
     # sets the run's peak memory.
     core_radii = graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)
-    shells = [(c, core_radii) for c in spec.positions]
+    shells = [(c, core_radii) for c in samp.positions]
     shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
     pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
-    sd = curvature_at(sampler, np.concatenate(pts), _T_SLICE, step=_core_step(eps)).sd_norm_sq()
+    sd = curvature_at(samp, np.concatenate(pts), _T_SLICE, step=_core_step(eps)).sd_norm_sq()
     background_terms = []
     for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
         w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
@@ -284,8 +286,8 @@ def sd_error_l2(sampler, spec) -> SdErrorEstimate:
     radii, rw = gauss_legendre(0.5 * R, R, 14)
     w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
     annulus_terms = []
-    for c in spec.positions:
-        curv = _closed_form(sampler, (c + radii[:, None, None] * dirs).reshape(-1, 3), _T_SLICE)
+    for c in samp.positions:
+        curv = _closed_form(samp, (c + radii[:, None, None] * dirs).reshape(-1, 3), _T_SLICE)
         annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
 

@@ -167,11 +167,11 @@ def adjoint_weights(datum: RootDatum) -> WeightList:
     return WeightList(tuple(ws), _rep_dynkin_index(datum, ws))
 
 
-def weight_list(datum: RootDatum, weights, check_closure=True) -> WeightList:
+def weight_list(datum: RootDatum, weights) -> WeightList:
     """Wrap externally supplied weights (e.g. from a file) with the closure
     sanity check."""
     ws = tuple(tuple(Fraction(c) for c in w) for w in weights)
-    if check_closure and not weyl_closed(datum, ws):
+    if not weyl_closed(datum, ws):
         raise ValueError("weight multiset is not closed under the Weyl group")
     return WeightList(ws, _rep_dynkin_index(datum, ws))
 

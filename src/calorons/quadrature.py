@@ -59,10 +59,9 @@ def gauss_legendre(a, b, n):
     return mid + half * xs, half * ws
 
 
-def graded_radii(r_min, r_max, n_seg, n_per_seg=4, ratio=None):
+def graded_radii(r_min, r_max, n_seg, n_per_seg=4):
     """Geometric segmentation of [r_min, r_max] with GL nodes per segment."""
-    if ratio is None:
-        ratio = (r_max / r_min) ** (1.0 / n_seg)
+    ratio = (r_max / r_min) ** (1.0 / n_seg)
     edges = [r_min * ratio**k for k in range(n_seg + 1)]
     edges[-1] = r_max
     nodes, weights = [], []

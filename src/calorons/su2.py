@@ -126,29 +126,13 @@ def bps_curvature_fields(x, v):
     return dphi[..., None, None, None] * rad + phw[..., None, None, None] * tan
 
 
-class BPSPair:
-    """Monopole pair (A, Phi) with mass v > 0 and a centre in R^3."""
-
-    def __init__(self, v, center=(0.0, 0.0, 0.0)):
-        if v <= 0:
-            raise ValueError("mass v must be positive")
-        self.v = float(v)
-        self.center = np.asarray(center, dtype=float)
-
-    def __call__(self, x):
-        return bps_fields(np.asarray(x, float) - self.center, self.v)
-
-
-def bps_pair(v, center=(0.0, 0.0, 0.0)) -> BPSPair:
-    return BPSPair(v, center)
-
-
 class BPSCaloron(ConnectionSampler):
-    """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps."""
+    """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps,
+    centred at the origin."""
 
     charge_matrix = ITAU[2]  # the asymptotic charge, in the abelian gauge
 
-    def __init__(self, omega_prime, epsilon, center=(0.0, 0.0, 0.0)):
+    def __init__(self, omega_prime, epsilon):
         if not 0.0 < omega_prime < 0.5:
             raise HolonomyParameterError(
                 f"holonomy parameter {omega_prime} outside (0, 1/2)"
@@ -156,19 +140,14 @@ class BPSCaloron(ConnectionSampler):
         self.omega_prime = float(omega_prime)
         self.epsilon = float(epsilon)
         self.v = self.omega_prime / self.epsilon
-        self.pair = BPSPair(self.v, center)
         self.n = 2
 
     def evaluate(self, x, t, chart=None):
-        return self.pair(x)
+        return bps_fields(x, self.v)
 
     def exact_curvature(self, x, t):
-        E = bps_curvature_fields(np.asarray(x, float) - self.pair.center, self.v)
+        E = bps_curvature_fields(x, self.v)
         return E, E.copy()
-
-
-def bps_caloron_plus(omega_prime, epsilon, center=(0.0, 0.0, 0.0)) -> BPSCaloron:
-    return BPSCaloron(omega_prime, epsilon, center)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +343,6 @@ class RotatedBPSCaloron(PulledBackSampler):
         gauge = rotation_gauge(omega_prime, epsilon)  # rejects omega' itself, not 1/2 - omega'
         super().__init__(BPSCaloron(0.5 - omega_prime, epsilon), gauge)
         self.v = self.base.v
-
-
-def rotated_bps(omega_prime, epsilon) -> RotatedBPSCaloron:
-    return RotatedBPSCaloron(omega_prime, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,12 @@ from typing import List
 
 import numpy as np
 
-from .assembler import (
-    CaloronSpec,
-    alcove_margin_report,
-    approximate_caloron,
-    holonomy_shifts,
-)
+from .assembler import ApproximateCaloron, CaloronSpec, alcove_margin_report, approximate_caloron
 from .fieldcalc import (
     CurvatureSample,
     FieldReport,
     _core_step,
+    _far_step,
     _flux_radius,
     curvature_at,
     energy_and_tr_f_wedge_f,
@@ -59,6 +55,19 @@ def energy_formula_float(spec: CaloronSpec) -> float:
     return float(energy_formula(spec.datum, spec.omega, spec.counts()))
 
 
+def field_integrals(samp: ApproximateCaloron, grid="desk"):
+    """(sd error, energy, trF^F, volume grid) of a glued caloron: its
+    `sd_error_l2`, then its energy and trF^F over the desk (or "fine") grid
+    about its constituents, at their core scales 1/(2v).  The sd error goes
+    first: its shell stencil, the largest sampler call, sets the peak memory
+    of a verify run, so no volume grid is held while it runs."""
+    sd = sd_error_l2(samp)
+    core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
+    vol = desk_grid(list(samp.positions), core_scales, samp.spec.d_max_eff, fine=(grid == "fine"))
+    energy, topo = energy_and_tr_f_wedge_f(samp, vol)
+    return sd, energy, topo, vol
+
+
 def _normal(rng, rows):
     """(rows, 3) standard normal probe coordinates."""
     return np.array([[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(rows)])
@@ -81,7 +90,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     # 1. alcove membership of omega and of every local parameter
     margin = float(alcove_margin(datum, spec.omega))
     checks.append(Check("alcove-omega-margin", margin > 0, margin, 0.0))
-    shifts = holonomy_shifts(spec)
+    shifts = samp.omega_shifts
     shift_margin = min(float(alcove_margin(datum, om)) for om in shifts)
     checks.append(Check("alcove-local-parameters", shift_margin > 0, shift_margin, 0.0))
 
@@ -120,7 +129,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     far_pts = _normal(rng, 24)
     far_pts /= np.linalg.norm(far_pts, axis=1)[:, None]
     far_pts *= (spec.d_max + 3.0 * R + 1.0) * _uniform(rng, 1.0, 2.0, 24)[:, None]
-    curv = curvature_at(samp, far_pts, 0.0, step=min(eps / 10.0, 0.05))
+    curv = curvature_at(samp, far_pts, 0.0, step=_far_step(eps))
     far_sd = float(np.sqrt(np.max(curv.sd_norm_sq())))
     checks.append(Check("far-self-dual-error", far_sd < 1e-6, far_sd, 1e-6))
 
@@ -197,8 +206,8 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     checks.append(Check("gauge-patch-consistency", worst_gauge < 1e-10, worst_gauge, 1e-10))
 
     # 7. alcove containment of the abelian Higgs field with a global margin
-    rep1 = alcove_margin_report(spec, refine=1)
-    rep2 = alcove_margin_report(spec, refine=2)
+    rep1 = alcove_margin_report(samp, refine=1)
+    rep2 = alcove_margin_report(samp, refine=2)
     sigma = rep2["sigma"]
     stable = abs(rep2["sigma"] - rep1["sigma"]) <= 0.1 * abs(rep1["sigma"])
     checks.append(
@@ -229,7 +238,7 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     checks.append(Check("holonomy-infinity", hol_err < 1e-4, hol_err, 1e-4))
 
     # 10. self-dual error: localization on the annuli
-    sd = sd_error_l2(samp, spec)
+    sd, energy, topo, vol = field_integrals(samp, grid)
     checks.append(
         Check(
             "sd-error-localization",
@@ -241,9 +250,6 @@ def run_verification(spec: CaloronSpec, grid="desk", seed: int = 0):
     )
 
     # 11. energy against the closed-form value
-    core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
-    vol = desk_grid(list(spec.positions), core_scales, spec.d_max_eff, fine=(grid == "fine"))
-    energy, topo = energy_and_tr_f_wedge_f(samp, vol)
     formula = energy_formula_float(spec)
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)
     checks.append(

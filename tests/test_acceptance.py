@@ -44,13 +44,7 @@ from calorons.rootsys import (
     pairing,
     random_interior_omega,
 )
-from calorons.su2 import (
-    bps_caloron_plus,
-    bps_fields,
-    bps_pair,
-    hedgehog_framing,
-    rotated_bps,
-)
+from calorons.su2 import BPSCaloron, RotatedBPSCaloron, bps_fields, hedgehog_framing
 from oracles import dynkin_index_adjoint_bruteforce, dynkin_index_su2_via_adjoint
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
@@ -67,20 +61,19 @@ def _report(num, name, passed, detail):
 def test_criterion_01_bogomolny_residual():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
-    pair = bps_pair(1.0)
     pts = rng.uniform(-3.0, 3.0, size=(130, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 0.05][:100]
     assert len(pts) == 100
 
     def residual(h):
-        A0, Phi0 = pair(pts)
+        A0, Phi0 = bps_fields(pts, 1.0)
         dA = np.zeros((len(pts), 3, 3, 2, 2), dtype=complex)
         dPhi = np.zeros((len(pts), 3, 2, 2), dtype=complex)
         for i in range(3):
             xp = pts.copy(); xp[:, i] += h
             xm = pts.copy(); xm[:, i] -= h
-            Ap, Pp = pair(xp)
-            Am, Pm = pair(xm)
+            Ap, Pp = bps_fields(xp, 1.0)
+            Am, Pm = bps_fields(xm, 1.0)
             dA[:, i] = (Ap - Am) / (2 * h)
             dPhi[:, i] = (Pp - Pm) / (2 * h)
         dAPhi = dPhi + np.einsum("paij,pjk->paik", A0, Phi0) - np.einsum(
@@ -127,8 +120,8 @@ def test_criterion_02_framed_higgs_decay():
 def test_criterion_03_energy_of_fundamental_calorons():
     results = {}
     for name, samp, target in (
-        ("circle-invariant", bps_caloron_plus(0.25, 1.0), 0.5),   # 2 omega'
-        ("rotated", rotated_bps(0.25, 1.0), 0.5),                # 1 - 2 omega'
+        ("circle-invariant", BPSCaloron(0.25, 1.0), 0.5),   # 2 omega'
+        ("rotated", RotatedBPSCaloron(0.25, 1.0), 0.5),                # 1 - 2 omega'
     ):
         t0 = time.monotonic()
         grid = desk_grid([np.zeros(3)], [1.0 / (2.0 * samp.v)], 1.0)
@@ -157,7 +150,7 @@ def test_criterion_04_error_scaling():
             constituents=[Constituent(1, (0.0, 0.0, 0.0), 0.0)], gluing_c=0.3,
         )
         samp = approximate_caloron(spec)
-        est = sd_error_l2(samp, spec)
+        est = sd_error_l2(samp)
         rows.append((eps, est.total_sq, est.annulus_fraction))
     xs = [math.log(eps) for eps, _, _ in rows]
     ys = [math.log(v / abs(math.log(eps)) ** 3) for eps, v, _ in rows]
@@ -185,8 +178,9 @@ def test_criterion_05_alcove_containment():
         ],
         gluing_c=0.15,
     )
-    r1 = alcove_margin_report(spec, refine=1)
-    r2 = alcove_margin_report(spec, refine=2)
+    samp = approximate_caloron(spec)
+    r1 = alcove_margin_report(samp, refine=1)
+    r2 = alcove_margin_report(samp, refine=2)
     drift = abs(r2["sigma"] - r1["sigma"]) / abs(r1["sigma"])
     ok = r1["sigma"] > 0 and r2["sigma"] > 0 and drift <= 0.10
     _report(

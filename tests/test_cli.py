@@ -267,6 +267,12 @@ def test_sweep_refuses_single_epsilon(su2_spec_file):
     assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("epsilons", ["0.1,0.05,0", "0.4,0.1,-0.05"])
+def test_sweep_refuses_a_non_positive_epsilon(epsilons, su2_spec_file, capsys):
+    assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", epsilons]) == 2
+    assert "positive" in capsys.readouterr().err
+
+
 def test_sweep_csv_and_slope(su2_spec_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
@@ -332,6 +338,47 @@ def test_verify_report_matches_golden(name, data_dir, tmp_path):
     assert main(["verify", "--spec", str(data_dir / f"{name}.json"), "--seed", "1", "--out", str(out)]) == 0
     golden = json.loads((data_dir / f"verify_{name}_seed1.json").read_text())
     _assert_matches_golden(json.loads(out.read_text()), golden)
+
+
+def test_construct_matches_golden(data_dir, tmp_path):
+    """`construct` on su3_triple against the output frozen in tests/data."""
+    out = tmp_path / "construct.json"
+    assert main(["construct", "--spec", str(data_dir / "su3_triple.json"), "--out", str(out)]) == 0
+    golden = json.loads((data_dir / "construct_su3_triple.json").read_text())
+    _assert_matches_golden(json.loads(out.read_text()), golden, "construct")
+
+
+def _csv_rows(text):
+    lines = text.strip().splitlines()
+    return [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+
+
+def test_sweep_matches_golden(data_dir, tmp_path):
+    """The su2_single sweep over 0.1, 0.05, 0.025 against the CSV frozen in
+    tests/data: the same columns, and every value to the golden tolerance."""
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--spec", str(data_dir / "su2_single.json"), "--epsilons", "0.1,0.05,0.025"]
+    assert main(args + ["--out", str(out)]) == 0
+    golden = (data_dir / "sweep_su2_single.csv").read_text()
+    assert out.read_text().splitlines()[0] == golden.splitlines()[0]
+    _assert_matches_golden(_csv_rows(out.read_text()), _csv_rows(golden), "sweep")
+
+
+def test_fine_grid_verify_and_sweep(data_dir, tmp_path, capsys):
+    """`--grid fine` refines the desk grid: verify on su2_single passes on
+    more points, and the sweep keeps the eps^4 |ln eps|^3 slope (4.20)."""
+    spec = str(data_dir / "su2_single.json")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--spec", spec, "--seed", "1", "--grid", "fine", "--out", str(out)]) == 0
+    grid = json.loads(out.read_text())["grid"]
+    desk = json.loads((data_dir / "verify_su2_single_seed1.json").read_text())["grid"]
+    assert grid["preset"] == "fine" and desk["preset"] == "desk"
+    assert grid["points"] > desk["points"]
+    capsys.readouterr()
+    assert main(["sweep", "--spec", spec, "--epsilons", "0.1,0.05,0.025", "--grid", "fine",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert 3.5 <= summary["fitted_slope_log_corrected"] <= 4.5
 
 
 def test_index_command_json(tmp_path):

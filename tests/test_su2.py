@@ -12,16 +12,15 @@ from calorons.quadrature import sphere_rule
 from calorons.samplers import _mul, gauge_transform
 from calorons.su2 import (
     ITAU,
+    BPSCaloron,
+    RotatedBPSCaloron,
     _itau,
-    bps_caloron_plus,
     bps_curvature_fields,
     bps_fields,
     bps_higgs_profile,
-    bps_pair,
     dirac_monopole,
     dirac_potential,
     hedgehog_framing,
-    rotated_bps,
     rotation_gauge,
     string_gauge_fields,
     xhat_itau,
@@ -46,8 +45,7 @@ def test_bps_higgs_profile_closed_form():
 
 
 def test_bps_core_is_smooth_zero():
-    pair = bps_pair(1.0, center=(0.5, -0.2, 0.1))
-    A, Phi = pair(np.array([0.5, -0.2, 0.1]))
+    A, Phi = bps_fields(np.zeros(3), 1.0)
     assert np.allclose(A, 0) and np.allclose(Phi, 0)
     # series region: no NaN, linear growth (2 v^2/3) r
     for r in (1e-7, 1e-6, 1e-5):
@@ -68,20 +66,19 @@ def test_bps_higgs_bounded_and_increasing():
 def test_bps_bogomolny_residual_second_order():
     """Central-difference Bogomolny residual F_A - *dPhi is O(h^2)."""
     rng = np.random.default_rng(42)
-    pair = bps_pair(1.0)
     pts = rng.uniform(-2.5, 2.5, size=(100, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 0.05]
 
     def residual(h):
         worst = 0.0
-        A0, Phi0 = pair(pts)
+        A0, Phi0 = bps_fields(pts, 1.0)
         dA = np.zeros(pts.shape[:-1] + (3, 3, 2, 2), dtype=complex)
         dPhi = np.zeros(pts.shape[:-1] + (3, 2, 2), dtype=complex)
         for i in range(3):
             dp = pts.copy(); dp[:, i] += h
             dm = pts.copy(); dm[:, i] -= h
-            Ap, Pp = pair(dp)
-            Am, Pm = pair(dm)
+            Ap, Pp = bps_fields(dp, 1.0)
+            Am, Pm = bps_fields(dm, 1.0)
             dA[:, i] = (Ap - Am) / (2 * h)
             dPhi[:, i] = (Pp - Pm) / (2 * h)
         dAPhi = dPhi + np.einsum("...aij,...jk->...aik", A0, Phi0) - np.einsum(
@@ -100,7 +97,7 @@ def test_bps_bogomolny_residual_second_order():
 
 
 def test_bps_caloron_time_independent_and_mass():
-    samp = bps_caloron_plus(0.25, 1.0)
+    samp = BPSCaloron(0.25, 1.0)
     assert samp.v == 0.25
     x = np.array([[1.0, 2.0, -0.5]])
     A0, P0 = samp(x, 0.0)
@@ -117,7 +114,7 @@ def test_bps_caloron_core_radius_scales_with_epsilon():
     from scipy.optimize import brentq
 
     def rstar(eps):
-        samp = bps_caloron_plus(0.25, eps)
+        samp = BPSCaloron(0.25, eps)
         return brentq(lambda r: bps_higgs_profile(samp.v, r) - samp.v / 2, 1e-6, 1e3)
 
     assert abs(rstar(0.1) / rstar(1.0) - 0.1) < 1e-6
@@ -125,15 +122,15 @@ def test_bps_caloron_core_radius_scales_with_epsilon():
 
 def test_bps_holonomy_parameter_validation():
     with pytest.raises(HolonomyParameterError):
-        bps_caloron_plus(0.6, 1.0)
+        BPSCaloron(0.6, 1.0)
     with pytest.raises(HolonomyParameterError):
-        rotated_bps(-0.1, 1.0)
+        RotatedBPSCaloron(-0.1, 1.0)
 
 
 def test_bps_curvature_closed_form_vs_fd():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-3, 3, size=(40, 3))
-    samp = bps_caloron_plus(0.3, 1.0)
+    samp = BPSCaloron(0.3, 1.0)
     curv = curvature_at(samp, pts, 0.0, step=1e-3)
     exact = bps_curvature_fields(pts, 0.3)
     assert np.max(np.abs(curv.E - exact)) < 5e-11
@@ -143,7 +140,7 @@ def test_bps_curvature_closed_form_vs_fd():
 def test_rotated_closed_form_curvature_vs_fd():
     """g^-1 F_BPS g against the finite-difference stencil, outside the
     rotation-gauge core where the stencil resolves g."""
-    samp = rotated_bps(0.3, 1.0)
+    samp = RotatedBPSCaloron(0.3, 1.0)
     rng = np.random.default_rng(5)
     u = rng.normal(size=(40, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
@@ -159,7 +156,7 @@ def test_rotated_closed_form_curvature_vs_fd():
 def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
     """Inside the interpolation core the stencil differentiates the closed-form
     d_i g, so curvature_at resolves g^-1 F_BPS g there as well."""
-    samp = rotated_bps(0.3, 0.02)
+    samp = RotatedBPSCaloron(0.3, 0.02)
     rc = samp.gauge.core_radius
     rng = np.random.default_rng(12)
     u = rng.normal(size=(40, 3))
@@ -370,7 +367,7 @@ def test_rotation_gauge_spatial_derivative_vs_fd():
 
 
 def test_rotated_bps_asd_preserved():
-    rot = rotated_bps(0.3, 0.5)
+    rot = RotatedBPSCaloron(0.3, 0.5)
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(20, 3)) * 2.0
     pts = pts[np.linalg.norm(pts, axis=1) > 1.2 * rot.gauge.core_radius]
@@ -384,8 +381,8 @@ def test_rotated_bps_curvature_norm_matches_bps():
     plain BPS caloron of the same mass everywhere, including in the
     interpolation core."""
     eps, op = 0.5, 0.3
-    rot = rotated_bps(op, eps)
-    ref = bps_caloron_plus(0.5 - op, eps)
+    rot = RotatedBPSCaloron(op, eps)
+    ref = BPSCaloron(0.5 - op, eps)
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(25, 3)) * 1.5
     ts = rng.uniform(0, 2 * np.pi, 25)
@@ -395,7 +392,7 @@ def test_rotated_bps_curvature_norm_matches_bps():
 
 
 def test_rotated_bps_is_genuinely_t_dependent():
-    rot = rotated_bps(0.3, 0.5)
+    rot = RotatedBPSCaloron(0.3, 0.5)
     x = np.array([[0.8, 0.2, -0.4]])
     A0, P0 = rot(x, 0.0)
     A1, P1 = rot(x, 2.0)
@@ -404,7 +401,7 @@ def test_rotated_bps_is_genuinely_t_dependent():
 
 def test_rotated_holonomy_matches_charge_minus_one_model():
     eps, op = 0.25, 0.3
-    rot = rotated_bps(op, eps)
+    rot = RotatedBPSCaloron(op, eps)
     r = 12.0
     x = np.array([3.0, -4.0, np.sqrt(r * r - 25.0)])
     phases = circle_holonomy(rot, x, n_steps=96)
