@@ -52,7 +52,6 @@ from .indexes import (
     moduli_dimension,
     transverse_index,
     twisted_dirac_index,
-    twisted_dirac_index_adjoint,
 )
 from .rootsys import (
     RootDatum,
@@ -67,12 +66,10 @@ from .rootsys import (
     su2_embedding,
 )
 from .su2 import (
-    AbelianPair,
     BPSCaloron,
     GaugeMap,
     RotatedBPSCaloron,
     bps_fields,
-    dirac_monopole,
     hedgehog_framing,
     rotation_gauge,
 )

@@ -31,6 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import (
+    CaloronError,
     GluingInfeasibleError,
     HolonomyParameterError,
     InputError,
@@ -254,29 +255,24 @@ class GluingProfile:
 # gluing radius
 
 def gluing_radius(epsilon, c, d_min=None) -> float:
-    """Unique R > 0 with R = eps^-1 exp(-c R/eps), by safeguarded Newton on
-    g(R) = ln R + ln eps + c R / eps, until g(R) = 0 or a step that leaves R
-    unchanged.  R ~ eps |ln eps| / c for small eps."""
+    """Unique R > 0 with R = eps^-1 exp(-c R/eps), i.e. R = (eps/c) W(c/eps^2).
+    Newton in u = ln R on the convex, increasing u + ln eps + c e^u/eps, from
+    above the root: (eps/c) ln(1 + x) for x = c/eps^2 >= 1, as W(x) <= ln(1 + x),
+    else 1/eps.  Near the root the step is taken in R; a step of at most
+    4 ulp ends it.  R ~ eps |ln eps| / c for small eps."""
     if epsilon <= 0 or c <= 0:
         raise InputError("epsilon and c must be positive")
-    lo, hi = 1e-300, 1.0 / epsilon
-    R = min(epsilon * max(-math.log(epsilon), 1.0) / c, 0.5 / epsilon)
-    R = max(R, 1e-12)
-    for _ in range(200):
-        g = math.log(R) + math.log(epsilon) + c * R / epsilon
-        if g == 0.0:
+    log_eps = math.log(epsilon)
+    lx = math.log(c) - 2.0 * log_eps
+    R = math.exp(-log_eps if lx < 0 else log_eps - math.log(c) + math.log(lx + math.log1p(math.exp(-lx))))
+    for _ in range(20):
+        cR, p = c * R / epsilon, R * epsilon  # ln(R eps) avoids cancelling ln R + ln eps
+        du = ((math.log(p) if p > 1e-300 else math.log(R) + log_eps) + cR) / (1.0 + cR)
+        R, R_old = (R * math.exp(-du) if abs(du) > 1e-3 else R - R * du), R
+        if abs(R - R_old) <= 4.0 * math.ulp(R_old):
             break
-        if g > 0:
-            hi = min(hi, R)
-        else:
-            lo = max(lo, R)
-        R_new = R - g / (1.0 / R + c / epsilon)
-        if not (lo < R_new < hi):
-            R_new = 0.5 * (lo + hi)
-        if abs(R_new - R) <= 1e-16 * R:
-            R = R_new
-            break
-        R = R_new
+    else:
+        raise CaloronError(f"gluing radius: no convergence in 20 Newton steps for eps={epsilon!r}, c={c!r}")
     if d_min is not None and R >= d_min / 2.0:
         raise GluingInfeasibleError(
             f"gluing radius R={R:.4g} >= d_min/2={d_min / 2.0:.4g}: decrease epsilon "
@@ -565,7 +561,7 @@ class ApproximateCaloron(ConnectionSampler):
             elif patch is None:
                 A[sel], Phi[sel] = self.locals[k].evaluate(xs, ts)
             else:
-                A[sel], Phi[sel] = self._annulus_eval(k, patch, xs, ts)
+                A[sel], Phi[sel] = self.annulus_fields(k, patch, xs, ts)
         return A, Phi
 
     def annulus_parts(self, k, patch, xs, ts):
@@ -612,7 +608,8 @@ class ApproximateCaloron(ConnectionSampler):
             "F": (hF[..., None] * fund.tau3, zF),
         }
 
-    def _annulus_eval(self, k, patch, xs, ts):
+    def annulus_fields(self, k, patch, xs, ts):
+        """(A, Phi) on annulus k in its patch "N" or "S": model + chi b + (1 - chi) s."""
         parts = self.annulus_parts(k, patch, xs, ts)
         chi = parts["chi"][..., None]
         (model_A, model_P), (zA, bP), (sA, sP) = parts["model"], parts["b"], parts["s"]

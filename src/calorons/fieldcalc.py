@@ -92,10 +92,6 @@ class CurvatureSample:
         """2 sum_a <E_a, B_a>, the density of tr_f_wedge_f."""
         return 2.0 * np.sum(lie_inner(self.E, self.B), axis=-1)
 
-    def inner_sd_asd(self):
-        """<F^+, F^-> pointwise; vanishes identically (projector property)."""
-        return self.norm_sq() - self.sd_norm_sq() - self.asd_norm_sq()
-
 
 _FD4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 

@@ -129,22 +129,6 @@ def _rep_dynkin_index(datum: RootDatum, weights) -> Fraction:
     return sum((pairing(w, thetav) ** 2 for w in weights), Fraction(0)) / 2
 
 
-def weyl_closed(datum: RootDatum, weights) -> bool:
-    """Sanity check: the weight multiset is stable under the simple
-    reflections."""
-    from collections import Counter
-
-    bag = Counter(tuple(Fraction(c) for c in w) for w in weights)
-    for a, av in zip(datum.simple_roots, datum.simple_coroots):
-        refl = Counter()
-        for w, k in bag.items():
-            img = tuple(wc - pairing(w, av) * ac for wc, ac in zip(w, a))
-            refl[img] += k
-        if refl != bag:
-            return False
-    return True
-
-
 def defining_weights(datum: RootDatum) -> WeightList:
     """Weights of the defining representation of su(n) (type A only)."""
     if datum.series != "A":
@@ -165,15 +149,6 @@ def adjoint_weights(datum: RootDatum) -> WeightList:
     for _ in range(datum.rank):
         ws.append(vzero(datum.ambient_dim))
     return WeightList(tuple(ws), _rep_dynkin_index(datum, ws))
-
-
-def weight_list(datum: RootDatum, weights) -> WeightList:
-    """Wrap externally supplied weights (e.g. from a file) with the closure
-    sanity check."""
-    ws = tuple(tuple(Fraction(c) for c in w) for w in weights)
-    if not weyl_closed(datum, ws):
-        raise ValueError("weight multiset is not closed under the Weyl group")
-    return WeightList(ws, _rep_dynkin_index(datum, ws))
 
 
 def _floor_frac(x: Fraction) -> int:
@@ -224,30 +199,3 @@ def jump_loci(datum: RootDatum, rep: WeightList, omega: Sequence):
         if s_w < 1:
             out.add(s_w)
     return sorted(out)
-
-
-def twisted_dirac_index_adjoint(
-    datum: RootDatum, omega: Sequence, gamma_coeffs: Sequence[int], n0: int, s
-) -> int:
-    """Adjoint special case evaluated independently:
-
-        2 sum_mu n_mu + sum_{alpha in R+} (delta_{s > s_alpha^+} - delta_{s > s_alpha^-}) alpha(gamma_m)
-
-    with s_alpha^+ = 1 - alpha(omega), s_alpha^- = alpha(omega).
-    """
-    omega = tuple(Fraction(c) for c in omega)
-    s = Fraction(s)
-    gamma = charge_vector(datum, gamma_coeffs)
-    n = [n0] + [
-        c + n0 * m for c, m in zip(gamma_coeffs, datum.dual_coxeter_labels)
-    ]
-    total = Fraction(2 * sum(n))
-    for a in datum.positive_roots:
-        a_omega = pairing(a, omega)
-        s_plus = 1 - a_omega
-        s_minus = a_omega
-        if s in (s_plus, s_minus):
-            raise ResonanceError(s, a)
-        delta = (1 if s > s_plus else 0) - (1 if s > s_minus else 0)
-        total += delta * pairing(a, gamma)
-    return _exact_ratio(total.numerator, total.denominator, "adjoint twisted index")

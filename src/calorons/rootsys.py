@@ -327,9 +327,6 @@ class RootDatum:
     def _coroot_numerators(self) -> Tuple[int, List[Coeffs]]:
         return _over_common_denominator(self.simple_coroots)
 
-    def alcove_vertices(self) -> List[Vector]:
-        return list(self._alcove_vertices)
-
     @functools.cached_property
     def _alcove_vertices(self) -> Tuple[Vector, ...]:
         verts = [vzero(self.ambient_dim)]

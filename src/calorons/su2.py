@@ -6,7 +6,7 @@ The charge-1 BPS monopole of mass v,
     A_i = -(1/2) (1 - 2vr/sinh(2vr)) eps_{ija} xhat^j (i tau^a) / r,
 
 its lift to a circle-invariant caloron A + eps Phi dt, the hedgehog framing
-that diagonalizes the asymptotic Higgs field, abelian Dirac monopoles in the
+that diagonalizes the asymptotic Higgs field, the Dirac monopole potential in the
 two-patch gauge, and the t-dependent "rotation" gauge transformation
 g(x,t) = exp(-t Phihat(x)/2) whose pullback produces the rotated monopole.
 The framed caloron is also written down in the abelian ("string") gauge of
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ChartDomainError, HolonomyParameterError, SingularPointError
+from .errors import ChartDomainError, HolonomyParameterError
 from .quadrature import _smoothstep, _smoothstep_prime
 from .samplers import ConnectionSampler, PulledBackSampler, dagger
 
@@ -213,51 +213,6 @@ def dirac_potential(x, patch="N"):
     a[..., 0] = -x2 / denom
     a[..., 1] = x1 / denom
     return a
-
-
-class AbelianPair:
-    """Dirac monopole (A^gamma_p, Phi^gamma_p): Phi = -gamma/(2|x-p|), with
-    the vector potential given in two patches and curvature (1/2) gamma dv_S2."""
-
-    def __init__(self, center, charge_matrix):
-        self.center = np.asarray(center, dtype=float)
-        self.charge_matrix = np.asarray(charge_matrix, dtype=complex)
-        self.n = self.charge_matrix.shape[0]
-
-    def _rel(self, x):
-        rel = np.asarray(x, float) - self.center
-        r = _r_of(rel)
-        if np.any(r == 0):
-            raise SingularPointError("evaluation at the monopole singularity")
-        return rel, r
-
-    def higgs(self, x):
-        _, r = self._rel(x)
-        return -self.charge_matrix / (2.0 * r)[..., None, None]
-
-    def potential(self, x, patch="N"):
-        rel, _ = self._rel(x)
-        a = dirac_potential(rel, patch)
-        return a[..., :, None, None] * self.charge_matrix
-
-    def field_strength(self, x):
-        """Closed form B_a = (1/2) gamma xhat_a / r^2 (E follows from the
-        Bogomolny equation: E = B)."""
-        rel, r = self._rel(x)
-        coeff = rel / (2.0 * r**3)[..., None]
-        return coeff[..., :, None, None] * self.charge_matrix
-
-
-def dirac_monopole(center, charge) -> AbelianPair:
-    """charge may be an integer/float (times i tau_3) or an n x n matrix."""
-    charge_arr = np.asarray(charge)
-    if charge_arr.ndim == 0:
-        charge_matrix = complex(charge_arr) * ITAU[2]
-    elif charge_arr.ndim == 1:
-        charge_matrix = 1j * np.diag(charge_arr.astype(float))
-    else:
-        charge_matrix = charge_arr.astype(complex)
-    return AbelianPair(center, charge_matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,21 @@ Framed SU(2) fields: the matrix route to the string gauge that
 `su2.string_gauge_fields` replaced by closed forms.  The BPS caloron is
 conjugated by the hedgehog framing, with its analytic derivative, and by
 g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
+
+Test-only references that the library does not call: the alcove vertices by
+rational elimination, Weyl-closed weight lists, the adjoint special case of
+the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`) and the
+F+/F- inner product of a curvature sample.
 """
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
+from calorons.errors import ResonanceError, SingularPointError
+from calorons.indexes import WeightList, _rep_dynkin_index
 from calorons.rootsys import (
     _exact_ratio,
     _int_comb,
@@ -365,3 +373,118 @@ def annulus_fields_dense(samp, k, patch, xs, ts):
     a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]
     B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (_mul(a, b) - _mul(b, a))
     return A, Phi, E, B
+
+
+# -- exact references: alcove vertices, weights, the adjoint twisted index -----------
+
+def alcove_vertices(datum):
+    """The rank + 1 vertices of the fundamental alcove: 0, and for each node j
+    the point of the coroot span where alpha_i vanishes for i != j and
+    alpha_j = 1/m_j, by rational elimination on the pairing matrix."""
+    pairings = [[pairing(a, av) for av in datum.simple_coroots] for a in datum.simple_roots]
+    verts = [(Fraction(0),) * datum.ambient_dim]
+    for j, m in enumerate(datum.marks):
+        c = rational_solve(pairings, [Fraction(int(i == j), m) for i in range(datum.rank)])
+        verts.append(lincomb(c, datum.simple_coroots, datum.ambient_dim))
+    return verts
+
+
+def weyl_closed(datum, weights):
+    """Sanity check: the weight multiset is stable under the simple
+    reflections."""
+    bag = Counter(tuple(Fraction(c) for c in w) for w in weights)
+    for a, av in zip(datum.simple_roots, datum.simple_coroots):
+        refl = Counter()
+        for w, k in bag.items():
+            img = tuple(wc - pairing(w, av) * ac for wc, ac in zip(w, a))
+            refl[img] += k
+        if refl != bag:
+            return False
+    return True
+
+
+def weight_list(datum, weights):
+    """Wrap externally supplied weights (e.g. from a file) with the closure
+    sanity check."""
+    ws = tuple(tuple(Fraction(c) for c in w) for w in weights)
+    if not weyl_closed(datum, ws):
+        raise ValueError("weight multiset is not closed under the Weyl group")
+    return WeightList(ws, _rep_dynkin_index(datum, ws))
+
+
+def twisted_dirac_index_adjoint(datum, omega, gamma_coeffs, n0, s):
+    """Adjoint special case evaluated independently:
+
+        2 sum_mu n_mu + sum_{alpha in R+} (delta_{s > s_alpha^+} - delta_{s > s_alpha^-}) alpha(gamma_m)
+
+    with s_alpha^+ = 1 - alpha(omega), s_alpha^- = alpha(omega).
+    """
+    omega = tuple(Fraction(c) for c in omega)
+    s = Fraction(s)
+    gamma = charge_vector(datum, gamma_coeffs)
+    n = [n0] + [
+        c + n0 * m for c, m in zip(gamma_coeffs, datum.dual_coxeter_labels)
+    ]
+    total = Fraction(2 * sum(n))
+    for a in datum.positive_roots:
+        a_omega = pairing(a, omega)
+        s_plus = 1 - a_omega
+        s_minus = a_omega
+        if s in (s_plus, s_minus):
+            raise ResonanceError(s, a)
+        delta = (1 if s > s_plus else 0) - (1 if s > s_minus else 0)
+        total += delta * pairing(a, gamma)
+    return _exact_ratio(total.numerator, total.denominator, "adjoint twisted index")
+
+
+# -- Dirac monopoles as n x n matrices, and the F+/F- inner product --------------------
+
+class AbelianPair:
+    """Dirac monopole (A^gamma_p, Phi^gamma_p): Phi = -gamma/(2|x-p|), with
+    the vector potential given in two patches and curvature (1/2) gamma dv_S2."""
+
+    def __init__(self, center, charge_matrix):
+        self.center = np.asarray(center, dtype=float)
+        self.charge_matrix = np.asarray(charge_matrix, dtype=complex)
+        self.n = self.charge_matrix.shape[0]
+
+    def _rel(self, x):
+        rel = np.asarray(x, float) - self.center
+        r = _r_of(rel)
+        if np.any(r == 0):
+            raise SingularPointError("evaluation at the monopole singularity")
+        return rel, r
+
+    def higgs(self, x):
+        _, r = self._rel(x)
+        return -self.charge_matrix / (2.0 * r)[..., None, None]
+
+    def potential(self, x, patch="N"):
+        rel, _ = self._rel(x)
+        a = dirac_potential(rel, patch)
+        return a[..., :, None, None] * self.charge_matrix
+
+    def field_strength(self, x):
+        """Closed form B_a = (1/2) gamma xhat_a / r^2 (E follows from the
+        Bogomolny equation: E = B)."""
+        rel, r = self._rel(x)
+        coeff = rel / (2.0 * r**3)[..., None]
+        return coeff[..., :, None, None] * self.charge_matrix
+
+
+def dirac_monopole(center, charge):
+    """charge may be an integer/float (times i tau_3) or an n x n matrix."""
+    charge_arr = np.asarray(charge)
+    if charge_arr.ndim == 0:
+        charge_matrix = complex(charge_arr) * ITAU[2]
+    elif charge_arr.ndim == 1:
+        charge_matrix = 1j * np.diag(charge_arr.astype(float))
+    else:
+        charge_matrix = charge_arr.astype(complex)
+    return AbelianPair(center, charge_matrix)
+
+
+def inner_sd_asd(curv):
+    """<F^+, F^-> pointwise of a `CurvatureSample`; vanishes identically
+    (projector property)."""
+    return curv.norm_sq() - curv.sd_norm_sq() - curv.asd_norm_sq()

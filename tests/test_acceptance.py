@@ -32,7 +32,6 @@ from calorons.indexes import (
     moduli_dimension,
     transverse_index,
     twisted_dirac_index,
-    twisted_dirac_index_adjoint,
 )
 from calorons.quadrature import desk_grid
 from calorons.rootsys import (
@@ -45,7 +44,7 @@ from calorons.rootsys import (
     random_interior_omega,
 )
 from calorons.su2 import BPSCaloron, RotatedBPSCaloron, bps_fields, hedgehog_framing
-from oracles import dynkin_index_adjoint_bruteforce, dynkin_index_su2_via_adjoint
+from oracles import dynkin_index_adjoint_bruteforce, dynkin_index_su2_via_adjoint, twisted_dirac_index_adjoint
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +14,7 @@ import pytest
 
 from calorons.cli import main
 from calorons.rootsys import all_simple_types
+from calorons.verify import Check
 
 SU2_SPEC = {
     "epsilon": 0.05,
@@ -338,6 +341,64 @@ def test_verify_report_matches_golden(name, data_dir, tmp_path):
     assert main(["verify", "--spec", str(data_dir / f"{name}.json"), "--seed", "1", "--out", str(out)]) == 0
     golden = json.loads((data_dir / f"verify_{name}_seed1.json").read_text())
     _assert_matches_golden(json.loads(out.read_text()), golden)
+
+
+LEDGER_LINE = re.compile(r"\[(PASS|FAIL)\] ([a-z-]+): (\S+) (<=|>=|<|>) (\S+)(  \(.*\))?$")
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+CHECK_NAMES = [
+    "alcove-omega-margin", "alcove-local-parameters", "holonomy-shift-bound", "gluing-radius",
+    "core-self-dual-error", "far-self-dual-error", "annulus-fplus-bound", "annulus-closed-form-vs-fd",
+    "density-t-invariance", "gauge-patch-consistency", "alcove-containment-sigma",
+    "alcove-sigma-refinement-drift", "magnetic-charge", "magnetic-charge-residual",
+    "holonomy-infinity", "sd-error-localization", "energy-vs-formula",
+]
+
+
+def _ledger(lines):
+    """The parsed check lines of a verify run; every line but the summary must parse."""
+    parsed = [LEDGER_LINE.match(line) for line in lines[:-1]]
+    assert all(parsed), lines
+    return parsed
+
+
+@pytest.mark.parametrize("name", ["su3_triple", "su2_single"])
+def test_verify_ledger_lines_are_their_comparisons(name, data_dir, capsys):
+    """Each verify line reads `[STATUS] name: value op bound`, the checks come
+    in their fixed order (holonomy-shift-bound only with two or more
+    constituents), and each status is the printed comparison."""
+    assert main(["verify", "--spec", str(data_dir / f"{name}.json"), "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verify: all checks passed"
+    ledger = _ledger(lines)
+    expected = [n for n in CHECK_NAMES if name == "su3_triple" or n != "holonomy-shift-bound"]
+    assert [m[2] for m in ledger] == expected
+    for m in ledger:
+        assert (m[1] == "PASS") == OPS[m[4]](float(m[3]), float(m[5])), m[0]
+
+
+def test_verify_failure_is_one_fail_line(data_dir, tmp_path, capsys):
+    """su2_single at eps = 0.1 is too coarse for the energy: verify exits 1,
+    energy-vs-formula is the only [FAIL] line, at relative error 0.058 > 0.02,
+    and every other check still prints PASS."""
+    spec = dict(json.loads((data_dir / "su2_single.json").read_text()), epsilon=0.1)
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(path), "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verify: CHECK FAILURES"
+    failed = [m for m in _ledger(lines) if m[1] == "FAIL"]
+    assert [m[2] for m in failed] == ["energy-vs-formula"]
+    assert abs(float(failed[0][3]) - 0.0584) < 5e-4 and failed[0].group(4, 5) == ("<", "0.02")
+    assert sum(line.startswith("[PASS] ") for line in lines) == len(lines) - 2
+
+
+def test_check_status_is_its_comparison():
+    """A check passes exactly when `value op bound` holds, with the strictness
+    of its operator, and prints that comparison."""
+    assert not Check("c", 0.02, 0.02, "<").passed and Check("c", 0.02, 0.02, "<=").passed
+    assert not Check("c", 0.0, 0.0, ">").passed and Check("c", 0.0, 0.0, ">=").passed
+    assert not Check("c", float("nan"), 1.0, "<").passed
+    assert Check("c", 0.25, 0.0, ">", "note").line() == "[PASS] c: 0.25 > 0  (note)"
 
 
 def test_construct_matches_golden(data_dir, tmp_path):

@@ -30,6 +30,7 @@ from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, s
 from calorons.rootsys import build_root_datum
 from calorons.samplers import ConnectionSampler, PulledBackSampler, gauge_transform
 from calorons.su2 import BPSCaloron, GaugeMap, RotatedBPSCaloron
+from oracles import inner_sd_asd
 
 ITAU = [
     1j * np.array([[0, 1], [1, 0]], dtype=complex),
@@ -89,7 +90,7 @@ def test_sd_asd_projector_properties():
     assert np.allclose(sd + asd, E)
     assert np.allclose(asd - sd, B)
     # norm additivity <=> orthogonality of the two projections
-    assert np.max(np.abs(curv.inner_sd_asd())) < 1e-10
+    assert np.max(np.abs(inner_sd_asd(curv))) < 1e-10
     # a purely self-dual input has vanishing asd part
     pure = CurvatureSample(E=E, B=-E)
     assert np.max(np.abs(pure.asd_part)) < 1e-14

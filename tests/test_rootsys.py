@@ -33,6 +33,7 @@ from calorons.rootsys import (
 from calorons.indexes import transverse_index
 from calorons.su2 import ITAU
 from oracles import (
+    alcove_vertices,
     dot_fraction,
     dynkin_index_adjoint_bruteforce,
     eager_root_datum,
@@ -230,7 +231,7 @@ def test_alcove_barycenter_margin_vertex_oracle():
     d = build_root_datum("A", 2)
     bc = d.alcove_barycenter()
     assert alcove_margin(d, bc) == Fraction(1, 3)
-    verts = d.alcove_vertices()
+    verts = alcove_vertices(d)
     facets = [lambda v, a=a: pairing(a, v) for a in d.simple_roots]
     facets.append(lambda v: 1 + pairing(d.lowest_root, v))
     margins = []

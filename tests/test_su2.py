@@ -18,7 +18,6 @@ from calorons.su2 import (
     bps_curvature_fields,
     bps_fields,
     bps_higgs_profile,
-    dirac_monopole,
     dirac_potential,
     hedgehog_framing,
     rotation_gauge,
@@ -27,6 +26,7 @@ from calorons.su2 import (
 )
 from oracles import (
     bps_remainder,
+    dirac_monopole,
     hedgehog_framing_derivative,
     rotated_remainder,
     string_gauge_matrices,
