@@ -42,7 +42,7 @@ from .fieldcalc import _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler
-from .su2 import BPSCaloron, RotatedBPSCaloron, dirac_potential, string_gauge_fields
+from .su2 import core_curvature, core_fields, dirac_potential, string_gauge_fields
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,8 @@ class CaloronSpec:
             raise InputError("constituent positions must be distinct")
         # verify's FD steps at the cores and on the flux sphere must be resolved
         # to 1e-6 at that sphere's radius, taken for d_max >= 1 (this bounds r^3 too)
-        radius = _flux_radius(max(max(math.hypot(*p) for p in pos), 1.0))
+        R = gluing_radius(self.epsilon, self.gluing_c)
+        radius = _flux_radius(max(max(math.hypot(*p) for p in pos), 1.0), R)
         step = min(_core_step(self.epsilon), _flux_step(radius))
         if not math.ulp(radius) <= 1e-6 * step:
             raise InputError(f"constituent positions too large: the float spacing at |x| = {radius:.3g} "
@@ -265,6 +266,9 @@ def gluing_radius(epsilon, c, d_min=None) -> float:
     log_eps = math.log(epsilon)
     lx = math.log(c) - 2.0 * log_eps
     R = math.exp(-log_eps if lx < 0 else log_eps - math.log(c) + math.log(lx + math.log1p(math.exp(-lx))))
+    if not 1e-300 < R < 1e300:  # the start lies within a factor 2 above the root
+        raise InputError(f"gluing radius for eps={epsilon!r}, c={c!r} lies outside the float range "
+                         "(1e-300, 1e300)")
     for _ in range(20):
         cR, p = c * R / epsilon, R * epsilon  # ln(R eps) avoids cancelling ln R + ln eps
         du = ((math.log(p) if p > 1e-300 else math.log(R) + log_eps) + cR) / (1.0 + cR)
@@ -335,17 +339,15 @@ def _cartan_matrix(diag, block=None, off=None):
     return out
 
 
-def _embed(x, tau3, block, shift=None):
-    """A 2 x 2 matrix x (batched ok) in su(n), with the su(2) block and
-    Cartan diagonal tau3 of a node, plus the real Cartan diagonal shift.
-
-    x is first projected orthogonally onto su(2): the (a, b) entry becomes
-    (x01 - conj(x10))/2 and the Cartan part h tau3 with h = (Im x00 - Im x11)/2.
-    """
-    diag = 0.5 * (x[..., 0, 0].imag - x[..., 1, 1].imag)[..., None] * tau3
+def _embed(V, tau3, block, shift=None):
+    """An su(2) coefficient vector V (..., 3) of V.(i tau) (batched ok) in
+    su(n), with the su(2) block and Cartan diagonal tau3 of a node: the
+    Cartan part V_3 tau3 plus the real Cartan diagonal shift, and the (a, b)
+    entry V_2 + i V_1."""
+    diag = V[..., 2, None] * tau3
     if shift is not None:
         diag = diag + shift
-    return _cartan_matrix(diag, block, 0.5 * (x[..., 0, 1] - np.conjugate(x[..., 1, 0])))
+    return _cartan_matrix(diag, block, V[..., 1] + 1j * V[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,8 @@ def _embed(x, tau3, block, shift=None):
 class FundamentalCaloron(ConnectionSampler):
     """Embedded fundamental caloron of type alpha_mu^vee with holonomy
     parameter omega: rho_mu(BPS caloron + omega'_mu dt) for mu >= 1, the
-    embedded rotated monopole for mu = 0."""
+    embedded rotated monopole for mu = 0, both scattered from the su(2)
+    coefficient vectors of `su2.core_fields`."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
         self.block = _su2_block(datum, mu)
@@ -376,22 +379,19 @@ class FundamentalCaloron(ConnectionSampler):
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
             )
-        su2_caloron = RotatedBPSCaloron if mu == 0 else BPSCaloron
-        self._su2 = su2_caloron(self.su2_parameter, self.epsilon)
-        self.v = self._su2.v
+        self.v = (0.5 - self.su2_parameter if mu == 0 else self.su2_parameter) / self.epsilon
         self.n = datum.ambient_dim
         self.charge_matrix = _cartan_matrix(coroot)
 
     def evaluate(self, x, t, chart=None):
-        A2, P2 = self._su2.evaluate(x - self.center, t)
-        A = _embed(A2, self.tau3, self.block)
-        return A, _embed(P2, self.tau3, self.block, self.omega_prime / self.epsilon)
+        A, Phi = core_fields(x - self.center, self.v, t if self.mu == 0 else None, self.epsilon)
+        return _embed(A, self.tau3, self.block), _embed(Phi, self.tau3, self.block, self.omega_prime / self.epsilon)
 
     def exact_curvature(self, x, t):
         """The embedded su(2) curvature; the constant Cartan part of Phi
         commutes with the embedded su(2) and adds nothing."""
-        E2, _ = self._su2.exact_curvature(np.asarray(x, float) - self.center, t)
-        E = _embed(E2, self.tau3, self.block)
+        E = _embed(core_curvature(np.asarray(x, float) - self.center, self.v, t if self.mu == 0 else None),
+                   self.tau3, self.block)
         return E, E.copy()
 
 

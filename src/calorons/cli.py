@@ -118,7 +118,7 @@ def cmd_sweep(args):
         samp = approximate_caloron(spec)
         err, energy, _, _ = field_integrals(samp, args.grid)
         try:
-            _, resid = magnetic_charge(samp, _flux_radius(spec.d_max))
+            _, resid = magnetic_charge(samp, _flux_radius(spec.d_max, samp.R))
         except CaloronError:
             resid = float("nan")
         values = (eps, samp.R, err.total_sq, energy.value, energy_formula_float(spec), resid)

@@ -138,8 +138,9 @@ def _stencil(sampler, x, t, step, dt=None):
 # The finite-difference step policy of the diagnostics, which verify, the CLI
 # and the spec's position bound all read from here: step eps/100 at the
 # cores, min(eps/10, 0.05) at verify's probes of the abelian exterior, and
-# the flux sphere of radius 2(d + 1) about the origin, d the largest
-# constituent distance, with step min(0.02 radius, 0.5).
+# the flux sphere about the origin of radius max(2(d + 1), d + 2R), d the
+# largest constituent distance, so that it stays a distance 2R off every
+# constituent, outside the gluing balls, with step min(0.02 radius, 0.5).
 
 def _core_step(epsilon):
     return epsilon / 100.0
@@ -149,8 +150,8 @@ def _far_step(epsilon):
     return min(epsilon / 10.0, 0.05)
 
 
-def _flux_radius(d_max):
-    return 2.0 * (d_max + 1.0)
+def _flux_radius(d_max, R):
+    return max(2.0 * (d_max + 1.0), d_max + 2.0 * R)
 
 
 def _flux_step(radius):

@@ -18,14 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _broadcast_t(x, t):
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.shape != x.shape[:-1]:
-        t = np.broadcast_to(t, x.shape[:-1]).copy()
-    return x, t
-
-
 class ConnectionSampler:
     """Base class; subclasses implement evaluate()."""
 
@@ -36,7 +28,9 @@ class ConnectionSampler:
         return None
 
     def __call__(self, x, t, chart=None):
-        x, t = _broadcast_t(x, t)
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        if t.shape != x.shape[:-1]:
+            t = np.broadcast_to(t, x.shape[:-1]).copy()
         return self.evaluate(x, t, chart)
 
     def evaluate(self, x, t, chart=None):
@@ -49,39 +43,6 @@ class ConnectionSampler:
         raise NotImplementedError
 
 
-class PulledBackSampler(ConnectionSampler):
-    """Gauge transform of an SU(2) sampler by an SU(2) gauge map:
-    A -> g^-1 A g + g^-1 dg."""
-
-    def __init__(self, base, gauge_map):
-        self.base = base
-        self.gauge = gauge_map
-        self.n = base.n
-        self.epsilon = base.epsilon
-
-    @property
-    def charge_matrix(self):
-        """The base's charge: a gauge transform leaves |gamma| unchanged."""
-        return self.base.charge_matrix
-
-    def chart(self, x, t=None):
-        return self.base.chart(x, t)
-
-    def evaluate(self, x, t, chart=None):
-        A, Phi = self.base(x, t, chart)
-        g = self.gauge(x, t)
-        A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
-        return A_new, Phi_new + _mul(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
-
-    def exact_curvature(self, x, t):
-        """g^-1 F_base g: curvature transforms covariantly, so no derivative
-        of g enters."""
-        F = self.base.exact_curvature(x, t)
-        x, t = _broadcast_t(x, t)
-        EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(F, axis=-3))
-        return EB[..., :3, :, :], EB[..., 3:, :, :]
-
-
 def _mul(a, b):
     """Batched small-matrix product a @ b as the explicit sum over j of
     a[..., :, j] b[..., j, :], accumulated in j order: every operation runs
@@ -91,21 +52,6 @@ def _mul(a, b):
     for j in range(1, a.shape[-1]):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
-
-
-def gauge_transform(g, A, Phi=None, dg=None):
-    """(g^-1 A_a g + g^-1 d_a g, g^-1 Phi g) for SU(2)-valued g, so g^-1 = g^dagger.
-
-    g (..., 2, 2), A and dg (..., 3, 2, 2), Phi (..., 2, 2); dg=None drops the
-    inhomogeneous term (a constant or purely t-dependent conjugation, or
-    curvature components passed as A).  Phi=None returns None in its place.
-    """
-    ginv = dagger(g)
-    ginv_a = ginv[..., None, :, :]
-    A_new = _mul(ginv_a, _mul(A, g[..., None, :, :]))
-    if dg is not None:
-        A_new += _mul(ginv_a, dg)
-    return A_new, None if Phi is None else _mul(ginv, _mul(Phi, g))
 
 
 def dagger(m):

@@ -9,12 +9,15 @@ its lift to a circle-invariant caloron A + eps Phi dt, the hedgehog framing
 that diagonalizes the asymptotic Higgs field, the Dirac monopole potential in the
 two-patch gauge, and the t-dependent "rotation" gauge transformation
 g(x,t) = exp(-t Phihat(x)/2) whose pullback produces the rotated monopole.
-The framed caloron is also written down in the abelian ("string") gauge of
-each patch, in closed form (`string_gauge_fields`): the gluing annuli take
-it with no frame, derivative or conjugation computed as a matrix product.
+Both monopoles are su(2) coefficient vectors V of V.(i tau) in closed form
+(`core_fields`, `core_curvature`), the pullback by g worked out.  The framed
+caloron is also written down in the abelian ("string") gauge of each patch
+in closed form (`string_gauge_fields`), for the gluing annuli.
 
 Radial profiles switch to 5th-order Taylor series for 2vr < 1e-4 so the
-removable singularity at the core never produces NaN.
+removable singularity at the core never produces NaN; their closed branch is
+evaluated at 2vr = r = 1 there, and the terms that decay like exp(-2vr) are
+0 past 2vr = 350, so that no branch forms an inf.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError
 from .quadrature import _smoothstep, _smoothstep_prime
-from .samplers import ConnectionSampler, PulledBackSampler, dagger
+from .samplers import ConnectionSampler, dagger
 
 _SERIES_CUT = 1e-4
+_DECAY_CUT = 350.0  # exp(-2 * 350) < 1e-304: the decaying terms are 0 next to O(1) ones
 _TINY = 1e-300
 
 ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  # i tau_a, (3, 2, 2)
@@ -52,78 +56,128 @@ def xhat_itau(x):
     return _itau(x / np.maximum(r, _TINY))
 
 
-def bps_higgs_profile(v, r):
-    """phi(r) = v coth(2vr) - 1/(2r), with series fallback near r = 0."""
+def _branches(v, r):
+    """The series mask 2vr < 1e-4, u = 2vr where the series applies, and the
+    closed branch's (u, r), each 1 where the series applies."""
     r = np.asarray(r, dtype=float)
     u = 2.0 * v * r
     small = u < _SERIES_CUT
-    us = np.where(small, u, 1.0)
+    return small, np.where(small, u, 1.0), np.where(small, 1.0, u), np.where(small, 1.0, r)
+
+
+def _sinh_capped(u):
+    """sinh(u) with u capped at 350, and the mask u > 350 past which the
+    terms that decay like 1/sinh(u) are 0."""
+    decayed = u > _DECAY_CUT
+    return np.sinh(np.where(decayed, _DECAY_CUT, u)), decayed
+
+
+def bps_higgs_profile(v, r):
+    """phi(r) = v coth(2vr) - 1/(2r), with series fallback near r = 0."""
+    small, us, ub, rb = _branches(v, r)
     series = v * (us / 3.0 - us**3 / 45.0 + 2.0 * us**5 / 945.0)
-    ub = np.where(small, 1.0, u)
-    closed = v / np.tanh(ub) - 1.0 / (2.0 * np.maximum(r, _TINY))
+    closed = v / np.tanh(ub) - 1.0 / (2.0 * rb)
     return np.where(small, series, closed)
 
 
 def bps_gauge_profile(v, r):
     """k(r) = (1 - 2vr/sinh(2vr)) / (2r); A_i = -k eps_{ija} xhat^j i tau^a."""
-    r = np.asarray(r, dtype=float)
-    u = 2.0 * v * r
-    small = u < _SERIES_CUT
-    us = np.where(small, u, 1.0)
+    small, us, ub, rb = _branches(v, r)
     # (1 - u/sinh u)/(2r) = v (u/6 - 7 u^3/360 + 31 u^5 / 15120)
     series = v * (us / 6.0 - 7.0 * us**3 / 360.0 + 31.0 * us**5 / 15120.0)
-    ub = np.where(small, 1.0, u)
-    closed = (1.0 - ub / np.sinh(ub)) / (2.0 * np.maximum(r, _TINY))
+    sh, decayed = _sinh_capped(ub)
+    closed = (1.0 - np.where(decayed, 0.0, ub / sh)) / (2.0 * rb)
     return np.where(small, series, closed)
-
-
-def bps_fields(x, v):
-    """(A, Phi) of the mass-v BPS monopole centred at the origin."""
-    x = np.asarray(x, dtype=float)
-    r = _r_of(x)
-    xh = x / np.maximum(r, _TINY)[..., None]
-    phi = bps_higgs_profile(v, r)
-    k = bps_gauge_profile(v, r)
-    Phi = phi[..., None, None] * _itau(xh)
-    # eps_ija xhat_j = (e_i x xhat)_a, contracted with i tau_a
-    A = -k[..., None, None, None] * _itau(np.cross(np.eye(3), xh[..., None, :]))
-    return A, Phi
 
 
 def _radial_profiles(v, r):
     """phi'(r), w(r) = 2vr/sinh(2vr) and phi w / r, each with its series for
     2vr < 1e-4; phi w / r -> 2v^2/3 at the core."""
-    u = 2.0 * v * r
-    small = u < _SERIES_CUT
-    ub = np.where(small, 1.0, u)
-    us = np.where(small, u, 1.0)
+    small, us, ub, rb = _branches(v, r)
+    sh, decayed = _sinh_capped(ub)
     # phi'(r) = 1/(2 r^2) - 2 v^2 / sinh^2(2 v r); series: 2v^2/3 - 8 v^4 r^2 / 15
-    dphi_closed = 1.0 / (2.0 * np.maximum(r, _TINY) ** 2) - 2.0 * v**2 / np.sinh(ub) ** 2
+    dphi_closed = 1.0 / (2.0 * rb**2) - np.where(decayed, 0.0, 2.0 * v**2 / sh**2)
     dphi_series = 2.0 * v**2 / 3.0 - 2.0 * v**2 * us**2 / 15.0 + 4.0 * v**2 * us**4 / 189.0
     dphi = np.where(small, dphi_series, dphi_closed)
-    w = np.where(small, 1.0 - us**2 / 6.0 + 7.0 * us**4 / 360.0, ub / np.sinh(ub))
-    phw = np.where(
-        small,
-        v**2 * (2.0 / 3.0 - 2.0 * us**2 / 9.0),
-        bps_higgs_profile(v, r) * w / np.maximum(r, _TINY),
-    )
+    w = np.where(small, 1.0 - us**2 / 6.0 + 7.0 * us**4 / 360.0, np.where(decayed, 0.0, ub / sh))
+    phw = np.where(small, v**2 * (2.0 / 3.0 - 2.0 * us**2 / 9.0), bps_higgs_profile(v, rb) * w / rb)
     return dphi, w, phw
 
 
-def bps_curvature_fields(x, v):
-    """Closed-form E = B of the BPS caloron (independent of any finite
-    difference):
-
-        E_i = phi'(r) xhat_i xhat_a (i tau_a) + (phi w / r)(delta_ia - xhat_i xhat_a)(i tau_a)
-
-    with w(r) = 2vr/sinh(2vr)."""
+def _frame(x, v, rotated):
+    """r, xhat and the frame vectors (..., 3, 3) [i, a] R_i = xhat_i xhat,
+    P_i = e_i - xhat_i xhat and X_i = xhat x e_i; for the rotated monopole
+    also (q, q') of the rotation map's quintic on its core radius 1/(2v)
+    (see `rotation_gauge`), else (None, None)."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
-    xh = x / np.maximum(r, _TINY)[..., None]
+    n = x / np.maximum(r, _TINY)[..., None]
+    R = n[..., :, None] * n[..., None, :]
+    X = np.cross(n[..., None, :], np.eye(3))
+    q = dq = None
+    if rotated:
+        core = 1.0 / (2.0 * v)
+        q, dq = _smoothstep(r / core), _smoothstep_prime(r / core) / core
+    return r, n, R, np.eye(3) - R, X, q, dq
+
+
+def core_fields(x, v, t=None, epsilon=None):
+    """(A, Phi) of the mass-v BPS monopole centred at the origin as su(2)
+    coefficient vectors, A (..., 3, 3) [i, a] and Phi (..., 3): with
+    n = xhat, X_i = n x e_i and the profiles k, phi,
+
+        A_i = k X_i,   Phi = phi n.
+
+    Given t, the rotated monopole of the caloron with this epsilon: the
+    pullback by g = exp(-a n.(i tau)), a = t q(r)/2 (see `_frame`), which
+    turns the vectors normal to n by -2a and adds g^-1 dg and
+    g^-1 d_t g / eps, so with P_i = e_i - n_i n
+
+        A_i = (k cos 2a + sin^2 a / r) X_i + (k - 1/2r) sin 2a P_i - (t q'/2) n_i n,
+        Phi = (phi - q / (2 eps)) n,
+
+    smooth at the origin, where q vanishes to third order."""
+    r, n, R, P, X, q, dq = _frame(x, v, t is not None)
+    k = bps_gauge_profile(v, r)
+    phi = bps_higgs_profile(v, r)
+    if q is None:
+        return k[..., None, None] * X, phi[..., None] * n
+    t = np.asarray(t, dtype=float)
+    a = 0.5 * t * q
+    rs = np.maximum(r, _TINY)
+    A = ((k * np.cos(2.0 * a) + np.sin(a) ** 2 / rs)[..., None, None] * X
+         + ((k - 0.5 / rs) * np.sin(2.0 * a))[..., None, None] * P
+         - (0.5 * t * dq)[..., None, None] * R)
+    return A, (phi - q / (2.0 * epsilon))[..., None] * n
+
+
+def core_curvature(x, v, t=None):
+    """E = B of `core_fields` as coefficient vectors (..., 3, 3) [i, a]:
+
+        E_i = phi' n_i n + (phi w / r) P_i,
+
+    w = 2vr/sinh(2vr); given t, g turns the normal part by -2a:
+
+        E_i = phi' n_i n + (phi w / r)(cos 2a P_i - sin 2a X_i).
+
+    No derivative of g enters: curvature transforms covariantly."""
+    r, n, R, P, X, q, _ = _frame(x, v, t is not None)
     dphi, _, phw = _radial_profiles(v, r)
-    rad = xh[..., :, None, None] * _itau(xh)[..., None, :, :]
-    tan = ITAU - rad
-    return dphi[..., None, None, None] * rad + phw[..., None, None, None] * tan
+    if q is not None:
+        a = np.asarray(t, dtype=float) * q  # 2a
+        P = np.cos(a)[..., None, None] * P - np.sin(a)[..., None, None] * X
+    return dphi[..., None, None] * R + phw[..., None, None] * P
+
+
+def bps_fields(x, v):
+    """(A, Phi) of the mass-v BPS monopole centred at the origin."""
+    A, Phi = core_fields(x, v)
+    return _itau(A), _itau(Phi)
+
+
+def bps_curvature_fields(x, v):
+    """Closed-form E = B of the BPS caloron (`core_curvature`)."""
+    return _itau(core_curvature(x, v))
 
 
 class BPSCaloron(ConnectionSampler):
@@ -131,22 +185,22 @@ class BPSCaloron(ConnectionSampler):
     centred at the origin."""
 
     charge_matrix = ITAU[2]  # the asymptotic charge, in the abelian gauge
+    rotated = False
 
     def __init__(self, omega_prime, epsilon):
         if not 0.0 < omega_prime < 0.5:
-            raise HolonomyParameterError(
-                f"holonomy parameter {omega_prime} outside (0, 1/2)"
-            )
+            raise HolonomyParameterError(f"holonomy parameter {omega_prime} outside (0, 1/2)")
         self.omega_prime = float(omega_prime)
         self.epsilon = float(epsilon)
         self.v = self.omega_prime / self.epsilon
         self.n = 2
 
     def evaluate(self, x, t, chart=None):
-        return bps_fields(x, self.v)
+        A, Phi = core_fields(x, self.v, t if self.rotated else None, self.epsilon)
+        return _itau(A), _itau(Phi)
 
     def exact_curvature(self, x, t):
-        E = bps_curvature_fields(x, self.v)
+        E = _itau(core_curvature(x, self.v, t if self.rotated else None))
         return E, E.copy()
 
 
@@ -224,60 +278,24 @@ class GaugeMap:
     Phihat is the unit hedgehog xhat.(i tau) for r >= core_radius and a
     quintic radial interpolation q(r) xhat.(i tau) inside, so g is smooth on
     all of R^3 x R.  The clutching descriptor h(x) = -g(x, 2pi)^{-1} equals
-    the identity wherever q = 1.
+    the identity wherever q = 1.  The pullback by g is worked out in closed
+    form in `core_fields`.
     """
 
     def __init__(self, core_radius):
         self.core_radius = float(core_radius)
 
-    def _theta_dir(self, x):
-        x = np.asarray(x, dtype=float)
-        r = _r_of(x)
-        q = _smoothstep(r / self.core_radius)
-        return r, q, xhat_itau(x)
-
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
-        r, q, n_itau = self._theta_dir(x)
-        ang = 0.5 * t * q
+        ang = 0.5 * t * _smoothstep(_r_of(x) / self.core_radius)
         c = np.cos(ang)[..., None, None]
         s = np.sin(ang)[..., None, None]
-        eye = np.eye(2, dtype=complex)
-        return c * eye - s * n_itau
-
-    def phi_hat(self, x):
-        r, q, n_itau = self._theta_dir(np.asarray(x, float))
-        return q[..., None, None] * n_itau
-
-    def time_derivative(self, x, t):
-        g = self(x, t)
-        return -0.5 * self.phi_hat(x) @ g
-
-    def spatial_derivative(self, x, t):
-        """d_i g in closed form on all of R^3: with a = t q(r)/2,
-
-            d_i g = (t q'(r) xhat_i / 2)(-sin a - cos a xhat.itau)
-                    - sin a (delta_ia - xhat_i xhat_a) i tau_a / r,
-
-        zero at the origin, where q vanishes to third order."""
-        x = np.asarray(x, dtype=float)
-        t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
-        r, q, n_itau = self._theta_dir(x)
-        rs = np.maximum(r, _TINY)
-        xh = x / rs[..., None]
-        dq = _smoothstep_prime(r / self.core_radius) / self.core_radius
-        ang = 0.5 * t * q
-        s, c = np.sin(ang), np.cos(ang)
-        dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau
-        radial = (0.5 * t * dq)[..., None, None, None] * xh[..., :, None, None] * dg_da[..., None, :, :]
-        proj = (np.eye(3) - xh[..., :, None] * xh[..., None, :]) * (s / rs)[..., None, None]
-        return radial - _itau(proj)
+        return c * np.eye(2, dtype=complex) - s * xhat_itau(x)
 
     def clutching(self, x):
         """h(x) = -g(x, 2 pi)^{-1}."""
-        g2pi = self(x, 2.0 * np.pi)
-        return -dagger(g2pi)
+        return -dagger(self(x, 2.0 * np.pi))
 
 
 def rotation_gauge(omega_prime, epsilon) -> GaugeMap:
@@ -289,15 +307,16 @@ def rotation_gauge(omega_prime, epsilon) -> GaugeMap:
     return GaugeMap(1.0 / (2.0 * v))
 
 
-class RotatedBPSCaloron(PulledBackSampler):
-    """g^* (A_BPS + eps Phi_BPS dt) with mass v = (1/2 - omega')/eps: the
-    second fundamental SU(2) caloron, genuinely t-dependent.  g commutes
-    with Phihat, so the time component gains g^-1 d_t g / eps = -Phihat/(2 eps)."""
+class RotatedBPSCaloron(BPSCaloron):
+    """g^* (A_BPS + eps Phi_BPS dt) with mass v = (1/2 - omega')/eps and g the
+    rotation map `gauge`: the second fundamental SU(2) caloron, genuinely
+    t-dependent (`core_fields` given t)."""
+
+    rotated = True
 
     def __init__(self, omega_prime, epsilon):
-        gauge = rotation_gauge(omega_prime, epsilon)  # rejects omega' itself, not 1/2 - omega'
-        super().__init__(BPSCaloron(0.5 - omega_prime, epsilon), gauge)
-        self.v = self.base.v
+        self.gauge = rotation_gauge(omega_prime, epsilon)  # rejects omega' itself, not 1/2 - omega'
+        super().__init__(0.5 - omega_prime, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +364,8 @@ def string_gauge_fields(x, v, patch="N", t=None, phase=0.0):
     dphi, w, phw = _radial_profiles(v, r)
     z_A = (-0.5 * w / r)[..., None] * u
     z_F = (1j * phw)[..., None] * u
-    h_Phi = 2.0 * v / np.expm1(4.0 * v * r)  # v (coth 2vr - 1) without cancellation
+    uc = np.minimum(2.0 * v * r, _DECAY_CUT)
+    h_Phi = np.where(uc < _DECAY_CUT, 2.0 * v / np.expm1(2.0 * uc), 0.0)  # v (coth 2vr - 1) without cancellation
     h_F = (dphi / r)[..., None] * x
     if t is not None:
         rot = np.exp(-1j * np.asarray(t, dtype=float))[..., None]

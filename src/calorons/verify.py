@@ -210,7 +210,7 @@ def _alcove_containment(spec, samp, rng, grid):
 def _charge_and_holonomy(spec, samp, rng, grid):
     """The magnetic charge recovered from the flux, and the holonomy
     eigenphases on a large sphere against the abelian model."""
-    coeffs, resid = magnetic_charge(samp, _flux_radius(spec.d_max))
+    coeffs, resid = magnetic_charge(samp, _flux_radius(spec.d_max, samp.R))
     expected = spec.charge_coefficients()
     L = 10.0 * spec.d_max_eff
     phases = sphere_averaged_holonomy(samp, L)

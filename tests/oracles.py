@@ -9,6 +9,14 @@ extended Cartan matrix, where the library reads the pairings off its
 reflection closure and builds ambient vectors on first use; `dot_fraction`
 sums one normalized `Fraction` per term.
 
+The rotated monopole: the gauge pullback as 2 x 2 matrix products that
+`su2.core_fields` and `su2.core_curvature` replaced by closed-form su(2)
+coefficient vectors.  `PulledBackSampler` transforms any SU(2) sampler by
+a gauge map with `spatial_derivative` and `time_derivative` (the
+gauge-covariance tests use it with their own maps), `RotationMap` gives
+the rotation map g those derivatives in closed form, and
+`rotated_pullback` is the rotated monopole by its definition.
+
 Framed SU(2) fields: the matrix route to the string gauge that
 `su2.string_gauge_fields` replaced by closed forms.  The BPS caloron is
 conjugated by the hedgehog framing, with its analytic derivative, and by
@@ -38,14 +46,21 @@ from calorons.rootsys import (
     pairing,
     su2_embedding,
 )
-from calorons.samplers import _mul, gauge_transform
+from calorons.quadrature import _smoothstep, _smoothstep_prime
+from calorons.samplers import ConnectionSampler, _mul, dagger
 from calorons.su2 import (
+    _TINY,
     ITAU,
+    BPSCaloron,
+    GaugeMap,
+    _itau,
     _r_of,
     bps_curvature_fields,
     bps_fields,
     dirac_potential,
     hedgehog_framing,
+    rotation_gauge,
+    xhat_itau,
 )
 
 
@@ -210,6 +225,99 @@ def positive_root_charge_sum(datum, gamma_coeffs, n0):
     rhs = 2 * sum(n[mu] - n0 * m for mu, m in zip(range(1, datum.rank + 1), datum.dual_coxeter_labels))
     return lhs, rhs
 
+
+
+# -- the gauge pullback as 2 x 2 matrix products ------------------------------------
+
+def gauge_transform(g, A, Phi=None, dg=None):
+    """(g^-1 A_a g + g^-1 d_a g, g^-1 Phi g) for SU(2)-valued g, so g^-1 = g^dagger.
+
+    g (..., 2, 2), A and dg (..., 3, 2, 2), Phi (..., 2, 2); dg=None drops the
+    inhomogeneous term (a constant or purely t-dependent conjugation, or
+    curvature components passed as A).  Phi=None returns None in its place.
+    """
+    ginv = dagger(g)
+    ginv_a = ginv[..., None, :, :]
+    A_new = _mul(ginv_a, _mul(A, g[..., None, :, :]))
+    if dg is not None:
+        A_new += _mul(ginv_a, dg)
+    return A_new, None if Phi is None else _mul(ginv, _mul(Phi, g))
+
+
+class RotationMap(GaugeMap):
+    """A `GaugeMap` with its generator and derivatives as 2 x 2 matrices."""
+
+    def _theta_dir(self, x):
+        x = np.asarray(x, dtype=float)
+        r = _r_of(x)
+        q = _smoothstep(r / self.core_radius)
+        return r, q, xhat_itau(x)
+
+    def phi_hat(self, x):
+        r, q, n_itau = self._theta_dir(np.asarray(x, float))
+        return q[..., None, None] * n_itau
+
+    def time_derivative(self, x, t):
+        g = self(x, t)
+        return -0.5 * self.phi_hat(x) @ g
+
+    def spatial_derivative(self, x, t):
+        """d_i g in closed form on all of R^3: with a = t q(r)/2,
+
+            d_i g = (t q'(r) xhat_i / 2)(-sin a - cos a xhat.itau)
+                    - sin a (delta_ia - xhat_i xhat_a) i tau_a / r,
+
+        zero at the origin, where q vanishes to third order."""
+        x = np.asarray(x, dtype=float)
+        t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
+        r, q, n_itau = self._theta_dir(x)
+        rs = np.maximum(r, _TINY)
+        xh = x / rs[..., None]
+        dq = _smoothstep_prime(r / self.core_radius) / self.core_radius
+        ang = 0.5 * t * q
+        s, c = np.sin(ang), np.cos(ang)
+        dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau
+        radial = (0.5 * t * dq)[..., None, None, None] * xh[..., :, None, None] * dg_da[..., None, :, :]
+        proj = (np.eye(3) - xh[..., :, None] * xh[..., None, :]) * (s / rs)[..., None, None]
+        return radial - _itau(proj)
+
+
+class PulledBackSampler(ConnectionSampler):
+    """Gauge transform of an SU(2) sampler by an SU(2) gauge map with
+    `spatial_derivative` and `time_derivative`: A -> g^-1 A g + g^-1 dg."""
+
+    def __init__(self, base, gauge_map):
+        self.base = base
+        self.gauge = gauge_map
+        self.n = base.n
+        self.epsilon = base.epsilon
+
+    @property
+    def charge_matrix(self):
+        """The base's charge: a gauge transform leaves |gamma| unchanged."""
+        return self.base.charge_matrix
+
+    def chart(self, x, t=None):
+        return self.base.chart(x, t)
+
+    def evaluate(self, x, t, chart=None):
+        A, Phi = self.base(x, t, chart)
+        g = self.gauge(x, t)
+        A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
+        return A_new, Phi_new + _mul(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
+
+    def exact_curvature(self, x, t):
+        """g^-1 F_base g: curvature transforms covariantly, so no derivative
+        of g enters."""
+        EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(self.base.exact_curvature(x, t), axis=-3))
+        return EB[..., :3, :, :], EB[..., 3:, :, :]
+
+
+def rotated_pullback(omega_prime, epsilon):
+    """The rotated monopole by its definition: the BPS caloron of mass
+    (1/2 - omega')/eps pulled back by its rotation map, as 2 x 2 products."""
+    gauge = RotationMap(rotation_gauge(omega_prime, epsilon).core_radius)
+    return PulledBackSampler(BPSCaloron(0.5 - omega_prime, epsilon), gauge)
 
 
 # -- framed SU(2) fields as matrix products ---------------------------------------

@@ -97,6 +97,14 @@ def test_gluing_radius_infeasible():
         gluing_radius(0.5, 0.5, d_min=0.5)
 
 
+@pytest.mark.parametrize("eps,c", [(1e-30, 1e300), (1e-300, 1e100)])
+def test_gluing_radius_outside_the_float_range_is_input_error(eps, c):
+    """R = (eps/c) W(c/eps^2) is below 1e-308 here: the error names the
+    float range instead of ending in a math domain error."""
+    with pytest.raises(InputError, match="float range"):
+        gluing_radius(eps, c)
+
+
 def test_gluing_profile_plateaus():
     prof = GluingProfile(1.0)
     rs = np.linspace(0, 2, 401)

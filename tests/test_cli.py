@@ -10,6 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calorons.cli import main
@@ -390,6 +391,35 @@ def test_verify_failure_is_one_fail_line(data_dir, tmp_path, capsys):
     assert [m[2] for m in failed] == ["energy-vs-formula"]
     assert abs(float(failed[0][3]) - 0.0584) < 5e-4 and failed[0].group(4, 5) == ("<", "0.02")
     assert sum(line.startswith("[PASS] ") for line in lines) == len(lines) - 2
+
+
+def _su2_single_with(data_dir, tmp_path, epsilon, c):
+    spec = json.loads((data_dir / "su2_single.json").read_text())
+    spec["epsilon"], spec["gluing"]["c"] = epsilon, c
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_flux_sphere_clears_a_large_gluing_ball(data_dir, tmp_path, capsys):
+    """A single constituent puts no d_min bound on R.  At c = 0.02, R = 4.01
+    and the sphere of radius 2(d_max + 1) = 2 lay inside the core, where the
+    hedgehog gauge carries no abelian flux, and recovered charge 0; the
+    sphere of radius d_max + 2R lies outside the gluing ball."""
+    path = _su2_single_with(data_dir, tmp_path, 0.05, 0.02)
+    assert main(["verify", "--spec", str(path), "--seed", "1"]) == 0
+    assert "[PASS] magnetic-charge: 0 <= 0  (recovered (1,), expected (1,))" in capsys.readouterr().out
+
+
+def test_verify_past_the_range_of_sinh_raises_no_float_error(data_dir, tmp_path, capsys):
+    """At eps = 0.01 and c = 0.002 (R = 11, 2vR = 551) the remainders on the
+    annulus have decayed past the range of sinh^2 and expm1: verify passes
+    with division by zero, overflow and invalid operations raising.  (Only
+    underflow is left to round: the squares of those decayed remainders.)"""
+    path = _su2_single_with(data_dir, tmp_path, 0.01, 0.002)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert main(["verify", "--spec", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.endswith("verify: all checks passed\n")
 
 
 def test_check_status_is_its_comparison():

@@ -28,9 +28,9 @@ from calorons.fieldcalc import (
 )
 from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.samplers import ConnectionSampler, PulledBackSampler, gauge_transform
-from calorons.su2 import BPSCaloron, GaugeMap, RotatedBPSCaloron
-from oracles import inner_sd_asd
+from calorons.samplers import ConnectionSampler
+from calorons.su2 import BPSCaloron, RotatedBPSCaloron
+from oracles import PulledBackSampler, RotationMap, gauge_transform, inner_sd_asd
 
 ITAU = [
     1j * np.array([[0, 1], [1, 0]], dtype=complex),
@@ -218,7 +218,7 @@ def test_curvature_is_gauge_covariant_under_gauge_maps(core, omega_prime, eps, d
     out."""
     assume(abs(r_over_core - 1.0) > 3e-3)  # the stencil reaches 2 steps <= 2e-3 core
     base = BPSCaloron(omega_prime, eps)
-    gauge = GaugeMap(core)
+    gauge = RotationMap(core)
     x = (r_over_core * core / math.hypot(*direction) * np.asarray(direction))[None]
     step = 1e-3 * core * min(r_over_core, 1.0)
     F = curvature_at(PulledBackSampler(base, gauge), x, t, step=step)

@@ -31,7 +31,7 @@ from calorons.rootsys import (
     vscale,
 )
 from calorons.indexes import transverse_index
-from calorons.su2 import ITAU
+from calorons.su2 import ITAU, _itau
 from oracles import (
     alcove_vertices,
     dot_fraction,
@@ -314,9 +314,13 @@ def test_dynkin_adjoint_two_routes(series, rank):
 
 # -- su(2) embeddings ---------------------------------------------------------
 
-def _scatter(d, mu, x):
-    """Node mu's su(2) image of x through the field layer's scatter."""
-    return _embed(x, np.asarray(su2_embedding(d, mu).coroot, dtype=float), _su2_block(d, mu))
+E3 = np.eye(3)  # the coefficient vectors of i tau_1, i tau_2, i tau_3
+
+
+def _scatter(d, mu, V):
+    """Node mu's su(2) image of the coefficient vectors V (..., 3) of
+    V.(i tau) through the field layer's scatter."""
+    return _embed(V, np.asarray(su2_embedding(d, mu).coroot, dtype=float), _su2_block(d, mu))
 
 
 def _su2_brackets_ok(m):
@@ -336,17 +340,17 @@ def test_su2_embedding_a1_is_pauli():
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
     assert np.array_equal(ITAU, [1j * t for t in taus])
-    assert np.array_equal(_scatter(d, 1, ITAU), ITAU)
+    assert np.array_equal(_scatter(d, 1, E3), ITAU)
 
 
 def test_su2_embedding_a2():
     d = build_root_datum("A", 2)
-    assert np.array_equal(_scatter(d, 1, ITAU[2]), np.diag([1j, -1j, 0]))
-    assert _su2_brackets_ok(_scatter(d, 1, ITAU))
+    assert np.array_equal(_scatter(d, 1, E3[2]), np.diag([1j, -1j, 0]))
+    assert _su2_brackets_ok(_scatter(d, 1, E3))
     # mu = 0: corner embedding along the highest root e1 - e3
     emb0 = su2_embedding(d, 0)
     assert emb0.root == d.highest_root
-    assert np.array_equal(_scatter(d, 0, ITAU[2]), np.diag([1j, 0, -1j]))
+    assert np.array_equal(_scatter(d, 0, E3[2]), np.diag([1j, 0, -1j]))
     assert emb0.p_dim == 8 - 2 - 2
     # image of i tau_3 is the coroot of the highest root = -alpha_0^vee
     assert emb0.coroot == vscale(-1, d.lowest_coroot)
@@ -356,7 +360,7 @@ def test_su2_embedding_a2():
 def test_su2_embedding_brackets_all_nodes(series, rank):
     d = build_root_datum(series, rank)
     for mu in range(rank + 1):
-        m = _scatter(d, mu, ITAU)
+        m = _scatter(d, mu, E3)
         assert np.array_equal(m, su2_matrices(d, mu))
         assert _su2_brackets_ok(m)
         assert np.array_equal(m + np.conjugate(np.swapaxes(m, -1, -2)), np.zeros_like(m))
@@ -374,21 +378,19 @@ def test_su2_embedding_non_a_matrix_unavailable():
 def test_embed_linearity():
     d = build_root_datum("A", 2)
     c = np.random.default_rng(0).normal(size=3)
-    x = np.einsum("a,aij->ij", c, ITAU)
     expected = np.einsum("a,aij->ij", c, su2_matrices(d, 2))
-    assert np.allclose(_scatter(d, 2, x), expected, atol=1e-14)
+    assert np.allclose(_scatter(d, 2, c), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_embed_matches_pauli_coefficient_reference(rank):
-    """The (a, b) block scatter equals the Pauli-coefficient route
-    c_a = -Re Tr(x i tau_a)/2, sum_a c_a matrices[a] bit for bit, on arbitrary
-    complex 2x2 input and for every node of A_rank."""
+    """The (a, b) block scatter of coefficient vectors V equals the
+    Pauli-coefficient route c_a = -Re Tr(x i tau_a)/2, sum_a c_a matrices[a]
+    on x = V.(i tau) bit for bit, for every node of A_rank."""
     d = build_root_datum("A", rank)
-    rng = np.random.default_rng(rank)
-    x = rng.normal(size=(64, 3, 2, 2)) + 1j * rng.normal(size=(64, 3, 2, 2))
+    V = np.random.default_rng(rank).normal(size=(64, 3, 3))
     for mu in range(rank + 1):
-        assert np.array_equal(_scatter(d, mu, x), embed_reference(d, mu, x))
+        assert np.array_equal(_scatter(d, mu, V), embed_reference(d, mu, _itau(V)))
 
 
 def test_exact_layers_import_no_numpy():

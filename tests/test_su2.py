@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calorons.assembler import FundamentalCaloron
 from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPointError
 from calorons.fieldcalc import circle_holonomy, curvature_at, lie_norm_sq
 from calorons.quadrature import sphere_rule
-from calorons.samplers import _mul, gauge_transform
+from calorons.rootsys import build_root_datum
+from calorons.samplers import _mul
 from calorons.su2 import (
     ITAU,
     BPSCaloron,
@@ -25,9 +27,13 @@ from calorons.su2 import (
     xhat_itau,
 )
 from oracles import (
+    RotationMap,
     bps_remainder,
     dirac_monopole,
+    embed_reference,
+    gauge_transform,
     hedgehog_framing_derivative,
+    rotated_pullback,
     rotated_remainder,
     string_gauge_matrices,
 )
@@ -155,7 +161,8 @@ def test_rotated_closed_form_curvature_vs_fd():
 
 def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
     """Inside the interpolation core the stencil differentiates the closed-form
-    d_i g, so curvature_at resolves g^-1 F_BPS g there as well."""
+    fields, which carry g^-1 dg, so curvature_at resolves g^-1 F_BPS g there
+    as well."""
     samp = RotatedBPSCaloron(0.3, 0.02)
     rc = samp.gauge.core_radius
     rng = np.random.default_rng(12)
@@ -166,6 +173,76 @@ def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
     _, B = samp.exact_curvature(pts, ts)
     curv = curvature_at(samp, pts, ts, step=1e-5)
     assert np.max(np.abs(curv.B - B)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_prime=st.floats(0.05, 0.45),
+    log_eps=st.floats(math.log(1e-3), math.log(3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotated_closed_form_matches_the_pullback(omega_prime, log_eps, seed):
+    """The closed-form rotated monopole, alone and embedded as the mu = 0
+    FundamentalCaloron of SU(3) (with a non-zero Cartan shift), equals the
+    oracle pullback of the BPS caloron by its rotation map, as 2 x 2
+    products, to 1e-12 of the largest field and of the largest curvature:
+    at the origin, on the sphere r = r_c where the interpolation ends, and
+    inside and outside the core up to 3 r_c, at random t."""
+    eps = math.exp(log_eps)
+    rot, ref = RotatedBPSCaloron(omega_prime, eps), rotated_pullback(omega_prime, eps)
+    rc = rot.gauge.core_radius
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(24, 3))
+    x = u / np.linalg.norm(u, axis=1)[:, None] * (rc * np.concatenate([[0.0, 1.0], rng.uniform(0.0, 3.0, 22)]))[:, None]
+    t = rng.uniform(0.0, 2.0 * np.pi, 24)
+    # the su(2) parameter 1/2 (omega_1 - omega_3) of node 0 is omega', up to rounding
+    datum = build_root_datum("A", 2)
+    center = np.array([0.3, -0.2, 0.5])
+    fund = FundamentalCaloron(datum, 0, (7 * omega_prime / 6, -omega_prime / 3, -5 * omega_prime / 6), eps, center)
+    assert np.any(fund.omega_prime) and math.isclose(fund.su2_parameter, omega_prime)
+
+    def gap(got, want):
+        return max(np.max(np.abs(g - w)) for g, w in zip(got, want)) / max(np.max(np.abs(w)) for w in want)
+
+    A, Phi = ref(x, t)
+    assert gap(rot(x, t), (A, Phi)) <= 1e-12
+    assert gap(rot.exact_curvature(x, t), ref.exact_curvature(x, t)) <= 1e-12
+    xc = center + x
+    ref = rotated_pullback(fund.su2_parameter, eps)
+    A, Phi = ref(xc - center, t)
+    shift = 1j * np.diag(fund.omega_prime / eps)
+    assert gap(fund(xc, t), (embed_reference(datum, 0, A), embed_reference(datum, 0, Phi) + shift)) <= 1e-12
+    E = embed_reference(datum, 0, ref.exact_curvature(xc - center, t)[0])
+    assert gap(fund.exact_curvature(xc, t), (E, E)) <= 1e-12
+
+
+def test_profiles_form_no_inf():
+    """No branch forms an inf, under np.errstate(all="raise"): at the origin
+    the closed branch is evaluated at r = 1, and past 2vr = 350 the terms
+    that decay like exp(-2vr) are 0 (at 2vr = 1 000 and 2 000 sinh and expm1
+    would overflow).  There the fields are the abelian hedgehog's."""
+    bps, rot = BPSCaloron(0.25, 0.01), RotatedBPSCaloron(0.25, 0.01)
+    v = bps.v
+    n = np.array([0.6, 0.0, 0.8])
+    with np.errstate(all="raise"):
+        E, B = bps.exact_curvature(np.zeros((1, 3)), 0.0)
+        assert np.allclose(E[0], 2.0 * v**2 / 3.0 * ITAU, rtol=1e-15, atol=0.0)
+        for u in (0.0, 1e-5, 1e-4, 1.0, 349.0, 351.0, 1e3, 2e3):
+            x = (u / (2.0 * v) * n)[None]
+            for samp in (bps, rot):
+                samp(x, 1.0)
+                samp.exact_curvature(x, 1.0)
+        x = (1e3 / (2.0 * v) * n)[None]
+        r = 1e3 / (2.0 * v)
+        A, Phi = bps(x, 0.0)
+        assert np.allclose(Phi[0], (v - 0.5 / r) * _itau(n), rtol=1e-15, atol=0.0)
+        assert np.allclose(A[0], 0.5 / r * _itau(np.cross(n, np.eye(3))), rtol=1e-15, atol=0.0)
+        for patch in ("N", "S"):
+            x = (2e3 / (2.0 * v) * n)[None]
+            zA, hP, hF, zF = string_gauge_fields(x, v, patch, np.array([1.0]), 0.3)
+            assert not np.any(zA) and not np.any(hP) and not np.any(zF)
+            r = np.linalg.norm(x)
+            assert np.allclose(hF, -x / (2.0 * r**3), rtol=1e-15, atol=0.0)
 
 
 # -- hedgehog framing -------------------------------------------------------------
@@ -346,7 +423,7 @@ def test_rotation_gauge_unitary_everywhere():
 
 
 def test_rotation_gauge_spatial_derivative_vs_fd():
-    g = rotation_gauge(0.25, 1.0)
+    g = RotationMap(rotation_gauge(0.25, 1.0).core_radius)
     rng = np.random.default_rng(9)
     # probe inside and outside the interpolation core, the origin and r = r_c
     x = np.concatenate([
