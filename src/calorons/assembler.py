@@ -41,7 +41,7 @@ from .errors import (
 from .fieldcalc import _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler
+from .samplers import ConnectionSampler, Field, _cartan_matrix, bracket, su2_field
 from .su2 import core_curvature, core_fields, dirac_potential, string_gauge_fields
 
 
@@ -153,20 +153,11 @@ class CaloronSpec:
     @property
     def d_min(self):
         pos = self.positions
-        if len(pos) < 2:
-            return math.inf
-        return min(
-            float(np.linalg.norm(pos[i] - pos[j]))
-            for i in range(len(pos))
-            for j in range(i + 1, len(pos))
-        )
+        return min((float(np.linalg.norm(p - q)) for i, p in enumerate(pos) for q in pos[i + 1 :]), default=math.inf)
 
     @property
     def d_max(self):
-        pos = self.positions
-        if len(pos) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(pos, axis=1)))
+        return float(np.max(np.linalg.norm(self.positions, axis=1)))  # __post_init__ ensures a constituent
 
     @property
     def d_max_eff(self):
@@ -244,12 +235,10 @@ class GluingProfile:
     R: float
 
     def chi(self, r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 - _smoothstep(2.0 * r / self.R - 1.0)
+        return 1.0 - _smoothstep(2.0 * np.asarray(r, dtype=float) / self.R - 1.0)
 
     def chi_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 / self.R * _smoothstep_prime(2.0 * r / self.R - 1.0)
+        return -2.0 / self.R * _smoothstep_prime(2.0 * np.asarray(r, dtype=float) / self.R - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,46 +297,18 @@ def holonomy_shifts(spec: CaloronSpec):
 # ---------------------------------------------------------------------------
 # the defining representation of su(n)
 #
-# Fields are n x n matrices whose ambient Cartan coordinates are the weights
-# e_1, .., e_n of the defining representation: a Cartan vector d acts as
-# i diag(d), and the su(2) of a node sits in the (a, b) block with
-# i tau_3 -> i diag(e_a - e_b).  This holds for type A only; the other
-# series would plug their defining representations in here.
+# The ambient Cartan coordinates are the weights e_1, .., e_n: d acts as
+# i diag(d), and a node's su(2) sits in the block (a, b) with i tau_3 ->
+# i diag(e_a - e_b) (`samplers.Field`).  This holds for type A only; the
+# other series would plug their defining representations in here.
 
-def _su2_block(datum: RootDatum, mu: int) -> Tuple[int, int]:
-    """The block (a, b) of node mu's su(2), read off its Cartan diagonal
-    tau3 = e_a - e_b, the image of i tau_3."""
+def _su2_tau3(datum: RootDatum, mu: int):
+    """Node mu's image tau3 = e_a - e_b of i tau_3, which names its block (a, b)."""
     if datum.series != "A":
         raise UnsupportedRepresentationError(
             "field evaluation requires the defining representation of su(n)"
         )
-    tau3 = su2_embedding(datum, mu).coroot
-    return tau3.index(1), tau3.index(-1)
-
-
-def _cartan_matrix(diag, block=None, off=None):
-    """i diag(d) for real Cartan diagonals d (..., n) as (..., n, n), plus the
-    su(2) entries off and -conj(off) at (a, b) and (b, a) of block = (a, b)."""
-    diag = np.asarray(diag, dtype=float)
-    n = diag.shape[-1]
-    out = np.zeros(diag.shape[:-1] + (n, n), dtype=complex)
-    out.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] = 1j * diag
-    if off is not None:
-        a, b = block
-        out[..., a, b] = off
-        out[..., b, a] = -np.conjugate(off)
-    return out
-
-
-def _embed(V, tau3, block, shift=None):
-    """An su(2) coefficient vector V (..., 3) of V.(i tau) (batched ok) in
-    su(n), with the su(2) block and Cartan diagonal tau3 of a node: the
-    Cartan part V_3 tau3 plus the real Cartan diagonal shift, and the (a, b)
-    entry V_2 + i V_1."""
-    diag = V[..., 2, None] * tau3
-    if shift is not None:
-        diag = diag + shift
-    return _cartan_matrix(diag, block, V[..., 1] + 1j * V[..., 0])
+    return np.asarray(su2_embedding(datum, mu).coroot, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +321,7 @@ class FundamentalCaloron(ConnectionSampler):
     coefficient vectors of `su2.core_fields`."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
-        self.block = _su2_block(datum, mu)
+        self.tau3 = _su2_tau3(datum, mu)  # the image of i tau_3
         omega = np.asarray([float(c) for c in omega], dtype=float)
         if float(alcove_margin(datum, omega)) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
@@ -368,7 +329,6 @@ class FundamentalCaloron(ConnectionSampler):
         self.mu = int(mu)
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
-        self.tau3 = np.asarray(su2_embedding(datum, mu).coroot, dtype=float)  # the image of i tau_3
         node = np.asarray(datum.node_root(mu), dtype=float)
         coroot = np.asarray(datum.node_coroot(mu), dtype=float)
         a_omega = float(node @ omega)
@@ -385,14 +345,14 @@ class FundamentalCaloron(ConnectionSampler):
 
     def evaluate(self, x, t, chart=None):
         A, Phi = core_fields(x - self.center, self.v, t if self.mu == 0 else None, self.epsilon)
-        return _embed(A, self.tau3, self.block), _embed(Phi, self.tau3, self.block, self.omega_prime / self.epsilon)
+        return su2_field(A, self.tau3), su2_field(Phi, self.tau3, self.omega_prime / self.epsilon)
 
     def exact_curvature(self, x, t):
         """The embedded su(2) curvature; the constant Cartan part of Phi
         commutes with the embedded su(2) and adds nothing."""
-        E = _embed(core_curvature(np.asarray(x, float) - self.center, self.v, t if self.mu == 0 else None),
-                   self.tau3, self.block)
-        return E, E.copy()
+        E = su2_field(core_curvature(np.asarray(x, float) - self.center, self.v, t if self.mu == 0 else None),
+                      self.tau3)
+        return E, E
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +365,10 @@ def _patch_mask(rel_z):
 
 class SingularCaloron(ConnectionSampler):
     """Cartan-valued caloron: superposition of Dirac monopoles at the
-    constituent positions plus the constant omega/eps.  Its fields are
-    accumulated as real Cartan diagonals and written as matrices once."""
+    constituent positions plus the constant omega/eps, as real Cartan
+    diagonals with no su(2) entry."""
 
     def __init__(self, spec: CaloronSpec):
-        _su2_block(spec.datum, 0)  # its Cartan diagonals are weights of the defining representation
         self.spec = spec
         self.datum = spec.datum
         self.epsilon = float(spec.epsilon)
@@ -418,6 +377,7 @@ class SingularCaloron(ConnectionSampler):
         self.coroots = np.array([self.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
         self.omega = np.asarray(spec.omega, dtype=float)
         self.charge_matrix = _cartan_matrix(spec.charge_vector())
+        self.tau3 = 0.0 * _su2_tau3(self.datum, 0)  # no su(2) entry; the type-A guard
 
     def chart(self, x, t=None):
         x = np.asarray(x, dtype=float)
@@ -429,21 +389,23 @@ class SingularCaloron(ConnectionSampler):
 
     def evaluate(self, x, t, chart=None):
         x = np.asarray(x, dtype=float)
-        if chart is None:
-            chart = self.chart(x)
-        chart = np.asarray(chart)
-        shape = x.shape[:-1]
-        A = np.zeros(shape + (3, self.n))
-        Phi = np.broadcast_to(self.omega / self.epsilon, shape + (self.n,)).copy()
+        Phi = self.higgs(x, t)  # first: it rejects the constituent positions
+        chart = np.asarray(self.chart(x) if chart is None else chart)
+        A = np.zeros(x.shape[:-1] + (3, self.n))
         for k, p in enumerate(self.positions):
-            rel = x - p
-            r = np.linalg.norm(rel, axis=-1)
+            south = ((chart >> k) & 1).astype(bool)
+            A += dirac_potential(x - p, south)[..., :, None] * self.coroots[k]
+        return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
+
+    def higgs(self, x, t, chart=None):
+        x = np.asarray(x, dtype=float)
+        Phi = np.broadcast_to(self.omega / self.epsilon, x.shape[:-1] + (self.n,)).copy()
+        for k, p in enumerate(self.positions):
+            r = np.linalg.norm(x - p, axis=-1)
             if np.any(r == 0.0):
                 raise SingularPointError("evaluation at a constituent position")
-            south = ((chart >> k) & 1).astype(bool)
-            A += dirac_potential(rel, south)[..., :, None] * self.coroots[k]
             Phi -= self.coroots[k] / (2.0 * r)[..., None]
-        return _cartan_matrix(A), _cartan_matrix(Phi)
+        return Field(Phi, np.zeros(Phi.shape[:-1], dtype=complex))
 
     def field_strength_diagonal(self, x):
         """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
@@ -457,8 +419,8 @@ class SingularCaloron(ConnectionSampler):
 
     def exact_curvature(self, x, t):
         """Closed-form E = B, the Dirac field strengths."""
-        E = _cartan_matrix(self.field_strength_diagonal(x))
-        return E, E.copy()
+        E = Field(self.field_strength_diagonal(x), np.zeros(np.shape(x)[:-1] + (3,), dtype=complex))
+        return E, E
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +465,16 @@ class ApproximateCaloron(ConnectionSampler):
                 FundamentalCaloron(self.datum, c.mu, om_k, self.epsilon, c.position)
             )
 
+        self._tau3 = np.stack([f.tau3 for f in self.locals] + [np.zeros(self.n)])  # by chart (`block`)
         # per-(k,l) patch for the spectator monopole l seen from annulus k
         z = self.positions[:, 2]
         self._spect_patch = _patch_mask(z[:, None] - z[None, :])
 
     # -- charts --------------------------------------------------------------
 
-    def _radii(self, x):
-        x = np.asarray(x, dtype=float)
-        rel = x[..., None, :] - self.positions
-        return np.linalg.norm(rel, axis=-1)
-
     def chart(self, x, t=None):
         x = np.asarray(x, dtype=float)
-        r = self._radii(x)
+        r = np.linalg.norm(x[..., None, :] - self.positions, axis=-1)
         kmin = np.argmin(r, axis=-1)
         rmin = np.take_along_axis(r, kmin[..., None], axis=-1)[..., 0]
         code = np.empty(x.shape[:-1], dtype=np.int64)
@@ -544,25 +502,41 @@ class ApproximateCaloron(ConnectionSampler):
                 k, kind = divmod(int(code) - 1, 4)
                 yield chart == code, k, _PATCH[kind]
 
+    def block(self, chart):
+        """Constituent k's tau3 on core and annulus k, 0 off the gluing balls."""
+        chart = np.asarray(chart)
+        return self._tau3[np.where(chart < 0, -1, (chart - 1) // 4)]
+
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, x, t, chart=None):
+    def _gather(self, x, t, chart, comps, fields):
+        """fields(xs, ts, k, patch), Fields with component shapes comps, of
+        each chart's points (`_by_chart`), gathered over the batch."""
         x = np.asarray(x, dtype=float)
-        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-        if chart is None:
-            chart = self.chart(x)
-        chart = np.broadcast_to(np.asarray(chart), x.shape[:-1])
-        A = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
-        Phi = np.zeros(x.shape[:-1] + (self.n, self.n), dtype=complex)
+        shape = x.shape[:-1]
+        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        chart = np.broadcast_to(np.asarray(self.chart(x) if chart is None else chart), shape)
+        out = [Field(np.empty(shape + c + (self.n,)), np.empty(shape + c, dtype=complex)) for c in comps]
         for sel, k, patch in self._by_chart(chart):
-            xs, ts = x[sel], t[sel]
-            if k is None:
-                A[sel], Phi[sel] = self.singular.evaluate(xs, ts, np.full(len(xs), patch))
-            elif patch is None:
-                A[sel], Phi[sel] = self.locals[k].evaluate(xs, ts)
-            else:
-                A[sel], Phi[sel] = self.annulus_fields(k, patch, xs, ts)
-        return A, Phi
+            for o, got in zip(out, fields(x[sel], t[sel], k, patch)):
+                o.diag[sel], o.off[sel] = got.diag, got.off
+        return tuple(out)
+
+    def _chart_fields(self, xs, ts, k, patch):
+        if k is None:
+            return self.singular.evaluate(xs, ts, np.full(len(xs), patch))
+        if patch is None:
+            return self.locals[k].evaluate(xs, ts)
+        return self.annulus_fields(k, patch, xs, ts)
+
+    def evaluate(self, x, t, chart=None):
+        return self._gather(x, t, chart, ((3,), ()), self._chart_fields)
+
+    def higgs(self, x, t, chart=None):
+        """Phi alone; off the gluing balls no A is evaluated."""
+        def phi(xs, ts, k, patch):
+            return [self.singular.higgs(xs, ts) if k is None else self._chart_fields(xs, ts, k, patch)[1]]
+        return self._gather(x, t, chart, ((),), phi)[0]
 
     def annulus_parts(self, k, patch, xs, ts):
         """Constituents of the annulus gauge at points xs, none of them an
@@ -613,8 +587,8 @@ class ApproximateCaloron(ConnectionSampler):
         parts = self.annulus_parts(k, patch, xs, ts)
         chi = parts["chi"][..., None]
         (model_A, model_P), (zA, bP), (sA, sP) = parts["model"], parts["b"], parts["s"]
-        A = _cartan_matrix(model_A + (1.0 - chi)[..., None] * sA, self.locals[k].block, chi * zA)
-        return A, _cartan_matrix(model_P + chi * bP + (1.0 - chi) * sP)
+        return (Field(model_A + (1.0 - chi)[..., None] * sA, chi * zA),
+                Field(model_P + chi * bP + (1.0 - chi) * sP, np.zeros(len(xs), dtype=complex)))
 
     def _annulus_curvature(self, k, patch, xs, ts):
         """Closed form on annulus k.  With c = b - s the connection is
@@ -623,49 +597,33 @@ class ApproximateCaloron(ConnectionSampler):
 
             F = (1 - chi) F_sing + chi F_fund + dchi ^ c - chi (1 - chi) c ^ c,
 
-        with F_fund from `annulus_parts`, (c ^ c)_{mu nu} = [c_mu, c_nu] and
-        c_t = eps c_Phi.  Every piece is a Cartan diagonal plus an (a, b)
-        entry z of the su(2) block, so with Delta(d) = d_b - d_a the
-        brackets are [z, d] = i z Delta(d) and [z_j, z_k] = -2 Im(z_j conj z_k) i tau_3."""
-        fund = self.locals[k]
-        a, b = fund.block
+        with F_fund from `annulus_parts`, (c ^ c)_{mu nu} = [c_mu, c_nu]
+        (`samplers.bracket`) and c_t = eps c_Phi."""
+        tau3 = self.locals[k].tau3
         parts = self.annulus_parts(k, patch, xs, ts)
         rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
         mix = (chi * (1.0 - chi))[:, None]
         (z, bP), (sA, sP) = parts["b"], parts["s"]
-        cA, cP = -sA, bP - sP  # c = b - s: diagonals, and z the (a, b) entries of c_A
-        fdiag, foff = parts["F"]
-        Fd = (1.0 - chi)[:, None, None] * self.singular.field_strength_diagonal(xs) + chi[:, None, None] * fdiag
-        Fz = chi[:, None] * foff
+        cA, cP = Field(-sA, z), Field((bP - sP)[:, None], np.zeros((len(xs), 1), dtype=complex))  # c = b - s
+        F_sing = Field(self.singular.field_strength_diagonal(xs), 0.0)
+        F = (1.0 - chi)[:, None] * F_sing + chi[:, None] * Field(*parts["F"])
         dchi = (self.profile.chi_prime(r) / r)[:, None] * rel
-        E = _cartan_matrix(Fd + dchi[..., None] * cP[:, None], (a, b), Fz - 1j * mix * z * (cP[:, b] - cP[:, a])[:, None])
+        E = F + dchi * cP - mix * bracket(cA, cP, tau3)
         j, k = [1, 2, 0], [2, 0, 1]  # B_i = F_jk, (i, j, k) cyclic
-        dA = cA[..., b] - cA[..., a]
-        zz = (2.0 * mix * (z[:, j] * np.conjugate(z[:, k])).imag)[..., None] * fund.tau3
-        B = _cartan_matrix(
-            Fd + dchi[:, j, None] * cA[:, k] - dchi[:, k, None] * cA[:, j] + zz,
-            (a, b),
-            Fz + dchi[:, j] * z[:, k] - dchi[:, k] * z[:, j] - 1j * mix * (z[:, j] * dA[:, k] - z[:, k] * dA[:, j]),
-        )
+        B = F + dchi[:, j] * cA[:, k] - dchi[:, k] * cA[:, j] - mix * bracket(cA[:, j], cA[:, k], tau3)
         return E, B
 
     def exact_curvature(self, x, t):
         """Closed-form curvature per chart: the fundamental caloron on the
         cores (r_k <= R/2), the interpolation formula on the gluing annuli,
         the abelian superposition where every r_k > R."""
-        x = np.asarray(x, dtype=float)
-        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
-        E = np.zeros(x.shape[:-1] + (3, self.n, self.n), dtype=complex)
-        B = np.zeros_like(E)
-        for sel, k, patch in self._by_chart(self.chart(x)):
-            xs, ts = x[sel], t[sel]
+        def curvature(xs, ts, k, patch):
             if k is None:
-                E[sel], B[sel] = self.singular.exact_curvature(xs, ts)
-            elif patch is None:
-                E[sel], B[sel] = self.locals[k].exact_curvature(xs, ts)
-            else:
-                E[sel], B[sel] = self._annulus_curvature(k, patch, xs, ts)
-        return E, B
+                return self.singular.exact_curvature(xs, ts)
+            if patch is None:
+                return self.locals[k].exact_curvature(xs, ts)
+            return self._annulus_curvature(k, patch, xs, ts)
+        return self._gather(x, t, None, ((3,), (3,)), curvature)
 
 
 def approximate_caloron(spec: CaloronSpec) -> ApproximateCaloron:
@@ -679,13 +637,8 @@ def alcove_exclusion_constant(spec: CaloronSpec) -> float:
     """Constant c with the property that outside the balls of radius c*eps
     the abelian Higgs field stays in a compact subset of the alcove: chosen
     so each single-monopole term eats at most half the asymptotic margin."""
-    datum = spec.datum
-    sigma_inf = float(alcove_margin(datum, spec.omega))
-    pairings = []
-    for mu in range(datum.rank + 1):
-        for nu in range(datum.rank + 1):
-            pairings.append(abs(datum.extended_cartan[mu][nu]))
-    return max(pairings) / sigma_inf
+    sigma_inf = float(alcove_margin(spec.datum, spec.omega))
+    return max(abs(a) for row in spec.datum.extended_cartan for a in row) / sigma_inf
 
 
 def alcove_margin_report(samp: ApproximateCaloron, refine=1):
@@ -705,8 +658,7 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     ok = [np.all(np.linalg.norm(pts[:, None, :] - spec.positions, axis=-1) >= r_min, axis=-1)
           for pts, r_min in ((shells, r0 * 0.999999), (lattice, r0))]
-    _, Phi = samp.singular(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0)
-    h = np.diagonal(eps * Phi, axis1=-2, axis2=-1).imag
+    h = eps * samp.singular.higgs(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0).diag
     margins = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
     margins.append(1.0 + h @ np.asarray(datum.lowest_root, dtype=float))
     worst = float(np.min(np.stack(margins, axis=-1)))

@@ -14,7 +14,8 @@ have vanishing *self-dual* error:
     sd_a  = (E_a - B_a)/2,      asd_a = (E_a + B_a)/2.
 
 Lie-algebra norms use <X, Y> = -Tr(XY) on anti-Hermitian matrices, under
-which simple coroots of su(n) have squared norm 2.  The topological density
+which simple coroots of su(n) have squared norm 2; on `samplers.Field`s
+they read the diagonal and the su(2) entry alone.  The topological density
 of energy_and_tr_f_wedge_f is 2 sum_a <E_a, B_a>, normalized so that both
 fundamental SU(2) calorons have positive values (2 omega' and 1 - 2 omega').
 
@@ -34,21 +35,17 @@ import numpy as np
 
 from .errors import FluxAmbiguityError
 from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
-from .samplers import ConnectionSampler, _mul, dagger
+from .samplers import ConnectionSampler, Field, _cartan_matrix, _mul, bracket, dagger
 
 
-def commutator(a, b):
-    return _mul(a, b) - _mul(b, a)
+def lie_norm_sq(x: Field):
+    """<X, X> = -Tr(X X) = |d|^2 + 2 |z|^2: z sits at (a, b) and (b, a)."""
+    return np.sum(x.diag**2, axis=-1) + 2.0 * (x.off.real**2 + x.off.imag**2)
 
 
-def lie_norm_sq(x):
-    """<X, X> = -Tr(X X) = Frobenius^2 for anti-Hermitian X."""
-    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
-
-
-def lie_inner(x, y):
-    """<X, Y> = -Tr(X Y) for anti-Hermitian X, Y."""
-    return -np.einsum("...ij,...ji->...", x, y).real
+def lie_inner(x: Field, y: Field):
+    """<X, Y> = -Tr(X Y) = d.e + 2 Re(z conj w)."""
+    return np.sum(x.diag * y.diag, axis=-1) + 2.0 * (x.off * np.conjugate(y.off)).real
 
 
 def expm_antiherm(m):
@@ -60,14 +57,11 @@ def expm_antiherm(m):
 
 @dataclass
 class CurvatureSample:
-    """Curvature components at a batch of points.
+    """Curvature components at a batch of points, `Field`s with components
+    (..., 3): E_i = F_{it}/eps in the orthonormal frame, B_a = (F_23, F_31, F_12)."""
 
-    E has shape (..., 3, n, n): E_i = F_{it}/eps in the orthonormal frame;
-    B has the same shape with B_a = (F_23, F_31, F_12).
-    """
-
-    E: np.ndarray
-    B: np.ndarray
+    E: Field
+    B: Field
 
     @property
     def sd_part(self):
@@ -97,17 +91,16 @@ _FD4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
 def _fd(values, h):
-    acc = 0.0
-    for (_, wgt), v in zip(_FD4, values):
-        acc = acc + wgt * v
-    return acc / (12.0 * h)
+    """The 4th-order difference of the Fields values[0..3] at the _FD4 shifts."""
+    return sum((_FD4[i][1] * values[i] for i in range(1, 4)), _FD4[0][1] * values[0]) / (12.0 * h)
 
 
 def _stencil(sampler, x, t, step, dt=None):
     """The 4th-order stencil about each point of the batch x, every
     evaluation in the chart of its base point: the base point and 4 shifts
     along each axis of x, plus 4 shifts in t when dt is given, in one sampler
-    call.  Returns (A0, Phi0, dPhi, B, dA/dt), with dA/dt None without dt."""
+    call.  Returns (A0, Phi0, dPhi, B, dA/dt, tau3), with dA/dt None without
+    dt and tau3 the base points' blocks."""
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
     chart = sampler.chart(x, t)
     shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
@@ -115,24 +108,21 @@ def _stencil(sampler, x, t, step, dt=None):
         shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
     all_x = np.stack([x] + [x + sx for sx, _ in shifts])
     all_t = np.stack([t] + [t + st for _, st in shifts])
-    all_chart = None
-    if chart is not None:
-        all_chart = np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
+    all_chart = None if chart is None else np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
 
     A_all, Phi_all = sampler(all_x, all_t, all_chart)
+    tau3 = np.asarray(sampler.block(chart))
     A0, Phi0 = A_all[0], Phi_all[0]
-    dA = np.stack([_fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-4)  # [deriv, comp]
-    dPhi = np.stack([_fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-3)
+    dA = [_fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)]  # dA[deriv][..., comp]
+    dPhi = _components([_fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)])
+    B = _components([dA[i][..., j] - dA[j][..., i] + bracket(A0[..., i], A0[..., j], tau3)
+                     for i, j in ((1, 2), (2, 0), (0, 1))])
+    return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt), tau3
 
-    def f_ij(i, j):
-        return (
-            dA[..., i, j, :, :]
-            - dA[..., j, i, :, :]
-            + commutator(A0[..., i, :, :], A0[..., j, :, :])
-        )
 
-    B = np.stack([f_ij(1, 2), f_ij(2, 0), f_ij(0, 1)], axis=-3)
-    return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt)
+def _components(fields):
+    """Fields stacked along a new last component axis."""
+    return Field(np.stack([f.diag for f in fields], axis=-2), np.stack([f.off for f in fields], axis=-1))
 
 
 # The finite-difference step policy of the diagnostics, which verify, the CLI
@@ -173,8 +163,8 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSa
     if single:
         x = x[None, :]
     eps = sampler.epsilon
-    A0, Phi0, dPhi, B, dAdt = _stencil(sampler, x, t, step, dt=step / eps)
-    E = dPhi - dAdt / eps + commutator(A0, Phi0[..., None, :, :])
+    A0, Phi0, dPhi, B, dAdt, tau3 = _stencil(sampler, x, t, step, dt=step / eps)
+    E = dPhi - dAdt / eps + bracket(A0, Phi0[..., None], tau3[..., None, :])
     if single:
         E, B = E[0], B[0]
     return CurvatureSample(E=E, B=B)
@@ -227,7 +217,7 @@ def energy_and_tr_f_wedge_f(sampler, grid: VolumeGrid):
     raw = energy / (8.0 * np.pi**2)
     if not np.isfinite(raw):
         raise ArithmeticError("non-finite energy integrand")
-    tail = sampler.epsilon * float(lie_norm_sq(np.asarray(sampler.charge_matrix))) / (2.0 * grid.r_max)
+    tail = sampler.epsilon * float(np.sum(np.abs(sampler.charge_matrix) ** 2)) / (2.0 * grid.r_max)
     return EnergyEstimate(raw=raw, tail=tail), topological / (8.0 * np.pi**2) + tail
 
 
@@ -248,8 +238,9 @@ class SdErrorEstimate:
 
     @property
     def annulus_fraction(self):
+        """0 when the total is not positive: there is no error to localize."""
         if self.total_sq <= 0:
-            return 1.0
+            return 0.0
         return self.annulus_sq / self.total_sq
 
 
@@ -257,8 +248,8 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     """L^2 norm of the self-dual error of a glued approximate caloron
     (`assembler.ApproximateCaloron`) on the slice t = pi: 14 Gauss-Legendre
     radii x an 8 x 12 sphere rule on each gluing annulus R/2 <= r <= R,
-    from the closed-form curvature, plus sparse shells over the cores and
-    the exterior.  The closed form has E = B on those shells by
+    from the closed-form curvature, plus sparse shells over the cores and the
+    exterior r >= d_max + 1.5 R.  The closed form has E = B on those shells by
     construction, so they take finite differences at step eps/100 and
     measure the self-dual leakage off the annuli."""
     eps, R, spec = samp.epsilon, samp.R, samp.spec
@@ -271,7 +262,8 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     # sets the run's peak memory.
     core_radii = graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)
     shells = [(c, core_radii) for c in samp.positions]
-    shells.append((np.zeros(3), graded_radii(spec.d_max + 1.5 * R, 8.0 * spec.d_max_eff, 4, 2)))
+    r_ext = spec.d_max + 1.5 * R  # outside every gluing ball, however large R is
+    shells.append((np.zeros(3), graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)))
     pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
     sd = curvature_at(samp, np.concatenate(pts), _T_SLICE, step=_core_step(eps)).sd_norm_sq()
     background_terms = []
@@ -303,6 +295,7 @@ def circle_holonomy(sampler, x, n_steps=64):
     x = np.asarray(x, dtype=float)
     eps = sampler.epsilon
     chart = sampler.chart(x, np.zeros(x.shape[:-1]))
+    tau3 = np.asarray(sampler.block(chart))[..., None, :]  # shared by the circle's nodes
     h = 2.0 * np.pi / n_steps
     offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
     t0 = np.arange(n_steps) * h
@@ -310,11 +303,10 @@ def circle_holonomy(sampler, x, n_steps=64):
     shape = x.shape[:-1] + t_nodes.shape
     if chart is not None:
         chart = np.broadcast_to(np.asarray(chart)[..., None], shape)
-    _, Phi = sampler(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
-    M = eps * Phi
-    M1, M2 = M[..., :n_steps, :, :], M[..., n_steps:, :, :]
-    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * commutator(M2, M1)
-    steps = expm_antiherm(omega)
+    M = eps * sampler.higgs(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
+    M1, M2 = M[..., :n_steps], M[..., n_steps:]
+    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * bracket(M2, M1, tau3)
+    steps = expm_antiherm(_cartan_matrix(omega.diag, omega.off, tau3))
     U = steps[..., 0, :, :]
     for k in range(1, n_steps):
         U = _mul(steps[..., k, :, :], U)
@@ -330,10 +322,7 @@ def sphere_averaged_holonomy(sampler, radius):
     fields (the mean of 1/|x-p| over the sphere is exactly 1/radius),
     leaving the single-centre abelian model."""
     dirs, w = sphere_rule(6, 8)
-    acc = None
-    for ph, wi in zip(circle_holonomy(sampler, radius * dirs), w):
-        acc = wi * ph if acc is None else acc + wi * ph
-    return acc / (4.0 * np.pi)
+    return sum(wi * ph for ph, wi in zip(circle_holonomy(sampler, radius * dirs), w)) / (4.0 * np.pi)
 
 
 def magnetic_charge(sampler, radius):
@@ -350,14 +339,12 @@ def magnetic_charge(sampler, radius):
     if datum is None:
         raise ValueError("magnetic_charge needs a sampler with a root datum")
     dirs, w = sphere_rule(12, 24)
-    B = _stencil(sampler, radius * dirs, 0.0, _flux_step(radius))[3]
-    B_rad = np.einsum("...a,...aij->...ij", dirs, B)
-    flux_mat = np.einsum("p,pij->ij", w, B_rad) * radius**2 / (2.0 * np.pi)
-
-    offdiag = flux_mat - np.diag(np.diag(flux_mat))
-    junk = float(np.max(np.abs(offdiag))) if flux_mat.shape[0] > 1 else 0.0
-    v = np.diag(flux_mat).imag
-    junk = max(junk, float(np.max(np.abs(np.diag(flux_mat).real))))
+    _, _, _, B, _, tau3 = _stencil(sampler, radius * dirs, 0.0, _flux_step(radius))
+    scale = radius**2 / (2.0 * np.pi)
+    v = np.einsum("p,pi->i", w, np.einsum("pa,pai->pi", dirs, B.diag)) * scale
+    tau3 = np.broadcast_to(tau3, B.diag.shape[:1] + tau3.shape[-1:])  # the off-diagonal flux, block by block
+    flux_ab = np.einsum("p,pi,pj->ij", w * np.einsum("pa,pa->p", dirs, B.off), tau3 > 0, tau3 < 0) * scale
+    junk = float(np.max(np.abs(flux_ab - dagger(flux_ab))))
 
     basis = np.array(
         [[float(c) for c in av] for av in datum.simple_coroots], dtype=float

@@ -16,6 +16,8 @@ from typing import ClassVar, List
 
 import numpy as np
 
+from .errors import CaloronError
+
 _BLOCK = 4096
 
 
@@ -60,7 +62,10 @@ def gauss_legendre(a, b, n):
 
 
 def graded_radii(r_min, r_max, n_seg, n_per_seg=4):
-    """Geometric segmentation of [r_min, r_max] with GL nodes per segment."""
+    """Geometric segmentation of [r_min, r_max] with GL nodes per segment;
+    0 < r_min < r_max, else the weights would turn negative."""
+    if not 0.0 < r_min < r_max:
+        raise CaloronError(f"graded radii need 0 < r_min < r_max, got [{r_min!r}, {r_max!r}]")
     ratio = (r_max / r_min) ** (1.0 / n_seg)
     edges = [r_min * ratio**k for k in range(n_seg + 1)]
     edges[-1] = r_max

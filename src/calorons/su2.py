@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError
 from .quadrature import _smoothstep, _smoothstep_prime
-from .samplers import ConnectionSampler, dagger
+from .samplers import ConnectionSampler, dagger, su2_field
 
 _SERIES_CUT = 1e-4
 _DECAY_CUT = 350.0  # exp(-2 * 350) < 1e-304: the decaying terms are 0 next to O(1) ones
@@ -193,15 +193,14 @@ class BPSCaloron(ConnectionSampler):
         self.omega_prime = float(omega_prime)
         self.epsilon = float(epsilon)
         self.v = self.omega_prime / self.epsilon
-        self.n = 2
 
     def evaluate(self, x, t, chart=None):
         A, Phi = core_fields(x, self.v, t if self.rotated else None, self.epsilon)
-        return _itau(A), _itau(Phi)
+        return su2_field(A, self.tau3), su2_field(Phi, self.tau3)
 
     def exact_curvature(self, x, t):
-        E = _itau(core_curvature(x, self.v, t if self.rotated else None))
-        return E, E.copy()
+        E = su2_field(core_curvature(x, self.v, t if self.rotated else None), self.tau3)
+        return E, E
 
 
 # ---------------------------------------------------------------------------

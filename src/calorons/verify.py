@@ -34,6 +34,7 @@ from .fieldcalc import (
 from .indexes import energy_formula
 from .quadrature import desk_grid
 from .rootsys import alcove_margin
+from .samplers import _cartan_matrix
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -158,8 +159,8 @@ def _annulus(spec, samp, rng, grid):
     shifted = CurvatureSample(*samp.exact_curvature(pts, tk + np.pi))
     fd = curvature_at(samp, pts, tk, step=_core_step(spec.epsilon))
     worst_ratio = float(np.max(np.sqrt(curv.sd_norm_sq()) / np.maximum(bound, 1e-300)))
-    worst_fd = max(np.max(np.abs(fd.E - curv.E)), np.max(np.abs(fd.B - curv.B)))
-    max_f = max(np.max(np.abs(curv.E)), np.max(np.abs(curv.B)))
+    worst_fd = max(_max_entry(fd.E - curv.E), _max_entry(fd.B - curv.B))
+    max_f = max(_max_entry(curv.E), _max_entry(curv.B))
     worst_dt = max(float(np.max(np.abs(density(curv) - density(shifted))))
                    for density in (CurvatureSample.norm_sq, CurvatureSample.sd_norm_sq,
                                    CurvatureSample.topological_density))
@@ -171,6 +172,11 @@ def _annulus(spec, samp, rng, grid):
     ], {}
 
 
+def _max_entry(f):
+    """The largest |entry| of a Field's n x n matrices: |d_i| or |z|."""
+    return max(np.max(np.abs(f.diag)), np.max(np.abs(f.off)))
+
+
 def _gauge_patches(spec, samp, rng, grid):
     """On each annulus the north and south presentations differ by the
     recorded abelian transition u = exp(-i phi gamma_k)."""
@@ -180,7 +186,8 @@ def _gauge_patches(spec, samp, rng, grid):
         u[:, 2] *= 0.2  # stay near the equator, away from both strings
         pts = p + _uniform(rng, 0.55 * samp.R, 0.95 * samp.R, 12)[:, None] * _unit(u)
         tk = _uniform(rng, 0.0, 2.0 * np.pi, 12)
-        (aN, pN), (aS, pS) = (samp.annulus_fields(k, patch, pts, tk) for patch in "NS")
+        aN, pN, aS, pS = (_cartan_matrix(f.diag, f.off, samp.locals[k].tau3)
+                          for patch in "NS" for f in samp.annulus_fields(k, patch, pts, tk))
         rel = pts - p
         # u is diagonal: u^-1 X u = conj(u_i) X_il u_l
         gamma = samp.singular.coroots[k]

@@ -22,6 +22,11 @@ Framed SU(2) fields: the matrix route to the string gauge that
 conjugated by the hedgehog framing, with its analytic derivative, and by
 g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
 
+The dense field route: `samplers.Field` values as n x n matrices
+(`dense`, and `compact` back), and the curvature stencil, commutators and
+Lie-algebra norms on those matrices, the route that the library's
+diagonal-plus-entry format replaced (`dense_curvature_at`).
+
 Test-only references that the library does not call: the alcove vertices by
 rational elimination, Weyl-closed weight lists, the adjoint special case of
 the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`) and the
@@ -47,7 +52,8 @@ from calorons.rootsys import (
     su2_embedding,
 )
 from calorons.quadrature import _smoothstep, _smoothstep_prime
-from calorons.samplers import ConnectionSampler, _mul, dagger
+from calorons.fieldcalc import _FD4
+from calorons.samplers import _SU2_TAU3, ConnectionSampler, Field, _cartan_matrix, _mul, dagger
 from calorons.su2 import (
     _TINY,
     ITAU,
@@ -227,6 +233,91 @@ def positive_root_charge_sum(datum, gamma_coeffs, n0):
 
 
 
+# -- the dense field route -----------------------------------------------------------
+
+def dense(field, tau3=_SU2_TAU3):
+    """The n x n matrices of a Field in the su(2) block with image tau3 of
+    i tau_3, shared or per point (the SU(2) block by default)."""
+    return _cartan_matrix(field.diag, field.off, np.asarray(tau3, dtype=float))
+
+
+def compact(m, tau3=_SU2_TAU3):
+    """The Field of anti-Hermitian matrices m (..., n, n) in t + su(2)_alpha,
+    one block tau3 shared by the batch: the imaginary diagonal and the (a, b)
+    entry."""
+    a, b = int(np.argmax(tau3)), int(np.argmin(tau3))
+    return Field(np.diagonal(m, axis1=-2, axis2=-1).imag.copy(), m[..., a, b].copy())
+
+
+def max_entry(field):
+    """The largest |entry| of a Field's n x n matrices: |d_i| or |z|."""
+    return max(float(np.max(np.abs(field.diag))), float(np.max(np.abs(field.off))))
+
+
+def dense_fields(sampler, x, t, chart=None):
+    """sampler(x, t, chart) as n x n matrices (A, Phi), each point in the
+    block of its chart."""
+    A, Phi = sampler(x, t, chart)
+    tau3 = _point_tau3(sampler, x, chart)
+    return dense(A, tau3[..., None, :]), dense(Phi, tau3)
+
+
+def dense_exact_curvature(sampler, x, t):
+    """sampler.exact_curvature(x, t) as n x n matrices (E, B)."""
+    tau3 = _point_tau3(sampler, x, None)[..., None, :]
+    return tuple(dense(f, tau3) for f in sampler.exact_curvature(x, t))
+
+
+def _point_tau3(sampler, x, chart):
+    if chart is None:
+        chart = sampler.chart(np.asarray(x, dtype=float))
+    return np.asarray(sampler.block(chart), dtype=float)
+
+
+def commutator(a, b):
+    return _mul(a, b) - _mul(b, a)
+
+
+def dense_norm_sq(x):
+    """<X, X> = -Tr(X X) = Frobenius^2 for anti-Hermitian X."""
+    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
+
+
+def dense_inner(x, y):
+    """<X, Y> = -Tr(X Y) for anti-Hermitian X, Y."""
+    return -np.einsum("...ij,...ji->...", x, y).real
+
+
+def dense_curvature_at(sampler, x, t=0.0, step=1e-3):
+    """(E, B) as (..., 3, n, n) by the matrix route of `fieldcalc.curvature_at`:
+    the 17 stencil evaluations in the base point's chart made n x n
+    matrices, 4th-order differences of the matrices, and commutators as
+    matrix products."""
+    x = np.asarray(x, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
+    eps, dt = sampler.epsilon, step / sampler.epsilon
+    chart = sampler.chart(x, t)
+    tau3 = np.asarray(sampler.block(chart), dtype=float)
+    shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
+    shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
+    all_x = np.stack([x] + [x + sx for sx, _ in shifts])
+    all_t = np.stack([t] + [t + st for _, st in shifts])
+    all_chart = None if chart is None else np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
+    A_all, Phi_all = sampler(all_x, all_t, all_chart)
+    A_all, Phi_all = dense(A_all, tau3[..., None, :]), dense(Phi_all, tau3)
+
+    def fd(values, h):
+        return sum(wgt * values[i] for i, (_, wgt) in enumerate(_FD4)) / (12.0 * h)
+
+    A0, Phi0 = A_all[0], Phi_all[0]
+    dA = np.stack([fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-4)  # [deriv, comp]
+    dPhi = np.stack([fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)], axis=-3)
+    B = np.stack([dA[..., i, j, :, :] - dA[..., j, i, :, :] + commutator(A0[..., i, :, :], A0[..., j, :, :])
+                  for i, j in ((1, 2), (2, 0), (0, 1))], axis=-3)
+    E = dPhi - fd(A_all[13:], dt) / eps + commutator(A0, Phi0[..., None, :, :])
+    return E, B
+
+
 # -- the gauge pullback as 2 x 2 matrix products ------------------------------------
 
 def gauge_transform(g, A, Phi=None, dg=None):
@@ -284,7 +375,8 @@ class RotationMap(GaugeMap):
 
 class PulledBackSampler(ConnectionSampler):
     """Gauge transform of an SU(2) sampler by an SU(2) gauge map with
-    `spatial_derivative` and `time_derivative`: A -> g^-1 A g + g^-1 dg."""
+    `spatial_derivative` and `time_derivative`: A -> g^-1 A g + g^-1 dg, as
+    2 x 2 products of the base's fields made matrices, returned as Fields."""
 
     def __init__(self, base, gauge_map):
         self.base = base
@@ -301,16 +393,16 @@ class PulledBackSampler(ConnectionSampler):
         return self.base.chart(x, t)
 
     def evaluate(self, x, t, chart=None):
-        A, Phi = self.base(x, t, chart)
+        A, Phi = dense_fields(self.base, x, t, chart)
         g = self.gauge(x, t)
         A_new, Phi_new = gauge_transform(g, A, Phi, self.gauge.spatial_derivative(x, t))
-        return A_new, Phi_new + _mul(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon
+        return compact(A_new), compact(Phi_new + _mul(dagger(g), self.gauge.time_derivative(x, t)) / self.epsilon)
 
     def exact_curvature(self, x, t):
         """g^-1 F_base g: curvature transforms covariantly, so no derivative
         of g enters."""
-        EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(self.base.exact_curvature(x, t), axis=-3))
-        return EB[..., :3, :, :], EB[..., 3:, :, :]
+        EB, _ = gauge_transform(self.gauge(x, t), np.concatenate(dense_exact_curvature(self.base, x, t), axis=-3))
+        return compact(EB[..., :3, :, :]), compact(EB[..., 3:, :, :])
 
 
 def rotated_pullback(omega_prime, epsilon):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calorons.assembler import _embed, _su2_block
+from calorons.assembler import _su2_tau3
+from calorons.samplers import su2_field
 from calorons.errors import InvalidGroupError, UnsupportedRepresentationError
 from calorons.rootsys import (
     alcove_check,
@@ -34,6 +35,7 @@ from calorons.indexes import transverse_index
 from calorons.su2 import ITAU, _itau
 from oracles import (
     alcove_vertices,
+    dense,
     dot_fraction,
     dynkin_index_adjoint_bruteforce,
     eager_root_datum,
@@ -320,7 +322,8 @@ E3 = np.eye(3)  # the coefficient vectors of i tau_1, i tau_2, i tau_3
 def _scatter(d, mu, V):
     """Node mu's su(2) image of the coefficient vectors V (..., 3) of
     V.(i tau) through the field layer's scatter."""
-    return _embed(V, np.asarray(su2_embedding(d, mu).coroot, dtype=float), _su2_block(d, mu))
+    tau3 = _su2_tau3(d, mu)
+    return dense(su2_field(V, tau3), tau3)
 
 
 def _su2_brackets_ok(m):
@@ -369,7 +372,7 @@ def test_su2_embedding_brackets_all_nodes(series, rank):
 def test_su2_embedding_non_a_matrix_unavailable():
     d = build_root_datum("B", 2)
     with pytest.raises(UnsupportedRepresentationError):
-        _su2_block(d, 1)
+        _su2_tau3(d, 1)
     # abstract data still present
     emb = su2_embedding(d, 1)
     assert emb.p_dim == d.dim_g - d.rank - 2
