@@ -38,7 +38,7 @@ from .errors import (
     SingularPointError,
     UnsupportedRepresentationError,
 )
-from .fieldcalc import _core_step, _flux_radius, _flux_step
+from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler, Field, _cartan_matrix, bracket, su2_field
@@ -447,6 +447,10 @@ class ApproximateCaloron(ConnectionSampler):
         self.epsilon = float(spec.epsilon)
         self.n = self.datum.ambient_dim
         self.R = gluing_radius(spec.epsilon, spec.gluing_c, d_min=spec.d_min)
+        r_min, r_max = _core_shell(self.epsilon, self.R)
+        if not r_min < r_max:
+            raise GluingInfeasibleError(f"gluing radius R={self.R:.4g} leaves the self-dual error's core shells "
+                                        f"[{r_min:.4g}, {r_max:.4g}] empty: decrease epsilon or the gluing constant c")
         self.profile = GluingProfile(self.R)
         self.positions = spec.positions
         self.singular = SingularCaloron(spec)

@@ -4,12 +4,15 @@ evaluate index formulas, and emit report/plot data.
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or a
 group whose fields are not evaluated (any but SU(n)).
 Output files are byte-identical across reruns with the same seed.
+The field layers load inside the commands that evaluate fields, so `roots`
+and `index` import only errors, rootsys and indexes.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -17,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembler import CaloronSpec, approximate_caloron
 from .errors import (
     CaloronError,
     GluingInfeasibleError,
@@ -26,17 +28,16 @@ from .errors import (
     InvalidGroupError,
     UnsupportedRepresentationError,
 )
-from .fieldcalc import _flux_radius, magnetic_charge
 from .indexes import moduli_dimension, transverse_index
 from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
-from .verify import energy_formula_float, field_integrals, run_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _load_spec(path) -> CaloronSpec:
+def _load_spec(path):
+    from .assembler import CaloronSpec
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -61,6 +62,8 @@ def cmd_roots(args):
 
 
 def cmd_construct(args):
+    from .assembler import approximate_caloron
+    from .verify import energy_formula_float
     spec = _load_spec(args.spec)
     samp = approximate_caloron(spec)
     n = spec.counts()
@@ -81,6 +84,7 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    from .verify import run_verification
     spec = _load_spec(args.spec)
     report, checks = run_verification(spec, grid=args.grid, seed=args.seed)
     for c in checks:
@@ -110,6 +114,9 @@ SWEEP_COLUMNS = ("epsilon", "R", "sd_error_l2_sq", "energy", "energy_formula", "
 
 
 def cmd_sweep(args):
+    from .assembler import approximate_caloron
+    from .fieldcalc import _flux_radius, magnetic_charge
+    from .verify import energy_formula_float, field_integrals
     template = _load_spec(args.spec)
     epsilons = _parse_epsilons(args.epsilons)
     rows = []
@@ -224,6 +231,7 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code; tests and tools call it in-process."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -237,5 +245,13 @@ def main(argv=None):
         return EXIT_CHECK_FAILED
 
 
+def entry():
+    """The process entry (`python -m calorons.cli`, the `caloron` script): main(), then
+    gc.freeze(), so that the interpreter's exit collections skip what the run left."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import FluxAmbiguityError
 from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
-from .samplers import ConnectionSampler, Field, _cartan_matrix, _mul, bracket, dagger
+from .samplers import ConnectionSampler, Field, bracket, dagger
 
 
 def lie_norm_sq(x: Field):
@@ -46,13 +46,6 @@ def lie_norm_sq(x: Field):
 def lie_inner(x: Field, y: Field):
     """<X, Y> = -Tr(X Y) = d.e + 2 Re(z conj w)."""
     return np.sum(x.diag * y.diag, axis=-1) + 2.0 * (x.off * np.conjugate(y.off)).real
-
-
-def expm_antiherm(m):
-    """exp of anti-Hermitian matrices (batched) via eigh."""
-    h = (m / 1j + dagger(m / 1j)) / 2.0
-    w, v = np.linalg.eigh(h)
-    return _mul(v * np.exp(1j * w)[..., None, :], dagger(v))
 
 
 @dataclass
@@ -146,6 +139,11 @@ def _flux_radius(d_max, R):
 
 def _flux_step(radius):
     return min(0.02 * radius, 0.5)
+
+
+def _core_shell(epsilon, R):
+    """sd_error_l2's core shell radii, which the glued caloron needs nonempty."""
+    return max(epsilon / 8.0, 1e-4 * R), 0.45 * R
 
 
 def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSample:
@@ -260,7 +258,7 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     # one sampler call.  They go before the annuli, so that no annulus
     # curvature is still held while that call, the largest of a verify run,
     # sets the run's peak memory.
-    core_radii = graded_radii(max(eps / 8.0, 1e-4 * R), 0.45 * R, 4, 2)
+    core_radii = graded_radii(*_core_shell(eps, R), 4, 2)
     shells = [(c, core_radii) for c in samp.positions]
     r_ext = spec.d_max + 1.5 * R  # outside every gluing ball, however large R is
     shells.append((np.zeros(3), graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)))
@@ -286,14 +284,9 @@ def sd_error_l2(samp) -> SdErrorEstimate:
 # ---------------------------------------------------------------------------
 # holonomy and flux
 
-def circle_holonomy(sampler, x, n_steps=64):
-    """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
-    computed as the path-ordered exponential of eps Phi dt via a 4th-order
-    Magnus / Gauss two-point product (exact for a constant Phi).  x is one
-    point (3,) or a batch (..., 3); each point keeps its own t = 0 chart, and
-    every circle of the batch is evaluated in one sampler call."""
+def _magnus_exponents(sampler, x, n_steps):
+    """Magnus exponents (Fields (..., n_steps)) of each point's t-circle in its t = 0 chart, and tau3."""
     x = np.asarray(x, dtype=float)
-    eps = sampler.epsilon
     chart = sampler.chart(x, np.zeros(x.shape[:-1]))
     tau3 = np.asarray(sampler.block(chart))[..., None, :]  # shared by the circle's nodes
     h = 2.0 * np.pi / n_steps
@@ -303,14 +296,38 @@ def circle_holonomy(sampler, x, n_steps=64):
     shape = x.shape[:-1] + t_nodes.shape
     if chart is not None:
         chart = np.broadcast_to(np.asarray(chart)[..., None], shape)
-    M = eps * sampler.higgs(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
+    M = sampler.epsilon * sampler.higgs(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
     M1, M2 = M[..., :n_steps], M[..., n_steps:]
-    omega = 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * bracket(M2, M1, tau3)
-    steps = expm_antiherm(_cartan_matrix(omega.diag, omega.off, tau3))
-    U = steps[..., 0, :, :]
+    return 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * bracket(M2, M1, tau3), tau3
+
+
+def circle_holonomy(sampler, x, n_steps=64):
+    """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
+    computed as the path-ordered exponential of eps Phi dt via a 4th-order
+    Magnus / Gauss two-point product (exact for a constant Phi).  x is one
+    point (3,) or a batch (..., 3); each point keeps its own t = 0 chart, and
+    every circle of the batch is evaluated in one sampler call.
+
+    The holonomy lies in T x SU(2) of the chart's block (a, b): a step is the
+    phases phi (d_j off the block, c = (d_a + d_b)/2 on it) times (alpha, beta)
+    = (cos th + i delta sinc th, z sinc th), delta = d.tau3/2 and
+    th = sqrt(delta^2 + |z|^2).  The phases add, the SU(2) factors multiply as
+    (alpha, beta) pairs, and the block's eigenphases are sum(phi) +- vartheta,
+    vartheta = atan2(sqrt(Im^2 alpha + |beta|^2), Re alpha)."""
+    omega, tau3 = _magnus_exponents(sampler, x, n_steps)
+    d, z, on_block = omega.diag, omega.off, np.abs(tau3)
+    delta = 0.5 * np.sum(d * tau3, axis=-1)
+    phi = d + on_block * (0.5 * np.sum(d * on_block, axis=-1)[..., None] - d)
+    theta = np.hypot(delta, np.abs(z))
+    sinc = np.sinc(theta / np.pi)
+    alpha, beta = np.cos(theta) + 1j * delta * sinc, z * sinc
+    a, b, total = alpha[..., 0], beta[..., 0], phi[..., 0, :]
     for k in range(1, n_steps):
-        U = _mul(steps[..., k, :, :], U)
-    phases = np.angle(np.linalg.eigvals(U))
+        a, b = (alpha[..., k] * a - beta[..., k] * np.conjugate(b),
+                alpha[..., k] * b + beta[..., k] * np.conjugate(a))
+        total = total + phi[..., k, :]
+    vartheta = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
+    phases = np.angle(np.exp(1j * (total + vartheta[..., None] * tau3[..., 0, :])))
     return np.sort(phases, axis=-1)[..., ::-1]
 
 

@@ -6,8 +6,8 @@ constituent over the abelian Cartan background, so every value is a
 `Field` in t + su(2)_alpha: a real Cartan diagonal d, acting as i diag(d),
 plus one entry z at (a, b) of the su(2) block the point's chart fixes, named
 by its image tau3 = e_a - e_b of i tau_3 (`block(chart)`).  n x n matrices
-(`_cartan_matrix`) are built only for the Magnus steps of
-`fieldcalc.circle_holonomy`, verify's gauge-patch transition and `charge_matrix`.
+(`_cartan_matrix`) are built only for verify's gauge-patch transition and
+`charge_matrix`; `fieldcalc.circle_holonomy` stays in T x SU(2) of the block.
 
 Samplers may be defined through several overlapping local gauges ("charts").
 Finite-difference stencils must evaluate every stencil point in the chart of
@@ -121,17 +121,6 @@ class ConnectionSampler:
         whose curvature is integrated implements it.  Finite differences
         (`fieldcalc.curvature_at`) are the independent check."""
         raise NotImplementedError
-
-
-def _mul(a, b):
-    """Batched small-matrix product a @ b as the explicit sum over j of
-    a[..., :, j] b[..., j, :], accumulated in j order: every operation runs
-    over the whole batch, and each point's product is independent of the
-    batch it sits in."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
-    return out
 
 
 def dagger(m):

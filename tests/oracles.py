@@ -25,7 +25,10 @@ g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
 The dense field route: `samplers.Field` values as n x n matrices
 (`dense`, and `compact` back), and the curvature stencil, commutators and
 Lie-algebra norms on those matrices, the route that the library's
-diagonal-plus-entry format replaced (`dense_curvature_at`).
+diagonal-plus-entry format replaced (`dense_curvature_at`); the batched
+matrix product `_mul`, and the circle holonomy as a product of n x n
+matrix exponentials (`dense_circle_holonomy`), which the library replaced
+by phases times SU(2) pairs.
 
 Test-only references that the library does not call: the alcove vertices by
 rational elimination, Weyl-closed weight lists, the adjoint special case of
@@ -52,8 +55,8 @@ from calorons.rootsys import (
     su2_embedding,
 )
 from calorons.quadrature import _smoothstep, _smoothstep_prime
-from calorons.fieldcalc import _FD4
-from calorons.samplers import _SU2_TAU3, ConnectionSampler, Field, _cartan_matrix, _mul, dagger
+from calorons.fieldcalc import _FD4, _magnus_exponents
+from calorons.samplers import _SU2_TAU3, ConnectionSampler, Field, _cartan_matrix, dagger
 from calorons.su2 import (
     _TINY,
     ITAU,
@@ -274,8 +277,38 @@ def _point_tau3(sampler, x, chart):
     return np.asarray(sampler.block(chart), dtype=float)
 
 
+def _mul(a, b):
+    """Batched small-matrix product a @ b as the explicit sum over j of
+    a[..., :, j] b[..., j, :], accumulated in j order: every operation runs
+    over the whole batch, and each point's product is independent of the
+    batch it sits in."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def commutator(a, b):
     return _mul(a, b) - _mul(b, a)
+
+
+def expm_antiherm(m):
+    """exp of anti-Hermitian matrices (batched) via eigh."""
+    h = (m / 1j + dagger(m / 1j)) / 2.0
+    w, v = np.linalg.eigh(h)
+    return _mul(v * np.exp(1j * w)[..., None, :], dagger(v))
+
+
+def dense_circle_holonomy(sampler, x, n_steps=64):
+    """`fieldcalc.circle_holonomy` by the matrix route: the same Magnus
+    exponents made n x n matrices, each step exponentiated by eigh, the
+    steps multiplied as matrices and the eigenphases read by eigvals."""
+    omega, tau3 = _magnus_exponents(sampler, x, n_steps)
+    steps = expm_antiherm(_cartan_matrix(omega.diag, omega.off, tau3))
+    U = steps[..., 0, :, :]
+    for k in range(1, n_steps):
+        U = _mul(steps[..., k, :, :], U)
+    return np.sort(np.angle(np.linalg.eigvals(U)), axis=-1)[..., ::-1]
 
 
 def dense_norm_sq(x):

@@ -267,6 +267,90 @@ def test_verify_imports_neither_numpy_random_nor_polynomial(su2_spec_file):
     assert result["loaded"] == []
 
 
+@pytest.mark.parametrize("argv", [["index", "--sweep-all"], ["roots", "--type", "E8"]], ids=["index", "roots"])
+def test_exact_commands_load_no_field_layer(argv, tmp_path):
+    """`index` and `roots` import errors, rootsys and indexes alone: none of
+    the field layers (assembler, fieldcalc, quadrature, samplers, su2,
+    verify)."""
+    proc = _run_capped(f"""
+        import json, sys
+        from calorons.cli import main
+        code = main({argv + ["--out", str(tmp_path / "out")]!r})
+        print(json.dumps({{"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("calorons"))}}))
+    """)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    assert result["loaded"] == ["calorons", "calorons.cli", "calorons.errors", "calorons.indexes", "calorons.rootsys"]
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = _run_capped("""
+        import json, sys
+        import calorons
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("calorons"))))
+    """)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["calorons"]
+
+
+PACKAGE_EXPORTS = {
+    "assembler": ["ApproximateCaloron", "CaloronSpec", "Constituent", "FundamentalCaloron", "GluingProfile",
+                  "SingularCaloron", "alcove_exclusion_constant", "alcove_margin_report", "approximate_caloron",
+                  "gluing_radius", "holonomy_shifts"],
+    "errors": ["CaloronError", "ChartDomainError", "FluxAmbiguityError", "GluingInfeasibleError",
+               "HolonomyParameterError", "InputError", "InvalidGroupError", "ResonanceError",
+               "SingularPointError", "UnsupportedRepresentationError"],
+    "fieldcalc": ["CurvatureSample", "FieldReport", "circle_holonomy", "curvature_at", "energy_and_tr_f_wedge_f",
+                  "magnetic_charge", "sd_error_l2", "sphere_averaged_holonomy"],
+    "indexes": ["IndexReport", "WeightList", "adjoint_weights", "defining_weights", "dynkin_index_su2",
+                "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"],
+    "rootsys": ["RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
+                "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
+                "su2_embedding"],
+    "su2": ["BPSCaloron", "GaugeMap", "RotatedBPSCaloron", "bps_fields", "hedgehog_framing", "rotation_gauge"],
+    "verify": ["run_verification"],
+}
+
+
+def test_package_exports_resolve_and_are_listed():
+    """Every name the package exports is its submodule's object, `dir` and
+    `__all__` list them, `import *` binds them, and other names still raise
+    AttributeError."""
+    import importlib
+
+    import calorons
+
+    names = [n for names in PACKAGE_EXPORTS.values() for n in names]
+    for module, exported in PACKAGE_EXPORTS.items():
+        sub = importlib.import_module(f"calorons.{module}")
+        for name in exported:
+            assert getattr(calorons, name) is getattr(sub, name), name
+    assert sorted(calorons.__all__) == sorted(names)
+    assert set(names) <= set(dir(calorons))
+    star = {}
+    exec("from calorons import *", star)
+    assert set(names) <= set(star)
+    with pytest.raises(AttributeError):
+        calorons.no_such_name
+
+
+def test_main_leaves_gc_unfrozen_and_the_process_entry_freezes(tmp_path):
+    """`main` runs in-process (tests, the benchmark tracer) and freezes
+    nothing; the process entry freezes after main returns, so that the
+    interpreter's exit collections skip the run's objects."""
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["index", "--type", "A2", "--mu", "0", "--out", str(tmp_path / "i.json")]) == 0
+    assert gc.get_freeze_count() == before
+    proc = _run_capped(f"""
+        import gc, sys
+        sys.argv = ["caloron", "index", "--type", "A2", "--mu", "0", "--out", {str(tmp_path / "e.json")!r}]
+        from calorons.cli import entry
+        print(entry(), gc.get_freeze_count() > 0)
+    """)
+    assert proc.stdout.split() == ["0", "True"], proc.stderr[-2000:]
+
+
 def test_sweep_refuses_single_epsilon(su2_spec_file):
     assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", "0.1"]) == 2
 
@@ -409,6 +493,18 @@ def test_flux_sphere_clears_a_large_gluing_ball(data_dir, tmp_path, capsys):
     path = _su2_single_with(data_dir, tmp_path, 0.05, 0.02)
     assert main(["verify", "--spec", str(path), "--seed", "1"]) == 0
     assert "[PASS] magnetic-charge: 0 <= 0  (recovered (1,), expected (1,))" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epsilon, c", [(0.05, 100.0), (3.0, 0.3)], ids=["c100", "eps3"])
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_gluing_radius_with_empty_core_shells_is_input_error(command, epsilon, c, data_dir, tmp_path, capsys):
+    """R <= eps/3.6 (R = 0.0042 at c = 100, R = 0.32 at eps = 3) leaves the
+    self-dual error's core shells [max(eps/8, 1e-4 R), 0.45 R] empty: the
+    spec is refused where R is computed, not failed as a check."""
+    path = _su2_single_with(data_dir, tmp_path, epsilon, c)
+    assert main([command, "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: gluing radius") and "core shells" in err
 
 
 def test_verify_past_the_range_of_sinh_raises_no_float_error(data_dir, tmp_path, capsys):

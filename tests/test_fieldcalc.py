@@ -28,13 +28,14 @@ from calorons.fieldcalc import (
 )
 from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.samplers import ConnectionSampler
+from calorons.samplers import ConnectionSampler, Field
 from calorons.su2 import BPSCaloron, RotatedBPSCaloron
 from oracles import (
     PulledBackSampler,
     RotationMap,
     compact,
     dense,
+    dense_circle_holonomy,
     dense_exact_curvature,
     dense_norm_sq,
     gauge_transform,
@@ -263,6 +264,51 @@ def test_circle_holonomy_batch_equals_single_points(data_dir):
     batch = circle_holonomy(samp, pts)
     assert batch.shape == (4, 3)
     assert np.array_equal(batch, np.stack([circle_holonomy(samp, x) for x in pts]))
+
+
+def test_circle_holonomy_matches_the_dense_route_on_every_chart_kind(data_dir):
+    """120 circles of the su3_triple caloron, over the cores, both annulus
+    patches of every constituent and the far region's patch combinations:
+    the T x SU(2) product gives the eigenphases of the n x n matrix route to
+    1e-12."""
+    samp = approximate_caloron(CaloronSpec.from_json((data_dir / "su3_triple.json").read_text()))
+    rng = np.random.default_rng(3)
+
+    def shell(center, r_min, r_max, count):
+        u = rng.normal(size=(count, 3))
+        return center + (rng.uniform(r_min, r_max, count) / np.linalg.norm(u, axis=1))[:, None] * u
+
+    R = samp.R
+    pts = np.concatenate([shell(c, lo * R, hi * R, 12) for c in samp.positions for lo, hi in ((0.02, 0.5), (0.5, 1.0))]
+                         + [shell(np.zeros(3), 0.5, 8.0, 48)])
+    codes = samp.chart(pts)
+    assert set(codes[codes > 0].tolist()) == {4 * k + kind for k in range(3) for kind in (1, 2, 3)}
+    assert len(set(codes[codes < 0].tolist())) >= 4
+    ours, ref = circle_holonomy(samp, pts), dense_circle_holonomy(samp, pts)
+    assert ours.shape == ref.shape == (120, 3)
+    assert np.max(np.abs(ours - ref)) <= 1e-12
+
+
+def test_circle_holonomy_exact_for_a_constant_phi_in_the_block():
+    """A constant Phi = i diag(d) + z at (1, 2) of the block (1, 2) of su(3):
+    the holonomy is exp(2 pi eps Phi), eigenphases 2 pi eps d_0 and
+    2 pi eps (c +- theta) with c = (d_1 + d_2)/2 and theta^2 = delta^2 + |z|^2,
+    delta = (d_1 - d_2)/2, wrapped to (-pi, pi]; d_0 wraps."""
+    d, z, eps = np.array([1.5, 0.2, -0.6]), 0.3 + 0.4j, 0.4
+
+    class ConstantBlock(ConnectionSampler):
+        n, epsilon, tau3 = 3, eps, np.array([0.0, 1.0, -1.0])
+
+        def evaluate(self, x, t, chart=None):
+            shape = x.shape[:-1]
+            A = Field(np.zeros(shape + (3, 3)), np.zeros(shape + (3,), dtype=complex))
+            return A, Field(np.broadcast_to(d, shape + (3,)).copy(), np.full(shape, z))
+
+    c, delta = 0.5 * (d[1] + d[2]), 0.5 * (d[1] - d[2])
+    theta = math.sqrt(delta**2 + abs(z) ** 2)
+    expect = np.sort(np.angle(np.exp(2j * np.pi * eps * np.array([d[0], c + theta, c - theta]))))[::-1]
+    phases = circle_holonomy(ConstantBlock(), np.array([[0.3, -1.0, 2.0], [4.0, 0.0, 0.0]]))
+    assert np.max(np.abs(phases - expect)) <= 1e-13
 
 
 def test_circle_holonomy_abelian_model_shift():

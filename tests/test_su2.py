@@ -11,7 +11,6 @@ from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPo
 from calorons.fieldcalc import circle_holonomy, curvature_at
 from calorons.quadrature import sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.samplers import _mul
 from calorons.su2 import (
     ITAU,
     BPSCaloron,
@@ -28,6 +27,7 @@ from calorons.su2 import (
 )
 from oracles import (
     RotationMap,
+    _mul,
     bps_remainder,
     compact,
     dense,
