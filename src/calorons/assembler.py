@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
-from .quadrature import _smoothstep, _smoothstep_prime, sphere_rule
+from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
 from .samplers import ConnectionSampler, Field, _cartan_matrix, bracket, su2_field
-from .su2 import core_curvature, core_fields, dirac_potential, string_gauge_fields
+from .su2 import _r_of, core_curvature, core_fields, dirac_potential, string_gauge_fields
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +90,37 @@ def _checked_constituent(c) -> Constituent:
     )
 
 
+def mass_parameter(datum: RootDatum, mu: int, omega) -> float:
+    """omega' = eps v of a node-mu constituent at holonomy omega, whose framed
+    remainder decays like exp(-2 omega' r / eps): alpha_mu(omega)/2 for
+    mu >= 1, (1 + alpha_0(omega))/2 for the lowest root alpha_0."""
+    a = float(np.asarray(datum.node_root(mu), dtype=float) @ np.asarray(omega, dtype=float))
+    return 0.5 + 0.5 * a if mu == 0 else 0.5 * a
+
+
 @dataclass
 class CaloronSpec:
-    """Full input of the gluing construction."""
+    """Full input of the gluing construction; the gluing constant c
+    defaults to the least omega'_k of the constituents (`masses`)."""
 
     epsilon: float
     series: str
     rank: int
     omega: Tuple[float, ...]
     constituents: Tuple[Constituent, ...]
-    gluing_c: float = 1.0
+    gluing_c: Optional[float] = None
 
     def __post_init__(self):
         self.series = self.series.upper()
         self.rank = _integer(self.rank, "rank")
         self.epsilon = _finite(self.epsilon, "epsilon")
-        self.gluing_c = _finite(self.gluing_c, "gluing constant c")
+        if self.gluing_c is not None:
+            self.gluing_c = _finite(self.gluing_c, "gluing constant c")
         self.omega = tuple(_finite(c, "omega coordinate") for c in self.omega)
         self.constituents = tuple(_checked_constituent(c) for c in self.constituents)
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
-        if self.gluing_c <= 0:
+        if self.gluing_c is not None and self.gluing_c <= 0:
             raise InputError("gluing constant c must be positive")
         if not self.constituents:
             raise InputError("a caloron spec needs at least one constituent")
@@ -128,6 +138,8 @@ class CaloronSpec:
         for c in self.constituents:
             if not 0 <= c.mu <= self.rank:
                 raise InputError(f"constituent type mu={c.mu} out of range 0..{self.rank}")
+        if self.gluing_c is None:
+            self.gluing_c = min(self.masses())
         pos = [c.position for c in self.constituents]
         if any(math.dist(p, q) == 0.0 for i, p in enumerate(pos) for q in pos[i + 1 :]):
             raise InputError("constituent positions must be distinct")
@@ -162,6 +174,10 @@ class CaloronSpec:
     @property
     def d_max_eff(self):
         return max(self.d_max, 1.0)
+
+    def masses(self):
+        """omega'_k of each constituent at omega (`mass_parameter`)."""
+        return [mass_parameter(self.datum, c.mu, self.omega) for c in self.constituents]
 
     def counts(self) -> Tuple[int, ...]:
         """(n_0, .., n_rk): number of constituents of each type."""
@@ -214,7 +230,7 @@ class CaloronSpec:
                 rank=group["rank"],
                 omega=tuple(payload["omega"]),
                 constituents=constituents,
-                gluing_c=payload.get("gluing", {}).get("c", 1.0),
+                gluing_c=payload.get("gluing", {}).get("c"),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed caloron spec: missing/bad field {exc}") from exc
@@ -278,20 +294,14 @@ def gluing_radius(epsilon, c, d_min=None) -> float:
 # local holonomy parameters
 
 def holonomy_shifts(spec: CaloronSpec):
-    """omega_k for every constituent: omega minus the monopole-sum constants
-    eps * gamma_l / (2 |p_l - p_k|) of all other constituents."""
-    datum = spec.datum
+    """omega_k for every constituent, the rows (N, n): omega minus the
+    monopole-sum constants eps * gamma_l / (2 |p_l - p_k|) of all other
+    constituents."""
     pos = spec.positions
-    out = []
-    for k in range(len(spec.constituents)):
-        om = np.array(spec.omega, dtype=float)
-        for l, cl in enumerate(spec.constituents):
-            if l == k:
-                continue
-            d = float(np.linalg.norm(pos[l] - pos[k]))
-            om = om - spec.epsilon * np.asarray(datum.node_coroot(cl.mu), dtype=float) / (2.0 * d)
-        out.append(om)
-    return out
+    d = np.linalg.norm(pos[:, None, :] - pos, axis=-1)
+    np.fill_diagonal(d, np.inf)
+    coroots = np.array([spec.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
+    return np.asarray(spec.omega, dtype=float) - spec.epsilon * ((0.5 / d) @ coroots)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ class FundamentalCaloron(ConnectionSampler):
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
             )
-        self.v = (0.5 - self.su2_parameter if mu == 0 else self.su2_parameter) / self.epsilon
+        self.v = mass_parameter(datum, mu, omega) / self.epsilon
         self.n = datum.ambient_dim
         self.charge_matrix = _cartan_matrix(coroot)
 
@@ -366,7 +376,7 @@ def _patch_mask(rel_z):
 class SingularCaloron(ConnectionSampler):
     """Cartan-valued caloron: superposition of Dirac monopoles at the
     constituent positions plus the constant omega/eps, as real Cartan
-    diagonals with no su(2) entry."""
+    diagonals with no su(2) entry, summed over an axis of constituents."""
 
     def __init__(self, spec: CaloronSpec):
         self.spec = spec
@@ -380,42 +390,30 @@ class SingularCaloron(ConnectionSampler):
         self.tau3 = 0.0 * _su2_tau3(self.datum, 0)  # no su(2) entry; the type-A guard
 
     def chart(self, x, t=None):
-        x = np.asarray(x, dtype=float)
-        code = np.zeros(x.shape[:-1], dtype=np.int64)
-        for k in range(len(self.positions)):
-            south = _patch_mask(x[..., 2] - self.positions[k][2])
-            code |= south.astype(np.int64) << k
-        return code
+        """Bit k set where monopole k takes its south patch."""
+        south = _patch_mask(np.asarray(x, dtype=float)[..., 2, None] - self.positions[:, 2])
+        return np.sum(south.astype(np.int64) << np.arange(len(self.positions)), axis=-1)
 
     def evaluate(self, x, t, chart=None):
         x = np.asarray(x, dtype=float)
         Phi = self.higgs(x, t)  # first: it rejects the constituent positions
         chart = np.asarray(self.chart(x) if chart is None else chart)
-        A = np.zeros(x.shape[:-1] + (3, self.n))
-        for k, p in enumerate(self.positions):
-            south = ((chart >> k) & 1).astype(bool)
-            A += dirac_potential(x - p, south)[..., :, None] * self.coroots[k]
+        south = ((chart[..., None] >> np.arange(len(self.positions))) & 1).astype(bool)
+        A = np.swapaxes(dirac_potential(x[..., None, :] - self.positions, south), -1, -2) @ self.coroots
         return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
 
     def higgs(self, x, t, chart=None):
-        x = np.asarray(x, dtype=float)
-        Phi = np.broadcast_to(self.omega / self.epsilon, x.shape[:-1] + (self.n,)).copy()
-        for k, p in enumerate(self.positions):
-            r = np.linalg.norm(x - p, axis=-1)
-            if np.any(r == 0.0):
-                raise SingularPointError("evaluation at a constituent position")
-            Phi -= self.coroots[k] / (2.0 * r)[..., None]
+        r = _r_of(np.asarray(x, dtype=float)[..., None, :] - self.positions)
+        if np.any(r == 0.0):
+            raise SingularPointError("evaluation at a constituent position")
+        Phi = self.omega / self.epsilon - (0.5 / r) @ self.coroots
         return Field(Phi, np.zeros(Phi.shape[:-1], dtype=complex))
 
     def field_strength_diagonal(self, x):
         """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
-        x = np.asarray(x, dtype=float)
-        B = np.zeros(x.shape[:-1] + (3, self.n))
-        for k, p in enumerate(self.positions):
-            rel = x - p
-            r = np.linalg.norm(rel, axis=-1)
-            B += (rel / (2.0 * r**3)[..., None])[..., :, None] * self.coroots[k]
-        return B
+        rel = np.asarray(x, dtype=float)[..., None, :] - self.positions
+        r = _r_of(rel)
+        return np.swapaxes(rel / (2.0 * r**3)[..., None], -1, -2) @ self.coroots
 
     def exact_curvature(self, x, t):
         """Closed-form E = B, the Dirac field strengths."""
@@ -451,6 +449,11 @@ class ApproximateCaloron(ConnectionSampler):
         if not r_min < r_max:
             raise GluingInfeasibleError(f"gluing radius R={self.R:.4g} leaves the self-dual error's core shells "
                                         f"[{r_min:.4g}, {r_max:.4g}] empty: decrease epsilon or the gluing constant c")
+        masses = spec.masses()  # c <= 2 omega'_k: no framed remainder outlasts the glue error
+        k = int(np.argmin(masses))
+        if spec.gluing_c > 2.0 * masses[k]:
+            raise GluingInfeasibleError(f"gluing constant c={spec.gluing_c:.6g} exceeds 2 omega' = {2.0 * masses[k]:.6g} "
+                                        f"of constituent {k} (mu={spec.constituents[k].mu}): take c <= {2.0 * masses[k]:.6g}")
         self.profile = GluingProfile(self.R)
         self.positions = spec.positions
         self.singular = SingularCaloron(spec)
@@ -478,12 +481,12 @@ class ApproximateCaloron(ConnectionSampler):
 
     def chart(self, x, t=None):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x[..., None, :] - self.positions, axis=-1)
+        r = _r_of(x[..., None, :] - self.positions)
         kmin = np.argmin(r, axis=-1)
         rmin = np.take_along_axis(r, kmin[..., None], axis=-1)[..., 0]
         code = np.empty(x.shape[:-1], dtype=np.int64)
         far = rmin > self.R
-        code[far] = -(self.singular.chart(x)[far] + 1)
+        code[far] = -(self.singular.chart(x[far]) + 1)
         core = rmin <= 0.5 * self.R
         code[core] = kmin[core] * 4 + _REGION_CORE + 1
         ann = (~far) & (~core)
@@ -495,16 +498,16 @@ class ApproximateCaloron(ConnectionSampler):
         return code
 
     def _by_chart(self, chart):
-        """Decode a batch of chart codes: (mask, k, patch) per code present.
-        Off every gluing ball k is None and patch the singular caloron's
-        chart code; on core k patch is None, on annulus k "N" or "S"."""
-        codes = np.sort(chart, axis=None)  # np.unique would import numpy.ma (13 ms)
+        """Decode a batch of chart codes: (mask, k, patch) per group.  Off
+        every gluing ball, one group, k is None and patch the singular
+        caloron's chart codes; on core k patch is None, on annulus k "N" or "S"."""
+        far = chart < 0
+        if np.any(far):
+            yield far, None, -chart[far] - 1
+        codes = np.sort(chart[~far])  # np.unique would import numpy.ma (13 ms)
         for code in np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]]):
-            if code < 0:
-                yield chart == code, None, int(-code - 1)
-            else:
-                k, kind = divmod(int(code) - 1, 4)
-                yield chart == code, k, _PATCH[kind]
+            k, kind = divmod(int(code) - 1, 4)
+            yield chart == code, k, _PATCH[kind]
 
     def block(self, chart):
         """Constituent k's tau3 on core and annulus k, 0 off the gluing balls."""
@@ -528,7 +531,7 @@ class ApproximateCaloron(ConnectionSampler):
 
     def _chart_fields(self, xs, ts, k, patch):
         if k is None:
-            return self.singular.evaluate(xs, ts, np.full(len(xs), patch))
+            return self.singular.evaluate(xs, ts, patch)
         if patch is None:
             return self.locals[k].evaluate(xs, ts)
         return self.annulus_fields(k, patch, xs, ts)
@@ -556,7 +559,7 @@ class ApproximateCaloron(ConnectionSampler):
         fund = self.locals[k]
         coroots = self.singular.coroots
         rel = xs - self.positions[k]
-        r = np.linalg.norm(rel, axis=-1)
+        r = _r_of(rel)
 
         model_A = dirac_potential(rel, patch)[..., :, None] * coroots[k]
         model_P = self.omega_shifts[k] / self.epsilon - coroots[k] / (2.0 * r)[..., None]
@@ -564,18 +567,13 @@ class ApproximateCaloron(ConnectionSampler):
             rel, fund.v, patch, ts if cst.mu == 0 else None, cst.phase
         )
 
-        sA = np.zeros_like(model_A)
-        sP = np.zeros_like(model_P)
-        for l in range(len(spec.constituents)):
-            if l == k:
-                continue
-            pl = self.positions[l]
-            d_kl = float(np.linalg.norm(self.positions[k] - pl))
-            south = self._spect_patch[k, l]
-            coeff = dirac_potential(xs - pl, south) - dirac_potential(self.positions[k] - pl, south)
-            sA += coeff[..., :, None] * coroots[l]
-            rl = np.linalg.norm(xs - pl, axis=-1)
-            sP += (1.0 / (2.0 * d_kl) - 1.0 / (2.0 * rl))[..., None] * coroots[l]
+        # the spectators l != k, each in its patch seen from p_k, on an axis
+        spect = np.arange(len(spec.constituents)) != k
+        pl, south, gl = self.positions[spect], self._spect_patch[k, spect], coroots[spect]
+        coeff = dirac_potential(xs[..., None, :] - pl, south) - dirac_potential(self.positions[k] - pl, south)
+        sA = np.swapaxes(coeff, -1, -2) @ gl
+        rl = _r_of(xs[..., None, :] - pl)
+        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / rl) @ gl
 
         return {
             "r": r,
@@ -654,16 +652,19 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     r0 = c_excl * eps
 
     # shells of 8 radii about every constituent, then a coarse background
-    # lattice out to the far zone, all in one sampler call
+    # lattice out to the far zone, in blocks that keep each point's margin
     dirs, _ = sphere_rule(6 * refine, 10 * refine)
     radii_factors = np.array([1.0, 1.25, 1.6, 2.2, 3.5, 6.0, 12.0, 30.0])
     shells = (spec.positions[:, None, None, :] + (r0 * radii_factors)[:, None, None] * dirs).reshape(-1, 3)
     grid = np.linspace(-spec.d_max_eff * 3.0, spec.d_max_eff * 3.0, 7 * refine)
     lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    ok = [np.all(np.linalg.norm(pts[:, None, :] - spec.positions, axis=-1) >= r_min, axis=-1)
-          for pts, r_min in ((shells, r0 * 0.999999), (lattice, r0))]
-    h = eps * samp.singular.higgs(np.concatenate([shells[ok[0]], lattice[ok[1]]]), 0.0).diag
-    margins = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
-    margins.append(1.0 + h @ np.asarray(datum.lowest_root, dtype=float))
-    worst = float(np.min(np.stack(margins, axis=-1)))
+    pts = np.concatenate([shells, lattice])
+    r_min = np.where(np.arange(len(pts)) < len(shells), r0 * 0.999999, r0)
+
+    def margins(s):
+        x = pts[s][np.all(_r_of(pts[s, None, :] - spec.positions) >= r_min[s, None], axis=-1)]
+        h = eps * samp.singular.higgs(x, 0.0).diag
+        out = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
+        return np.min(np.stack(out + [1.0 + h @ np.asarray(datum.lowest_root, dtype=float)], axis=-1), axis=-1)
+    worst = float(np.min(blockwise(margins, len(pts))))
     return {"sigma": worst, "c_exclusion": c_excl, "r_exclusion": r0}

@@ -70,6 +70,7 @@ def cmd_construct(args):
     payload = {
         "group": f"{spec.series}{spec.rank}",
         "epsilon": spec.epsilon,
+        "gluing_c": spec.gluing_c,
         "gluing_radius": samp.R,
         "d_min": None if math.isinf(spec.d_min) else spec.d_min,
         "d_max": spec.d_max,

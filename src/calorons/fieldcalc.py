@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import FluxAmbiguityError
-from .quadrature import VolumeGrid, block_sum, gauss_legendre, graded_radii, sphere_rule
+from .quadrature import VolumeGrid, block_sum, blockwise, gauss_legendre, graded_radii, sphere_rule
 from .samplers import ConnectionSampler, Field, bracket, dagger
 
 
@@ -81,6 +81,7 @@ class CurvatureSample:
 
 
 _FD4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+_STENCIL = 1 + 4 * len(_FD4)  # curvature_at's evaluations per point: it, 4 shifts per axis and in t
 
 
 def _fd(values, h):
@@ -185,9 +186,12 @@ def _integrate(sampler, grid: VolumeGrid):
     t_weight = sampler.epsilon * 2.0 * np.pi
     energy, topological = [], []
     for region in grid.regions:
-        curv = _closed_form(sampler, region.points, _T_SLICE)
-        energy.append(block_sum(curv.norm_sq(), region.weights) * t_weight)
-        topological.append(block_sum(curv.topological_density(), region.weights) * t_weight)
+        def densities(s, x=region.points):
+            curv = _closed_form(sampler, x[s], _T_SLICE)
+            return np.stack([curv.norm_sq(), curv.topological_density()], axis=-1)
+        dens = blockwise(densities, len(region.points))
+        energy.append(block_sum(dens[:, 0], region.weights) * t_weight)
+        topological.append(block_sum(dens[:, 1], region.weights) * t_weight)
     return math.fsum(energy), math.fsum(topological)
 
 
@@ -254,16 +258,16 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     t_w = eps * 2.0 * np.pi
     dirs, wdir = sphere_rule(8, 12)
 
-    # sparse shells about the cores and over the exterior, every stencil in
-    # one sampler call.  They go before the annuli, so that no annulus
-    # curvature is still held while that call, the largest of a verify run,
-    # sets the run's peak memory.
+    # sparse shells about the cores and over the exterior, in blocks of
+    # stencils that keep only |F+|^2 per point
     core_radii = graded_radii(*_core_shell(eps, R), 4, 2)
     shells = [(c, core_radii) for c in samp.positions]
     r_ext = spec.d_max + 1.5 * R  # outside every gluing ball, however large R is
     shells.append((np.zeros(3), graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)))
     pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
-    sd = curvature_at(samp, np.concatenate(pts), _T_SLICE, step=_core_step(eps)).sd_norm_sq()
+    x = np.concatenate(pts)
+    sd = blockwise(lambda s: curvature_at(samp, x[s], _T_SLICE, step=_core_step(eps)).sd_norm_sq(),
+                   len(x), per=_STENCIL)
     background_terms = []
     for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
         w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
@@ -274,8 +278,9 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
     annulus_terms = []
     for c in samp.positions:
-        curv = _closed_form(samp, (c + radii[:, None, None] * dirs).reshape(-1, 3), _T_SLICE)
-        annulus_terms.append(block_sum(curv.sd_norm_sq(), w) * t_w)
+        x = (c + radii[:, None, None] * dirs).reshape(-1, 3)
+        sd = blockwise(lambda s, x=x: _closed_form(samp, x[s], _T_SLICE).sd_norm_sq(), len(x))
+        annulus_terms.append(block_sum(sd, w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
 
     return SdErrorEstimate(annulus_sq=annulus_sq, background_sq=background_sq)
@@ -333,13 +338,14 @@ def circle_holonomy(sampler, x, n_steps=64):
 
 def sphere_averaged_holonomy(sampler, radius):
     """Holonomy eigenphases averaged over a 6 x 8 sphere rule of the given
-    radius, each circle in 64 Magnus steps.
+    radius, each circle in 64 Magnus steps of two Gauss nodes.
 
     Averaging kills the multipole corrections of well-separated constituent
     fields (the mean of 1/|x-p| over the sphere is exactly 1/radius),
     leaving the single-centre abelian model."""
     dirs, w = sphere_rule(6, 8)
-    return sum(wi * ph for ph, wi in zip(circle_holonomy(sampler, radius * dirs), w)) / (4.0 * np.pi)
+    phases = blockwise(lambda s: circle_holonomy(sampler, radius * dirs[s], 64), len(dirs), per=2 * 64)
+    return sum(wi * ph for ph, wi in zip(phases, w)) / (4.0 * np.pi)
 
 
 def magnetic_charge(sampler, radius):

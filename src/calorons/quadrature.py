@@ -4,7 +4,8 @@ Product rules: Gauss-Legendre in the radius and in cos(theta), uniform in
 phi; the circle coordinate takes one slice (see `fieldcalc._T_SLICE`).
 Radial meshes are graded geometrically so that epsilon-size cores and 1/r
 tails are both resolved at desk scale.  Accumulation is fixed-order (block
-sums combined by math.fsum) so results are independent of any worker count.
+sums combined by math.fsum), and the diagnostics evaluate their points in
+bounded blocks (`blockwise`) of per-point values that no blocking changes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import CaloronError
 
 _BLOCK = 4096
+_EVAL_BLOCK = _BLOCK  # the most sampler evaluations a diagnostic makes in one call
 
 
 def block_sum(values, weights=None):
@@ -29,6 +31,14 @@ def block_sum(values, weights=None):
     flat = values.ravel()
     partials = [float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK)]
     return math.fsum(partials)
+
+
+def blockwise(f, n, per=1):
+    """f(s) over consecutive slices s of range(n), concatenated: f makes per
+    sampler evaluations at each point of its slice, at most _EVAL_BLOCK in
+    all (one point when per exceeds it), and returns per-point values."""
+    step = max(_EVAL_BLOCK // per, 1)
+    return np.concatenate([f(slice(i, i + step)) for i in range(0, n, step)])
 
 
 @functools.cache

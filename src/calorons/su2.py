@@ -36,7 +36,9 @@ ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  #
 
 
 def _r_of(x):
-    return np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1))
+    """|x| over the last axis, summed in np.linalg.norm's order without its reduction."""
+    x = np.asarray(x, float)
+    return np.sqrt((x[..., 0] ** 2 + x[..., 1] ** 2) + x[..., 2] ** 2)
 
 
 def _itau(v):

@@ -22,6 +22,7 @@ from .assembler import ApproximateCaloron, CaloronSpec, alcove_margin_report, ap
 from .fieldcalc import (
     CurvatureSample,
     FieldReport,
+    _STENCIL,
     _core_step,
     _far_step,
     _flux_radius,
@@ -32,7 +33,7 @@ from .fieldcalc import (
     sphere_averaged_holonomy,
 )
 from .indexes import energy_formula
-from .quadrature import desk_grid
+from .quadrature import blockwise, desk_grid
 from .rootsys import alcove_margin
 from .samplers import _cartan_matrix
 
@@ -68,9 +69,7 @@ def energy_formula_float(spec: CaloronSpec) -> float:
 def field_integrals(samp: ApproximateCaloron, grid="desk"):
     """(sd error, energy, trF^F, volume grid) of a glued caloron: its
     `sd_error_l2`, then its energy and trF^F over the desk (or "fine") grid
-    about its constituents, at their core scales 1/(2v).  The sd error goes
-    first: its shell stencil, the largest sampler call, sets the peak memory
-    of a verify run, so no volume grid is held while it runs."""
+    about its constituents, at their core scales 1/(2v)."""
     sd = sd_error_l2(samp)
     core_scales = [1.0 / (2.0 * f.v) for f in samp.locals]
     vol = desk_grid(list(samp.positions), core_scales, samp.spec.d_max_eff, fine=(grid == "fine"))
@@ -122,12 +121,13 @@ def _bogomolny(spec, samp, rng, grid):
         core_pts.append(p + (0.3 * samp.R / np.linalg.norm(u, axis=1))[:, None] * u)
     core_pts = np.concatenate(core_pts)
     ts = _uniform(rng, 0.0, 2.0 * np.pi, len(core_pts))
-    core = curvature_at(samp, core_pts, ts, step=_core_step(spec.epsilon))
+    core = blockwise(lambda s: curvature_at(samp, core_pts[s], ts[s], step=_core_step(spec.epsilon)).sd_norm_sq(),
+                     len(core_pts), per=_STENCIL)
     far_pts = _unit(_normal(rng, 24))
     far_pts *= (spec.d_max + 3.0 * samp.R + 1.0) * _uniform(rng, 1.0, 2.0, 24)[:, None]
     far = curvature_at(samp, far_pts, 0.0, step=_far_step(spec.epsilon))
     return [
-        Check("core-self-dual-error", float(np.sqrt(np.max(core.sd_norm_sq()))), 1e-3, "<"),
+        Check("core-self-dual-error", float(np.sqrt(np.max(core))), 1e-3, "<"),
         Check("far-self-dual-error", float(np.sqrt(np.max(far.sd_norm_sq()))), 1e-6, "<"),
     ], {}
 
@@ -250,8 +250,7 @@ def _integrals(spec, samp, rng, grid):
     }
 
 
-# The ledger in print order, which is also the order of the probe draws; the
-# integrals go last, so that no volume grid is held while the probes run.
+# The ledger in print order, which is also the order of the probe draws.
 CHECKS = (_construction, _bogomolny, _annulus, _gauge_patches, _alcove_containment,
           _charge_and_holonomy, _integrals)
 

@@ -30,6 +30,12 @@ matrix product `_mul`, and the circle holonomy as a product of n x n
 matrix exponentials (`dense_circle_holonomy`), which the library replaced
 by phases times SU(2) pairs.
 
+Per-constituent loops: the singular caloron's chart, fields, Phi and
+curvature, the annulus spectators and the local holonomy parameters summed
+one constituent at a time (`LoopSingularCaloron`, `loop_spectators`,
+`loop_holonomy_shifts`, and `LoopCaloron`, the glued caloron built from
+them), where the library sums over an array axis of constituents.
+
 Test-only references that the library does not call: the alcove vertices by
 rational elimination, Weyl-closed weight lists, the adjoint special case of
 the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`) and the
@@ -42,6 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from calorons.assembler import ApproximateCaloron, FundamentalCaloron, SingularCaloron, _patch_mask
 from calorons.errors import ResonanceError, SingularPointError
 from calorons.indexes import WeightList, _rep_dynkin_index
 from calorons.rootsys import (
@@ -606,6 +613,97 @@ def annulus_fields_dense(samp, k, patch, xs, ts):
     a, b = cA[:, [1, 2, 0]], cA[:, [2, 0, 1]]
     B = F + dchi[:, [1, 2, 0]] * b - dchi[:, [2, 0, 1]] * a - mix * (_mul(a, b) - _mul(b, a))
     return A, Phi, E, B
+
+
+# -- per-constituent loops -------------------------------------------------------------
+
+class LoopSingularCaloron(SingularCaloron):
+    """`SingularCaloron` with every constituent sum a loop over k."""
+
+    def chart(self, x, t=None):
+        x = np.asarray(x, dtype=float)
+        code = np.zeros(x.shape[:-1], dtype=np.int64)
+        for k in range(len(self.positions)):
+            south = _patch_mask(x[..., 2] - self.positions[k][2])
+            code |= south.astype(np.int64) << k
+        return code
+
+    def evaluate(self, x, t, chart=None):
+        x = np.asarray(x, dtype=float)
+        Phi = self.higgs(x, t)
+        chart = np.asarray(self.chart(x) if chart is None else chart)
+        A = np.zeros(x.shape[:-1] + (3, self.n))
+        for k, p in enumerate(self.positions):
+            south = ((chart >> k) & 1).astype(bool)
+            A += dirac_potential(x - p, south)[..., :, None] * self.coroots[k]
+        return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
+
+    def higgs(self, x, t, chart=None):
+        x = np.asarray(x, dtype=float)
+        Phi = np.broadcast_to(self.omega / self.epsilon, x.shape[:-1] + (self.n,)).copy()
+        for k, p in enumerate(self.positions):
+            r = np.linalg.norm(x - p, axis=-1)
+            if np.any(r == 0.0):
+                raise SingularPointError("evaluation at a constituent position")
+            Phi -= self.coroots[k] / (2.0 * r)[..., None]
+        return Field(Phi, np.zeros(Phi.shape[:-1], dtype=complex))
+
+    def field_strength_diagonal(self, x):
+        x = np.asarray(x, dtype=float)
+        B = np.zeros(x.shape[:-1] + (3, self.n))
+        for k, p in enumerate(self.positions):
+            rel = x - p
+            r = np.linalg.norm(rel, axis=-1)
+            B += (rel / (2.0 * r**3)[..., None])[..., :, None] * self.coroots[k]
+        return B
+
+
+def loop_spectators(samp, k, xs):
+    """The abelian remainder s = (A (..., 3, n), Phi (..., n)) of the
+    spectator monopoles on annulus k, one spectator l at a time, each in the
+    patch `samp._spect_patch[k, l]` and less its value at p_k."""
+    coroots, pk = samp.singular.coroots, samp.positions[k]
+    sA = np.zeros(xs.shape[:-1] + (3, samp.n))
+    sP = np.zeros(xs.shape[:-1] + (samp.n,))
+    for l, pl in enumerate(samp.positions):
+        if l == k:
+            continue
+        d_kl = float(np.linalg.norm(pk - pl))
+        south = samp._spect_patch[k, l]
+        coeff = dirac_potential(xs - pl, south) - dirac_potential(pk - pl, south)
+        sA += coeff[..., :, None] * coroots[l]
+        rl = np.linalg.norm(xs - pl, axis=-1)
+        sP += (1.0 / (2.0 * d_kl) - 1.0 / (2.0 * rl))[..., None] * coroots[l]
+    return sA, sP
+
+
+def loop_holonomy_shifts(spec):
+    """omega_k = omega - sum over l != k of eps gamma_l / (2 |p_l - p_k|), term by term."""
+    pos, out = spec.positions, []
+    for k in range(len(spec.constituents)):
+        om = np.array(spec.omega, dtype=float)
+        for l, cl in enumerate(spec.constituents):
+            if l != k:
+                d = float(np.linalg.norm(pos[l] - pos[k]))
+                om = om - spec.epsilon * np.asarray(spec.datum.node_coroot(cl.mu), dtype=float) / (2.0 * d)
+        out.append(om)
+    return out
+
+
+class LoopCaloron(ApproximateCaloron):
+    """`ApproximateCaloron` on the loops: `LoopSingularCaloron` outside,
+    `loop_spectators` on the annuli and local calorons at
+    `loop_holonomy_shifts`."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.singular = LoopSingularCaloron(spec)
+        self.omega_shifts = loop_holonomy_shifts(spec)
+        self.locals = [FundamentalCaloron(self.datum, c.mu, om, self.epsilon, c.position)
+                       for c, om in zip(spec.constituents, self.omega_shifts)]
+
+    def annulus_parts(self, k, patch, xs, ts):
+        return dict(super().annulus_parts(k, patch, xs, ts), s=loop_spectators(self, k, xs))
 
 
 # -- exact references: alcove vertices, weights, the adjoint twisted index -----------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 ledger.  Tolerances are the contract; they are pinned here and nowhere else.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -215,10 +216,8 @@ def _random_spec(rng, series, rank):
         Constituent(int(rng.integers(0, rank + 1)), tuple(p), float(rng.uniform(0, 2 * np.pi)))
         for p in pos
     ]
-    return CaloronSpec(
-        epsilon=0.03, series=series, rank=rank, omega=tuple(om),
-        constituents=constituents, gluing_c=0.2,
-    )
+    spec = CaloronSpec(epsilon=0.03, series=series, rank=rank, omega=tuple(om), constituents=constituents)
+    return dataclasses.replace(spec, gluing_c=min(0.2, 2.0 * min(spec.masses())))  # c <= 2 omega'_k
 
 
 def rng_py(rng):

@@ -57,6 +57,46 @@ def _su2_spec(eps=0.05, w=0.25, c=0.3, constituents=None):
     )
 
 
+# -- gluing constant -----------------------------------------------------------------
+
+def _light_su3_spec(c=None):
+    """SU(3) at omega = (22, -8, -14)/45: the mu = 2 constituent has
+    omega' = 1/15, the mu = 1 one omega' = 1/3."""
+    return CaloronSpec(epsilon=0.05, series="A", rank=2, omega=(22 / 45, -8 / 45, -14 / 45),
+                       constituents=[Constituent(2, (0.0, 0.0, 0.0)), Constituent(1, (5.0, 0.0, 0.0))], gluing_c=c)
+
+
+def test_gluing_constant_defaults_to_the_least_mass_parameter():
+    """Without c a spec takes min_k omega'_k, read from omega: 1/15 for the
+    light SU(3) pair, 1/6 for su3_triple's omega, 1/4 for su2_single's; the
+    JSON schema does the same when "gluing" is left out."""
+    light = _light_su3_spec()
+    assert [round(m * 45, 12) for m in light.masses()] == [3.0, 15.0]
+    assert light.gluing_c == min(light.masses())
+    triple = CaloronSpec(epsilon=0.02, series="A", rank=2, omega=(1 / 3, 0.0, -1 / 3),
+                         constituents=[Constituent(mu, (3.0 * mu, 0.0, 0.0)) for mu in range(3)])
+    assert math.isclose(triple.gluing_c, 1 / 6, rel_tol=1e-15)
+    payload = {k: v for k, v in _SU2_PAYLOAD.items() if k != "gluing"}
+    assert CaloronSpec.from_dict(payload).gluing_c == 0.25
+    assert CaloronSpec.from_json(CaloronSpec.from_dict(payload).to_json()).gluing_c == 0.25
+
+
+def test_gluing_constant_above_twice_the_least_mass_parameter_is_refused():
+    """c = 0.3 against 2 omega' = 2/15 of the light constituent: the
+    framed remainder there would outlast the glue error (energy +130 %)."""
+    with pytest.raises(GluingInfeasibleError, match=r"c=0\.3 exceeds 2 omega' = 0\.133333 of constituent 0 \(mu=2\)"):
+        approximate_caloron(_light_su3_spec(0.3))
+    assert approximate_caloron(_light_su3_spec()).spec.gluing_c == 1 / 15
+
+
+def test_gluing_constant_at_exactly_twice_the_mass_parameter_is_accepted():
+    """su2_single's omega' is 1/4 exactly: c = 1/2 constructs, the next
+    float above it is refused."""
+    assert approximate_caloron(_su2_spec(c=0.5)).R > 0
+    with pytest.raises(GluingInfeasibleError, match="take c <= 0.5"):
+        approximate_caloron(_su2_spec(c=math.nextafter(0.5, 1.0)))
+
+
 # -- gluing radius -----------------------------------------------------------------
 
 def test_gluing_radius_lambert_oracle():

@@ -541,6 +541,33 @@ def test_construct_matches_golden(data_dir, tmp_path):
     _assert_matches_golden(json.loads(out.read_text()), golden, "construct")
 
 
+@pytest.mark.parametrize("name", ["su3_triple", "su2_single"])
+def test_spec_without_gluing_constant_verifies_at_the_default(name, data_dir, tmp_path, capsys):
+    """Both fixtures with "gluing" removed verify (c = omega' = 1/6 and 1/4),
+    and construct reports the c it used."""
+    spec = json.loads((data_dir / f"{name}.json").read_text())
+    del spec["gluing"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: all checks passed"
+    out = tmp_path / "construct.json"
+    assert main(["construct", "--spec", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["gluing_c"] == {"su3_triple": 1 / 6, "su2_single": 0.25}[name]
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_gluing_constant_above_twice_omega_prime_is_input_error(command, tmp_path, capsys):
+    """SU(3) with one mu = 2 constituent (2 omega' = 2/15) at c = 0.3, which
+    verified at energy 0.307 against 0.133, exits 2 naming that bound."""
+    spec = {"epsilon": 0.05, "group": {"series": "A", "rank": 2}, "omega": [22 / 45, -8 / 45, -14 / 45],
+            "constituents": [{"mu": 2, "position": [0.0, 0.0, 0.0]}], "gluing": {"c": 0.3}}
+    path = tmp_path / "light.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--spec", str(path)]) == 2
+    assert "exceeds 2 omega' = 0.133333 of constituent 0 (mu=2)" in capsys.readouterr().err
+
+
 def _csv_rows(text):
     lines = text.strip().splitlines()
     return [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
