@@ -41,7 +41,7 @@ from .errors import (
 from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, Field, _cartan_matrix, bracket, su2_field
+from .samplers import ConnectionSampler, Field, _cartan_matrix, su2_field
 from .su2 import _r_of, core_curvature, core_fields, dirac_potential, string_gauge_fields
 
 
@@ -388,17 +388,18 @@ class SingularCaloron(ConnectionSampler):
         self.omega = np.asarray(spec.omega, dtype=float)
         self.charge_matrix = _cartan_matrix(spec.charge_vector())
         self.tau3 = 0.0 * _su2_tau3(self.datum, 0)  # no su(2) entry; the type-A guard
+        self._z = np.append(np.sort(self.positions[:, 2]), np.inf)  # ascending, then a sentinel
 
     def chart(self, x, t=None):
-        """Bit k set where monopole k takes its south patch."""
-        south = _patch_mask(np.asarray(x, dtype=float)[..., 2, None] - self.positions[:, 2])
-        return np.sum(south.astype(np.int64) << np.arange(len(self.positions)), axis=-1)
+        """The number c of monopoles above the point, which take their south patch
+        (`_patch_mask`): those with z_k at or above the c-th highest."""
+        return len(self.positions) - np.searchsorted(self._z, np.asarray(x, dtype=float)[..., 2], side="right")
 
     def evaluate(self, x, t, chart=None):
         x = np.asarray(x, dtype=float)
         Phi = self.higgs(x, t)  # first: it rejects the constituent positions
-        chart = np.asarray(self.chart(x) if chart is None else chart)
-        south = ((chart[..., None] >> np.arange(len(self.positions))) & 1).astype(bool)
+        above = np.asarray(self.chart(x) if chart is None else chart)
+        south = self.positions[:, 2] >= self._z[len(self.positions) - above][..., None]
         A = np.swapaxes(dirac_potential(x[..., None, :] - self.positions, south), -1, -2) @ self.coroots
         return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
 
@@ -412,8 +413,8 @@ class SingularCaloron(ConnectionSampler):
     def field_strength_diagonal(self, x):
         """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
         rel = np.asarray(x, dtype=float)[..., None, :] - self.positions
-        r = _r_of(rel)
-        return np.swapaxes(rel / (2.0 * r**3)[..., None], -1, -2) @ self.coroots
+        rel /= (2.0 * _r_of(rel) ** 3)[..., None]
+        return np.swapaxes(rel, -1, -2) @ self.coroots
 
     def exact_curvature(self, x, t):
         """Closed-form E = B, the Dirac field strengths."""
@@ -424,10 +425,7 @@ class SingularCaloron(ConnectionSampler):
 # ---------------------------------------------------------------------------
 # the glued approximate caloron
 
-_REGION_CORE = 0
-_REGION_ANN_N = 1
-_REGION_ANN_S = 2
-_PATCH = {_REGION_CORE: None, _REGION_ANN_N: "N", _REGION_ANN_S: "S"}
+_PATCH = (None, "N", "S")  # by region kind: core, north and south annulus
 
 
 class ApproximateCaloron(ConnectionSampler):
@@ -473,41 +471,18 @@ class ApproximateCaloron(ConnectionSampler):
             )
 
         self._tau3 = np.stack([f.tau3 for f in self.locals] + [np.zeros(self.n)])  # by chart (`block`)
-        # per-(k,l) patch for the spectator monopole l seen from annulus k
-        z = self.positions[:, 2]
-        self._spect_patch = _patch_mask(z[:, None] - z[None, :])
+        self._spect_patch = _patch_mask(self.positions[:, 2, None] - self.positions[:, 2])  # [k, l]: l seen from k
 
     # -- charts --------------------------------------------------------------
 
     def chart(self, x, t=None):
+        """4 k + kind + 1 on core or annulus k (`_PATCH`), -(singular chart + 1) off every gluing ball."""
         x = np.asarray(x, dtype=float)
         r = _r_of(x[..., None, :] - self.positions)
         kmin = np.argmin(r, axis=-1)
         rmin = np.take_along_axis(r, kmin[..., None], axis=-1)[..., 0]
-        code = np.empty(x.shape[:-1], dtype=np.int64)
-        far = rmin > self.R
-        code[far] = -(self.singular.chart(x[far]) + 1)
-        core = rmin <= 0.5 * self.R
-        code[core] = kmin[core] * 4 + _REGION_CORE + 1
-        ann = (~far) & (~core)
-        if np.any(ann):
-            zrel_all = x[..., 2, None] - self.positions[:, 2]
-            zrel = np.take_along_axis(zrel_all, kmin[..., None], axis=-1)[..., 0]
-            kind = np.where(_patch_mask(zrel), _REGION_ANN_S, _REGION_ANN_N)
-            code[ann] = kmin[ann] * 4 + kind[ann] + 1
-        return code
-
-    def _by_chart(self, chart):
-        """Decode a batch of chart codes: (mask, k, patch) per group.  Off
-        every gluing ball, one group, k is None and patch the singular
-        caloron's chart codes; on core k patch is None, on annulus k "N" or "S"."""
-        far = chart < 0
-        if np.any(far):
-            yield far, None, -chart[far] - 1
-        codes = np.sort(chart[~far])  # np.unique would import numpy.ma (13 ms)
-        for code in np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]]):
-            k, kind = divmod(int(code) - 1, 4)
-            yield chart == code, k, _PATCH[kind]
+        kind = np.where(rmin <= 0.5 * self.R, 0, np.where(_patch_mask(x[..., 2] - self.positions[kmin, 2]), 2, 1))
+        return np.where(rmin > self.R, -(self.singular.chart(x) + 1), 4 * kmin + kind + 1)
 
     def block(self, chart):
         """Constituent k's tau3 on core and annulus k, 0 off the gluing balls."""
@@ -516,18 +491,31 @@ class ApproximateCaloron(ConnectionSampler):
 
     # -- evaluation ----------------------------------------------------------
 
-    def _gather(self, x, t, chart, comps, fields):
-        """fields(xs, ts, k, patch), Fields with component shapes comps, of
-        each chart's points (`_by_chart`), gathered over the batch."""
+    def _gather(self, x, t, chart, fields):
+        """fields(xs, ts, k, patch), a tuple of Fields or per-point arrays, of each
+        chart's points, gathered over the batch: off every gluing ball k is None
+        and patch the singular caloron's chart codes, on core k patch is None,
+        on annulus k "N" or "S".  A group that covers the batch is the result;
+        any other is written into its rows as soon as it is computed."""
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
         t = np.broadcast_to(np.asarray(t, dtype=float), shape)
         chart = np.broadcast_to(np.asarray(self.chart(x) if chart is None else chart), shape)
-        out = [Field(np.empty(shape + c + (self.n,)), np.empty(shape + c, dtype=complex)) for c in comps]
-        for sel, k, patch in self._by_chart(chart):
-            for o, got in zip(out, fields(x[sel], t[sel], k, patch)):
-                o.diag[sel], o.off[sel] = got.diag, got.off
-        return tuple(out)
+        codes = np.sort(np.maximum(chart, -1), axis=None)  # np.unique would import numpy.ma (13 ms)
+        codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]]).tolist() or [-1]  # empty: one group
+        out = None
+        for code in codes:
+            sel = ... if len(codes) == 1 else (chart < 0 if code < 0 else chart == code)
+            k, kind = divmod(code - 1, 4)
+            got = fields(x[sel], t[sel], *((None, -chart[sel] - 1) if code < 0 else (k, _PATCH[kind])))
+            if sel is Ellipsis:
+                return got
+            if out is None:  # the batch's shape, filled with this group's first row until each group writes its own
+                out = tuple(g[np.zeros(shape, dtype=int)] for g in got)
+            for o, g in zip(out, got):
+                o[sel] = g
+            del got, g  # before the next group is computed
+        return out
 
     def _chart_fields(self, xs, ts, k, patch):
         if k is None:
@@ -537,60 +525,44 @@ class ApproximateCaloron(ConnectionSampler):
         return self.annulus_fields(k, patch, xs, ts)
 
     def evaluate(self, x, t, chart=None):
-        return self._gather(x, t, chart, ((3,), ()), self._chart_fields)
+        return self._gather(x, t, chart, self._chart_fields)
 
     def higgs(self, x, t, chart=None):
         """Phi alone; off the gluing balls no A is evaluated."""
         def phi(xs, ts, k, patch):
             return [self.singular.higgs(xs, ts) if k is None else self._chart_fields(xs, ts, k, patch)[1]]
-        return self._gather(x, t, chart, ((),), phi)[0]
+        return self._gather(x, t, chart, phi)[0]
 
     def annulus_parts(self, k, patch, xs, ts):
-        """Constituents of the annulus gauge at points xs, none of them an
-        n x n matrix: the abelian model and the abelian remainder s of the
-        spectator monopoles as real Cartan diagonals, (A (..., 3, n), Phi
-        (..., n)); the framed fundamental remainder b as (the (a, b) entries
-        (..., 3) of b_A in the su(2) block, the diagonal of b_Phi); the framed
-        fundamental curvature F as (diagonal, (a, b) entries).  The su(2)
-        pieces are `string_gauge_fields`, with the phase frame
-        psi = exp(phase/2 embed(i tau_3))."""
-        spec = self.spec
-        cst = spec.constituents[k]
-        fund = self.locals[k]
-        coroots = self.singular.coroots
-        rel = xs - self.positions[k]
-        r = _r_of(rel)
-
-        model_A = dirac_potential(rel, patch)[..., :, None] * coroots[k]
-        model_P = self.omega_shifts[k] / self.epsilon - coroots[k] / (2.0 * r)[..., None]
-        zA, hP, hF, zF = string_gauge_fields(
-            rel, fund.v, patch, ts if cst.mu == 0 else None, cst.phase
-        )
-
+        """The annulus gauge beyond its abelian model at points xs, no n x n
+        matrix: (r, b, s, F), r = |xs - p_k|, the framed fundamental remainder
+        b = ((a, b) entries (..., 3) of b_A, i tau_3 coefficient of b_Phi), the
+        spectators' abelian remainder s = (A (..., 3, n), Phi (..., n)) as real
+        Cartan diagonals, the framed fundamental curvature F = (i tau_3
+        coefficients, (a, b) entries) (..., 3).  The su(2) pieces are
+        `string_gauge_fields` in the phase frame psi = exp(phase/2 embed(i tau_3))."""
+        cst, rel = self.spec.constituents[k], xs - self.positions[k]
+        zA, hP, hF, zF = string_gauge_fields(rel, self.locals[k].v, patch, ts if cst.mu == 0 else None, cst.phase)
         # the spectators l != k, each in its patch seen from p_k, on an axis
-        spect = np.arange(len(spec.constituents)) != k
-        pl, south, gl = self.positions[spect], self._spect_patch[k, spect], coroots[spect]
-        coeff = dirac_potential(xs[..., None, :] - pl, south) - dirac_potential(self.positions[k] - pl, south)
-        sA = np.swapaxes(coeff, -1, -2) @ gl
-        rl = _r_of(xs[..., None, :] - pl)
-        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / rl) @ gl
-
-        return {
-            "r": r,
-            "chi": self.profile.chi(r),
-            "model": (model_A, model_P),
-            "b": (zA, hP[..., None] * fund.tau3),
-            "s": (sA, sP),
-            "F": (hF[..., None] * fund.tau3, zF),
-        }
+        spect = np.arange(len(self.positions)) != k
+        pl, south, gl = self.positions[spect], self._spect_patch[k, spect], self.singular.coroots[spect]
+        coeff = dirac_potential(xs[..., None, :] - pl, south)
+        coeff -= dirac_potential(self.positions[k] - pl, south)
+        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / _r_of(xs[..., None, :] - pl)) @ gl
+        return _r_of(rel), (zA, hP), (np.swapaxes(coeff, -1, -2) @ gl, sP), (hF, zF)
 
     def annulus_fields(self, k, patch, xs, ts):
-        """(A, Phi) on annulus k in its patch "N" or "S": model + chi b + (1 - chi) s."""
-        parts = self.annulus_parts(k, patch, xs, ts)
-        chi = parts["chi"][..., None]
-        (model_A, model_P), (zA, bP), (sA, sP) = parts["model"], parts["b"], parts["s"]
-        return (Field(model_A + (1.0 - chi)[..., None] * sA, chi * zA),
-                Field(model_P + chi * bP + (1.0 - chi) * sP, np.zeros(len(xs), dtype=complex)))
+        """(A, Phi) on annulus k in its patch "N" or "S": model + chi b + (1 - chi) s,
+        the abelian model being the Dirac potential and omega_k/eps - gamma_k/2r."""
+        gamma, tau3 = self.singular.coroots[k], self.locals[k].tau3
+        r, (zA, hP), (sA, sP), _ = self.annulus_parts(k, patch, xs, ts)
+        chi = self.profile.chi(r)
+        sA *= (1.0 - chi)[..., None, None]
+        sA += dirac_potential(xs - self.positions[k], patch)[..., :, None] * gamma
+        zA *= chi[..., None]
+        Phi = (self.omega_shifts[k] / self.epsilon - gamma / (2.0 * r)[..., None] + (chi * hP)[..., None] * tau3
+               + (1.0 - chi)[..., None] * sP)
+        return Field(sA, zA), Field(Phi, np.zeros(r.shape, dtype=complex))
 
     def _annulus_curvature(self, k, patch, xs, ts):
         """Closed form on annulus k.  With c = b - s the connection is
@@ -600,32 +572,47 @@ class ApproximateCaloron(ConnectionSampler):
             F = (1 - chi) F_sing + chi F_fund + dchi ^ c - chi (1 - chi) c ^ c,
 
         with F_fund from `annulus_parts`, (c ^ c)_{mu nu} = [c_mu, c_nu]
-        (`samplers.bracket`) and c_t = eps c_Phi."""
+        (`samplers.bracket`, written out for c_A = (-s_A, z) and the diagonal
+        c_Phi) and c_t = eps c_Phi, built in place."""
         tau3 = self.locals[k].tau3
-        parts = self.annulus_parts(k, patch, xs, ts)
-        rel, r, chi = xs - self.positions[k], parts["r"], parts["chi"]
-        mix = (chi * (1.0 - chi))[:, None]
-        (z, bP), (sA, sP) = parts["b"], parts["s"]
-        cA, cP = Field(-sA, z), Field((bP - sP)[:, None], np.zeros((len(xs), 1), dtype=complex))  # c = b - s
-        F_sing = Field(self.singular.field_strength_diagonal(xs), 0.0)
-        F = (1.0 - chi)[:, None] * F_sing + chi[:, None] * Field(*parts["F"])
-        dchi = (self.profile.chi_prime(r) / r)[:, None] * rel
-        E = F + dchi * cP - mix * bracket(cA, cP, tau3)
+        r, (z, hP), (sA, sP), (hF, zF) = self.annulus_parts(k, patch, xs, ts)
+        chi = self.profile.chi(r)
+        mix = (chi * (1.0 - chi))[..., None]
+        dchi = (xs - self.positions[k]) * (self.profile.chi_prime(r) / r)[..., None]
+        B = self.singular.field_strength_diagonal(xs)  # F: B's diagonal, zF its su(2) entries
+        B *= (1.0 - chi)[..., None, None]
+        B += (chi[..., None] * hF)[..., None] * tau3
+        zF *= chi[..., None]
+        cP = hP[..., None] * tau3 - sP
+        delta_P = -np.sum(cP * tau3, axis=-1)[..., None]  # Delta(c_Phi), Delta(d) = -d.tau3
+        E = Field(B + dchi[..., None] * cP[..., None, :], zF - mix * (1j * (z * delta_P)))
         j, k = [1, 2, 0], [2, 0, 1]  # B_i = F_jk, (i, j, k) cyclic
-        B = F + dchi[:, j] * cA[:, k] - dchi[:, k] * cA[:, j] - mix * bracket(cA[:, j], cA[:, k], tau3)
-        return E, B
+        delta = np.sum(sA * tau3, axis=-1)  # -Delta(c_A,i)
+        for i in range(3):
+            B[..., i, :] -= dchi[..., j[i], None] * sA[..., k[i], :]
+            B[..., i, :] += dchi[..., k[i], None] * sA[..., j[i], :]
+        B -= (-2.0 * mix * (z[..., j] * np.conjugate(z[..., k])).imag)[..., None] * tau3
+        zF += dchi[..., j] * z[..., k]
+        zF -= dchi[..., k] * z[..., j]
+        zF -= mix * (1j * (z[..., j] * delta[..., k] - z[..., k] * delta[..., j]))
+        return E, Field(B, zF)
+
+    def _chart_curvature(self, xs, ts, k, patch):
+        if k is None:
+            return self.singular.exact_curvature(xs, ts)
+        if patch is None:
+            return self.locals[k].exact_curvature(xs, ts)
+        return self._annulus_curvature(k, patch, xs, ts)
 
     def exact_curvature(self, x, t):
         """Closed-form curvature per chart: the fundamental caloron on the
         cores (r_k <= R/2), the interpolation formula on the gluing annuli,
         the abelian superposition where every r_k > R."""
-        def curvature(xs, ts, k, patch):
-            if k is None:
-                return self.singular.exact_curvature(xs, ts)
-            if patch is None:
-                return self.locals[k].exact_curvature(xs, ts)
-            return self._annulus_curvature(k, patch, xs, ts)
-        return self._gather(x, t, None, ((3,), (3,)), curvature)
+        return self._gather(x, t, None, self._chart_curvature)
+
+    def curvature_densities(self, x, t, densities):
+        """densities(E, B) chart by chart: no E, B of the whole batch exist."""
+        return self._gather(x, t, None, lambda *group: (densities(*self._chart_curvature(*group)),))[0]
 
 
 def approximate_caloron(spec: CaloronSpec) -> ApproximateCaloron:

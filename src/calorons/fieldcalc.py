@@ -157,20 +157,14 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSa
     periodic).  This is the independent check of the samplers' closed forms
     (`exact_curvature`), which every curvature integral uses.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     eps = sampler.epsilon
-    A0, Phi0, dPhi, B, dAdt, tau3 = _stencil(sampler, x, t, step, dt=step / eps)
-    E = dPhi - dAdt / eps + bracket(A0, Phi0[..., None], tau3[..., None, :])
-    if single:
-        E, B = E[0], B[0]
-    return CurvatureSample(E=E, B=B)
+    A0, Phi0, dPhi, B, dAdt, tau3 = _stencil(sampler, np.asarray(x, dtype=float), t, step, dt=step / eps)
+    return CurvatureSample(E=dPhi - dAdt / eps + bracket(A0, Phi0[..., None], tau3[..., None, :]), B=B)
 
 
-def _closed_form(sampler, x, t) -> CurvatureSample:
-    return CurvatureSample(*sampler.exact_curvature(x, t))
+def _closed_form_densities(sampler, x, t, *densities):
+    """The CurvatureSample densities of the closed-form curvature, stacked (`curvature_densities`)."""
+    return sampler.curvature_densities(x, t, lambda *EB: np.stack([d(CurvatureSample(*EB)) for d in densities], -1))
 
 
 # Every sampler here is, chart by chart, gauge-equivalent to a t-independent
@@ -184,15 +178,12 @@ def _integrate(sampler, grid: VolumeGrid):
     """Energy and topological density integrals over the grid, from one
     curvature evaluation per grid point."""
     t_weight = sampler.epsilon * 2.0 * np.pi
-    energy, topological = [], []
+    terms = []
     for region in grid.regions:
-        def densities(s, x=region.points):
-            curv = _closed_form(sampler, x[s], _T_SLICE)
-            return np.stack([curv.norm_sq(), curv.topological_density()], axis=-1)
-        dens = blockwise(densities, len(region.points))
-        energy.append(block_sum(dens[:, 0], region.weights) * t_weight)
-        topological.append(block_sum(dens[:, 1], region.weights) * t_weight)
-    return math.fsum(energy), math.fsum(topological)
+        dens = blockwise(lambda s, x=region.points: _closed_form_densities(
+            sampler, x[s], _T_SLICE, CurvatureSample.norm_sq, CurvatureSample.topological_density), len(region.points))
+        terms.append([block_sum(d, region.weights) * t_weight for d in dens.T])
+    return tuple(math.fsum(column) for column in zip(*terms))
 
 
 @dataclass
@@ -279,7 +270,8 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     annulus_terms = []
     for c in samp.positions:
         x = (c + radii[:, None, None] * dirs).reshape(-1, 3)
-        sd = blockwise(lambda s, x=x: _closed_form(samp, x[s], _T_SLICE).sd_norm_sq(), len(x))
+        sd = blockwise(lambda s, x=x: _closed_form_densities(samp, x[s], _T_SLICE, CurvatureSample.sd_norm_sq)[:, 0],
+                       len(x))
         annulus_terms.append(block_sum(sd, w) * t_w)
     annulus_sq = math.fsum(annulus_terms)
 

@@ -39,6 +39,10 @@ class Field:
         sel = sel if isinstance(sel, tuple) else (sel,)
         return Field(self.diag[sel + (slice(None),)], self.off[sel])
 
+    def __setitem__(self, sel, value):
+        sel = sel if isinstance(sel, tuple) else (sel,)
+        self.diag[sel + (slice(None),)], self.off[sel] = value.diag, value.off
+
     def __add__(self, other):
         return Field(self.diag + other.diag, self.off + other.off)
 
@@ -59,11 +63,13 @@ class Field:
 def su2_field(V, tau3, shift=None):
     """The su(2) coefficient vectors V (..., 3) of V.(i tau) as a Field of
     the block with image tau3 of i tau_3: the diagonal V_3 tau3 plus the real
-    Cartan diagonal shift, and the entry V_2 + i V_1."""
+    Cartan diagonal shift, and the entry V_2 + i V_1, each written in place."""
     diag = V[..., 2, None] * tau3
     if shift is not None:
-        diag = diag + shift
-    return Field(diag, V[..., 1] + 1j * V[..., 0])
+        diag += shift
+    off = V[..., 1].astype(complex)
+    off.imag = V[..., 0]
+    return Field(diag, off)
 
 
 def bracket(x, y, tau3):
@@ -121,6 +127,10 @@ class ConnectionSampler:
         whose curvature is integrated implements it.  Finite differences
         (`fieldcalc.curvature_at`) are the independent check."""
         raise NotImplementedError
+
+    def curvature_densities(self, x, t, densities):
+        """densities(E, B) of `exact_curvature`, per-point values."""
+        return densities(*self.exact_curvature(x, t))
 
 
 def dagger(m):

@@ -53,9 +53,7 @@ def _itau(v):
 
 def xhat_itau(x):
     """Hedgehog direction xhat . (i tau), zero-safe at the origin."""
-    x = np.asarray(x, dtype=float)
-    r = _r_of(x)[..., None]
-    return _itau(x / np.maximum(r, _TINY))
+    return _itau(_frame(x, None, False)[1])
 
 
 def _branches(v, r):
@@ -107,20 +105,39 @@ def _radial_profiles(v, r):
 
 
 def _frame(x, v, rotated):
-    """r, xhat and the frame vectors (..., 3, 3) [i, a] R_i = xhat_i xhat,
-    P_i = e_i - xhat_i xhat and X_i = xhat x e_i; for the rotated monopole
-    also (q, q') of the rotation map's quintic on its core radius 1/(2v)
-    (see `rotation_gauge`), else (None, None)."""
+    """r and n = xhat; for the rotated monopole also (q, q') of the rotation
+    map's quintic on its core radius 1/(2v) (see `rotation_gauge`), else
+    (None, None)."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
     n = x / np.maximum(r, _TINY)[..., None]
-    R = n[..., :, None] * n[..., None, :]
-    X = np.cross(n[..., None, :], np.eye(3))
     q = dq = None
     if rotated:
         core = 1.0 / (2.0 * v)
         q, dq = _smoothstep(r / core), _smoothstep_prime(r / core) / core
-    return r, n, R, np.eye(3) - R, X, q, dq
+    return r, n, q, dq
+
+
+def _frame_sum(n, P=None, X=None, scale=None, R=None):
+    """(P P_i + X X_i) scale + R R_i (..., 3, 3) [i, a] for per-point coefficients
+    (None: absent), in place from n = xhat: R_i = n_i n, P_i = e_i - R_i and
+    X_i = n x e_i, antisymmetric with X[i, a] = n_b for (i, a, b) cyclic."""
+    V = np.zeros(n.shape + (3,))
+    if P is not None:
+        for i in range(3):
+            np.subtract(np.eye(3)[i], n[..., i, None] * n, out=V[..., i, :])
+        V *= P[..., None, None]
+    if X is not None:
+        for i, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            xn = X * n[..., b]
+            V[..., i, a] += xn
+            V[..., a, i] -= xn
+    if scale is not None:
+        V *= scale[..., None, None]
+    if R is not None:
+        for i in range(3):
+            V[..., i, :] += R[..., None] * (n[..., i, None] * n)
+    return V
 
 
 def core_fields(x, v, t=None, epsilon=None):
@@ -139,18 +156,16 @@ def core_fields(x, v, t=None, epsilon=None):
         Phi = (phi - q / (2 eps)) n,
 
     smooth at the origin, where q vanishes to third order."""
-    r, n, R, P, X, q, dq = _frame(x, v, t is not None)
+    r, n, q, dq = _frame(x, v, t is not None)
     k = bps_gauge_profile(v, r)
     phi = bps_higgs_profile(v, r)
     if q is None:
-        return k[..., None, None] * X, phi[..., None] * n
+        return _frame_sum(n, X=k), phi[..., None] * n
     t = np.asarray(t, dtype=float)
     a = 0.5 * t * q
     rs = np.maximum(r, _TINY)
-    A = ((k * np.cos(2.0 * a) + np.sin(a) ** 2 / rs)[..., None, None] * X
-         + ((k - 0.5 / rs) * np.sin(2.0 * a))[..., None, None] * P
-         - (0.5 * t * dq)[..., None, None] * R)
-    return A, (phi - q / (2.0 * epsilon))[..., None] * n
+    return (_frame_sum(n, P=(k - 0.5 / rs) * np.sin(2.0 * a), X=k * np.cos(2.0 * a) + np.sin(a) ** 2 / rs,
+                       R=-(0.5 * t * dq)), (phi - q / (2.0 * epsilon))[..., None] * n)
 
 
 def core_curvature(x, v, t=None):
@@ -163,23 +178,18 @@ def core_curvature(x, v, t=None):
         E_i = phi' n_i n + (phi w / r)(cos 2a P_i - sin 2a X_i).
 
     No derivative of g enters: curvature transforms covariantly."""
-    r, n, R, P, X, q, _ = _frame(x, v, t is not None)
+    r, n, q, _ = _frame(x, v, t is not None)
     dphi, _, phw = _radial_profiles(v, r)
-    if q is not None:
-        a = np.asarray(t, dtype=float) * q  # 2a
-        P = np.cos(a)[..., None, None] * P - np.sin(a)[..., None, None] * X
-    return dphi[..., None, None] * R + phw[..., None, None] * P
+    if q is None:
+        return _frame_sum(n, P=phw, R=dphi)
+    a = np.asarray(t, dtype=float) * q  # 2a
+    return _frame_sum(n, P=np.cos(a), X=-np.sin(a), scale=phw, R=dphi)
 
 
 def bps_fields(x, v):
     """(A, Phi) of the mass-v BPS monopole centred at the origin."""
     A, Phi = core_fields(x, v)
     return _itau(A), _itau(Phi)
-
-
-def bps_curvature_fields(x, v):
-    """Closed-form E = B of the BPS caloron (`core_curvature`)."""
-    return _itau(core_curvature(x, v))
 
 
 class BPSCaloron(ConnectionSampler):
@@ -228,8 +238,7 @@ def hedgehog_framing(x, patch="N"):
         if np.any(usq <= 0):
             raise ChartDomainError("north framing evaluated on the south string")
         u = np.sqrt(usq)
-        out[..., 0, 0] = u / (2.0 * r)
-        out[..., 1, 1] = u / (2.0 * r)
+        out[..., 0, 0] = out[..., 1, 1] = u / (2.0 * r)
         out[..., 0, 1] = (-x1 + 1j * x2) / u
         out[..., 1, 0] = (x1 + 1j * x2) / u
     elif patch == "S":
@@ -290,9 +299,7 @@ class GaugeMap:
         x = np.asarray(x, dtype=float)
         t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
         ang = 0.5 * t * _smoothstep(_r_of(x) / self.core_radius)
-        c = np.cos(ang)[..., None, None]
-        s = np.sin(ang)[..., None, None]
-        return c * np.eye(2, dtype=complex) - s * xhat_itau(x)
+        return np.cos(ang)[..., None, None] * np.eye(2, dtype=complex) - np.sin(ang)[..., None, None] * xhat_itau(x)
 
     def clutching(self, x):
         """h(x) = -g(x, 2 pi)^{-1}."""
@@ -357,22 +364,24 @@ def string_gauge_fields(x, v, patch="N", t=None, phase=0.0):
         raise ValueError("patch must be 'N' or 'S'")
     if np.any(den == 0):
         raise ChartDomainError(f"{patch} string gauge evaluated on its string")
+    dphi, w, phw = _radial_profiles(v, r)
     q = zeta / den
     u = np.empty(x.shape, dtype=complex)
     u[..., 0] = lead[0] + q * x1
     u[..., 1] = lead[1] + q * x2
     u[..., 2] = q * last
-    dphi, w, phw = _radial_profiles(v, r)
     z_A = (-0.5 * w / r)[..., None] * u
-    z_F = (1j * phw)[..., None] * u
+    z_F = np.multiply((1j * phw)[..., None], u, out=u)
     uc = np.minimum(2.0 * v * r, _DECAY_CUT)
     h_Phi = np.where(uc < _DECAY_CUT, 2.0 * v / np.expm1(2.0 * uc), 0.0)  # v (coth 2vr - 1) without cancellation
     h_F = (dphi / r)[..., None] * x
     if t is not None:
         rot = np.exp(-1j * np.asarray(t, dtype=float))[..., None]
-        z_A, z_F = rot * np.conjugate(z_A), rot * np.conjugate(z_F)
+        for z in (z_A, z_F):
+            np.multiply(rot, np.conjugate(z, out=z), out=z)
         h_Phi, h_F = -h_Phi, -h_F
     if phase:
         rot = np.exp(-1j * phase)
-        z_A, z_F = rot * z_A, rot * z_F
+        for z in (z_A, z_F):
+            np.multiply(rot, z, out=z)
     return z_A, h_Phi, h_F, z_F

@@ -38,8 +38,9 @@ them), where the library sums over an array axis of constituents.
 
 Test-only references that the library does not call: the alcove vertices by
 rational elimination, Weyl-closed weight lists, the adjoint special case of
-the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`) and the
-F+/F- inner product of a curvature sample.
+the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`), the BPS
+curvature as 2 x 2 matrices (`bps_curvature_fields`) and the F+/F- inner
+product of a curvature sample.
 """
 
 from collections import Counter
@@ -71,13 +72,18 @@ from calorons.su2 import (
     GaugeMap,
     _itau,
     _r_of,
-    bps_curvature_fields,
     bps_fields,
+    core_curvature,
     dirac_potential,
     hedgehog_framing,
     rotation_gauge,
     xhat_itau,
 )
+
+
+def bps_curvature_fields(x, v):
+    """Closed-form E = B of the BPS caloron (`su2.core_curvature`) as 2 x 2 matrices."""
+    return _itau(core_curvature(x, v))
 
 
 def rational_solve(A, b):
@@ -621,20 +627,23 @@ class LoopSingularCaloron(SingularCaloron):
     """`SingularCaloron` with every constituent sum a loop over k."""
 
     def chart(self, x, t=None):
+        """The number of monopoles in their south patch, counted one at a time."""
         x = np.asarray(x, dtype=float)
         code = np.zeros(x.shape[:-1], dtype=np.int64)
         for k in range(len(self.positions)):
-            south = _patch_mask(x[..., 2] - self.positions[k][2])
-            code |= south.astype(np.int64) << k
+            code += _patch_mask(x[..., 2] - self.positions[k][2])
         return code
 
     def evaluate(self, x, t, chart=None):
+        """Monopole k takes its south patch where the chart counts at least
+        as many monopoles as lie at or above it."""
         x = np.asarray(x, dtype=float)
         Phi = self.higgs(x, t)
         chart = np.asarray(self.chart(x) if chart is None else chart)
         A = np.zeros(x.shape[:-1] + (3, self.n))
+        z = self.positions[:, 2]
         for k, p in enumerate(self.positions):
-            south = ((chart >> k) & 1).astype(bool)
+            south = chart >= np.count_nonzero(z >= p[2])
             A += dirac_potential(x - p, south)[..., :, None] * self.coroots[k]
         return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
 
@@ -703,7 +712,8 @@ class LoopCaloron(ApproximateCaloron):
                        for c, om in zip(spec.constituents, self.omega_shifts)]
 
     def annulus_parts(self, k, patch, xs, ts):
-        return dict(super().annulus_parts(k, patch, xs, ts), s=loop_spectators(self, k, xs))
+        r, b, _, F = super().annulus_parts(k, patch, xs, ts)
+        return r, b, loop_spectators(self, k, xs), F
 
 
 # -- exact references: alcove vertices, weights, the adjoint twisted index -----------

@@ -379,7 +379,7 @@ def test_singular_caloron_diagonals_match_dense_reference(rank, count, seed):
     E_ref = np.zeros_like(E)
     for k, (mu, p) in enumerate(zip(mus, positions)):
         pair = dirac_monopole(p, np.asarray(datum.node_coroot(int(mu)), dtype=float))
-        south = ((chart >> k) & 1).astype(bool)[:, None, None, None]
+        south = (x[:, 2] < p[2])[:, None, None, None]  # the chart's patch of monopole k
         A_ref += np.where(south, pair.potential(x, "S"), pair.potential(x, "N"))
         Phi_ref = Phi_ref + pair.higgs(x)
         E_ref += pair.field_strength(x)
@@ -766,15 +766,16 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
         ts = rng.uniform(0.0, 2.0 * np.pi, 10)
         block = int(np.argmax(samp.locals[0].tau3)), int(np.argmin(samp.locals[0].tau3))
         for patch in ("N", "S"):
-            bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block)
-            bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block)
+            bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block, samp.locals[0].tau3)
+            bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block, samp.locals[0].tau3)
             assert np.max(np.abs(bA - dagger(psi) @ bA0 @ psi)) < 1e-15
             assert np.max(np.abs(bP - dagger(psi) @ bP0 @ psi)) < 1e-15
 
 
-def _b_matrices(parts, block):
+def _b_matrices(parts, block, tau3):
     """The framed remainder b of `annulus_parts` as n x n matrices."""
-    zA, diag = parts["b"]
+    zA, hP = parts[1]
+    diag = hP[..., None] * tau3
     a, b = block
     bA = np.zeros(zA.shape + diag.shape[-1:] * 2, dtype=complex)
     bA[..., a, b] = zA

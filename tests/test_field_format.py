@@ -1,6 +1,6 @@
 """The field format: Cartan diagonals plus one su(2) entry, against the dense
 n x n route of tests/oracles.py; the self-dual error's exterior shell; and
-the traced memory of a verify run."""
+the traced memory of a verify run and of one evaluation block per chart kind."""
 
 import functools
 import json
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from calorons.assembler import CaloronSpec, Constituent, approximate_caloron
 from calorons.errors import CaloronError
-from calorons.fieldcalc import CurvatureSample, SdErrorEstimate, curvature_at, sd_error_l2
+from calorons.fieldcalc import CurvatureSample, SdErrorEstimate, _closed_form_densities, curvature_at, sd_error_l2
 from calorons.quadrature import graded_radii
 from calorons.su2 import bps_fields
 from calorons.verify import _max_entry, run_verification
@@ -62,12 +62,11 @@ def _reference_fields(samp, kind, k, pts, ts):
     by Pauli coefficients on the cores, `annulus_fields_dense` on the
     annuli, n x n Dirac monopoles off the gluing balls."""
     if kind == "far":
-        chart = samp.singular.chart(pts)
         A = 0.0
         Phi = 1j * np.diag(samp.singular.omega) / samp.epsilon
         for l, (p, gamma) in enumerate(zip(samp.positions, samp.singular.coroots)):
             pair = dirac_monopole(p, gamma)
-            south = ((chart >> l) & 1).astype(bool)[:, None, None, None]
+            south = (pts[:, 2] < p[2])[:, None, None, None]  # the chart's patch of monopole l
             A = A + np.where(south, pair.potential(pts, "S"), pair.potential(pts, "N"))
             Phi = Phi + pair.higgs(pts)
         return A, Phi
@@ -118,8 +117,8 @@ def test_field_format_matches_the_dense_route(group, kind, seed):
 @pytest.mark.parametrize("group", ["SU2", "SU3"])
 def test_max_entry_is_the_dense_entrywise_max(group):
     """verify's annulus-closed-form-vs-fd reads the largest entry of the
-    curvature gap and of the curvature off the diagonals and su(2) entries;
-    that is exactly the entrywise max of their n x n matrices."""
+    curvature gap and of the curvature off the diagonals and su(2) entries,
+    point by point; that is exactly the entrywise max of their n x n matrices."""
     samp = _caloron(group)
     rng = np.random.default_rng(3)
     pts = np.concatenate([_points(samp, kind, rng)[0] for kind in ("annulus N", "annulus S")])
@@ -128,7 +127,7 @@ def test_max_entry_is_the_dense_entrywise_max(group):
     curv = CurvatureSample(*samp.exact_curvature(pts, ts))
     fd = curvature_at(samp, pts, ts, step=samp.epsilon / 100)
     for f in (fd.E - curv.E, fd.B - curv.B, curv.E, curv.B):
-        assert _max_entry(f) == np.max(np.abs(dense(f, tau3)))
+        assert np.array_equal(_max_entry(f), np.max(np.abs(dense(f, tau3)), axis=(-3, -2, -1)))
 
 
 # -- the exterior shell of the self-dual error ------------------------------------
@@ -165,20 +164,75 @@ def test_annulus_fraction_of_a_non_positive_total_is_zero():
 
 # -- memory -------------------------------------------------------------------------
 
+def _traced_peak(run):
+    """The tracemalloc peak of run(), after a warm-up call that fills the caches
+    (root datum, quadrature nodes); numpy reports its data allocations to
+    tracemalloc, so the peak repeats to within a few kB."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # The tracemalloc peak of run_verification(su3_triple, seed 1) when every field
-# value was a dense n x n matrix, measured with this test's warm-up run:
-# 10 956 065 bytes (numpy reports its data allocations to tracemalloc, so
-# the peak repeats to within a few kB).
+# value was a dense n x n matrix: 10 956 065 bytes.  With Cartan diagonals plus
+# one su(2) entry it was 2 749 865 bytes, one finite-difference block of
+# sd_error_l2's core shells; the in-place kernels bring it to 1 646 752 bytes.
 DENSE_PEAK_BYTES = 10_956_065
 
 
 def test_verify_traced_peak_memory_is_below_60_percent_of_the_dense_route(data_dir):
     spec = CaloronSpec.from_json((data_dir / "su3_triple.json").read_text())
-    run_verification(spec, seed=1)  # caches: root datum, quadrature nodes
-    tracemalloc.start()
-    try:
-        run_verification(spec, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: run_verification(spec, seed=1))
     assert peak <= 0.6 * DENSE_PEAK_BYTES, f"traced peak {peak} B"
+
+
+def test_verify_traced_peak_memory_is_at_most_1_8_MB(data_dir):
+    spec = CaloronSpec.from_json((data_dir / "su3_triple.json").read_text())
+    peak = _traced_peak(lambda: run_verification(spec, seed=1))
+    assert peak <= 1_800_000, f"traced peak {peak} B"
+
+
+# Traced peaks in bytes of one 4096-point `evaluate` and one `exact_curvature`
+# call on the SU(3) caloron of `_caloron`, points from `_points`, each pinned 10 %
+# above what the in-place kernels reach.  Before them (frame vectors R, P, X and
+# a copy per Field operation, each chart group's result beside the block's):
+# rotated core 2 864 936 / 3 159 912, core 2 503 624 / 3 061 064, annulus
+# 3 290 704 / 7 356 296, far 1 752 352 / 1 940 384.
+KERNEL_PEAK_BYTES = {
+    "rotated core": (1_151_168, 1_085_416),
+    "core": (1_149_816, 920_960),
+    "annulus N": (1_543_776, 2_986_984),
+    "annulus S": (1_543_720, 2_986_928),
+    "far": (960_984, 559_032),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_block_of_each_chart_kind_keeps_few_temporaries(kind):
+    samp = _caloron("SU3")
+    x, _, t = _points(samp, kind, np.random.default_rng(0), count=4096)
+    for call, reached in zip((samp.evaluate, samp.exact_curvature), KERNEL_PEAK_BYTES[kind]):
+        peak = _traced_peak(lambda: call(x, t))
+        assert peak <= 1.1 * reached, f"{kind} {call.__name__}: traced peak {peak} B"
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(["SU2", "SU3"]), kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_densities_reduced_chart_by_chart_are_those_of_the_full_curvature(group, kinds, seed):
+    """The integrals' densities, reduced from each chart group inside the
+    gather, equal bit for bit the CurvatureSample densities of the whole
+    batch's closed-form E and B, for batches of one chart kind or several."""
+    samp = _caloron(group)
+    rng = np.random.default_rng(seed)
+    drawn = [_points(samp, kind, rng) for kind in kinds]
+    order = rng.permutation(sum(len(p) for p, _, _ in drawn))  # interleave the chart groups
+    x, t = (np.concatenate(a)[order] for a in ([p for p, _, _ in drawn], [ts for _, _, ts in drawn]))
+    densities = (CurvatureSample.norm_sq, CurvatureSample.sd_norm_sq, CurvatureSample.topological_density)
+    full = CurvatureSample(*samp.exact_curvature(x, t))
+    assert np.array_equal(_closed_form_densities(samp, x, t, *densities),
+                          np.stack([d(full) for d in densities], axis=-1))

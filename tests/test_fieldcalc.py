@@ -544,8 +544,8 @@ def test_sd_error_of_exact_caloron_is_fd_floor():
         def evaluate(self, x, t, chart=None):
             return self.locals[0].evaluate(x, t)
 
-        def exact_curvature(self, x, t):
-            return self.locals[0].exact_curvature(x, t)
+        def curvature_densities(self, x, t, densities):
+            return self.locals[0].curvature_densities(x, t, densities)
 
     spec = CaloronSpec(
         epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),

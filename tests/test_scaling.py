@@ -4,8 +4,9 @@ evaluation blocks and the constituent axis.
 The diagnostics evaluate at most `quadrature._EVAL_BLOCK` sampler
 evaluations per call and keep only per-point values between blocks, so any
 block size gives the same numbers bit for bit and the memory of a verify
-run does not grow with the grid or with the number N of constituents.  The
-constituent sums of `assembler` run over an array axis of constituents;
+run does not grow with the grid.  It grows linearly with the number N of
+constituents, because each block's constituent sums hold (points, N, 3)
+arrays.  Those sums run over an array axis of constituents;
 `oracles.LoopCaloron` sums the same terms one constituent at a time.
 """
 
@@ -21,7 +22,8 @@ from calorons import quadrature
 from calorons.assembler import CaloronSpec, approximate_caloron, gluing_radius, holonomy_shifts
 from calorons.cli import main
 from calorons.fieldcalc import sphere_averaged_holonomy
-from calorons.verify import field_integrals, run_verification
+from calorons.su2 import dirac_potential
+from calorons.verify import _annulus, field_integrals, run_verification
 from oracles import LoopCaloron, loop_holonomy_shifts
 
 
@@ -63,19 +65,44 @@ def _diagnostics(spec):
     samp = approximate_caloron(spec)
     sd, energy, topo, _ = field_integrals(samp)
     phases = sphere_averaged_holonomy(samp, 10.0 * spec.d_max_eff)
-    return sd.annulus_sq, sd.background_sq, energy.raw, topo, tuple(phases)
+    annulus = tuple(c.value for c in _annulus(spec, samp, random.Random(1), "desk")[0])
+    return sd.annulus_sq, sd.background_sq, energy.raw, topo, tuple(phases), annulus
 
 
 def test_block_size_leaves_every_integral_and_phase_unchanged_bit_for_bit(data_dir, monkeypatch):
     """Blocks of 7 evaluations (one point per block of shell stencils, one
-    circle per block of holonomy circles) give the default run's energy,
-    trF^F, sd error and holonomy phases exactly."""
+    circle per block of holonomy circles, one probe per block of verify's
+    annulus probes) give the default run's energy, trF^F, sd error, holonomy
+    phases and the three annulus ledger values exactly."""
     for name in ("su3_triple", "su2_single"):
         spec = CaloronSpec.from_json((data_dir / f"{name}.json").read_text())
         default = _diagnostics(spec)
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_EVAL_BLOCK", 7)
             assert _diagnostics(spec) == default, name
+
+
+def test_chart_codes_hold_past_63_constituents():
+    """The far chart counts the constituents above a point, with no bit per
+    constituent to run out of: on 68 constituents the fields and Phi below,
+    above and among them equal the per-constituent sums with monopole k in
+    its south patch exactly where z < z_k."""
+    spec = CaloronSpec.from_dict(fibonacci_spec(17))
+    samp = approximate_caloron(spec)
+    assert len(spec.constituents) == 68
+    x = np.array([[0.0, 0.0, -100.0], [0.0, 0.0, 100.0], [0.3, 0.2, 0.0]])
+    t = np.zeros(len(x))
+    assert np.all(samp.chart(x) < 0)
+    assert samp.singular.chart(x).tolist() == [68, 0, int(np.sum(samp.positions[:, 2] > 0.0))]
+    A_ref, Phi_ref = 0.0, samp.singular.omega / spec.epsilon
+    for p, gamma in zip(samp.positions, samp.singular.coroots):
+        A_ref = A_ref + dirac_potential(x - p, x[:, 2] < p[2])[..., :, None] * gamma
+        Phi_ref = Phi_ref - gamma / (2.0 * np.linalg.norm(x - p, axis=-1))[:, None]
+    A, Phi = samp.evaluate(x, t)
+    _assert_close(A.diag, A_ref, "A")
+    _assert_close(Phi.diag, Phi_ref, "Phi")
+    assert not np.any(A.off) and not np.any(Phi.off)
+    _assert_close(samp.higgs(x, t).diag, Phi_ref, "higgs")
 
 
 def test_verify_traced_peak_stays_bounded_at_16_constituents():

@@ -16,7 +16,6 @@ from calorons.su2 import (
     BPSCaloron,
     RotatedBPSCaloron,
     _itau,
-    bps_curvature_fields,
     bps_fields,
     bps_higgs_profile,
     dirac_potential,
@@ -27,6 +26,7 @@ from calorons.su2 import (
 )
 from oracles import (
     RotationMap,
+    bps_curvature_fields,
     _mul,
     bps_remainder,
     compact,
