@@ -64,5 +64,5 @@ print(f"  flux-recovered charge: {coeffs} (residual {resid:.1e})")
 L = 10 * spec.d_max
 phases = sphere_averaged_holonomy(samp, L)
 model = np.sort(2 * np.pi * np.array(spec.omega))[::-1]  # gamma_m = 0 here
-print(f"  holonomy eigenphases at |x| = {L:.0f}: {phases}")
+print(f"  holonomy Cartan element at |x| = {L:.0f}: {phases}")
 print(f"  abelian model 2 pi w(omega):        {model}")

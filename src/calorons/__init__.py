@@ -18,11 +18,11 @@ _EXPORTS = {
                   "approximate_caloron", "gluing_radius", "holonomy_shifts"),
     "errors": ("CaloronError", "ChartDomainError", "FluxAmbiguityError", "GluingInfeasibleError",
                "HolonomyParameterError", "InputError", "InvalidGroupError", "ResonanceError",
-               "SingularPointError", "UnsupportedRepresentationError"),
+               "SingularPointError"),
     "fieldcalc": ("CurvatureSample", "FieldReport", "circle_holonomy", "curvature_at",
                   "energy_and_tr_f_wedge_f", "magnetic_charge", "sd_error_l2",
                   "sphere_averaged_holonomy"),
-    "indexes": ("IndexReport", "WeightList", "adjoint_weights", "defining_weights", "dynkin_index_su2",
+    "indexes": ("IndexReport", "WeightList", "adjoint_weights", "dynkin_index_su2",
                 "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"),
     "rootsys": ("RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",

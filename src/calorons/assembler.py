@@ -19,6 +19,11 @@ p_k; the exterior uses the global abelian gauge with a per-monopole
 north/south patch choice.  Chart transitions are abelian (constant
 conjugation, d(phi)-type and exact d(lambda) terms), so curvature computed
 within any single chart is the curvature of the glued connection.
+
+Every value is a `samplers.Field` in root coordinates: core and annulus k
+carry the su(2) of the root of `su2_embedding(datum, mu_k)` (the highest
+root for mu_k = 0), the exterior none, so one code path serves every
+simple type.
 """
 
 from __future__ import annotations
@@ -36,12 +41,11 @@ from .errors import (
     HolonomyParameterError,
     InputError,
     SingularPointError,
-    UnsupportedRepresentationError,
 )
 from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, Field, _cartan_matrix, su2_field
+from .samplers import ConnectionSampler, Field, su2_field
 from .su2 import _r_of, core_curvature, core_fields, dirac_potential, string_gauge_fields
 
 
@@ -128,8 +132,11 @@ class CaloronSpec:
         if len(self.omega) != dim:
             raise InputError(f"omega must have {dim} ambient coordinates for {self.series}{self.rank}")
         datum = self.datum
-        if abs(sum(self.omega)) > 1e-9 and self.series == "A":
-            raise InputError("omega coordinates must sum to zero for type A")
+        # omega = sum_i alpha_i(omega) varpi_i exactly on the span of the simple roots (type A: sum zero)
+        roots, coweights = (np.array(v, dtype=float) for v in (datum.simple_roots, datum.fundamental_coweights()))
+        off_span = float(np.max(np.abs(np.asarray(self.omega) - (roots @ self.omega) @ coweights)))
+        if off_span > 1e-9:
+            raise InputError(f"omega must lie in the span of the simple roots (off by {off_span:.3g})")
         margin = float(alcove_margin(datum, self.omega))
         if margin <= 0:
             raise HolonomyParameterError(
@@ -305,33 +312,18 @@ def holonomy_shifts(spec: CaloronSpec):
 
 
 # ---------------------------------------------------------------------------
-# the defining representation of su(n)
-#
-# The ambient Cartan coordinates are the weights e_1, .., e_n: d acts as
-# i diag(d), and a node's su(2) sits in the block (a, b) with i tau_3 ->
-# i diag(e_a - e_b) (`samplers.Field`).  This holds for type A only; the
-# other series would plug their defining representations in here.
-
-def _su2_tau3(datum: RootDatum, mu: int):
-    """Node mu's image tau3 = e_a - e_b of i tau_3, which names its block (a, b)."""
-    if datum.series != "A":
-        raise UnsupportedRepresentationError(
-            "field evaluation requires the defining representation of su(n)"
-        )
-    return np.asarray(su2_embedding(datum, mu).coroot, dtype=float)
-
-
-# ---------------------------------------------------------------------------
 # fundamental calorons
 
 class FundamentalCaloron(ConnectionSampler):
     """Embedded fundamental caloron of type alpha_mu^vee with holonomy
     parameter omega: rho_mu(BPS caloron + omega'_mu dt) for mu >= 1, the
     embedded rotated monopole for mu = 0, both scattered from the su(2)
-    coefficient vectors of `su2.core_fields`."""
+    coefficient vectors of `su2.core_fields` into the su(2) of the root of
+    `su2_embedding(datum, mu)` (the highest root for mu = 0)."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
-        self.tau3 = _su2_tau3(datum, mu)  # the image of i tau_3
+        embedding = su2_embedding(datum, mu)
+        self.root, self.coroot = (np.asarray(v, dtype=float) for v in (embedding.root, embedding.coroot))
         omega = np.asarray([float(c) for c in omega], dtype=float)
         if float(alcove_margin(datum, omega)) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
@@ -351,22 +343,33 @@ class FundamentalCaloron(ConnectionSampler):
             )
         self.v = mass_parameter(datum, mu, omega) / self.epsilon
         self.n = datum.ambient_dim
-        self.charge_matrix = _cartan_matrix(coroot)
+        self.killing_scale, self.charge = float(datum.killing_scale), coroot
 
     def evaluate(self, x, t, chart=None):
         A, Phi = core_fields(x - self.center, self.v, t if self.mu == 0 else None, self.epsilon)
-        return su2_field(A, self.tau3), su2_field(Phi, self.tau3, self.omega_prime / self.epsilon)
+        return su2_field(A, self.root), su2_field(Phi, self.root, self.omega_prime / self.epsilon)
 
     def exact_curvature(self, x, t):
         """The embedded su(2) curvature; the constant Cartan part of Phi
         commutes with the embedded su(2) and adds nothing."""
         E = su2_field(core_curvature(np.asarray(x, float) - self.center, self.v, t if self.mu == 0 else None),
-                      self.tau3)
+                      self.root)
         return E, E
 
 
 # ---------------------------------------------------------------------------
 # singular abelian caloron
+
+def _distances(x, positions):
+    """|x - p_k| (..., N) for points x (..., 3), summed as `su2._r_of` sums
+    them but one coordinate at a time, so that no (..., N, 3) array exists."""
+    sq = np.zeros(x.shape[:-1] + positions.shape[:1])
+    d = np.empty_like(sq)
+    for i in range(3):
+        np.subtract(x[..., i, None], positions[:, i], out=d)
+        sq += np.multiply(d, d, out=d)
+    return np.sqrt(sq, out=sq)
+
 
 def _patch_mask(rel_z):
     """Patch choice per monopole: north where the point is not below it."""
@@ -386,8 +389,8 @@ class SingularCaloron(ConnectionSampler):
         self.positions = spec.positions
         self.coroots = np.array([self.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
         self.omega = np.asarray(spec.omega, dtype=float)
-        self.charge_matrix = _cartan_matrix(spec.charge_vector())
-        self.tau3 = 0.0 * _su2_tau3(self.datum, 0)  # no su(2) entry; the type-A guard
+        self.killing_scale, self.charge = float(self.datum.killing_scale), spec.charge_vector()
+        self.root = np.zeros(self.n)  # no su(2)
         self._z = np.append(np.sort(self.positions[:, 2]), np.inf)  # ascending, then a sentinel
 
     def chart(self, x, t=None):
@@ -404,7 +407,7 @@ class SingularCaloron(ConnectionSampler):
         return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
 
     def higgs(self, x, t, chart=None):
-        r = _r_of(np.asarray(x, dtype=float)[..., None, :] - self.positions)
+        r = _distances(np.asarray(x, dtype=float), self.positions)
         if np.any(r == 0.0):
             raise SingularPointError("evaluation at a constituent position")
         Phi = self.omega / self.epsilon - (0.5 / r) @ self.coroots
@@ -455,7 +458,7 @@ class ApproximateCaloron(ConnectionSampler):
         self.profile = GluingProfile(self.R)
         self.positions = spec.positions
         self.singular = SingularCaloron(spec)
-        self.charge_matrix = self.singular.charge_matrix
+        self.killing_scale, self.charge = self.singular.killing_scale, self.singular.charge
         self.omega_shifts = holonomy_shifts(spec)
 
         self.locals: List[FundamentalCaloron] = []
@@ -470,7 +473,7 @@ class ApproximateCaloron(ConnectionSampler):
                 FundamentalCaloron(self.datum, c.mu, om_k, self.epsilon, c.position)
             )
 
-        self._tau3 = np.stack([f.tau3 for f in self.locals] + [np.zeros(self.n)])  # by chart (`block`)
+        self._roots = np.stack([f.root for f in self.locals] + [self.singular.root])  # by chart (`block`)
         self._spect_patch = _patch_mask(self.positions[:, 2, None] - self.positions[:, 2])  # [k, l]: l seen from k
 
     # -- charts --------------------------------------------------------------
@@ -478,16 +481,16 @@ class ApproximateCaloron(ConnectionSampler):
     def chart(self, x, t=None):
         """4 k + kind + 1 on core or annulus k (`_PATCH`), -(singular chart + 1) off every gluing ball."""
         x = np.asarray(x, dtype=float)
-        r = _r_of(x[..., None, :] - self.positions)
+        r = _distances(x, self.positions)
         kmin = np.argmin(r, axis=-1)
         rmin = np.take_along_axis(r, kmin[..., None], axis=-1)[..., 0]
         kind = np.where(rmin <= 0.5 * self.R, 0, np.where(_patch_mask(x[..., 2] - self.positions[kmin, 2]), 2, 1))
         return np.where(rmin > self.R, -(self.singular.chart(x) + 1), 4 * kmin + kind + 1)
 
     def block(self, chart):
-        """Constituent k's tau3 on core and annulus k, 0 off the gluing balls."""
+        """Constituent k's root on core and annulus k, 0 off the gluing balls."""
         chart = np.asarray(chart)
-        return self._tau3[np.where(chart < 0, -1, (chart - 1) // 4)]
+        return self._roots[np.where(chart < 0, -1, (chart - 1) // 4)]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -534,33 +537,37 @@ class ApproximateCaloron(ConnectionSampler):
         return self._gather(x, t, chart, phi)[0]
 
     def annulus_parts(self, k, patch, xs, ts):
-        """The annulus gauge beyond its abelian model at points xs, no n x n
-        matrix: (r, b, s, F), r = |xs - p_k|, the framed fundamental remainder
-        b = ((a, b) entries (..., 3) of b_A, i tau_3 coefficient of b_Phi), the
+        """The annulus gauge beyond its abelian model at points xs: (r, b, s, F),
+        r = |xs - p_k|, the framed fundamental remainder b = (g_alpha
+        coordinates (..., 3) of b_A, i tau_3 coefficient of b_Phi), the
         spectators' abelian remainder s = (A (..., 3, n), Phi (..., n)) as real
-        Cartan diagonals, the framed fundamental curvature F = (i tau_3
-        coefficients, (a, b) entries) (..., 3).  The su(2) pieces are
+        Cartan vectors, the framed fundamental curvature F = (i tau_3
+        coefficients, g_alpha coordinates) (..., 3), for constituent k's root
+        alpha and coordinates scaled as in `su2_field`.  The su(2) pieces are
         `string_gauge_fields` in the phase frame psi = exp(phase/2 embed(i tau_3))."""
         cst, rel = self.spec.constituents[k], xs - self.positions[k]
         zA, hP, hF, zF = string_gauge_fields(rel, self.locals[k].v, patch, ts if cst.mu == 0 else None, cst.phase)
+        alpha_sq = float(self.locals[k].root @ self.locals[k].root)
+        if alpha_sq != 2.0:  # the g_alpha coordinates of `su2_field`
+            zA, zF = zA * math.sqrt(2.0 / alpha_sq), zF * math.sqrt(2.0 / alpha_sq)
         # the spectators l != k, each in its patch seen from p_k, on an axis
         spect = np.arange(len(self.positions)) != k
         pl, south, gl = self.positions[spect], self._spect_patch[k, spect], self.singular.coroots[spect]
         coeff = dirac_potential(xs[..., None, :] - pl, south)
         coeff -= dirac_potential(self.positions[k] - pl, south)
-        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / _r_of(xs[..., None, :] - pl)) @ gl
+        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / _distances(xs, pl)) @ gl
         return _r_of(rel), (zA, hP), (np.swapaxes(coeff, -1, -2) @ gl, sP), (hF, zF)
 
     def annulus_fields(self, k, patch, xs, ts):
         """(A, Phi) on annulus k in its patch "N" or "S": model + chi b + (1 - chi) s,
         the abelian model being the Dirac potential and omega_k/eps - gamma_k/2r."""
-        gamma, tau3 = self.singular.coroots[k], self.locals[k].tau3
+        gamma, coroot = self.singular.coroots[k], self.locals[k].coroot
         r, (zA, hP), (sA, sP), _ = self.annulus_parts(k, patch, xs, ts)
         chi = self.profile.chi(r)
         sA *= (1.0 - chi)[..., None, None]
         sA += dirac_potential(xs - self.positions[k], patch)[..., :, None] * gamma
         zA *= chi[..., None]
-        Phi = (self.omega_shifts[k] / self.epsilon - gamma / (2.0 * r)[..., None] + (chi * hP)[..., None] * tau3
+        Phi = (self.omega_shifts[k] / self.epsilon - gamma / (2.0 * r)[..., None] + (chi * hP)[..., None] * coroot
                + (1.0 - chi)[..., None] * sP)
         return Field(sA, zA), Field(Phi, np.zeros(r.shape, dtype=complex))
 
@@ -572,26 +579,26 @@ class ApproximateCaloron(ConnectionSampler):
             F = (1 - chi) F_sing + chi F_fund + dchi ^ c - chi (1 - chi) c ^ c,
 
         with F_fund from `annulus_parts`, (c ^ c)_{mu nu} = [c_mu, c_nu]
-        (`samplers.bracket`, written out for c_A = (-s_A, z) and the diagonal
-        c_Phi) and c_t = eps c_Phi, built in place."""
-        tau3 = self.locals[k].tau3
+        (`samplers.bracket`, written out for c_A = (-s_A, z) and the Cartan
+        c_Phi, in constituent k's root alpha) and c_t = eps c_Phi, built in place."""
+        root, coroot = self.locals[k].root, self.locals[k].coroot
         r, (z, hP), (sA, sP), (hF, zF) = self.annulus_parts(k, patch, xs, ts)
         chi = self.profile.chi(r)
         mix = (chi * (1.0 - chi))[..., None]
         dchi = (xs - self.positions[k]) * (self.profile.chi_prime(r) / r)[..., None]
         B = self.singular.field_strength_diagonal(xs)  # F: B's diagonal, zF its su(2) entries
         B *= (1.0 - chi)[..., None, None]
-        B += (chi[..., None] * hF)[..., None] * tau3
+        B += (chi[..., None] * hF)[..., None] * coroot
         zF *= chi[..., None]
-        cP = hP[..., None] * tau3 - sP
-        delta_P = -np.sum(cP * tau3, axis=-1)[..., None]  # Delta(c_Phi), Delta(d) = -d.tau3
+        cP = hP[..., None] * coroot - sP
+        delta_P = -np.sum(cP * root, axis=-1)[..., None]  # Delta(c_Phi), Delta(d) = -alpha(d)
         E = Field(B + dchi[..., None] * cP[..., None, :], zF - mix * (1j * (z * delta_P)))
         j, k = [1, 2, 0], [2, 0, 1]  # B_i = F_jk, (i, j, k) cyclic
-        delta = np.sum(sA * tau3, axis=-1)  # -Delta(c_A,i)
+        delta = np.sum(sA * root, axis=-1)  # -Delta(c_A,i)
         for i in range(3):
             B[..., i, :] -= dchi[..., j[i], None] * sA[..., k[i], :]
             B[..., i, :] += dchi[..., k[i], None] * sA[..., j[i], :]
-        B -= (-2.0 * mix * (z[..., j] * np.conjugate(z[..., k])).imag)[..., None] * tau3
+        B -= (-2.0 * mix * (z[..., j] * np.conjugate(z[..., k])).imag)[..., None] * root
         zF += dchi[..., j] * z[..., k]
         zF -= dchi[..., k] * z[..., j]
         zF -= mix * (1j * (z[..., j] * delta[..., k] - z[..., k] * delta[..., j]))
@@ -649,7 +656,7 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     r_min = np.where(np.arange(len(pts)) < len(shells), r0 * 0.999999, r0)
 
     def margins(s):
-        x = pts[s][np.all(_r_of(pts[s, None, :] - spec.positions) >= r_min[s, None], axis=-1)]
+        x = pts[s][np.all(_distances(pts[s], spec.positions) >= r_min[s, None], axis=-1)]
         h = eps * samp.singular.higgs(x, 0.0).diag
         out = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
         return np.min(np.stack(out + [1.0 + h @ np.asarray(datum.lowest_root, dtype=float)], axis=-1), axis=-1)

@@ -1,8 +1,7 @@
 """Batch front-end: construct specs, run verification suites, sweep epsilon,
 evaluate index formulas, and emit report/plot data.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or a
-group whose fields are not evaluated (any but SU(n)).
+Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 Output files are byte-identical across reruns with the same seed.
 The field layers load inside the commands that evaluate fields, so `roots`
 and `index` import only errors, rootsys and indexes.
@@ -26,7 +25,6 @@ from .errors import (
     HolonomyParameterError,
     InputError,
     InvalidGroupError,
-    UnsupportedRepresentationError,
 )
 from .indexes import moduli_dimension, transverse_index
 from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
@@ -237,8 +235,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError,
-            UnsupportedRepresentationError) as exc:
+    except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CaloronError as exc:

@@ -9,11 +9,6 @@ class InvalidGroupError(CaloronError, ValueError):
     """Unknown or out-of-range simple Lie type (series, rank)."""
 
 
-class UnsupportedRepresentationError(CaloronError):
-    """Matrix realization requested for a series without one (only type A
-    carries the defining-representation evaluator)."""
-
-
 class HolonomyParameterError(CaloronError, ValueError):
     """Holonomy parameter outside its admissible interval / alcove."""
 

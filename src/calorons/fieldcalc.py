@@ -13,15 +13,17 @@ have vanishing *self-dual* error:
 
     sd_a  = (E_a - B_a)/2,      asd_a = (E_a + B_a)/2.
 
-Lie-algebra norms use <X, Y> = -Tr(XY) on anti-Hermitian matrices, under
-which simple coroots of su(n) have squared norm 2; on `samplers.Field`s
-they read the diagonal and the su(2) entry alone.  The topological density
-of energy_and_tr_f_wedge_f is 2 sum_a <E_a, B_a>, normalized so that both
-fundamental SU(2) calorons have positive values (2 omega' and 1 - 2 omega').
+Lie-algebra norms on `samplers.Field`s in root coordinates are the ambient
+dot product d.e + 2 Re(z conj w); the invariant norm, under which long
+coroots have squared norm 2 (-Tr(XY) on su(n)), is `sampler.killing_scale`
+times it, and every reported norm, integral and bound applies that factor.
+The topological density of energy_and_tr_f_wedge_f is 2 sum_a <E_a, B_a>,
+normalized so that both fundamental SU(2) calorons have positive values
+(2 omega' and 1 - 2 omega').
 
 Every diagnostic reads eps from `sampler.epsilon`, and the energy functions
-read the asymptotic abelian charge from `sampler.charge_matrix`, which every
-integrated sampler declares.
+read the asymptotic abelian charge, a coroot vector, from `sampler.charge`,
+which every integrated sampler declares.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ import numpy as np
 
 from .errors import FluxAmbiguityError
 from .quadrature import VolumeGrid, block_sum, blockwise, gauss_legendre, graded_radii, sphere_rule
-from .samplers import ConnectionSampler, Field, bracket, dagger
+from .samplers import ConnectionSampler, Field, bracket
 
 
 def lie_norm_sq(x: Field):
-    """<X, X> = -Tr(X X) = |d|^2 + 2 |z|^2: z sits at (a, b) and (b, a)."""
+    """<X, X> = |d|^2 + 2 |z|^2 in the ambient metric: z is the coordinate
+    of both g_alpha and g_-alpha."""
     return np.sum(x.diag**2, axis=-1) + 2.0 * (x.off.real**2 + x.off.imag**2)
 
 
 def lie_inner(x: Field, y: Field):
-    """<X, Y> = -Tr(X Y) = d.e + 2 Re(z conj w)."""
+    """<X, Y> = d.e + 2 Re(z conj w) in the ambient metric."""
     return np.sum(x.diag * y.diag, axis=-1) + 2.0 * (x.off * np.conjugate(y.off)).real
 
 
@@ -93,8 +96,8 @@ def _stencil(sampler, x, t, step, dt=None):
     """The 4th-order stencil about each point of the batch x, every
     evaluation in the chart of its base point: the base point and 4 shifts
     along each axis of x, plus 4 shifts in t when dt is given, in one sampler
-    call.  Returns (A0, Phi0, dPhi, B, dA/dt, tau3), with dA/dt None without
-    dt and tau3 the base points' blocks."""
+    call.  Returns (A0, Phi0, dPhi, B, dA/dt, alpha), with dA/dt None without
+    dt and alpha the roots of the base points' charts."""
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
     chart = sampler.chart(x, t)
     shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
@@ -105,13 +108,13 @@ def _stencil(sampler, x, t, step, dt=None):
     all_chart = None if chart is None else np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
 
     A_all, Phi_all = sampler(all_x, all_t, all_chart)
-    tau3 = np.asarray(sampler.block(chart))
+    alpha = np.asarray(sampler.block(chart))
     A0, Phi0 = A_all[0], Phi_all[0]
     dA = [_fd(A_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)]  # dA[deriv][..., comp]
     dPhi = _components([_fd(Phi_all[1 + 4 * a : 5 + 4 * a], step) for a in range(3)])
-    B = _components([dA[i][..., j] - dA[j][..., i] + bracket(A0[..., i], A0[..., j], tau3)
+    B = _components([dA[i][..., j] - dA[j][..., i] + bracket(A0[..., i], A0[..., j], alpha)
                      for i, j in ((1, 2), (2, 0), (0, 1))])
-    return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt), tau3
+    return A0, Phi0, dPhi, B, None if dt is None else _fd(A_all[13:], dt), alpha
 
 
 def _components(fields):
@@ -158,8 +161,8 @@ def curvature_at(sampler: ConnectionSampler, x, t=0.0, step=1e-3) -> CurvatureSa
     (`exact_curvature`), which every curvature integral uses.
     """
     eps = sampler.epsilon
-    A0, Phi0, dPhi, B, dAdt, tau3 = _stencil(sampler, np.asarray(x, dtype=float), t, step, dt=step / eps)
-    return CurvatureSample(E=dPhi - dAdt / eps + bracket(A0, Phi0[..., None], tau3[..., None, :]), B=B)
+    A0, Phi0, dPhi, B, dAdt, alpha = _stencil(sampler, np.asarray(x, dtype=float), t, step, dt=step / eps)
+    return CurvatureSample(E=dPhi - dAdt / eps + bracket(A0, Phi0[..., None], alpha[..., None, :]), B=B)
 
 
 def _closed_form_densities(sampler, x, t, *densities):
@@ -201,17 +204,19 @@ def energy_and_tr_f_wedge_f(sampler, grid: VolumeGrid):
     pass per grid point.
 
     The energy is (1/8 pi^2) ||F||^2_{L^2} over the ball of radius
-    grid.r_max plus the analytic abelian tail eps |gamma|^2 / (2 r_max)
-    beyond it, with gamma = sampler.charge_matrix.  trF^F is
+    grid.r_max plus the analytic abelian tail eps k |gamma|^2 / (2 r_max)
+    beyond it, with gamma = sampler.charge and k = sampler.killing_scale,
+    which also scales both integrals to the invariant norm.  trF^F is
     -(1/8 pi^2) Integral Trace(F ^ F), oriented so the circle-invariant BPS
     caloron returns +2 omega', plus the same tail; it equals +-energy for
     E = +-B."""
+    k = sampler.killing_scale
     energy, topological = _integrate(sampler, grid)
-    raw = energy / (8.0 * np.pi**2)
+    raw = k * energy / (8.0 * np.pi**2)
     if not np.isfinite(raw):
         raise ArithmeticError("non-finite energy integrand")
-    tail = sampler.epsilon * float(np.sum(np.abs(sampler.charge_matrix) ** 2)) / (2.0 * grid.r_max)
-    return EnergyEstimate(raw=raw, tail=tail), topological / (8.0 * np.pi**2) + tail
+    tail = sampler.epsilon * (k * float(np.sum(np.square(sampler.charge)))) / (2.0 * grid.r_max)
+    return EnergyEstimate(raw=raw, tail=tail), k * topological / (8.0 * np.pi**2) + tail
 
 
 @dataclass
@@ -263,7 +268,7 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
         w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
         background_terms.append(block_sum(d, w) * t_w)
-    background_sq = math.fsum(background_terms)
+    background_sq = samp.killing_scale * math.fsum(background_terms)
 
     radii, rw = gauss_legendre(0.5 * R, R, 14)
     w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
@@ -273,7 +278,7 @@ def sd_error_l2(samp) -> SdErrorEstimate:
         sd = blockwise(lambda s, x=x: _closed_form_densities(samp, x[s], _T_SLICE, CurvatureSample.sd_norm_sq)[:, 0],
                        len(x))
         annulus_terms.append(block_sum(sd, w) * t_w)
-    annulus_sq = math.fsum(annulus_terms)
+    annulus_sq = samp.killing_scale * math.fsum(annulus_terms)
 
     return SdErrorEstimate(annulus_sq=annulus_sq, background_sq=background_sq)
 
@@ -282,10 +287,10 @@ def sd_error_l2(samp) -> SdErrorEstimate:
 # holonomy and flux
 
 def _magnus_exponents(sampler, x, n_steps):
-    """Magnus exponents (Fields (..., n_steps)) of each point's t-circle in its t = 0 chart, and tau3."""
+    """Magnus exponents (Fields (..., n_steps)) of each point's t-circle in its t = 0 chart, and its root alpha."""
     x = np.asarray(x, dtype=float)
     chart = sampler.chart(x, np.zeros(x.shape[:-1]))
-    tau3 = np.asarray(sampler.block(chart))[..., None, :]  # shared by the circle's nodes
+    alpha = np.asarray(sampler.block(chart))[..., None, :]  # shared by the circle's nodes
     h = 2.0 * np.pi / n_steps
     offs = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
     t0 = np.arange(n_steps) * h
@@ -295,42 +300,47 @@ def _magnus_exponents(sampler, x, n_steps):
         chart = np.broadcast_to(np.asarray(chart)[..., None], shape)
     M = sampler.epsilon * sampler.higgs(np.broadcast_to(x[..., None, :], shape + (3,)), t_nodes, chart)
     M1, M2 = M[..., :n_steps], M[..., n_steps:]
-    return 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * bracket(M2, M1, tau3), tau3
+    return 0.5 * h * (M1 + M2) + (math.sqrt(3.0) / 12.0) * h**2 * bracket(M2, M1, alpha), alpha
 
 
 def circle_holonomy(sampler, x, n_steps=64):
-    """Eigenphases (sorted descending) of the holonomy of the t-circle at x,
-    computed as the path-ordered exponential of eps Phi dt via a 4th-order
-    Magnus / Gauss two-point product (exact for a constant Phi).  x is one
-    point (3,) or a batch (..., 3); each point keeps its own t = 0 chart, and
-    every circle of the batch is evaluated in one sampler call.
+    """The holonomy of the t-circle at x as an unwrapped Cartan element H
+    (ambient coordinates), conjugate to the path-ordered exponential of
+    eps Phi dt, from a 4th-order Magnus / Gauss two-point product (exact for
+    a constant Phi).  x is one point (3,) or a batch (..., 3); each point
+    keeps its own t = 0 chart, and every circle of the batch is evaluated in
+    one sampler call.
 
-    The holonomy lies in T x SU(2) of the chart's block (a, b): a step is the
-    phases phi (d_j off the block, c = (d_a + d_b)/2 on it) times (alpha, beta)
-    = (cos th + i delta sinc th, z sinc th), delta = d.tau3/2 and
-    th = sqrt(delta^2 + |z|^2).  The phases add, the SU(2) factors multiply as
-    (alpha, beta) pairs, and the block's eigenphases are sum(phi) +- vartheta,
-    vartheta = atan2(sqrt(Im^2 alpha + |beta|^2), Re alpha)."""
-    omega, tau3 = _magnus_exponents(sampler, x, n_steps)
-    d, z, on_block = omega.diag, omega.off, np.abs(tau3)
-    delta = 0.5 * np.sum(d * tau3, axis=-1)
-    phi = d + on_block * (0.5 * np.sum(d * on_block, axis=-1)[..., None] - d)
-    theta = np.hypot(delta, np.abs(z))
+    The holonomy lies in T x SU(2) of the chart's root alpha: a step's
+    Cartan part d = phi + delta alpha^vee splits into phi, alpha(phi) = 0,
+    and delta = alpha(d)/2; with the su(2) coordinate u = z |alpha|/sqrt(2)
+    of z (`samplers.su2_field`) and th = sqrt(delta^2 + |u|^2) the SU(2)
+    factor is (a, b) = (cos th + i delta sinc th, u sinc th).  The phases phi
+    add, the SU(2) factors multiply as (a, b) pairs, and
+    H = sum(phi) + vartheta alpha^vee, vartheta = atan2(sqrt(Im^2 a + |b|^2), Re a)."""
+    omega, alpha = _magnus_exponents(sampler, x, n_steps)
+    d, z = omega.diag, omega.off
+    alpha_sq = np.sum(alpha * alpha, axis=-1)
+    coroot = alpha * (2.0 / np.maximum(alpha_sq, 1e-300))[..., None]  # 0 where the chart has no su(2)
+    delta = 0.5 * np.sum(d * alpha, axis=-1)
+    phi = d - delta[..., None] * coroot
+    u = z * np.sqrt(0.5 * alpha_sq)
+    theta = np.hypot(delta, np.abs(u))
     sinc = np.sinc(theta / np.pi)
-    alpha, beta = np.cos(theta) + 1j * delta * sinc, z * sinc
-    a, b, total = alpha[..., 0], beta[..., 0], phi[..., 0, :]
+    a_step, b_step = np.cos(theta) + 1j * delta * sinc, u * sinc
+    a, b, total = a_step[..., 0], b_step[..., 0], phi[..., 0, :]
     for k in range(1, n_steps):
-        a, b = (alpha[..., k] * a - beta[..., k] * np.conjugate(b),
-                alpha[..., k] * b + beta[..., k] * np.conjugate(a))
+        a, b = (a_step[..., k] * a - b_step[..., k] * np.conjugate(b),
+                a_step[..., k] * b + b_step[..., k] * np.conjugate(a))
         total = total + phi[..., k, :]
     vartheta = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
-    phases = np.angle(np.exp(1j * (total + vartheta[..., None] * tau3[..., 0, :])))
-    return np.sort(phases, axis=-1)[..., ::-1]
+    return total + vartheta[..., None] * coroot[..., 0, :]
 
 
 def sphere_averaged_holonomy(sampler, radius):
-    """Holonomy eigenphases averaged over a 6 x 8 sphere rule of the given
-    radius, each circle in 64 Magnus steps of two Gauss nodes.
+    """The holonomy's Cartan element (`circle_holonomy`) averaged over a
+    6 x 8 sphere rule of the given radius, each circle in 64 Magnus steps of
+    two Gauss nodes.
 
     Averaging kills the multipole corrections of well-separated constituent
     fields (the mean of 1/|x-p| over the sphere is exactly 1/radius),
@@ -347,19 +357,20 @@ def magnetic_charge(sampler, radius):
     is taken from the connection by the spatial finite-difference stencil at
     t = 0, independently of any closed-form curvature.
 
-    Returns (integer coefficient tuple, residual).  A residual above 0.1
-    raises FluxAmbiguityError rather than silently misrounding.
+    Returns (integer coefficient tuple, residual): the larger of the
+    distance to the coroot lattice and of the root-space flux, which an
+    abelian exterior makes 0.  A residual above 0.1 raises
+    FluxAmbiguityError rather than silently misrounding.
     """
     datum = getattr(sampler, "datum", None)
     if datum is None:
         raise ValueError("magnetic_charge needs a sampler with a root datum")
     dirs, w = sphere_rule(12, 24)
-    _, _, _, B, _, tau3 = _stencil(sampler, radius * dirs, 0.0, _flux_step(radius))
+    _, _, _, B, _, alpha = _stencil(sampler, radius * dirs, 0.0, _flux_step(radius))
     scale = radius**2 / (2.0 * np.pi)
     v = np.einsum("p,pi->i", w, np.einsum("pa,pai->pi", dirs, B.diag)) * scale
-    tau3 = np.broadcast_to(tau3, B.diag.shape[:1] + tau3.shape[-1:])  # the off-diagonal flux, block by block
-    flux_ab = np.einsum("p,pi,pj->ij", w * np.einsum("pa,pa->p", dirs, B.off), tau3 > 0, tau3 < 0) * scale
-    junk = float(np.max(np.abs(flux_ab - dagger(flux_ab))))
+    alpha = np.broadcast_to(alpha, B.diag.shape[:1] + alpha.shape[-1:])  # the g_alpha flux, along each point's root
+    junk = float(np.max(np.abs(np.einsum("p,pi->i", w * np.einsum("pa,pa->p", dirs, B.off), alpha) * scale)))
 
     basis = np.array(
         [[float(c) for c in av] for av in datum.simple_coroots], dtype=float
@@ -389,8 +400,8 @@ class FieldReport:
     sd_annulus_fraction: float
     recovered_charge: Tuple[int, ...]
     charge_residual: float
-    holonomy_eigenphases: Tuple[float, ...]
-    holonomy_model_phases: Tuple[float, ...]
+    holonomy_cartan: Tuple[float, ...]
+    holonomy_model_cartan: Tuple[float, ...]
     tr_f_wedge_f: Optional[float] = None
     grid: dict = field(default_factory=dict)
 

@@ -129,17 +129,6 @@ def _rep_dynkin_index(datum: RootDatum, weights) -> Fraction:
     return sum((pairing(w, thetav) ** 2 for w in weights), Fraction(0)) / 2
 
 
-def defining_weights(datum: RootDatum) -> WeightList:
-    """Weights of the defining representation of su(n) (type A only)."""
-    if datum.series != "A":
-        raise ValueError("defining weights implemented for type A")
-    dim = datum.ambient_dim
-    ws = []
-    for i in range(dim):
-        ws.append(tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim)))
-    return WeightList(tuple(ws), _rep_dynkin_index(datum, ws))
-
-
 def adjoint_weights(datum: RootDatum) -> WeightList:
     """Weights of the adjoint representation: all roots plus rank zeros."""
     ws: List[Vector] = []

@@ -13,8 +13,8 @@ simple roots times the series denominator D (2 for E and F, else 1) are
 integer vectors x, so roots are x / D and coroots 2 D x / |x|^2.  Killing
 norms rescale the ambient dot product so that long roots have squared norm
 2.  The module is exact and imports no numpy: the su(2) embedding of a node
-is its root and coroot, and `assembler` owns the matrices that realize it
-in the defining representation of su(n).
+is its root and coroot, which the field layers read in the same ambient
+coordinates (`samplers.su2_field`), for every simple type.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 A sampler is a pure evaluator (x, t) -> (A, Phi), x (..., 3) and t scalar
 or (...), of the 1-form A_i dx^i + eps * Phi dt.  Each chart sees one
 constituent over the abelian Cartan background, so every value is a
-`Field` in t + su(2)_alpha: a real Cartan diagonal d, acting as i diag(d),
-plus one entry z at (a, b) of the su(2) block the point's chart fixes, named
-by its image tau3 = e_a - e_b of i tau_3 (`block(chart)`).  n x n matrices
-(`_cartan_matrix`) are built only for verify's gauge-patch transition and
-`charge_matrix`; `fieldcalc.circle_holonomy` stays in T x SU(2) of the block.
+`Field` in t + su(2)_alpha, in root coordinates that serve every simple
+type: a real Cartan vector d in the ambient coordinates of the root datum,
+plus the coordinate z of g_alpha + g_-alpha for the root alpha that names
+the su(2) the point's chart fixes (`block(chart)`; alpha = 0 where there is
+none).  No sampler builds an n x n matrix.
 
 Samplers may be defined through several overlapping local gauges ("charts").
 Finite-difference stencils must evaluate every stencil point in the chart of
@@ -15,14 +15,17 @@ the base point; `chart(x, t)` returns a per-point chart code (None when the
 sampler is single-chart) and `__call__` accepts it back.
 
 A sampler whose energy is integrated declares its asymptotic abelian charge
-as `charge_matrix`, the gamma of the energy tail eps |gamma|^2 / (2 r_max).
+as `charge`, the coroot vector gamma of the energy tail
+eps k |gamma|^2 / (2 r_max), and k as `killing_scale`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_SU2_TAU3 = np.array([1.0, -1.0])  # i tau_3 = i diag(1, -1): the block (0, 1) of SU(2)
+_SU2_ROOT = np.array([1.0, -1.0])  # the root e_0 - e_1 of SU(2), its own coroot
 
 
 class Field:
@@ -60,39 +63,30 @@ class Field:
         return Field(self.diag / c[..., None], self.off / c)
 
 
-def su2_field(V, tau3, shift=None):
-    """The su(2) coefficient vectors V (..., 3) of V.(i tau) as a Field of
-    the block with image tau3 of i tau_3: the diagonal V_3 tau3 plus the real
-    Cartan diagonal shift, and the entry V_2 + i V_1, each written in place."""
-    diag = V[..., 2, None] * tau3
+def su2_field(V, alpha, shift=None):
+    """The su(2) coefficient vectors V (..., 3) of V.(i tau) as a Field of the
+    su(2) of the root alpha: V_3 alpha^vee plus the real Cartan vector shift,
+    and the g_alpha coordinate (V_2 + i V_1) sqrt((alpha^vee, alpha^vee)/2),
+    each written in place; that factor, 1 where (alpha, alpha) = 2, makes the
+    brackets read alpha alone (`bracket`)."""
+    alpha_sq = float(alpha @ alpha)
+    diag = V[..., 2, None] * (2.0 / alpha_sq * alpha)
     if shift is not None:
         diag += shift
     off = V[..., 1].astype(complex)
     off.imag = V[..., 0]
+    if alpha_sq != 2.0:
+        off *= math.sqrt(2.0 / alpha_sq)
     return Field(diag, off)
 
 
-def bracket(x, y, tau3):
-    """[X, Y] of Fields in the block with image tau3 = e_a - e_b of i tau_3.
-    With Delta(d) = d_b - d_a = -d.tau3, [z, d] = i z Delta(d) and
-    [z_j, z_k] = -2 Im(z_j conj z_k) i tau_3."""
-    delta_x, delta_y = (-np.sum(f.diag * tau3, axis=-1) for f in (x, y))
-    return Field(-2.0 * (x.off * np.conjugate(y.off)).imag[..., None] * tau3,
+def bracket(x, y, alpha):
+    """[X, Y] of Fields in the su(2) of the root alpha, shared or per point
+    (0: none).  In the coordinates of `su2_field`, [z, d] = -i alpha(d) z
+    and [z_j, z_k] = -2 Im(z_j conj z_k) alpha."""
+    delta_x, delta_y = (-np.sum(f.diag * alpha, axis=-1) for f in (x, y))
+    return Field(-2.0 * (x.off * np.conjugate(y.off)).imag[..., None] * alpha,
                  1j * (x.off * delta_y - y.off * delta_x))
-
-
-def _cartan_matrix(diag, off=None, tau3=None):
-    """i diag(d) for real Cartan diagonals d (..., n) as (..., n, n), plus
-    off and -conj(off) at (a, b) and (b, a) of the block with image
-    tau3 = e_a - e_b of i tau_3, shared or per point."""
-    diag = np.asarray(diag, dtype=float)
-    n = diag.shape[-1]
-    out = np.zeros(diag.shape[:-1] + (n, n), dtype=complex)
-    out.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] = 1j * diag
-    if off is not None:
-        e_ab = np.maximum(tau3, 0.0)[..., :, None] * np.maximum(-tau3, 0.0)[..., None, :]
-        out += off[..., None, None] * e_ab - np.conjugate(off)[..., None, None] * np.swapaxes(e_ab, -1, -2)
-    return out
 
 
 class ConnectionSampler:
@@ -100,14 +94,15 @@ class ConnectionSampler:
 
     n = 2
     epsilon = 1.0
-    tau3 = _SU2_TAU3  # the one su(2) block of a single-block sampler
+    root = _SU2_ROOT  # the su(2) of a single-chart sampler
+    killing_scale = 1.0  # the invariant norm over the ambient dot product (`RootDatum.killing_scale`)
 
     def chart(self, x, t=None):
         return None
 
     def block(self, chart):
-        """The image tau3 (..., n) of i tau_3 of the su(2) block each chart fixes."""
-        return self.tau3
+        """The root alpha (..., n) whose su(2) each chart fixes."""
+        return self.root
 
     def __call__(self, x, t, chart=None):
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)

@@ -196,7 +196,7 @@ class BPSCaloron(ConnectionSampler):
     """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps,
     centred at the origin."""
 
-    charge_matrix = ITAU[2]  # the asymptotic charge, in the abelian gauge
+    charge = ConnectionSampler.root  # the asymptotic charge, in the abelian gauge
     rotated = False
 
     def __init__(self, omega_prime, epsilon):
@@ -208,10 +208,10 @@ class BPSCaloron(ConnectionSampler):
 
     def evaluate(self, x, t, chart=None):
         A, Phi = core_fields(x, self.v, t if self.rotated else None, self.epsilon)
-        return su2_field(A, self.tau3), su2_field(Phi, self.tau3)
+        return su2_field(A, self.root), su2_field(Phi, self.root)
 
     def exact_curvature(self, x, t):
-        E = su2_field(core_curvature(x, self.v, t if self.rotated else None), self.tau3)
+        E = su2_field(core_curvature(x, self.v, t if self.rotated else None), self.root)
         return E, E
 
 

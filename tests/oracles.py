@@ -22,10 +22,11 @@ Framed SU(2) fields: the matrix route to the string gauge that
 conjugated by the hedgehog framing, with its analytic derivative, and by
 g_inf(t) for the rotated monopole, as 2 x 2 matrix products.
 
-The dense field route: `samplers.Field` values as n x n matrices
-(`dense`, and `compact` back), and the curvature stencil, commutators and
-Lie-algebra norms on those matrices, the route that the library's
-diagonal-plus-entry format replaced (`dense_curvature_at`); the batched
+The dense field route: `samplers.Field` values of su(n) as n x n matrices
+of the defining representation (`_cartan_matrix`, `dense`, and `compact`
+back), and the curvature stencil, commutators and Lie-algebra norms on
+those matrices, the route that the library's root coordinates replaced
+(`dense_curvature_at`); the batched
 matrix product `_mul`, and the circle holonomy as a product of n x n
 matrix exponentials (`dense_circle_holonomy`), which the library replaced
 by phases times SU(2) pairs.
@@ -64,7 +65,7 @@ from calorons.rootsys import (
 )
 from calorons.quadrature import _smoothstep, _smoothstep_prime
 from calorons.fieldcalc import _FD4, _magnus_exponents
-from calorons.samplers import _SU2_TAU3, ConnectionSampler, Field, _cartan_matrix, dagger
+from calorons.samplers import _SU2_ROOT, ConnectionSampler, Field, dagger
 from calorons.su2 import (
     _TINY,
     ITAU,
@@ -251,17 +252,32 @@ def positive_root_charge_sum(datum, gamma_coeffs, n0):
 
 # -- the dense field route -----------------------------------------------------------
 
-def dense(field, tau3=_SU2_TAU3):
-    """The n x n matrices of a Field in the su(2) block with image tau3 of
-    i tau_3, shared or per point (the SU(2) block by default)."""
-    return _cartan_matrix(field.diag, field.off, np.asarray(tau3, dtype=float))
+def _cartan_matrix(diag, off=None, root=None):
+    """i diag(d) for real Cartan vectors d (..., n) of su(n) as (..., n, n),
+    plus off and -conj(off) at (a, b) and (b, a) of the block of the root
+    e_a - e_b (its own coroot, the image of i tau_3), shared or per point."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.shape[-1]
+    out = np.zeros(diag.shape[:-1] + (n, n), dtype=complex)
+    out.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] = 1j * diag
+    if off is not None:
+        e_ab = np.maximum(root, 0.0)[..., :, None] * np.maximum(-root, 0.0)[..., None, :]
+        out += off[..., None, None] * e_ab - np.conjugate(off)[..., None, None] * np.swapaxes(e_ab, -1, -2)
+    return out
 
 
-def compact(m, tau3=_SU2_TAU3):
+def dense(field, root=_SU2_ROOT):
+    """The n x n matrices of a Field of su(n), the defining representation, in
+    the block of the root e_a - e_b, shared or per point (the SU(2) block by
+    default)."""
+    return _cartan_matrix(field.diag, field.off, np.asarray(root, dtype=float))
+
+
+def compact(m, root=_SU2_ROOT):
     """The Field of anti-Hermitian matrices m (..., n, n) in t + su(2)_alpha,
-    one block tau3 shared by the batch: the imaginary diagonal and the (a, b)
-    entry."""
-    a, b = int(np.argmax(tau3)), int(np.argmin(tau3))
+    one root e_a - e_b shared by the batch: the imaginary diagonal and the
+    (a, b) entry."""
+    a, b = int(np.argmax(root)), int(np.argmin(root))
     return Field(np.diagonal(m, axis1=-2, axis2=-1).imag.copy(), m[..., a, b].copy())
 
 
@@ -274,17 +290,17 @@ def dense_fields(sampler, x, t, chart=None):
     """sampler(x, t, chart) as n x n matrices (A, Phi), each point in the
     block of its chart."""
     A, Phi = sampler(x, t, chart)
-    tau3 = _point_tau3(sampler, x, chart)
-    return dense(A, tau3[..., None, :]), dense(Phi, tau3)
+    root = _point_root(sampler, x, chart)
+    return dense(A, root[..., None, :]), dense(Phi, root)
 
 
 def dense_exact_curvature(sampler, x, t):
     """sampler.exact_curvature(x, t) as n x n matrices (E, B)."""
-    tau3 = _point_tau3(sampler, x, None)[..., None, :]
-    return tuple(dense(f, tau3) for f in sampler.exact_curvature(x, t))
+    root = _point_root(sampler, x, None)[..., None, :]
+    return tuple(dense(f, root) for f in sampler.exact_curvature(x, t))
 
 
-def _point_tau3(sampler, x, chart):
+def _point_root(sampler, x, chart):
     if chart is None:
         chart = sampler.chart(np.asarray(x, dtype=float))
     return np.asarray(sampler.block(chart), dtype=float)
@@ -315,9 +331,10 @@ def expm_antiherm(m):
 def dense_circle_holonomy(sampler, x, n_steps=64):
     """`fieldcalc.circle_holonomy` by the matrix route: the same Magnus
     exponents made n x n matrices, each step exponentiated by eigh, the
-    steps multiplied as matrices and the eigenphases read by eigvals."""
-    omega, tau3 = _magnus_exponents(sampler, x, n_steps)
-    steps = expm_antiherm(_cartan_matrix(omega.diag, omega.off, tau3))
+    steps multiplied as matrices and the eigenphases read by eigvals,
+    sorted descending."""
+    omega, root = _magnus_exponents(sampler, x, n_steps)
+    steps = expm_antiherm(_cartan_matrix(omega.diag, omega.off, root))
     U = steps[..., 0, :, :]
     for k in range(1, n_steps):
         U = _mul(steps[..., k, :, :], U)
@@ -343,14 +360,14 @@ def dense_curvature_at(sampler, x, t=0.0, step=1e-3):
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
     eps, dt = sampler.epsilon, step / sampler.epsilon
     chart = sampler.chart(x, t)
-    tau3 = np.asarray(sampler.block(chart), dtype=float)
+    root = np.asarray(sampler.block(chart), dtype=float)
     shifts = [(np.eye(3)[axis] * mult * step, 0.0) for axis in range(3) for mult, _ in _FD4]
     shifts += [(np.zeros(3), mult * dt) for mult, _ in _FD4]
     all_x = np.stack([x] + [x + sx for sx, _ in shifts])
     all_t = np.stack([t] + [t + st for _, st in shifts])
     all_chart = None if chart is None else np.broadcast_to(np.asarray(chart), all_x.shape[:-1])
     A_all, Phi_all = sampler(all_x, all_t, all_chart)
-    A_all, Phi_all = dense(A_all, tau3[..., None, :]), dense(Phi_all, tau3)
+    A_all, Phi_all = dense(A_all, root[..., None, :]), dense(Phi_all, root)
 
     def fd(values, h):
         return sum(wgt * values[i] for i, (_, wgt) in enumerate(_FD4)) / (12.0 * h)
@@ -431,9 +448,9 @@ class PulledBackSampler(ConnectionSampler):
         self.epsilon = base.epsilon
 
     @property
-    def charge_matrix(self):
+    def charge(self):
         """The base's charge: a gauge transform leaves |gamma| unchanged."""
-        return self.base.charge_matrix
+        return self.base.charge
 
     def chart(self, x, t=None):
         return self.base.chart(x, t)

@@ -26,7 +26,6 @@ from calorons.errors import (
     HolonomyParameterError,
     InputError,
     SingularPointError,
-    UnsupportedRepresentationError,
 )
 from calorons.fieldcalc import (
     CurvatureSample,
@@ -36,7 +35,7 @@ from calorons.fieldcalc import (
 )
 from calorons.samplers import dagger
 from calorons.quadrature import desk_grid
-from calorons.rootsys import build_root_datum, random_interior_omega
+from calorons.rootsys import alcove_margin, build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
 from oracles import (
     annulus_fields_dense,
@@ -173,6 +172,28 @@ def test_spec_rejects_bad_omega():
     with pytest.raises(InputError):
         CaloronSpec(epsilon=0.1, series="A", rank=1, omega=(0.25,),
                     constituents=[Constituent(1, (0, 0, 0))])
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("E", 6), ("E", 7)])
+def test_spec_rejects_omega_off_the_span_of_the_simple_roots(series, rank, tmp_path, capsys):
+    """An interior omega moved 0.05 off the span of the simple roots keeps its
+    alcove margin, which reads roots alone, and is refused as input (exit 2)."""
+    from calorons.cli import main
+
+    d = build_root_datum(series, rank)
+    omega = np.array(random_interior_omega(d, random.Random(0)), dtype=float)
+    normal = np.linalg.svd(np.array(d.simple_roots, dtype=float))[2][-1]  # orthogonal to every simple root
+    moved = omega + 0.05 * normal
+    assert abs(float(alcove_margin(d, moved)) - float(alcove_margin(d, omega))) < 1e-12
+    spec = dict(epsilon=0.01, series=series, rank=rank, constituents=[Constituent(1, (0.0, 0.0, 0.0))])
+    CaloronSpec(omega=tuple(omega), **spec)
+    with pytest.raises(InputError, match="span of the simple roots"):
+        CaloronSpec(omega=tuple(moved), **spec)
+    path = tmp_path / "off_span.json"
+    path.write_text(json.dumps({"epsilon": 0.01, "group": {"series": series, "rank": rank},
+                                "omega": moved.tolist(), "constituents": [{"mu": 1, "position": [0, 0, 0]}]}))
+    assert main(["construct", "--spec", str(path)]) == 2
+    assert "span of the simple roots" in capsys.readouterr().err
 
 
 def test_spec_rejects_duplicate_positions():
@@ -445,8 +466,8 @@ def test_fundamental_higgs_traces_alcove_line():
 
 
 def test_fundamental_holonomy_matches_model():
-    """Holonomy eigenphases at r = 30 eps match the abelian model
-    exp(2 pi (omega - eps coroot/2r)) to 1e-4."""
+    """The holonomy's Cartan element at r = 30 eps matches the abelian model
+    2 pi (omega - eps coroot/2r) to 1e-4."""
     d = build_root_datum("A", 2)
     eps = 0.05
     omega = np.array([0.35, -0.02, -0.33])
@@ -456,7 +477,7 @@ def test_fundamental_holonomy_matches_model():
         x = np.array([0.0, 0.0, r])  # on-axis: clean diagonal comparison
         phases = circle_holonomy(f, x, n_steps=64)
         coroot = np.asarray(d.node_coroot(mu), dtype=float)
-        model = np.sort(2 * np.pi * (omega - eps * coroot / (2 * r)))[::-1]
+        model = 2 * np.pi * (omega - eps * coroot / (2 * r))
         assert np.max(np.abs(phases - model)) < 1e-4
 
 
@@ -478,10 +499,21 @@ def test_fundamental_closed_form_curvature_vs_fd(mu):
     assert max_entry(curv.B - B) < 1e-9
 
 
-def test_fundamental_matrix_requires_type_a():
+def test_fundamental_caloron_of_b2_is_the_embedded_monopole():
+    """B2 at omega = (0.3, 0.2): the long node 1 and the short node 2 embed
+    the BPS caloron along their roots, with Phi -> omega/eps far out, E = B
+    in closed form and the stencil agreeing with it."""
     d = build_root_datum("B", 2)
-    with pytest.raises(UnsupportedRepresentationError):
-        FundamentalCaloron(d, 1, (0.3, 0.2), 0.1)
+    pts = np.array([[0.4, -0.3, 0.2], [1.5, 0.5, -0.7], [-2.0, 1.0, 3.0]])
+    for mu in (1, 2):
+        samp = FundamentalCaloron(d, mu, (0.3, 0.2), 0.1)
+        assert np.array_equal(samp.root, np.asarray(d.simple_roots[mu - 1], dtype=float))
+        _, Phi = samp(np.array([0.0, 0.0, 400.0]), 0.0)
+        assert np.max(np.abs(0.1 * Phi.diag - (0.3, 0.2))) < 1e-3 and abs(Phi.off) < 1e-12
+        E, B = samp.exact_curvature(pts, 0.0)
+        curv = curvature_at(samp, pts, 0.0, step=1e-3)
+        assert max_entry(E - B) == 0.0
+        assert max_entry(curv.E - E) < 1e-8 and max_entry(curv.B - B) < 1e-8
 
 
 def test_fundamental_rejects_boundary_omega():
@@ -629,7 +661,7 @@ def test_annulus_closed_form_matches_dense_matrix_route(mu, phases, eps, seed):
         ts = rng.uniform(0.0, 2.0 * np.pi, 30)
         for patch, sel in (("N", u[:, 2] > -0.5), ("S", u[:, 2] < 0.5)):
             got = samp.annulus_fields(k, patch, pts[sel], ts[sel]) + samp._annulus_curvature(k, patch, pts[sel], ts[sel])
-            got = [dense(g, samp.locals[k].tau3) for g in got]
+            got = [dense(g, samp.locals[k].root) for g in got]
             for g, ref in zip(got, annulus_fields_dense(samp, k, patch, pts[sel], ts[sel])):
                 assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -677,9 +709,9 @@ def test_annulus_closed_form_patches_related_by_abelian_transition(mu, phases, e
         pts = p + rng.uniform(0.55 * samp.R, 0.95 * samp.R, 12)[:, None] * u
         ts = rng.uniform(0.0, 2.0 * np.pi, 12)
         phi = np.arctan2(u[:, 1], u[:, 0])
-        d = np.exp(-1j * np.outer(phi, np.diag(samp.locals[k].charge_matrix).imag))
+        d = np.exp(-1j * np.outer(phi, samp.locals[k].charge))
         transition = np.conjugate(d)[:, None, :, None] * d[:, None, None, :]
-        EN, BN, ES, BS = (dense(f, samp.locals[k].tau3) for patch in "NS"
+        EN, BN, ES, BS = (dense(f, samp.locals[k].root) for patch in "NS"
                           for f in samp._annulus_curvature(k, patch, pts, ts))
         assert np.max(np.abs(ES - transition * EN)) < 1e-10
         assert np.max(np.abs(BS - transition * BN)) < 1e-10
@@ -756,7 +788,7 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
             gluing_c=0.3,
         ))
         samp = approximate_caloron(spec)
-        m3 = 1j * np.diag(samp.locals[0].tau3)  # the image of i tau_3
+        m3 = 1j * np.diag(samp.locals[0].root)  # the image of i tau_3
         w, v = np.linalg.eigh(m3 / 1j)
         psi = v @ np.diag(np.exp(0.5j * phase * w)) @ dagger(v)
         rng = np.random.default_rng(12)
@@ -764,18 +796,18 @@ def test_annulus_phase_framing_matches_matrix_conjugation():
         u /= np.linalg.norm(u, axis=1)[:, None]
         pts = spec.positions[0] + 0.75 * samp.R * u
         ts = rng.uniform(0.0, 2.0 * np.pi, 10)
-        block = int(np.argmax(samp.locals[0].tau3)), int(np.argmin(samp.locals[0].tau3))
+        block = int(np.argmax(samp.locals[0].root)), int(np.argmin(samp.locals[0].root))
         for patch in ("N", "S"):
-            bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block, samp.locals[0].tau3)
-            bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block, samp.locals[0].tau3)
+            bA, bP = _b_matrices(samp.annulus_parts(0, patch, pts, ts), block, samp.locals[0].root)
+            bA0, bP0 = _b_matrices(plain.annulus_parts(0, patch, pts, ts), block, samp.locals[0].root)
             assert np.max(np.abs(bA - dagger(psi) @ bA0 @ psi)) < 1e-15
             assert np.max(np.abs(bP - dagger(psi) @ bP0 @ psi)) < 1e-15
 
 
-def _b_matrices(parts, block, tau3):
+def _b_matrices(parts, block, coroot):
     """The framed remainder b of `annulus_parts` as n x n matrices."""
     zA, hP = parts[1]
-    diag = hP[..., None] * tau3
+    diag = hP[..., None] * coroot
     a, b = block
     bA = np.zeros(zA.shape + diag.shape[-1:] * 2, dtype=complex)
     bA[..., a, b] = zA

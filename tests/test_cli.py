@@ -118,9 +118,9 @@ def test_verify_without_constituents_is_input_error(constituents, tmp_path, caps
     ["verify"], ["construct"], ["sweep", "--epsilons", "0.04,0.02,0.01"],
 ], ids=["verify", "construct", "sweep"])
 def test_spec_of_a_group_other_than_su_n_is_input_error(command, tmp_path, capsys):
-    """A well-formed B2 spec asks for fields outside the defining
-    representation of su(n): an input the package refuses (exit 2), not a
-    failed check (exit 1)."""
+    """A well-formed B2 spec is built like an SU(n) one, and this one is
+    refused (exit 2, not a failed check) for its gluing constant alone:
+    c = 0.3 exceeds 2 omega' = 0.1 of both constituents, not the group."""
     path = tmp_path / "b2.json"
     path.write_text(json.dumps(dict(
         SU2_SPEC,
@@ -129,7 +129,8 @@ def test_spec_of_a_group_other_than_su_n_is_input_error(command, tmp_path, capsy
         constituents=[{"mu": 1, "position": [1.5, 0.0, 0.0]}, {"mu": 2, "position": [-1.5, 0.0, 0.0]}],
     )))
     assert main([command[0], "--spec", str(path)] + command[1:]) == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err and "gluing constant c=0.3 exceeds 2 omega' = 0.1" in err
 
 
 def _run_capped(code, limit=1 << 30):
@@ -298,10 +299,10 @@ PACKAGE_EXPORTS = {
                   "gluing_radius", "holonomy_shifts"],
     "errors": ["CaloronError", "ChartDomainError", "FluxAmbiguityError", "GluingInfeasibleError",
                "HolonomyParameterError", "InputError", "InvalidGroupError", "ResonanceError",
-               "SingularPointError", "UnsupportedRepresentationError"],
+               "SingularPointError"],
     "fieldcalc": ["CurvatureSample", "FieldReport", "circle_holonomy", "curvature_at", "energy_and_tr_f_wedge_f",
                   "magnetic_charge", "sd_error_l2", "sphere_averaged_holonomy"],
-    "indexes": ["IndexReport", "WeightList", "adjoint_weights", "defining_weights", "dynkin_index_su2",
+    "indexes": ["IndexReport", "WeightList", "adjoint_weights", "dynkin_index_su2",
                 "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"],
     "rootsys": ["RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
@@ -419,9 +420,14 @@ def _assert_matches_golden(fresh, golden, where="report"):
         assert type(fresh) is type(golden) and fresh == golden, (where, fresh, golden)
 
 
-@pytest.mark.parametrize("name", ["su3_triple", "su2_single"])
+@pytest.mark.parametrize("name", ["su3_triple", "su2_single", "b3_charge1", "c3_charge1", "d4_charge1", "e6_charge1",
+                                  "e7_charge1", "e8_charge1", "f4_charge1", "g2_charge1"])
 def test_verify_report_matches_golden(name, data_dir, tmp_path):
-    """A fresh `verify --seed 1` report against the one frozen in tests/data."""
+    """A fresh `verify --seed 1` report against the one frozen in tests/data;
+    exit 0 means every ledger line passed.  The `<type>_charge1` specs are a
+    charge-1 caloron of each type outside A: as many constituents of each
+    node as its dual Coxeter label, omega at equal pairings 1/h, c = omega',
+    energy formula 1."""
     out = tmp_path / "report.json"
     assert main(["verify", "--spec", str(data_dir / f"{name}.json"), "--seed", "1", "--out", str(out)]) == 0
     golden = json.loads((data_dir / f"verify_{name}_seed1.json").read_text())

@@ -27,8 +27,8 @@ from calorons.fieldcalc import (
     sphere_averaged_holonomy,
 )
 from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
-from calorons.rootsys import build_root_datum
-from calorons.samplers import ConnectionSampler, Field
+from calorons.rootsys import all_simple_types, build_root_datum, su2_embedding
+from calorons.samplers import ConnectionSampler, Field, bracket, su2_field
 from calorons.su2 import BPSCaloron, RotatedBPSCaloron
 from oracles import (
     PulledBackSampler,
@@ -57,7 +57,7 @@ class ConstantAbelianSampler(ConnectionSampler):
         self.omega_matrix = np.asarray(omega_matrix, dtype=complex)
         self.n = self.omega_matrix.shape[0]
         self.epsilon = float(epsilon)
-        self.charge_matrix = np.zeros_like(self.omega_matrix)
+        self.charge = np.zeros(self.n)
 
     def evaluate(self, x, t, chart=None):
         shape = x.shape[:-1]
@@ -285,19 +285,21 @@ def test_circle_holonomy_matches_the_dense_route_on_every_chart_kind(data_dir):
     assert set(codes[codes > 0].tolist()) == {4 * k + kind for k in range(3) for kind in (1, 2, 3)}
     assert len(set(codes[codes < 0].tolist())) >= 4
     ours, ref = circle_holonomy(samp, pts), dense_circle_holonomy(samp, pts)
+    ours = np.sort(np.angle(np.exp(1j * ours)), axis=-1)[..., ::-1]  # the eigenphases of exp(i H)
     assert ours.shape == ref.shape == (120, 3)
     assert np.max(np.abs(ours - ref)) <= 1e-12
 
 
 def test_circle_holonomy_exact_for_a_constant_phi_in_the_block():
     """A constant Phi = i diag(d) + z at (1, 2) of the block (1, 2) of su(3):
-    the holonomy is exp(2 pi eps Phi), eigenphases 2 pi eps d_0 and
-    2 pi eps (c +- theta) with c = (d_1 + d_2)/2 and theta^2 = delta^2 + |z|^2,
-    delta = (d_1 - d_2)/2, wrapped to (-pi, pi]; d_0 wraps."""
+    the holonomy is exp(2 pi eps Phi), whose Cartan element is
+    2 pi eps (d_0, c + theta, c - theta) with c = (d_1 + d_2)/2 and
+    theta^2 = delta^2 + |z|^2, delta = (d_1 - d_2)/2, unwrapped: d_0 stays
+    past pi."""
     d, z, eps = np.array([1.5, 0.2, -0.6]), 0.3 + 0.4j, 0.4
 
     class ConstantBlock(ConnectionSampler):
-        n, epsilon, tau3 = 3, eps, np.array([0.0, 1.0, -1.0])
+        n, epsilon, root = 3, eps, np.array([0.0, 1.0, -1.0])
 
         def evaluate(self, x, t, chart=None):
             shape = x.shape[:-1]
@@ -306,7 +308,8 @@ def test_circle_holonomy_exact_for_a_constant_phi_in_the_block():
 
     c, delta = 0.5 * (d[1] + d[2]), 0.5 * (d[1] - d[2])
     theta = math.sqrt(delta**2 + abs(z) ** 2)
-    expect = np.sort(np.angle(np.exp(2j * np.pi * eps * np.array([d[0], c + theta, c - theta]))))[::-1]
+    expect = 2.0 * np.pi * eps * np.array([d[0], c + theta, c - theta])
+    assert expect[0] > np.pi
     phases = circle_holonomy(ConstantBlock(), np.array([[0.3, -1.0, 2.0], [4.0, 0.0, 0.0]]))
     assert np.max(np.abs(phases - expect)) <= 1e-13
 
@@ -470,7 +473,7 @@ def test_energy_and_tr_f_wedge_f_one_slice_matches_four_slices():
             dens["energy"].append(block_sum(curv.norm_sq(), region.weights) * t_w)
             top = 2.0 * np.sum(lie_inner(curv.E, curv.B), axis=-1)
             dens["topo"].append(block_sum(top, region.weights) * t_w)
-    tail = eps * float(dense_norm_sq(samp.charge_matrix)) / (2.0 * grid.r_max)
+    tail = eps * float(dense_norm_sq(1j * np.diag(samp.charge))) / (2.0 * grid.r_max)
     assert energy.tail == tail
     ref_energy = math.fsum(dens["energy"]) / (8.0 * np.pi**2)
     ref_topo = math.fsum(dens["topo"]) / (8.0 * np.pi**2) + tail
@@ -539,7 +542,7 @@ def test_sd_error_of_exact_caloron_is_fd_floor():
     caloron is the glued one's own fundamental caloron, on its geometry."""
     class Exact(ApproximateCaloron):
         def block(self, chart):
-            return self.locals[0].tau3
+            return self.locals[0].root
 
         def evaluate(self, x, t, chart=None):
             return self.locals[0].evaluate(x, t)
@@ -569,7 +572,7 @@ def test_sd_error_localization_sees_leakage_off_the_annuli():
             A, Phi = super().evaluate(x, t, chart)
             code = np.asarray(chart)
             off_annuli = (code < 0) | ((code - 1) % 4 == 0)
-            return A, Phi + (off_annuli * x[..., 0]) * compact(self.charge_matrix, self.locals[0].tau3)
+            return A, Phi + (off_annuli * x[..., 0]) * Field(self.charge, np.zeros((), dtype=complex))
 
     spec = CaloronSpec(
         epsilon=0.05, series="A", rank=1, omega=(0.25, -0.25),
@@ -620,3 +623,24 @@ def test_gauss_legendre_nodes_match_numpy(n):
     x_np, w_np = np.polynomial.legendre.leggauss(n)
     assert np.max(np.abs(x - x_np)) < 1e-14
     assert np.max(np.abs(w - w_np)) < 1e-14
+
+
+_VECTORS = st.tuples(*[st.floats(-10.0, 10.0)] * 3).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from(all_simple_types()), node=st.integers(0, 8), V=_VECTORS, W=_VECTORS)
+def test_embedded_su2_norm_and_bracket_in_root_coordinates(group, node, V, W):
+    """For every simple type of rank <= 8 and every node mu, the su(2) of the
+    root alpha of `su2_embedding`: killing_scale times lie_norm_sq of
+    su2_field(V, alpha) is |V|^2 times the exact norm_sq(alpha^vee), and the
+    bracket of two embedded fields is the embedded su(2) commutator
+    [V.i tau, W.i tau] = -2 (V x W).i tau."""
+    d = build_root_datum(*group)
+    emb = su2_embedding(d, node % (d.rank + 1))
+    alpha = np.array(emb.root, dtype=float)
+    norm = float(d.killing_scale) * lie_norm_sq(su2_field(V, alpha))
+    assert math.isclose(norm, float(V @ V) * float(d.norm_sq(emb.coroot)), rel_tol=1e-13, abs_tol=1e-300)
+    got, want = bracket(su2_field(V, alpha), su2_field(W, alpha), alpha), su2_field(-2.0 * np.cross(V, W), alpha)
+    scale = 1.0 + float(np.abs(V) @ np.abs(W))
+    assert np.max(np.abs(got.diag - want.diag)) <= 1e-14 * scale and abs(got.off - want.off) <= 1e-14 * scale

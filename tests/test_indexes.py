@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from calorons.errors import ResonanceError
 from calorons.indexes import (
     adjoint_weights,
-    defining_weights,
     dynkin_index_su2,
     energy_formula,
     jump_loci,
@@ -187,14 +186,6 @@ def test_transverse_terms_match_ambient_formulas(group, node, seed):
 
 # -- weights -----------------------------------------------------------------------
 
-def test_defining_weights_su3():
-    d = build_root_datum("A", 2)
-    w = defining_weights(d)
-    assert len(w) == 3
-    assert w.dynkin_index_rho == 1
-    assert weyl_closed(d, w.weights)
-
-
 def test_adjoint_weights_closed_and_index():
     for series, rank in [("A", 2), ("B", 2), ("G", 2)]:
         d = build_root_datum(series, rank)
@@ -206,7 +197,7 @@ def test_adjoint_weights_closed_and_index():
 
 def test_weight_list_closure_check():
     d = build_root_datum("A", 2)
-    good = defining_weights(d).weights
+    good = adjoint_weights(d).weights
     weight_list(d, good)
     with pytest.raises(ValueError):
         weight_list(d, good[:2])

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calorons.assembler import _su2_tau3
-from calorons.samplers import su2_field
-from calorons.errors import InvalidGroupError, UnsupportedRepresentationError
+from calorons.samplers import bracket, su2_field
+from calorons.errors import InvalidGroupError
 from calorons.rootsys import (
     alcove_check,
     alcove_margin,
@@ -322,8 +321,8 @@ E3 = np.eye(3)  # the coefficient vectors of i tau_1, i tau_2, i tau_3
 def _scatter(d, mu, V):
     """Node mu's su(2) image of the coefficient vectors V (..., 3) of
     V.(i tau) through the field layer's scatter."""
-    tau3 = _su2_tau3(d, mu)
-    return dense(su2_field(V, tau3), tau3)
+    root = np.asarray(su2_embedding(d, mu).root, dtype=float)
+    return dense(su2_field(V, root), root)
 
 
 def _su2_brackets_ok(m):
@@ -369,13 +368,20 @@ def test_su2_embedding_brackets_all_nodes(series, rank):
         assert np.array_equal(m + np.conjugate(np.swapaxes(m, -1, -2)), np.zeros_like(m))
 
 
-def test_su2_embedding_non_a_matrix_unavailable():
+def test_su2_embedding_of_b2_closes_su2_in_root_coordinates():
+    """B2 has no defining matrices here: each node's su(2) is a Field of its
+    root, whose brackets [i tau_a, i tau_b] = -2 eps_abc i tau_c hold with
+    i tau_3 on the exact coroot."""
     d = build_root_datum("B", 2)
-    with pytest.raises(UnsupportedRepresentationError):
-        _su2_tau3(d, 1)
-    # abstract data still present
-    emb = su2_embedding(d, 1)
-    assert emb.p_dim == d.dim_g - d.rank - 2
+    for mu in range(d.rank + 1):
+        emb = su2_embedding(d, mu)
+        root = np.asarray(emb.root, dtype=float)
+        m = [su2_field(e, root) for e in E3]
+        assert np.array_equal(m[2].diag, np.asarray(emb.coroot, dtype=float))
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            got, want = bracket(m[a], m[b], root), -2.0 * m[c]
+            assert np.allclose(got.diag, want.diag, atol=1e-12) and abs(got.off - want.off) < 1e-12
+    assert su2_embedding(d, 1).p_dim == d.dim_g - d.rank - 2
 
 
 def test_embed_linearity():
