@@ -45,8 +45,9 @@ from .errors import (
 from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
-from .samplers import ConnectionSampler, Field, su2_field
-from .su2 import _r_of, core_curvature, core_fields, dirac_potential, string_gauge_fields
+from .samplers import ConnectionSampler, Field, charge_sum, su2_field
+from .su2 import (_distances, _r_of, _relative, core_curvature, core_fields, dirac_potential, dirac_sum,
+                  string_gauge_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def mass_parameter(datum: RootDatum, mu: int, omega) -> float:
     """omega' = eps v of a node-mu constituent at holonomy omega, whose framed
     remainder decays like exp(-2 omega' r / eps): alpha_mu(omega)/2 for
     mu >= 1, (1 + alpha_0(omega))/2 for the lowest root alpha_0."""
-    a = float(np.asarray(datum.node_root(mu), dtype=float) @ np.asarray(omega, dtype=float))
+    a = float(np.sum(np.asarray(datum.node_root(mu), dtype=float) * np.asarray(omega, dtype=float)))
     return 0.5 + 0.5 * a if mu == 0 else 0.5 * a
 
 
@@ -134,7 +135,7 @@ class CaloronSpec:
         datum = self.datum
         # omega = sum_i alpha_i(omega) varpi_i exactly on the span of the simple roots (type A: sum zero)
         roots, coweights = (np.array(v, dtype=float) for v in (datum.simple_roots, datum.fundamental_coweights()))
-        off_span = float(np.max(np.abs(np.asarray(self.omega) - (roots @ self.omega) @ coweights)))
+        off_span = float(np.max(np.abs(np.asarray(self.omega) - np.einsum("ij,j,ik->k", roots, self.omega, coweights))))
         if off_span > 1e-9:
             raise InputError(f"omega must lie in the span of the simple roots (off by {off_span:.3g})")
         margin = float(alcove_margin(datum, self.omega))
@@ -171,8 +172,8 @@ class CaloronSpec:
 
     @property
     def d_min(self):
-        pos = self.positions
-        return min((float(np.linalg.norm(p - q)) for i, p in enumerate(pos) for q in pos[i + 1 :]), default=math.inf)
+        pos = [c.position for c in self.constituents]
+        return min((math.dist(p, q) for i, p in enumerate(pos) for q in pos[i + 1 :]), default=math.inf)
 
     @property
     def d_max(self):
@@ -199,10 +200,7 @@ class CaloronSpec:
         return tuple(n[mu] - n[0] * m for mu, m in zip(range(1, self.rank + 1), self.datum.dual_coxeter_labels))
 
     def charge_vector(self):
-        gam = np.zeros(self.datum.ambient_dim)
-        for c in self.constituents:
-            gam += np.asarray(self.datum.node_coroot(c.mu), dtype=float)
-        return gam
+        return np.sum([np.asarray(self.datum.node_coroot(c.mu), dtype=float) for c in self.constituents], axis=0)
 
     # -- JSON schema ---------------------------------------------------------
 
@@ -304,11 +302,10 @@ def holonomy_shifts(spec: CaloronSpec):
     """omega_k for every constituent, the rows (N, n): omega minus the
     monopole-sum constants eps * gamma_l / (2 |p_l - p_k|) of all other
     constituents."""
-    pos = spec.positions
-    d = np.linalg.norm(pos[:, None, :] - pos, axis=-1)
+    d = _distances(spec.positions, spec.positions)
     np.fill_diagonal(d, np.inf)
     coroots = np.array([spec.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
-    return np.asarray(spec.omega, dtype=float) - spec.epsilon * ((0.5 / d) @ coroots)
+    return np.asarray(spec.omega, dtype=float) - spec.epsilon * charge_sum(0.5 / d, coroots)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +328,8 @@ class FundamentalCaloron(ConnectionSampler):
         self.mu = int(mu)
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
-        node = np.asarray(datum.node_root(mu), dtype=float)
         coroot = np.asarray(datum.node_coroot(mu), dtype=float)
-        a_omega = float(node @ omega)
+        a_omega = float(np.sum(np.asarray(datum.node_root(mu), dtype=float) * omega))
         self.omega = omega
         self.omega_prime = omega - 0.5 * a_omega * coroot
         self.su2_parameter = (-0.5 if mu == 0 else 0.5) * a_omega
@@ -359,17 +355,6 @@ class FundamentalCaloron(ConnectionSampler):
 
 # ---------------------------------------------------------------------------
 # singular abelian caloron
-
-def _distances(x, positions):
-    """|x - p_k| (..., N) for points x (..., 3), summed as `su2._r_of` sums
-    them but one coordinate at a time, so that no (..., N, 3) array exists."""
-    sq = np.zeros(x.shape[:-1] + positions.shape[:1])
-    d = np.empty_like(sq)
-    for i in range(3):
-        np.subtract(x[..., i, None], positions[:, i], out=d)
-        sq += np.multiply(d, d, out=d)
-    return np.sqrt(sq, out=sq)
-
 
 def _patch_mask(rel_z):
     """Patch choice per monopole: north where the point is not below it."""
@@ -400,24 +385,29 @@ class SingularCaloron(ConnectionSampler):
 
     def evaluate(self, x, t, chart=None):
         x = np.asarray(x, dtype=float)
-        Phi = self.higgs(x, t)  # first: it rejects the constituent positions
+        r = _distances(x, self.positions)
+        Phi = self.higgs(x, t, r=r)  # first: it rejects the constituent positions
         above = np.asarray(self.chart(x) if chart is None else chart)
         south = self.positions[:, 2] >= self._z[len(self.positions) - above][..., None]
-        A = np.swapaxes(dirac_potential(x[..., None, :] - self.positions, south), -1, -2) @ self.coroots
+        A = dirac_sum(x, self.positions, self.coroots, south, r)
         return Field(A, np.zeros(A.shape[:-1], dtype=complex)), Phi
 
-    def higgs(self, x, t, chart=None):
-        r = _distances(np.asarray(x, dtype=float), self.positions)
+    def higgs(self, x, t, chart=None, r=None):
+        """Phi, from the distances r = |x - p_k| (..., N) when given."""
+        r = _distances(np.asarray(x, dtype=float), self.positions) if r is None else r
         if np.any(r == 0.0):
             raise SingularPointError("evaluation at a constituent position")
-        Phi = self.omega / self.epsilon - (0.5 / r) @ self.coroots
+        Phi = self.omega / self.epsilon - charge_sum(0.5 / r, self.coroots)
         return Field(Phi, np.zeros(Phi.shape[:-1], dtype=complex))
 
     def field_strength_diagonal(self, x):
-        """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3)."""
-        rel = np.asarray(x, dtype=float)[..., None, :] - self.positions
-        rel /= (2.0 * _r_of(rel) ** 3)[..., None]
-        return np.swapaxes(rel, -1, -2) @ self.coroots
+        """Cartan diagonal (..., 3, n) of B = sum_k gamma_k (x-p_k) / (2 |x-p_k|^3), by coordinates."""
+        x = np.asarray(x, dtype=float)
+        den = 2.0 * _distances(x, self.positions) ** 3
+        B, rel = np.empty(x.shape[:-1] + (3, self.n)), np.empty_like(den)
+        for i in range(3):
+            charge_sum(np.divide(_relative(x, self.positions, i, rel), den, out=rel), self.coroots, out=B[..., i, :])
+        return B
 
     def exact_curvature(self, x, t):
         """Closed-form E = B, the Dirac field strengths."""
@@ -547,16 +537,16 @@ class ApproximateCaloron(ConnectionSampler):
         `string_gauge_fields` in the phase frame psi = exp(phase/2 embed(i tau_3))."""
         cst, rel = self.spec.constituents[k], xs - self.positions[k]
         zA, hP, hF, zF = string_gauge_fields(rel, self.locals[k].v, patch, ts if cst.mu == 0 else None, cst.phase)
-        alpha_sq = float(self.locals[k].root @ self.locals[k].root)
+        alpha_sq = float(np.sum(self.locals[k].root ** 2))
         if alpha_sq != 2.0:  # the g_alpha coordinates of `su2_field`
             zA, zF = zA * math.sqrt(2.0 / alpha_sq), zF * math.sqrt(2.0 / alpha_sq)
         # the spectators l != k, each in its patch seen from p_k, on an axis
         spect = np.arange(len(self.positions)) != k
-        pl, south, gl = self.positions[spect], self._spect_patch[k, spect], self.singular.coroots[spect]
-        coeff = dirac_potential(xs[..., None, :] - pl, south)
-        coeff -= dirac_potential(self.positions[k] - pl, south)
-        sP = (0.5 / np.linalg.norm(self.positions[k] - pl, axis=-1) - 0.5 / _distances(xs, pl)) @ gl
-        return _r_of(rel), (zA, hP), (np.swapaxes(coeff, -1, -2) @ gl, sP), (hF, zF)
+        pk, pl, gl, south = self.positions[k], self.positions[spect], self.singular.coroots[spect], self._spect_patch[k]
+        r, rk = _distances(xs, pl), _distances(pk, pl)
+        sA = dirac_sum(xs, pl, gl, south[spect], r) - dirac_sum(pk, pl, gl, south[spect], rk)
+        sP = charge_sum(0.5 / rk - 0.5 / r, gl)
+        return _r_of(rel), (zA, hP), (sA, sP), (hF, zF)
 
     def annulus_fields(self, k, patch, xs, ts):
         """(A, Phi) on annulus k in its patch "N" or "S": model + chi b + (1 - chi) s,
@@ -654,11 +644,13 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     pts = np.concatenate([shells, lattice])
     r_min = np.where(np.arange(len(pts)) < len(shells), r0 * 0.999999, r0)
+    del shells, lattice  # before the blocks
+    facets = np.array(datum.simple_roots + (datum.lowest_root,), dtype=float)  # alpha_i(h) >= 0, 1 + alpha_0(h) >= 0
 
     def margins(s):
         x = pts[s][np.all(_distances(pts[s], spec.positions) >= r_min[s, None], axis=-1)]
-        h = eps * samp.singular.higgs(x, 0.0).diag
-        out = [h @ np.asarray(a, dtype=float) for a in datum.simple_roots]
-        return np.min(np.stack(out + [1.0 + h @ np.asarray(datum.lowest_root, dtype=float)], axis=-1), axis=-1)
+        out = np.einsum("pi,ji->pj", eps * samp.singular.higgs(x, 0.0).diag, facets)
+        out[:, -1] += 1.0
+        return np.min(out, axis=-1)
     worst = float(np.min(blockwise(margins, len(pts))))
     return {"sigma": worst, "c_exclusion": c_excl, "r_exclusion": r0}

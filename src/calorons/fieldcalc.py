@@ -353,14 +353,15 @@ def sphere_averaged_holonomy(sampler, radius):
 def magnetic_charge(sampler, radius):
     """Recover the total magnetic charge as the 2-sphere flux
     (1/2 pi) Integral dA about the origin over a 12 x 24 sphere rule,
-    projected on the simple coroots of sampler.datum and rounded.  The flux
-    is taken from the connection by the spatial finite-difference stencil at
-    t = 0, independently of any closed-form curvature.
+    projected on the simple coroots of sampler.datum by their dual basis
+    (`coroot_fit`) and rounded.  The flux is taken from the connection by
+    the spatial finite-difference stencil at t = 0, independently of any
+    closed-form curvature.
 
-    Returns (integer coefficient tuple, residual): the larger of the
-    distance to the coroot lattice and of the root-space flux, which an
-    abelian exterior makes 0.  A residual above 0.1 raises
-    FluxAmbiguityError rather than silently misrounding.
+    Returns (integer coefficient tuple, residual): the largest of the
+    distance to the coroot lattice, the flux off their span and the
+    root-space flux, the last two 0 for an abelian exterior.  A residual
+    above 0.1 raises FluxAmbiguityError rather than silently misrounding.
     """
     datum = getattr(sampler, "datum", None)
     if datum is None:
@@ -372,11 +373,7 @@ def magnetic_charge(sampler, radius):
     alpha = np.broadcast_to(alpha, B.diag.shape[:1] + alpha.shape[-1:])  # the g_alpha flux, along each point's root
     junk = float(np.max(np.abs(np.einsum("p,pi->i", w * np.einsum("pa,pa->p", dirs, B.off), alpha) * scale)))
 
-    basis = np.array(
-        [[float(c) for c in av] for av in datum.simple_coroots], dtype=float
-    ).T  # ambient x rank
-    coeffs, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    recon = basis @ coeffs
+    coeffs, recon = coroot_fit(datum, v)
     junk = max(junk, float(np.max(np.abs(recon - v))))
     rounded = np.rint(coeffs).astype(int)
     residual = max(float(np.max(np.abs(coeffs - rounded))), junk)
@@ -385,6 +382,14 @@ def magnetic_charge(sampler, radius):
             f"flux residual {residual:.3g} too large to round to the coroot lattice"
         )
     return tuple(int(c) for c in rounded), residual
+
+
+def coroot_fit(datum, v):
+    """(c, sum_i c_i alpha_i^vee), c_i = lambda_i(v) for the dual basis lambda_i = (|alpha_i|^2/2) varpi_i^vee
+    of the simple coroots within their span: the orthogonal projection of v on that span."""
+    roots, coweights = (np.array(a, dtype=float) for a in (datum.simple_roots, datum.fundamental_coweights()))
+    coeffs = np.einsum("ij,j->i", coweights * (0.5 * np.sum(roots**2, axis=-1))[:, None], v)
+    return coeffs, np.einsum("i,ij->j", coeffs, np.array(datum.simple_coroots, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import ResonanceError
+from .errors import InputError, ResonanceError
 from .rootsys import (
     RootDatum,
     Vector,
@@ -94,6 +94,10 @@ def transverse_index(datum: RootDatum, mu: int, omega: Sequence) -> IndexReport:
 
     Vanishes identically (exactly) for every simple type and every node.
     """
+    if not 0 <= mu <= datum.rank:  # InputError is a ValueError
+        raise InputError(f"mu={mu} out of range 0..{datum.rank}")
+    if len(omega) != datum.ambient_dim:
+        raise InputError(f"omega must have {datum.ambient_dim} ambient coordinates, got {len(omega)}")
     omega = tuple(Fraction(c) for c in omega)
     sign = -1 if mu == 0 else 1
     n0 = 1 if mu == 0 else 0

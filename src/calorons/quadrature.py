@@ -169,15 +169,8 @@ def desk_grid(centers, core_scales, d_max_eff, fine=False):
     n_theta, n_phi = 6 * f, 12 * f
     r_max = 12.0 * d_max_eff
     centers = [np.asarray(c, float) for c in centers]
-    if len(centers) > 1:
-        dmin = min(
-            float(np.linalg.norm(a - b))
-            for i, a in enumerate(centers)
-            for b in centers[i + 1 :]
-        )
-        local_radius = 0.45 * dmin
-    else:
-        local_radius = 0.35 * r_max
+    separations = [math.dist(a, b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
+    local_radius = 0.45 * min(separations) if separations else 0.35 * r_max
     regions = []
     for k, (c, scale) in enumerate(zip(centers, core_scales)):
         r_min = max(scale / 12.0, 1e-6 * local_radius)

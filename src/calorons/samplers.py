@@ -69,7 +69,7 @@ def su2_field(V, alpha, shift=None):
     and the g_alpha coordinate (V_2 + i V_1) sqrt((alpha^vee, alpha^vee)/2),
     each written in place; that factor, 1 where (alpha, alpha) = 2, makes the
     brackets read alpha alone (`bracket`)."""
-    alpha_sq = float(alpha @ alpha)
+    alpha_sq = float(np.sum(alpha * alpha))
     diag = V[..., 2, None] * (2.0 / alpha_sq * alpha)
     if shift is not None:
         diag += shift
@@ -78,6 +78,11 @@ def su2_field(V, alpha, shift=None):
     if alpha_sq != 2.0:
         off *= math.sqrt(2.0 / alpha_sq)
     return Field(diag, off)
+
+
+def charge_sum(w, charges, out=None):
+    """sum_k w[..., k] gamma_k (..., n) for gamma (N, n) in numpy's loops (no BLAS), contiguous in k."""
+    return np.einsum("...k,ik->...i", w, np.ascontiguousarray(np.transpose(charges)), out=out)
 
 
 def bracket(x, y, alpha):

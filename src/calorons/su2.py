@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ChartDomainError, HolonomyParameterError
 from .quadrature import _smoothstep, _smoothstep_prime
-from .samplers import ConnectionSampler, dagger, su2_field
+from .samplers import ConnectionSampler, charge_sum, dagger, su2_field
 
 _SERIES_CUT = 1e-4
 _DECAY_CUT = 350.0  # exp(-2 * 350) < 1e-304: the decaying terms are 0 next to O(1) ones
@@ -39,6 +39,21 @@ def _r_of(x):
     """|x| over the last axis, summed in np.linalg.norm's order without its reduction."""
     x = np.asarray(x, float)
     return np.sqrt((x[..., 0] ** 2 + x[..., 1] ** 2) + x[..., 2] ** 2)
+
+
+def _relative(x, centres, i, out):
+    """x_i - p_i (..., N) into out; numpy buffers one broadcast operand, not two."""
+    np.copyto(out, x[..., i, None])
+    return np.subtract(out, centres[:, i], out=out)
+
+
+def _distances(x, centres):
+    """|x - p_k| (..., N), summed in `_r_of`'s order one coordinate at a time."""
+    sq = np.zeros(x.shape[:-1] + centres.shape[:1])
+    d = np.empty_like(sq)
+    for i in range(3):
+        sq += np.multiply(_relative(x, centres, i, d), d, out=d)
+    return np.sqrt(sq, out=sq)
 
 
 def _itau(v):
@@ -263,20 +278,26 @@ def dirac_potential(x, patch="N"):
     with a = (-y, x, 0) / (2 r (r +- z)) for the north/south patch.  `patch`
     is "N", "S" or booleans broadcast against x[..., 0], True for south."""
     x = np.asarray(x, dtype=float)
-    r = _r_of(x)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    if isinstance(patch, str):
-        if patch not in ("N", "S"):
-            raise ValueError("patch must be 'N' or 'S'")
-        patch = patch == "S"
-    sign = np.where(patch, -1.0, 1.0)
-    denom = sign * (2.0 * r * (r + sign * x3))
-    if np.any(denom == 0):
+    if isinstance(patch, str) and patch not in ("N", "S"):
+        raise ValueError("patch must be 'N' or 'S'")
+    south = np.asarray(patch == "S" if isinstance(patch, str) else patch, dtype=bool)[..., None]
+    return dirac_sum(x, np.zeros((1, 3)), np.ones((1, 1)), south, _r_of(x)[..., None])[..., 0]
+
+
+def dirac_sum(x, centres, charges, south, r):
+    """sum_k a(x - p_k) gamma_k (..., 3, n) of `dirac_potential`, charges gamma_k (N, n) at p_k (N, 3) in
+    patches south[..., k], r = |x - p_k| (..., N); a has no z part: a_1, then a_2, sums over (..., N) arrays."""
+    out = np.zeros(r.shape[:-1] + (3, charges.shape[-1]))
+    den, a = _relative(x, centres, 2, np.empty_like(r)), np.empty_like(r)
+    np.add(den, r, out=den, where=~south)
+    np.subtract(den, r, out=den, where=south)
+    den *= r
+    den *= 2.0  # 2 r (z +- r) = +-2 r (r +- z)
+    if np.any(den == 0):
         raise ChartDomainError("Dirac potential evaluated on its string")
-    a = np.zeros_like(x)
-    a[..., 0] = -x2 / denom
-    a[..., 1] = x1 / denom
-    return a
+    charge_sum(np.negative(np.divide(_relative(x, centres, 1, a), den, out=a), out=a), charges, out=out[..., 0, :])
+    charge_sum(np.divide(_relative(x, centres, 0, a), den, out=a), charges, out=out[..., 1, :])
+    return out
 
 
 # ---------------------------------------------------------------------------

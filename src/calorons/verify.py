@@ -106,7 +106,7 @@ def _construction(spec, samp, rng, grid):
     if len(spec.constituents) > 1:
         max_norm = max(math.sqrt(float(datum.norm_sq(datum.node_coroot(c.mu)))) for c in spec.constituents)
         bound = spec.epsilon * (len(spec.constituents) - 1) * max_norm / (2.0 * spec.d_min)
-        worst = max(float(np.linalg.norm(np.asarray(om) - np.asarray(spec.omega))) for om in shifts)
+        worst = max(math.dist(om, spec.omega) for om in shifts)
         checks.append(Check("holonomy-shift-bound", worst, bound * 1.0000001, "<="))
     checks.append(Check("gluing-radius", samp.R, spec.d_min / 2.0, "<", f"R/eps={samp.R / spec.epsilon:.2f}"))
     return checks, {}
@@ -194,7 +194,7 @@ def _gauge_patches(spec, samp, rng, grid):
         (aN, pN), (aS, pS) = (samp.annulus_fields(k, patch, pts, tk) for patch in "NS")
         rel = pts - p
         gamma = samp.singular.coroots[k]
-        phase = np.exp(1j * float(samp.locals[k].root @ gamma) * np.arctan2(rel[:, 1], rel[:, 0]))
+        phase = np.exp(1j * float(np.sum(samp.locals[k].root * gamma)) * np.arctan2(rel[:, 1], rel[:, 0]))
         # grad(phi) = (-y, x, 0)/rho^2
         rho2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
         dphi = np.stack([-rel[:, 1] / rho2, rel[:, 0] / rho2, np.zeros(len(pts))], axis=-1)
@@ -228,7 +228,7 @@ def _charge_and_holonomy(spec, samp, rng, grid):
     model = 2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * spec.charge_vector() / (2.0 * L))
     # e^{i alpha(H)} over the positive roots: the holonomy up to the centre, with no
     # wrapping of ambient coordinates, which can sit at +-pi
-    gap = np.angle(np.exp(1j * (np.array(spec.datum.positive_roots, dtype=float) @ (phases - model))))
+    gap = np.angle(np.exp(1j * np.einsum("ri,i->r", np.array(spec.datum.positive_roots, dtype=float), phases - model)))
     return [
         Check("magnetic-charge", max(abs(c - e) for c, e in zip(coeffs, expected)), 0, "<=",
               f"recovered {coeffs}, expected {expected}"),

@@ -37,6 +37,10 @@ one constituent at a time (`LoopSingularCaloron`, `loop_spectators`,
 `loop_holonomy_shifts`, and `LoopCaloron`, the glued caloron built from
 them), where the library sums over an array axis of constituents.
 
+The flux fit: the coefficients of an ambient vector over the simple coroots
+by least squares (`lstsq_coroot_fit`), where the library pairs the vector
+with the dual basis of fundamental weights.
+
 Test-only references that the library does not call: the alcove vertices by
 rational elimination, Weyl-closed weight lists, the adjoint special case of
 the twisted Dirac index, n x n Dirac monopoles (`AbelianPair`), the BPS
@@ -731,6 +735,16 @@ class LoopCaloron(ApproximateCaloron):
     def annulus_parts(self, k, patch, xs, ts):
         r, b, _, F = super().annulus_parts(k, patch, xs, ts)
         return r, b, loop_spectators(self, k, xs), F
+
+
+# -- the flux fit by least squares ---------------------------------------------------
+
+def lstsq_coroot_fit(datum, v):
+    """(coefficients, reconstruction) of the ambient vector v over the simple
+    coroots by np.linalg.lstsq, the route `fieldcalc.coroot_fit` replaced."""
+    basis = np.array(datum.simple_coroots, dtype=float).T  # ambient x rank
+    coeffs, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    return coeffs, basis @ coeffs
 
 
 # -- exact references: alcove vertices, weights, the adjoint twisted index -----------

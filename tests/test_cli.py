@@ -629,3 +629,15 @@ def test_index_sweep_all_csv(tmp_path, data_dir):
 
 def test_index_requires_mu_or_sweep():
     assert main(["index", "--type", "A2"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mu", "3"], "mu=3 out of range 0..2"),
+    (["--mu", "-1"], "mu=-1 out of range 0..2"),
+    (["--mu", "1", "--omega", "1/3,-1/3"], "omega must have 3 ambient coordinates, got 2"),
+], ids=["mu-above-rank", "mu-negative", "omega-wrong-length"])
+def test_index_single_node_input_outside_the_type_is_input_error(argv, message, capsys):
+    """A node outside 0..rank (node_root(-1) would read simple_roots[-2]) or an
+    omega of the wrong length exits 2 with its reason, not a traceback."""
+    assert main(["index", "--type", "A2"] + argv) == 2
+    assert message in capsys.readouterr().err

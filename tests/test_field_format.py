@@ -4,7 +4,12 @@ the traced memory of a verify run and of one evaluation block per chart kind."""
 
 import functools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,18 +201,72 @@ def test_verify_traced_peak_memory_is_at_most_1_8_MB(data_dir):
     assert peak <= 1_800_000, f"traced peak {peak} B"
 
 
+def test_verify_of_32_constituents_traces_at_most_7_MB(data_dir):
+    """The constituent sums run one coordinate at a time over (points, N)
+    arrays: no (points, N, 3) array of relative positions or of Dirac
+    potentials exists.  With them the peak was 10 113 664 bytes; without,
+    about 6 118 000, reached while the desk grid's 3.4 MB of points are held."""
+    spec = CaloronSpec.from_json((data_dir / "su4_charge8.json").read_text())
+    peak = _traced_peak(lambda: run_verification(spec, seed=1))
+    assert peak <= 7_000_000, f"traced peak {peak} B"
+
+
+_BLAS_PROBE = """
+import json, sys
+from calorons.assembler import CaloronSpec
+from calorons.verify import run_verification
+
+def blas_rss_kb():
+    total, mappings, counted = 0, 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if head and not head[0].endswith(":"):  # a mapping's header: range, perms, offset, dev, inode, path
+                counted = len(head) > 5 and any(lib in head[5].lower() for lib in ("blas", "lapack"))
+                mappings += counted
+            elif counted and head[0] == "Rss:":
+                total += int(head[1])
+    return total, mappings
+
+before, mappings = blas_rss_kb()
+for name in ("su3_triple", "su4_charge8"):
+    with open(f"{sys.argv[1]}/{name}.json", encoding="utf-8") as fh:
+        run_verification(CaloronSpec.from_json(fh.read()), seed=1)
+print(json.dumps({"before": before, "after": blas_rss_kb()[0], "mappings": mappings}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads /proc/self/smaps (Linux)")
+def test_verify_faults_in_no_blas_or_lapack_page(data_dir):
+    """Every contraction of the field layers runs in numpy's own loops, so a
+    verify process touches no page of numpy's BLAS/LAPACK library that import
+    did not: the resident size of those mappings does not grow over two runs
+    (it grew by 1.18 MB when the constituent sums and the flux fit went
+    through @ and np.linalg.lstsq).  A fresh process: in this one, earlier
+    tests have faulted those pages in."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(_BLAS_PROBE), str(data_dir)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["mappings"]:
+        pytest.skip("numpy maps no BLAS or LAPACK library here")
+    assert result["after"] <= result["before"], result
+
+
 # Traced peaks in bytes of one 4096-point `evaluate` and one `exact_curvature`
 # call on the SU(3) caloron of `_caloron`, points from `_points`, each pinned 10 %
 # above what the in-place kernels reach.  Before them (frame vectors R, P, X and
 # a copy per Field operation, each chart group's result beside the block's):
 # rotated core 2 864 936 / 3 159 912, core 2 503 624 / 3 061 064, annulus
-# 3 290 704 / 7 356 296, far 1 752 352 / 1 940 384.
+# 3 290 704 / 7 356 296, far 1 752 352 / 1 940 384.  The far `evaluate` was
+# 960 984 while the Dirac sums built (points, N, 3) arrays.
 KERNEL_PEAK_BYTES = {
     "rotated core": (1_151_168, 1_085_416),
     "core": (1_149_816, 920_960),
     "annulus N": (1_543_776, 2_986_984),
     "annulus S": (1_543_720, 2_986_928),
-    "far": (960_984, 559_032),
+    "far": (798_272, 559_032),
 }
 
 
@@ -222,9 +281,10 @@ def test_one_block_of_each_chart_kind_keeps_few_temporaries(kind):
 
 def test_chart_of_32_constituents_sums_distances_coordinate_by_coordinate(data_dir):
     """One 4096-point `chart` call on the 32 constituents of su4_charge8
-    traces at most 2.45 MB (10 % above the 2 229 760 B its distances reach
-    one coordinate at a time; 5 244 088 B with the (points, N, 3) array of
-    relative positions), and its distances are np.linalg.norm's bit for bit."""
+    traces at most 2.45 MB (2 164 128 B with its distances summed one
+    coordinate at a time, 2 229 760 B before `su2._relative`, 5 244 088 B
+    with the (points, N, 3) array of relative positions), and its distances
+    are np.linalg.norm's bit for bit."""
     samp = approximate_caloron(CaloronSpec.from_json((data_dir / "su4_charge8.json").read_text()))
     x = np.random.default_rng(0).uniform(-6.0, 6.0, (4096, 3))
     assert np.array_equal(_distances(x, samp.positions), np.linalg.norm(x[:, None, :] - samp.positions, axis=-1))

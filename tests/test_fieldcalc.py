@@ -18,6 +18,7 @@ from calorons.errors import FluxAmbiguityError
 from calorons.fieldcalc import (
     CurvatureSample,
     circle_holonomy,
+    coroot_fit,
     curvature_at,
     energy_and_tr_f_wedge_f,
     lie_inner,
@@ -40,6 +41,7 @@ from oracles import (
     dense_norm_sq,
     gauge_transform,
     inner_sd_asd,
+    lstsq_coroot_fit,
     max_entry,
 )
 
@@ -431,6 +433,25 @@ def test_magnetic_charge_ambiguity_raises():
 
     with pytest.raises(FluxAmbiguityError):
         magnetic_charge(FakeFlux(), 3.0)
+
+
+@pytest.mark.parametrize("series,rank", all_simple_types())
+def test_coroot_fit_by_the_dual_basis_matches_least_squares(series, rank):
+    """The flux fit's coefficients lambda_i(v) over the simple coroots and its
+    reconstruction residual equal np.linalg.lstsq's to 1e-12, on vectors in
+    the span of the coroots (whose coefficients they recover) and off it."""
+    datum = build_root_datum(series, rank)
+    rng = np.random.default_rng(rank)
+    coroots = np.array(datum.simple_coroots, dtype=float)
+    drawn = rng.normal(size=(4, rank))
+    in_span = np.einsum("vi,ij->vj", drawn, coroots)
+    off_span = in_span + rng.normal(size=(4, datum.ambient_dim))
+    for v, exact in zip(np.concatenate([in_span, off_span]), list(drawn) + [None] * 4):
+        (coeffs, recon), (ref_coeffs, ref_recon) = coroot_fit(datum, v), lstsq_coroot_fit(datum, v)
+        assert np.max(np.abs(coeffs - ref_coeffs)) <= 1e-12
+        assert abs(np.max(np.abs(recon - v)) - np.max(np.abs(ref_recon - v))) <= 1e-12
+        if exact is not None:
+            assert np.max(np.abs(coeffs - exact)) <= 1e-12 and np.max(np.abs(recon - v)) <= 1e-12
 
 
 # -- energy -----------------------------------------------------------------------

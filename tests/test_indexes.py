@@ -155,6 +155,14 @@ def test_transverse_index_a2_mu0_chern_term():
         assert rep.total_index == 0
 
 
+@pytest.mark.parametrize("mu", [-1, 3])
+def test_transverse_index_refuses_a_node_outside_the_extended_diagram(mu):
+    """As `su2_embedding` does: node_root(-1) would read simple_roots[-2]."""
+    d = build_root_datum("A", 2)
+    with pytest.raises(ValueError, match="out of range 0..2"):
+        transverse_index(d, mu, d.alcove_barycenter())
+
+
 @pytest.mark.parametrize("series,rank", all_simple_types())
 def test_transverse_index_vanishes_everywhere(series, rank):
     d = build_root_datum(series, rank)
