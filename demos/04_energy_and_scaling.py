@@ -10,24 +10,27 @@ import math
 import numpy as np
 
 from calorons import (
-    BPSCaloron,
     CaloronSpec,
     Constituent,
+    FundamentalCaloron,
     approximate_caloron,
+    build_root_datum,
     energy_and_tr_f_wedge_f,
     sd_error_l2,
 )
 from calorons.quadrature import desk_grid
 
-print("== energy of the circle-invariant fundamental caloron ==")
-samp = BPSCaloron(omega_prime=0.25, epsilon=1.0)
-grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0)
-e, q = energy_and_tr_f_wedge_f(samp, grid)  # tail from the caloron's charge i tau_3
-print(f"  quadrature: {grid.total_points()} points, tail beyond r = {grid.r_max:.0f} added analytically")
-print(f"  energy = {e.raw:.6f} (ball) + {e.tail:.6f} (tail) = {e.value:.6f}   [2 omega' = 0.5]")
-print(f"  -(1/8 pi^2) Tr(F ^ F) = {q:.6f}   [= energy: the field is a caloron]")
+su2 = build_root_datum("A", 1)
+for mu, name, formula in ((1, "circle-invariant", "2 omega'"), (0, "rotated", "1 - 2 omega'")):
+    print(f"== energy of the {name} fundamental caloron (mu = {mu}) ==")
+    samp = FundamentalCaloron(su2, mu, (0.25, -0.25), epsilon=1.0)
+    grid = desk_grid([np.zeros(3)], [1.0 / (2 * samp.v)], 1.0)
+    e, q = energy_and_tr_f_wedge_f(samp, grid)  # tail from the caloron's charge
+    print(f"  quadrature: {grid.total_points()} points, tail beyond r = {grid.r_max:.0f} added analytically")
+    print(f"  energy = {e.raw:.6f} (ball) + {e.tail:.6f} (tail) = {e.value:.6f}   [{formula} = 0.5]")
+    print(f"  -(1/8 pi^2) Tr(F ^ F) = {q:.6f}   [= energy: the field is a caloron]\n")
 
-print("\n== self-dual error scaling under circle collapse ==")
+print("== self-dual error scaling under circle collapse ==")
 rows = []
 for eps in (0.1, 0.05, 0.025):
     spec = CaloronSpec(

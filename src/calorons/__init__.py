@@ -27,8 +27,6 @@ _EXPORTS = {
     "rootsys": ("RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
                 "su2_embedding"),
-    "su2": ("BPSCaloron", "GaugeMap", "RotatedBPSCaloron", "bps_fields", "hedgehog_framing",
-            "rotation_gauge"),
     "verify": ("run_verification",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

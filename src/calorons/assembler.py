@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -61,10 +62,12 @@ class Constituent:
 
 
 def _finite(value, what) -> float:
-    """value as a finite float, else InputError."""
+    """A real number (not a bool, not a string) as a finite float, else InputError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise InputError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
         raise InputError(f"{what} must be finite, got {value!r}")
@@ -74,7 +77,7 @@ def _finite(value, what) -> float:
 def _integer(value, what) -> int:
     """value as an int when it is integral (2 or 2.0), else InputError."""
     out = _finite(value, what)
-    if isinstance(value, bool) or not out.is_integer():
+    if not out.is_integer():
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(out)
 
@@ -138,11 +141,10 @@ class CaloronSpec:
         off_span = float(np.max(np.abs(np.asarray(self.omega) - np.einsum("ij,j,ik->k", roots, self.omega, coweights))))
         if off_span > 1e-9:
             raise InputError(f"omega must lie in the span of the simple roots (off by {off_span:.3g})")
-        margin = float(alcove_margin(datum, self.omega))
+        margin = alcove_margin(datum, self.omega)  # exact: far off the alcove its float overflows
         if margin <= 0:
-            raise HolonomyParameterError(
-                f"omega lies outside the open fundamental alcove (margin {margin:.3g})"
-            )
+            shown = f"{float(margin):.3g}" if margin > -1e300 else "below -1e300"
+            raise HolonomyParameterError(f"omega lies outside the open fundamental alcove (margin {shown})")
         for c in self.constituents:
             if not 0 <= c.mu <= self.rank:
                 raise InputError(f"constituent type mu={c.mu} out of range 0..{self.rank}")
@@ -322,7 +324,7 @@ class FundamentalCaloron(ConnectionSampler):
         embedding = su2_embedding(datum, mu)
         self.root, self.coroot = (np.asarray(v, dtype=float) for v in (embedding.root, embedding.coroot))
         omega = np.asarray([float(c) for c in omega], dtype=float)
-        if float(alcove_margin(datum, omega)) <= 0:
+        if alcove_margin(datum, omega) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
         self.datum = datum
         self.mu = int(mu)
@@ -376,7 +378,7 @@ class SingularCaloron(ConnectionSampler):
         self.omega = np.asarray(spec.omega, dtype=float)
         self.killing_scale, self.charge = float(self.datum.killing_scale), spec.charge_vector()
         self.root = np.zeros(self.n)  # no su(2)
-        self._z = np.append(np.sort(self.positions[:, 2]), np.inf)  # ascending, then a sentinel
+        self._z = np.array(sorted(self.positions[:, 2]) + [np.inf])  # ascending, then a sentinel
 
     def chart(self, x, t=None):
         """The number c of monopoles above the point, which take their south patch
@@ -454,7 +456,7 @@ class ApproximateCaloron(ConnectionSampler):
         self.locals: List[FundamentalCaloron] = []
         for k, c in enumerate(spec.constituents):
             om_k = self.omega_shifts[k]
-            if float(alcove_margin(self.datum, om_k)) <= 0:
+            if alcove_margin(self.datum, om_k) <= 0:
                 raise GluingInfeasibleError(
                     f"local holonomy parameter of constituent {k} left the alcove; "
                     "decrease epsilon or increase the separations"
@@ -465,6 +467,12 @@ class ApproximateCaloron(ConnectionSampler):
 
         self._roots = np.stack([f.root for f in self.locals] + [self.singular.root])  # by chart (`block`)
         self._spect_patch = _patch_mask(self.positions[:, 2, None] - self.positions[:, 2])  # [k, l]: l seen from k
+        self._spectators = []  # per k: the others' p_l, gamma_l, patches and their terms at p_k
+        for k, pk in enumerate(self.positions):
+            spect = np.arange(len(self.positions)) != k
+            pl, gl, south = self.positions[spect], self.singular.coroots[spect], self._spect_patch[k][spect]
+            rk = _distances(pk, pl)
+            self._spectators.append((pl, gl, south, dirac_sum(pk, pl, gl, south, rk), 0.5 / rk))
 
     # -- charts --------------------------------------------------------------
 
@@ -494,8 +502,8 @@ class ApproximateCaloron(ConnectionSampler):
         shape = x.shape[:-1]
         t = np.broadcast_to(np.asarray(t, dtype=float), shape)
         chart = np.broadcast_to(np.asarray(self.chart(x) if chart is None else chart), shape)
-        codes = np.sort(np.maximum(chart, -1), axis=None)  # np.unique would import numpy.ma (13 ms)
-        codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]]).tolist() or [-1]  # empty: one group
+        # ascending; no np.unique (it imports numpy.ma, 13 ms) nor np.sort (0.44 MB of SIMD sort code)
+        codes = (np.flatnonzero(np.bincount(np.maximum(chart, -1).ravel() + 1)) - 1).tolist() or [-1]  # empty: one group
         out = None
         for code in codes:
             sel = ... if len(codes) == 1 else (chart < 0 if code < 0 else chart == code)
@@ -541,11 +549,10 @@ class ApproximateCaloron(ConnectionSampler):
         if alpha_sq != 2.0:  # the g_alpha coordinates of `su2_field`
             zA, zF = zA * math.sqrt(2.0 / alpha_sq), zF * math.sqrt(2.0 / alpha_sq)
         # the spectators l != k, each in its patch seen from p_k, on an axis
-        spect = np.arange(len(self.positions)) != k
-        pk, pl, gl, south = self.positions[k], self.positions[spect], self.singular.coroots[spect], self._spect_patch[k]
-        r, rk = _distances(xs, pl), _distances(pk, pl)
-        sA = dirac_sum(xs, pl, gl, south[spect], r) - dirac_sum(pk, pl, gl, south[spect], rk)
-        sP = charge_sum(0.5 / rk - 0.5 / r, gl)
+        pl, gl, south, a_k, h_k = self._spectators[k]
+        r = _distances(xs, pl)
+        sA = dirac_sum(xs, pl, gl, south, r) - a_k
+        sP = charge_sum(h_k - 0.5 / r, gl)
         return _r_of(rel), (zA, hP), (sA, sP), (hF, zF)
 
     def annulus_fields(self, k, patch, xs, ts):

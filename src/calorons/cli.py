@@ -27,7 +27,7 @@ from .errors import (
     InvalidGroupError,
 )
 from .indexes import moduli_dimension, transverse_index
-from .rootsys import all_simple_types, build_root_datum, parse_group_label, random_interior_omega
+from .rootsys import all_simple_types, ambient_dim, build_root_datum, parse_group_label, random_interior_omega
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -173,16 +173,15 @@ def cmd_index(args):
         return EXIT_OK
     if not args.type:
         raise InputError("index needs --type (or --sweep-all)")
-    series, rank = parse_group_label(args.type)
-    datum = build_root_datum(series, rank)
-    omega = (
-        _parse_rational_vector(args.omega)
-        if args.omega
-        else datum.alcove_barycenter()
-    )
     if args.mu is None:
         raise InputError("index needs --mu (or --sweep-all)")
-    rep = transverse_index(datum, args.mu, omega)
+    series, rank = parse_group_label(args.type)
+    dim = ambient_dim(series, rank)  # checks the type; the root datum is built once the arguments hold
+    omega = _parse_rational_vector(args.omega) if args.omega else None
+    if omega is not None and len(omega) != dim:
+        raise InputError(f"omega must have {dim} ambient coordinates, got {len(omega)}")
+    datum = build_root_datum(series, rank)
+    rep = transverse_index(datum, args.mu, datum.alcove_barycenter() if omega is None else omega)
     _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -131,7 +131,3 @@ class ConnectionSampler:
     def curvature_densities(self, x, t, densities):
         """densities(E, B) of `exact_curvature`, per-point values."""
         return densities(*self.exact_curvature(x, t))
-
-
-def dagger(m):
-    return np.conjugate(np.swapaxes(m, -1, -2))

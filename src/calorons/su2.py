@@ -5,14 +5,14 @@ The charge-1 BPS monopole of mass v,
     Phi = (v coth(2vr) - 1/(2r)) xhat.(i tau),
     A_i = -(1/2) (1 - 2vr/sinh(2vr)) eps_{ija} xhat^j (i tau^a) / r,
 
-its lift to a circle-invariant caloron A + eps Phi dt, the hedgehog framing
-that diagonalizes the asymptotic Higgs field, the Dirac monopole potential in the
-two-patch gauge, and the t-dependent "rotation" gauge transformation
-g(x,t) = exp(-t Phihat(x)/2) whose pullback produces the rotated monopole.
-Both monopoles are su(2) coefficient vectors V of V.(i tau) in closed form
-(`core_fields`, `core_curvature`), the pullback by g worked out.  The framed
-caloron is also written down in the abelian ("string") gauge of each patch
-in closed form (`string_gauge_fields`), for the gluing annuli.
+lifted to the circle-invariant caloron A + eps Phi dt, and the rotated
+monopole, its pullback by the t-dependent gauge transformation
+g(x,t) = exp(-t q(r) xhat.(i tau)/2) with q a quintic on the core radius
+1/(2v): both as su(2) coefficient vectors V of V.(i tau) in closed form
+(`core_fields`, `core_curvature`), the pullback by g worked out.  The
+Dirac monopole potential in the two-patch gauge, and the framed caloron
+in the abelian ("string") gauge of each patch in closed form
+(`string_gauge_fields`), serve the gluing annuli.
 
 Radial profiles switch to 5th-order Taylor series for 2vr < 1e-4 so the
 removable singularity at the core never produces NaN; their closed branch is
@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ChartDomainError, HolonomyParameterError
+from .errors import ChartDomainError
 from .quadrature import _smoothstep, _smoothstep_prime
-from .samplers import ConnectionSampler, charge_sum, dagger, su2_field
+from .samplers import charge_sum
 
 _SERIES_CUT = 1e-4
 _DECAY_CUT = 350.0  # exp(-2 * 350) < 1e-304: the decaying terms are 0 next to O(1) ones
 _TINY = 1e-300
-
-ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  # i tau_a, (3, 2, 2)
 
 
 def _r_of(x):
@@ -54,21 +52,6 @@ def _distances(x, centres):
     for i in range(3):
         sq += np.multiply(_relative(x, centres, i, d), d, out=d)
     return np.sqrt(sq, out=sq)
-
-
-def _itau(v):
-    """v . (i tau) for real v (..., 3), written entry by entry."""
-    out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1j * v[..., 2]
-    out[..., 0, 1] = v[..., 1] + 1j * v[..., 0]
-    out[..., 1, 0] = -v[..., 1] + 1j * v[..., 0]
-    out[..., 1, 1] = -1j * v[..., 2]
-    return out
-
-
-def xhat_itau(x):
-    """Hedgehog direction xhat . (i tau), zero-safe at the origin."""
-    return _itau(_frame(x, None, False)[1])
 
 
 def _branches(v, r):
@@ -121,8 +104,7 @@ def _radial_profiles(v, r):
 
 def _frame(x, v, rotated):
     """r and n = xhat; for the rotated monopole also (q, q') of the rotation
-    map's quintic on its core radius 1/(2v) (see `rotation_gauge`), else
-    (None, None)."""
+    map's quintic on its core radius 1/(2v), else (None, None)."""
     x = np.asarray(x, dtype=float)
     r = _r_of(x)
     n = x / np.maximum(r, _TINY)[..., None]
@@ -201,75 +183,6 @@ def core_curvature(x, v, t=None):
     return _frame_sum(n, P=np.cos(a), X=-np.sin(a), scale=phw, R=dphi)
 
 
-def bps_fields(x, v):
-    """(A, Phi) of the mass-v BPS monopole centred at the origin."""
-    A, Phi = core_fields(x, v)
-    return _itau(A), _itau(Phi)
-
-
-class BPSCaloron(ConnectionSampler):
-    """Circle-invariant caloron A_BPS + eps Phi_BPS dt with v = omega'/eps,
-    centred at the origin."""
-
-    charge = ConnectionSampler.root  # the asymptotic charge, in the abelian gauge
-    rotated = False
-
-    def __init__(self, omega_prime, epsilon):
-        if not 0.0 < omega_prime < 0.5:
-            raise HolonomyParameterError(f"holonomy parameter {omega_prime} outside (0, 1/2)")
-        self.omega_prime = float(omega_prime)
-        self.epsilon = float(epsilon)
-        self.v = self.omega_prime / self.epsilon
-
-    def evaluate(self, x, t, chart=None):
-        A, Phi = core_fields(x, self.v, t if self.rotated else None, self.epsilon)
-        return su2_field(A, self.root), su2_field(Phi, self.root)
-
-    def exact_curvature(self, x, t):
-        E = su2_field(core_curvature(x, self.v, t if self.rotated else None), self.root)
-        return E, E
-
-
-# ---------------------------------------------------------------------------
-# hedgehog framing, two patches
-
-def hedgehog_framing(x, patch="N"):
-    """Frame f with f^-1 (xhat . i tau) f = i tau_3.
-
-    North patch: f = cos(theta/2) id - i sin(theta/2) (-sin phi, cos phi, 0).tau,
-    written in the string-free rational form
-
-        f_N = [[u/(2r), (-x+iy)/u], [(x+iy)/u, u/(2r)]],   u = sqrt(2r(r+z)),
-
-    regular away from the south string (theta = pi).  The south patch is
-    f_S = f_N exp(-i phi tau_3), regular away from the north string.
-    """
-    x = np.asarray(x, dtype=float)
-    r = _r_of(x)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    out = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
-    if patch == "N":
-        usq = 2.0 * r * (r + x3)
-        if np.any(usq <= 0):
-            raise ChartDomainError("north framing evaluated on the south string")
-        u = np.sqrt(usq)
-        out[..., 0, 0] = out[..., 1, 1] = u / (2.0 * r)
-        out[..., 0, 1] = (-x1 + 1j * x2) / u
-        out[..., 1, 0] = (x1 + 1j * x2) / u
-    elif patch == "S":
-        wsq = 2.0 * r * (r - x3)
-        if np.any(wsq <= 0):
-            raise ChartDomainError("south framing evaluated on the north string")
-        w = np.sqrt(wsq)
-        out[..., 0, 0] = (x1 - 1j * x2) / w
-        out[..., 1, 1] = (x1 + 1j * x2) / w
-        out[..., 0, 1] = -w / (2.0 * r)
-        out[..., 1, 0] = w / (2.0 * r)
-    else:
-        raise ValueError("patch must be 'N' or 'S'")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Dirac monopoles (abelian, two patches)
 
@@ -298,54 +211,6 @@ def dirac_sum(x, centres, charges, south, r):
     charge_sum(np.negative(np.divide(_relative(x, centres, 1, a), den, out=a), out=a), charges, out=out[..., 0, :])
     charge_sum(np.divide(_relative(x, centres, 0, a), den, out=a), charges, out=out[..., 1, :])
     return out
-
-
-# ---------------------------------------------------------------------------
-# rotation map
-
-class GaugeMap:
-    """The family g(x,t) = exp(-t Phihat(x)/2) of large gauge transformations.
-
-    Phihat is the unit hedgehog xhat.(i tau) for r >= core_radius and a
-    quintic radial interpolation q(r) xhat.(i tau) inside, so g is smooth on
-    all of R^3 x R.  The clutching descriptor h(x) = -g(x, 2pi)^{-1} equals
-    the identity wherever q = 1.  The pullback by g is worked out in closed
-    form in `core_fields`.
-    """
-
-    def __init__(self, core_radius):
-        self.core_radius = float(core_radius)
-
-    def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
-        ang = 0.5 * t * _smoothstep(_r_of(x) / self.core_radius)
-        return np.cos(ang)[..., None, None] * np.eye(2, dtype=complex) - np.sin(ang)[..., None, None] * xhat_itau(x)
-
-    def clutching(self, x):
-        """h(x) = -g(x, 2 pi)^{-1}."""
-        return -dagger(self(x, 2.0 * np.pi))
-
-
-def rotation_gauge(omega_prime, epsilon) -> GaugeMap:
-    """Rotation map for the mass v = (1/2 - omega')/eps monopole, with
-    interpolation core 1/(2v)."""
-    if not 0.0 < omega_prime < 0.5:
-        raise HolonomyParameterError(f"holonomy parameter {omega_prime} outside (0, 1/2)")
-    v = (0.5 - omega_prime) / epsilon
-    return GaugeMap(1.0 / (2.0 * v))
-
-
-class RotatedBPSCaloron(BPSCaloron):
-    """g^* (A_BPS + eps Phi_BPS dt) with mass v = (1/2 - omega')/eps and g the
-    rotation map `gauge`: the second fundamental SU(2) caloron, genuinely
-    t-dependent (`core_fields` given t)."""
-
-    rotated = True
-
-    def __init__(self, omega_prime, epsilon):
-        self.gauge = rotation_gauge(omega_prime, epsilon)  # rejects omega' itself, not 1/2 - omega'
-        super().__init__(0.5 - omega_prime, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,18 @@ extended Cartan matrix, where the library reads the pairings off its
 reflection closure and builds ambient vectors on first use; `dot_fraction`
 sums one normalized `Fraction` per term.
 
+The SU(2) fields as 2 x 2 matrices: `itau` writes a coefficient vector V as
+V.(i tau), `bps_fields` the BPS monopole of `su2.core_fields`, and
+`su2_caloron` names the A1 `FundamentalCaloron` at omega = (omega', -omega')
+that the tests sample the BPS caloron (mu = 1) and the rotated monopole
+(mu = 0) with.
+
 The rotated monopole: the gauge pullback as 2 x 2 matrix products that
 `su2.core_fields` and `su2.core_curvature` replaced by closed-form su(2)
 coefficient vectors.  `PulledBackSampler` transforms any SU(2) sampler by
 a gauge map with `spatial_derivative` and `time_derivative` (the
-gauge-covariance tests use it with their own maps), `RotationMap` gives
-the rotation map g those derivatives in closed form, and
+gauge-covariance tests use it with their own maps), `RotationMap` is the
+rotation map g with those derivatives in closed form, and
 `rotated_pullback` is the rotated monopole by its definition.
 
 Framed SU(2) fields: the matrix route to the string gauge that
@@ -55,13 +61,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from calorons.assembler import ApproximateCaloron, FundamentalCaloron, SingularCaloron, _patch_mask
-from calorons.errors import ResonanceError, SingularPointError
+from calorons.errors import ChartDomainError, ResonanceError, SingularPointError
 from calorons.indexes import WeightList, _rep_dynkin_index
 from calorons.rootsys import (
     _exact_ratio,
     _int_comb,
     _int_dot,
     _scaled_simple_roots,
+    build_root_datum,
     charge_vector,
     dynkin_index_adjoint,
     pairing,
@@ -69,26 +76,48 @@ from calorons.rootsys import (
 )
 from calorons.quadrature import _smoothstep, _smoothstep_prime
 from calorons.fieldcalc import _FD4, _magnus_exponents
-from calorons.samplers import _SU2_ROOT, ConnectionSampler, Field, dagger
-from calorons.su2 import (
-    _TINY,
-    ITAU,
-    BPSCaloron,
-    GaugeMap,
-    _itau,
-    _r_of,
-    bps_fields,
-    core_curvature,
-    dirac_potential,
-    hedgehog_framing,
-    rotation_gauge,
-    xhat_itau,
-)
+from calorons.samplers import _SU2_ROOT, ConnectionSampler, Field
+from calorons.su2 import _TINY, _r_of, core_curvature, core_fields, dirac_potential
+
+ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  # i tau_a, (3, 2, 2)
+
+
+def dagger(m):
+    return np.conjugate(np.swapaxes(m, -1, -2))
+
+
+def itau(v):
+    """v . (i tau) for real v (..., 3), written entry by entry."""
+    out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1j * v[..., 2]
+    out[..., 0, 1] = v[..., 1] + 1j * v[..., 0]
+    out[..., 1, 0] = -v[..., 1] + 1j * v[..., 0]
+    out[..., 1, 1] = -1j * v[..., 2]
+    return out
+
+
+def xhat_itau(x):
+    """Hedgehog direction xhat . (i tau), zero-safe at the origin."""
+    x = np.asarray(x, dtype=float)
+    return itau(x / np.maximum(_r_of(x), _TINY)[..., None])
+
+
+def bps_fields(x, v):
+    """(A, Phi) of the mass-v BPS monopole centred at the origin (`su2.core_fields`) as 2 x 2 matrices."""
+    A, Phi = core_fields(x, v)
+    return itau(A), itau(Phi)
 
 
 def bps_curvature_fields(x, v):
     """Closed-form E = B of the BPS caloron (`su2.core_curvature`) as 2 x 2 matrices."""
-    return _itau(core_curvature(x, v))
+    return itau(core_curvature(x, v))
+
+
+def su2_caloron(omega_prime, epsilon, rotated=False):
+    """The SU(2) fundamental caloron at omega = (omega', -omega'), which has no
+    Cartan shift: the BPS caloron of mass omega'/eps (mu = 1) or, if rotated,
+    the rotated monopole of mass (1/2 - omega')/eps (mu = 0)."""
+    return FundamentalCaloron(build_root_datum("A", 1), 0 if rotated else 1, (omega_prime, -omega_prime), epsilon)
 
 
 def rational_solve(A, b):
@@ -402,8 +431,28 @@ def gauge_transform(g, A, Phi=None, dg=None):
     return A_new, None if Phi is None else _mul(ginv, _mul(Phi, g))
 
 
-class RotationMap(GaugeMap):
-    """A `GaugeMap` with its generator and derivatives as 2 x 2 matrices."""
+class RotationMap:
+    """The family g(x,t) = exp(-t Phihat(x)/2) of large gauge transformations,
+    with its generator and derivatives as 2 x 2 matrices.
+
+    Phihat is the unit hedgehog xhat.(i tau) for r >= core_radius and a
+    quintic radial interpolation q(r) xhat.(i tau) inside, so g is smooth on
+    all of R^3 x R.  The clutching descriptor h(x) = -g(x, 2pi)^{-1} equals
+    the identity wherever q = 1.
+    """
+
+    def __init__(self, core_radius):
+        self.core_radius = float(core_radius)
+
+    def __call__(self, x, t):
+        x = np.asarray(x, dtype=float)
+        t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
+        ang = 0.5 * t * _smoothstep(_r_of(x) / self.core_radius)
+        return np.cos(ang)[..., None, None] * np.eye(2, dtype=complex) - np.sin(ang)[..., None, None] * xhat_itau(x)
+
+    def clutching(self, x):
+        """h(x) = -g(x, 2 pi)^{-1}."""
+        return -dagger(self(x, 2.0 * np.pi))
 
     def _theta_dir(self, x):
         x = np.asarray(x, dtype=float)
@@ -437,7 +486,7 @@ class RotationMap(GaugeMap):
         dg_da = -s[..., None, None] * np.eye(2) - c[..., None, None] * n_itau
         radial = (0.5 * t * dq)[..., None, None, None] * xh[..., :, None, None] * dg_da[..., None, :, :]
         proj = (np.eye(3) - xh[..., :, None] * xh[..., None, :]) * (s / rs)[..., None, None]
-        return radial - _itau(proj)
+        return radial - itau(proj)
 
 
 class PulledBackSampler(ConnectionSampler):
@@ -472,14 +521,56 @@ class PulledBackSampler(ConnectionSampler):
         return compact(EB[..., :3, :, :]), compact(EB[..., 3:, :, :])
 
 
+def rotation_gauge(omega_prime, epsilon):
+    """Rotation map for the mass v = (1/2 - omega')/eps monopole, with
+    interpolation core 1/(2v)."""
+    return RotationMap(1.0 / (2.0 * ((0.5 - omega_prime) / epsilon)))
+
+
 def rotated_pullback(omega_prime, epsilon):
     """The rotated monopole by its definition: the BPS caloron of mass
     (1/2 - omega')/eps pulled back by its rotation map, as 2 x 2 products."""
-    gauge = RotationMap(rotation_gauge(omega_prime, epsilon).core_radius)
-    return PulledBackSampler(BPSCaloron(0.5 - omega_prime, epsilon), gauge)
+    return PulledBackSampler(su2_caloron(0.5 - omega_prime, epsilon), rotation_gauge(omega_prime, epsilon))
 
 
 # -- framed SU(2) fields as matrix products ---------------------------------------
+
+def hedgehog_framing(x, patch="N"):
+    """Frame f with f^-1 (xhat . i tau) f = i tau_3.
+
+    North patch: f = cos(theta/2) id - i sin(theta/2) (-sin phi, cos phi, 0).tau,
+    written in the string-free rational form
+
+        f_N = [[u/(2r), (-x+iy)/u], [(x+iy)/u, u/(2r)]],   u = sqrt(2r(r+z)),
+
+    regular away from the south string (theta = pi).  The south patch is
+    f_S = f_N exp(-i phi tau_3), regular away from the north string.
+    """
+    x = np.asarray(x, dtype=float)
+    r = _r_of(x)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    out = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
+    if patch == "N":
+        usq = 2.0 * r * (r + x3)
+        if np.any(usq <= 0):
+            raise ChartDomainError("north framing evaluated on the south string")
+        u = np.sqrt(usq)
+        out[..., 0, 0] = out[..., 1, 1] = u / (2.0 * r)
+        out[..., 0, 1] = (-x1 + 1j * x2) / u
+        out[..., 1, 0] = (x1 + 1j * x2) / u
+    elif patch == "S":
+        wsq = 2.0 * r * (r - x3)
+        if np.any(wsq <= 0):
+            raise ChartDomainError("south framing evaluated on the north string")
+        w = np.sqrt(wsq)
+        out[..., 0, 0] = (x1 - 1j * x2) / w
+        out[..., 1, 1] = (x1 + 1j * x2) / w
+        out[..., 0, 1] = -w / (2.0 * r)
+        out[..., 1, 0] = w / (2.0 * r)
+    else:
+        raise ValueError("patch must be 'N' or 'S'")
+    return out
+
 
 def hedgehog_framing_derivative(x, patch="N"):
     """Analytic spatial derivative d_i f, shape (..., 3, 2, 2)."""

@@ -44,8 +44,14 @@ from calorons.rootsys import (
     pairing,
     random_interior_omega,
 )
-from calorons.su2 import BPSCaloron, RotatedBPSCaloron, bps_fields, hedgehog_framing
-from oracles import dynkin_index_adjoint_bruteforce, dynkin_index_su2_via_adjoint, twisted_dirac_index_adjoint
+from oracles import (
+    bps_fields,
+    dynkin_index_adjoint_bruteforce,
+    dynkin_index_su2_via_adjoint,
+    hedgehog_framing,
+    su2_caloron,
+    twisted_dirac_index_adjoint,
+)
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
 
@@ -120,8 +126,8 @@ def test_criterion_02_framed_higgs_decay():
 def test_criterion_03_energy_of_fundamental_calorons():
     results = {}
     for name, samp, target in (
-        ("circle-invariant", BPSCaloron(0.25, 1.0), 0.5),   # 2 omega'
-        ("rotated", RotatedBPSCaloron(0.25, 1.0), 0.5),                # 1 - 2 omega'
+        ("circle-invariant", su2_caloron(0.25, 1.0), 0.5),   # 2 omega'
+        ("rotated", su2_caloron(0.25, 1.0, rotated=True), 0.5),                # 1 - 2 omega'
     ):
         t0 = time.monotonic()
         grid = desk_grid([np.zeros(3)], [1.0 / (2.0 * samp.v)], 1.0)

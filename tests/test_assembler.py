@@ -4,6 +4,7 @@ calorons, and the assembled approximate caloron."""
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,12 +34,13 @@ from calorons.fieldcalc import (
     curvature_at,
     energy_and_tr_f_wedge_f,
 )
-from calorons.samplers import dagger
 from calorons.quadrature import desk_grid
 from calorons.rootsys import alcove_margin, build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
 from oracles import (
     annulus_fields_dense,
+    bps_fields,
+    dagger,
     dense,
     dense_exact_curvature,
     dense_fields,
@@ -225,9 +227,12 @@ def _tampered(path, value):
     [
         pytest.param(("epsilon",), math.nan, id="epsilon-nan"),
         pytest.param(("epsilon",), math.inf, id="epsilon-inf"),
+        pytest.param(("epsilon",), True, id="epsilon-bool"),
+        pytest.param(("gluing", "c"), "0.3", id="c-string"),
         pytest.param(("gluing", "c"), math.nan, id="c-nan"),
         pytest.param(("gluing", "c"), math.inf, id="c-inf"),
         pytest.param(("omega", 0), math.nan, id="omega-nan"),
+        pytest.param(("omega", 0), "0.25", id="omega-string"),
         pytest.param(("group", "rank"), 1.5, id="rank-fractional"),
         pytest.param(("constituents", 0, "mu"), 1.7, id="mu-fractional"),
         pytest.param(("constituents", 0, "mu"), True, id="mu-bool"),
@@ -235,13 +240,25 @@ def _tampered(path, value):
         pytest.param(("constituents", 0, "position"), [0.0, 1.0], id="position-2d"),
         pytest.param(("constituents", 0, "position"), [0.0, 1.0, 2.0, 3.0], id="position-4d"),
         pytest.param(("constituents", 0, "position"), ["a", 0.0, 0.0], id="position-text"),
+        pytest.param(("constituents", 0, "position"), ["0.0", 0.0, 0.0], id="position-string"),
         pytest.param(("constituents", 0, "position"), 1.0, id="position-scalar"),
         pytest.param(("constituents", 0, "phase"), math.inf, id="phase-inf"),
+        pytest.param(("constituents", 0, "phase"), "0.0", id="phase-string"),
     ],
 )
 def test_spec_rejects_non_finite_misshapen_and_non_integral_fields(path, value):
+    """Only real numbers pass: a bool (epsilon true ran at eps = 1) or a numeric
+    string (c "0.3" was read as 0.3) is an InputError, as is NaN or inf."""
     with pytest.raises(InputError):
         CaloronSpec.from_dict(_tampered(path, value))
+
+
+def test_spec_accepts_numpy_scalars_and_fractions():
+    spec = CaloronSpec(epsilon=np.float64(0.05), series="A", rank=np.int64(1),
+                       omega=(Fraction(1, 4), np.float32(-0.25)),
+                       constituents=[Constituent(np.int64(1), (0.0, np.float64(0.0), 0), Fraction(0))],
+                       gluing_c=Fraction(3, 10))
+    assert spec.to_dict() == CaloronSpec.from_dict(_SU2_PAYLOAD).to_dict()
 
 
 def test_spec_accepts_integral_float_mu_and_rank():
@@ -420,13 +437,10 @@ def test_singular_point_error():
 def test_fundamental_su2_is_bps():
     d = build_root_datum("A", 1)
     f = FundamentalCaloron(d, 1, (0.25, -0.25), 0.1)
-    from calorons.su2 import BPSCaloron
-
-    ref = BPSCaloron(0.25, 0.1)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(10, 3))
     A1, P1 = dense_fields(f, x, 0.0)
-    A2, P2 = dense_fields(ref, x, 0.0)
+    A2, P2 = bps_fields(x, 0.25 / 0.1)
     assert np.allclose(A1, A2, atol=1e-14)
     assert np.allclose(P1, P2, atol=1e-14)
 

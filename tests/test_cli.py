@@ -90,6 +90,16 @@ def test_verify_omega_outside_alcove_named(tmp_path, capsys):
     assert "alcove" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_omega_far_off_the_alcove_is_input_error(command, tmp_path, capsys):
+    """The alcove margin is compared exactly: at omega = (1e308, -1e308) its
+    float overflowed and ended in a traceback."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(SU2_SPEC, omega=[1e308, -1e308])))
+    assert main([command, "--spec", str(path)]) == 2
+    assert "outside the open fundamental alcove (margin below -1e300)" in capsys.readouterr().err
+
+
 def test_verify_overlapping_constituents_guidance(tmp_path, capsys):
     crowded = dict(
         SU2_SPEC,
@@ -307,7 +317,6 @@ PACKAGE_EXPORTS = {
     "rootsys": ["RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
                 "su2_embedding"],
-    "su2": ["BPSCaloron", "GaugeMap", "RotatedBPSCaloron", "bps_fields", "hedgehog_framing", "rotation_gauge"],
     "verify": ["run_verification"],
 }
 
@@ -629,6 +638,22 @@ def test_index_sweep_all_csv(tmp_path, data_dir):
 
 def test_index_requires_mu_or_sweep():
     assert main(["index", "--type", "A2"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--type", "A2"], "needs --mu"),
+    (["--type", "A99999999"], "needs --mu"),
+    (["--type", "A2", "--mu", "1", "--omega", "1/3,-1/3"], "omega must have 3 ambient coordinates, got 2"),
+    (["--type", "E8", "--mu", "1", "--omega", "1/2,x"], "bad rational vector"),
+], ids=["A2-no-mu", "huge-rank-no-mu", "omega-wrong-length", "omega-malformed"])
+def test_index_checks_its_arguments_before_building_a_datum(argv, message, monkeypatch, capsys):
+    """A missing --mu or a bad --omega exits 2 before the root datum is built
+    (A99999999 without --mu was still building it after 60 s)."""
+    def refuse(series, rank):
+        raise AssertionError(f"root datum of {series}{rank} built")
+    monkeypatch.setattr("calorons.cli.build_root_datum", refuse)
+    assert main(["index"] + argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -19,10 +19,10 @@ from calorons.assembler import CaloronSpec, Constituent, _distances, approximate
 from calorons.errors import CaloronError
 from calorons.fieldcalc import CurvatureSample, SdErrorEstimate, _closed_form_densities, curvature_at, sd_error_l2
 from calorons.quadrature import graded_radii
-from calorons.su2 import bps_fields
 from calorons.verify import _max_entry, run_verification
 from oracles import (
     annulus_fields_dense,
+    bps_fields,
     dense,
     dense_curvature_at,
     dense_exact_curvature,

@@ -30,7 +30,6 @@ from calorons.fieldcalc import (
 from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
 from calorons.rootsys import all_simple_types, build_root_datum, su2_embedding
 from calorons.samplers import ConnectionSampler, Field, bracket, su2_field
-from calorons.su2 import BPSCaloron, RotatedBPSCaloron
 from oracles import (
     PulledBackSampler,
     RotationMap,
@@ -43,6 +42,7 @@ from oracles import (
     inner_sd_asd,
     lstsq_coroot_fit,
     max_entry,
+    su2_caloron,
 )
 
 ITAU = [
@@ -84,7 +84,7 @@ def test_constant_pure_gauge_curvature_vanishes():
 
 
 def test_bps_curvature_is_anti_self_dual():
-    samp = BPSCaloron(0.25, 1.0)
+    samp = su2_caloron(0.25, 1.0)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-3, 3, (30, 3))
     curv = curvature_at(samp, pts, 0.0, step=1e-3)
@@ -169,7 +169,7 @@ class _SmoothPeriodicGauge:
 
 
 def test_gauge_invariance_of_curvature_norm():
-    base = BPSCaloron(0.3, 0.8)
+    base = su2_caloron(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(15, 3)) * 2
@@ -181,7 +181,7 @@ def test_gauge_invariance_of_curvature_norm():
 
 
 def test_gauge_invariance_of_energy():
-    base = BPSCaloron(0.3, 0.8)
+    base = su2_caloron(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * base.v)], 0.5)
     e0 = energy_and_tr_f_wedge_f(base, grid)[0]
@@ -190,7 +190,7 @@ def test_gauge_invariance_of_energy():
 
 
 def test_pulled_back_exact_curvature_matches_fd():
-    base = BPSCaloron(0.3, 0.8)
+    base = su2_caloron(0.3, 0.8)
     gauged = PulledBackSampler(base, _SmoothPeriodicGauge())
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(15, 3)) * 2
@@ -221,7 +221,7 @@ def test_pulled_back_exact_curvature_matches_fd():
     t=st.floats(0.0, 2.0 * np.pi),
 )
 def test_curvature_is_gauge_covariant_under_gauge_maps(core, omega_prime, eps, direction, r_over_core, t):
-    """The finite-difference curvature of the pullback by a random GaugeMap
+    """The finite-difference curvature of the pullback by a random RotationMap
     is g^-1 F g of its base's, inside and outside the map's interpolation
     core.  The step follows the scale min(r, core) on which the hedgehog
     and the interpolation vary.  Measured worst gap over 1 000 random draws:
@@ -230,7 +230,7 @@ def test_curvature_is_gauge_covariant_under_gauge_maps(core, omega_prime, eps, d
     is first order: at r = core the gap is 0.8 step.  Those points are left
     out."""
     assume(abs(r_over_core - 1.0) > 3e-3)  # the stencil reaches 2 steps <= 2e-3 core
-    base = BPSCaloron(omega_prime, eps)
+    base = su2_caloron(omega_prime, eps)
     gauge = RotationMap(core)
     x = (r_over_core * core / math.hypot(*direction) * np.asarray(direction))[None]
     step = 1e-3 * core * min(r_over_core, 1.0)
@@ -466,7 +466,7 @@ def test_energy_zero_field():
 def test_energy_bps_and_rotated_quarter():
     """The two fundamental SU(2) calorons at omega' = 1/4, eps = 1 both
     carry energy 1/2 (= 2 omega' and 1 - 2 omega')."""
-    bps = BPSCaloron(0.25, 1.0)
+    bps = su2_caloron(0.25, 1.0)
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
     e_bps, q = energy_and_tr_f_wedge_f(bps, grid)
     assert abs(e_bps.value - 0.5) < 0.005
@@ -506,7 +506,7 @@ def test_rotated_energy_equals_circle_invariant():
     """The rotated caloron is a gauge transform of the circle-invariant one
     with the same mass at omega' = 1/4: closed-form curvature gives it the
     same energy and trF^F on the same grid."""
-    bps, rot = BPSCaloron(0.25, 1.0), RotatedBPSCaloron(0.25, 1.0)
+    bps, rot = su2_caloron(0.25, 1.0), su2_caloron(0.25, 1.0, rotated=True)
     assert bps.v == rot.v
     grid = desk_grid([np.zeros(3)], [1.0 / (2 * bps.v)], 1.0)
     e_bps, q_bps = energy_and_tr_f_wedge_f(bps, grid)

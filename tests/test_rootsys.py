@@ -31,14 +31,15 @@ from calorons.rootsys import (
     vscale,
 )
 from calorons.indexes import transverse_index
-from calorons.su2 import ITAU, _itau
 from oracles import (
+    ITAU,
     alcove_vertices,
     dense,
     dot_fraction,
     dynkin_index_adjoint_bruteforce,
     eager_root_datum,
     embed_reference,
+    itau,
     lincomb,
     rational_solve,
     rho_pairing_ambient,
@@ -399,7 +400,7 @@ def test_embed_matches_pauli_coefficient_reference(rank):
     d = build_root_datum("A", rank)
     V = np.random.default_rng(rank).normal(size=(64, 3, 3))
     for mu in range(rank + 1):
-        assert np.array_equal(_scatter(d, mu, V), embed_reference(d, mu, _itau(V)))
+        assert np.array_equal(_scatter(d, mu, V), embed_reference(d, mu, itau(V)))
 
 
 def test_exact_layers_import_no_numpy():

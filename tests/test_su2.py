@@ -11,23 +11,12 @@ from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPo
 from calorons.fieldcalc import circle_holonomy, curvature_at
 from calorons.quadrature import sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.su2 import (
-    ITAU,
-    BPSCaloron,
-    RotatedBPSCaloron,
-    _itau,
-    bps_fields,
-    bps_higgs_profile,
-    dirac_potential,
-    hedgehog_framing,
-    rotation_gauge,
-    string_gauge_fields,
-    xhat_itau,
-)
+from calorons.su2 import bps_higgs_profile, dirac_potential, string_gauge_fields
 from oracles import (
-    RotationMap,
+    ITAU,
     bps_curvature_fields,
     _mul,
+    bps_fields,
     bps_remainder,
     compact,
     dense,
@@ -37,11 +26,16 @@ from oracles import (
     dirac_monopole,
     embed_reference,
     gauge_transform,
+    hedgehog_framing,
     hedgehog_framing_derivative,
+    itau,
     max_entry,
     rotated_pullback,
     rotated_remainder,
+    rotation_gauge,
     string_gauge_matrices,
+    su2_caloron,
+    xhat_itau,
 )
 
 ITAU3 = 1j * np.diag([1.0, -1.0])
@@ -109,7 +103,7 @@ def test_bps_bogomolny_residual_second_order():
 
 
 def test_bps_caloron_time_independent_and_mass():
-    samp = BPSCaloron(0.25, 1.0)
+    samp = su2_caloron(0.25, 1.0)
     assert samp.v == 0.25
     x = np.array([[1.0, 2.0, -0.5]])
     A0, P0 = dense_fields(samp, x, 0.0)
@@ -126,7 +120,7 @@ def test_bps_caloron_core_radius_scales_with_epsilon():
     from scipy.optimize import brentq
 
     def rstar(eps):
-        samp = BPSCaloron(0.25, eps)
+        samp = su2_caloron(0.25, eps)
         return brentq(lambda r: bps_higgs_profile(samp.v, r) - samp.v / 2, 1e-6, 1e3)
 
     assert abs(rstar(0.1) / rstar(1.0) - 0.1) < 1e-6
@@ -134,15 +128,15 @@ def test_bps_caloron_core_radius_scales_with_epsilon():
 
 def test_bps_holonomy_parameter_validation():
     with pytest.raises(HolonomyParameterError):
-        BPSCaloron(0.6, 1.0)
+        su2_caloron(0.6, 1.0)
     with pytest.raises(HolonomyParameterError):
-        RotatedBPSCaloron(-0.1, 1.0)
+        su2_caloron(-0.1, 1.0, rotated=True)
 
 
 def test_bps_curvature_closed_form_vs_fd():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-3, 3, size=(40, 3))
-    samp = BPSCaloron(0.3, 1.0)
+    samp = su2_caloron(0.3, 1.0)
     curv = curvature_at(samp, pts, 0.0, step=1e-3)
     exact = bps_curvature_fields(pts, 0.3)
     assert np.max(np.abs(dense(curv.E) - exact)) < 5e-11
@@ -152,11 +146,11 @@ def test_bps_curvature_closed_form_vs_fd():
 def test_rotated_closed_form_curvature_vs_fd():
     """g^-1 F_BPS g against the finite-difference stencil, outside the
     rotation-gauge core where the stencil resolves g."""
-    samp = RotatedBPSCaloron(0.3, 1.0)
+    samp = su2_caloron(0.3, 1.0, rotated=True)
     rng = np.random.default_rng(5)
     u = rng.normal(size=(40, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
-    pts = u * rng.uniform(1.2 * samp.gauge.core_radius, 4.0, 40)[:, None]
+    pts = u * rng.uniform(0.6 / samp.v, 4.0, 40)[:, None]
     ts = rng.uniform(0.0, 2.0 * np.pi, 40)
     E, B = samp.exact_curvature(pts, ts)
     assert np.array_equal(E.diag, B.diag) and np.array_equal(E.off, B.off)
@@ -169,8 +163,8 @@ def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
     """Inside the interpolation core the stencil differentiates the closed-form
     fields, which carry g^-1 dg, so curvature_at resolves g^-1 F_BPS g there
     as well."""
-    samp = RotatedBPSCaloron(0.3, 0.02)
-    rc = samp.gauge.core_radius
+    samp = su2_caloron(0.3, 0.02, rotated=True)
+    rc = 1.0 / (2.0 * samp.v)
     rng = np.random.default_rng(12)
     u = rng.normal(size=(40, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
@@ -195,8 +189,8 @@ def test_rotated_closed_form_matches_the_pullback(omega_prime, log_eps, seed):
     at the origin, on the sphere r = r_c where the interpolation ends, and
     inside and outside the core up to 3 r_c, at random t."""
     eps = math.exp(log_eps)
-    rot, ref = RotatedBPSCaloron(omega_prime, eps), rotated_pullback(omega_prime, eps)
-    rc = rot.gauge.core_radius
+    rot, ref = su2_caloron(omega_prime, eps, rotated=True), rotated_pullback(omega_prime, eps)
+    rc = 1.0 / (2.0 * rot.v)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(24, 3))
     x = u / np.linalg.norm(u, axis=1)[:, None] * (rc * np.concatenate([[0.0, 1.0], rng.uniform(0.0, 3.0, 22)]))[:, None]
@@ -227,7 +221,7 @@ def test_profiles_form_no_inf():
     the closed branch is evaluated at r = 1, and past 2vr = 350 the terms
     that decay like exp(-2vr) are 0 (at 2vr = 1 000 and 2 000 sinh and expm1
     would overflow).  There the fields are the abelian hedgehog's."""
-    bps, rot = BPSCaloron(0.25, 0.01), RotatedBPSCaloron(0.25, 0.01)
+    bps, rot = su2_caloron(0.25, 0.01), su2_caloron(0.25, 0.01, rotated=True)
     v = bps.v
     n = np.array([0.6, 0.0, 0.8])
     with np.errstate(all="raise"):
@@ -241,8 +235,8 @@ def test_profiles_form_no_inf():
         x = (1e3 / (2.0 * v) * n)[None]
         r = 1e3 / (2.0 * v)
         A, Phi = dense_fields(bps, x, 0.0)
-        assert np.allclose(Phi[0], (v - 0.5 / r) * _itau(n), rtol=1e-15, atol=0.0)
-        assert np.allclose(A[0], 0.5 / r * _itau(np.cross(n, np.eye(3))), rtol=1e-15, atol=0.0)
+        assert np.allclose(Phi[0], (v - 0.5 / r) * itau(n), rtol=1e-15, atol=0.0)
+        assert np.allclose(A[0], 0.5 / r * itau(np.cross(n, np.eye(3))), rtol=1e-15, atol=0.0)
         for patch in ("N", "S"):
             x = (2e3 / (2.0 * v) * n)[None]
             zA, hP, hF, zF = string_gauge_fields(x, v, patch, np.array([1.0]), 0.3)
@@ -429,7 +423,7 @@ def test_rotation_gauge_unitary_everywhere():
 
 
 def test_rotation_gauge_spatial_derivative_vs_fd():
-    g = RotationMap(rotation_gauge(0.25, 1.0).core_radius)
+    g = rotation_gauge(0.25, 1.0)
     rng = np.random.default_rng(9)
     # probe inside and outside the interpolation core, the origin and r = r_c
     x = np.concatenate([
@@ -450,10 +444,10 @@ def test_rotation_gauge_spatial_derivative_vs_fd():
 
 
 def test_rotated_bps_asd_preserved():
-    rot = RotatedBPSCaloron(0.3, 0.5)
+    rot = su2_caloron(0.3, 0.5, rotated=True)
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(20, 3)) * 2.0
-    pts = pts[np.linalg.norm(pts, axis=1) > 1.2 * rot.gauge.core_radius]
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.6 / rot.v]
     ts = rng.uniform(0, 2 * np.pi, len(pts))
     curv = curvature_at(rot, pts, ts, step=3e-4)
     assert np.sqrt(np.max(curv.sd_norm_sq())) < 1e-7
@@ -464,8 +458,8 @@ def test_rotated_bps_curvature_norm_matches_bps():
     plain BPS caloron of the same mass everywhere, including in the
     interpolation core."""
     eps, op = 0.5, 0.3
-    rot = RotatedBPSCaloron(op, eps)
-    ref = BPSCaloron(0.5 - op, eps)
+    rot = su2_caloron(op, eps, rotated=True)
+    ref = su2_caloron(0.5 - op, eps)
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(25, 3)) * 1.5
     ts = rng.uniform(0, 2 * np.pi, 25)
@@ -475,7 +469,7 @@ def test_rotated_bps_curvature_norm_matches_bps():
 
 
 def test_rotated_bps_is_genuinely_t_dependent():
-    rot = RotatedBPSCaloron(0.3, 0.5)
+    rot = su2_caloron(0.3, 0.5, rotated=True)
     x = np.array([[0.8, 0.2, -0.4]])
     A0, P0 = rot(x, 0.0)
     A1, P1 = rot(x, 2.0)
@@ -484,7 +478,7 @@ def test_rotated_bps_is_genuinely_t_dependent():
 
 def test_rotated_holonomy_matches_charge_minus_one_model():
     eps, op = 0.25, 0.3
-    rot = RotatedBPSCaloron(op, eps)
+    rot = su2_caloron(op, eps, rotated=True)
     r = 12.0
     x = np.array([3.0, -4.0, np.sqrt(r * r - 25.0)])
     phases = circle_holonomy(rot, x, n_steps=96)
@@ -653,4 +647,4 @@ def test_itau_matches_einsum():
     rng = np.random.default_rng(12)
     for shape in [(3,), (7, 3), (4, 5, 3)]:
         v = rng.normal(size=shape)
-        assert np.array_equal(_itau(v), np.einsum("...j,jab->...ab", v, ITAU))
+        assert np.array_equal(itau(v), np.einsum("...j,jab->...ab", v, ITAU))
