@@ -17,11 +17,10 @@ from .rootsys import (
     RootDatum,
     Vector,
     _exact_ratio,
+    _frac,
     charge_vector,
-    dynkin_index_adjoint,
     pairing,
     vscale,
-    vzero,
 )
 
 
@@ -57,9 +56,9 @@ def moduli_dimension(n: Sequence[int]) -> int:
 def dynkin_index_su2(datum: RootDatum, mu: int) -> int:
     """Dynkin index of the su(2) embedding at node mu acting on the
     complexified complement: (1/2) sum over roots alpha != +-(node root) of
-    alpha(coroot)^2, an integer sum over the positive roots."""
-    # drop the +-node pair: its positive representative pairs to +-2
-    return sum(p * p for p in datum.coroot_pairings(mu)) - 4
+    alpha(coroot)^2, an integer sum over the positive roots that the datum
+    keeps per node."""
+    return datum.index_constants[mu][0]
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,14 @@ def transverse_index(datum: RootDatum, mu: int, omega: Sequence) -> IndexReport:
         raise InputError(f"mu={mu} out of range 0..{datum.rank}")
     if len(omega) != datum.ambient_dim:
         raise InputError(f"omega must have {datum.ambient_dim} ambient coordinates, got {len(omega)}")
-    omega = tuple(Fraction(c) for c in omega)
+    omega = tuple(map(_frac, omega))
     sign = -1 if mu == 0 else 1
     n0 = 1 if mu == 0 else 0
 
     a_omega = pairing(datum.node_root(mu), omega)
-    chern = dynkin_index_su2(datum, mu) * (n0 + a_omega)
-
-    ind_ad = dynkin_index_adjoint(datum)
-    boundary = 2 * (datum.rho_pairing(mu) - sign) - (
-        Fraction(ind_ad, 2) * datum.norm_sq(datum.node_coroot(mu)) - 4
-    ) * a_omega
+    dynkin, slope = datum.index_constants[mu]  # slope = (ind_ad / 2)|alpha_mu^vee|^2 - 4
+    chern = dynkin * (n0 + a_omega)
+    boundary = 2 * (datum.rho_pairing(mu) - sign) - slope * a_omega
     return IndexReport(datum.series, datum.rank, mu, omega, chern, boundary)
 
 
@@ -140,7 +136,7 @@ def adjoint_weights(datum: RootDatum) -> WeightList:
         ws.append(a)
         ws.append(vscale(-1, a))
     for _ in range(datum.rank):
-        ws.append(vzero(datum.ambient_dim))
+        ws.append((Fraction(0),) * datum.ambient_dim)
     return WeightList(tuple(ws), _rep_dynkin_index(datum, ws))
 
 

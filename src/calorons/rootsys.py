@@ -1,20 +1,22 @@
 """Exact combinatorics of simple root systems.
 
-Roots are generated and paired in integer simple-root coordinates: the
-reflection closure carries each root's pairings alpha(alpha_i^vee) with the
-simple coroots, and the pairing table over the extended diagram is read from
-them.  `fractions.Fraction` appears only at the ambient boundary: root and
-coroot vectors (the full lists built on first use), coweights and alcove
-points, `to_json`, and index terms at a rational holonomy, where `dot` sums
-over one common denominator.  The ambient models are the standard orthogonal
-ones: A_n in the sum-zero hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in
-the sum-zero hyperplane of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The
-simple roots times the series denominator D (2 for E and F, else 1) are
-integer vectors x, so roots are x / D and coroots 2 D x / |x|^2.  Killing
-norms rescale the ambient dot product so that long roots have squared norm
-2.  The module is exact and imports no numpy: the su(2) embedding of a node
-is its root and coroot, which the field layers read in the same ambient
-coordinates (`samplers.su2_field`), for every simple type.
+The positive roots are generated and paired in integer simple-root
+coordinates, height by height along root strings: each carries its pairings
+alpha(alpha_i^vee) with the simple coroots and D times its ambient vector,
+and the pairing table over the extended diagram is read from them.
+`fractions.Fraction` appears only at the ambient boundary: root and coroot
+vectors (the full lists built on first use), coweights and alcove points
+(integer numerators over one common denominator), `to_json`, and index terms
+at a rational holonomy, where `dot` sums over one common denominator.
+The ambient models are the standard orthogonal ones: A_n in the sum-zero
+hyperplane of R^{n+1}, B/C/D/F in R^n / R^4, G_2 in the sum-zero hyperplane
+of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The simple roots times the
+series denominator D (2 for E and F, else 1) are integer vectors x, so roots
+are x / D and coroots 2 D x / |x|^2.  Killing norms rescale the ambient dot
+product so that long roots have squared norm 2.  The classical series stop
+at rank 64.  The module is exact and imports no numpy: the su(2) embedding
+of a node is its root and coroot, which the field layers read in the same
+ambient coordinates (`samplers.su2_field`), for every simple type.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidGroupError
@@ -43,10 +46,10 @@ _POSITIVE_ROOT_COUNTS = {
 }
 
 _RANK_RANGES = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+    "A": (1, 64),
+    "B": (2, 64),
+    "C": (3, 64),
+    "D": (4, 64),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -85,10 +88,6 @@ def vscale(c, a: Sequence) -> Vector:
     return tuple(c * _frac(x) for x in a)
 
 
-def vzero(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
 def pairing(alpha: Sequence, xi: Sequence) -> Fraction:
     """Evaluate the root/weight functional alpha on the Cartan vector xi."""
     return dot(alpha, xi)
@@ -96,16 +95,11 @@ def pairing(alpha: Sequence, xi: Sequence) -> Fraction:
 
 def _int_comb(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> Coeffs:
     """Integer sum of c * v over paired coefficients and integer vectors."""
-    acc = [0] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k, x in enumerate(v):
-                acc[k] += c * x
-    return tuple(acc)
+    return tuple(sum(map(mul, coeffs, column)) for column in zip(*vectors))
 
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _ambient(denom: int, x: Sequence[int]) -> Vector:
@@ -127,10 +121,10 @@ def _exact_ratio(num: int, den: int, what: str) -> int:
     return q
 
 
-def _inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[Coeffs], List[int]]:
-    """Exact inverse of a Cartan matrix as integer rows and row denominators,
-    inverse[i][j] = rows[i][j] / dens[i]: one fraction-free Gauss-Jordan
-    elimination of [matrix | I]."""
+def _inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """Exact inverse of a Cartan matrix as integer rows over one denominator,
+    inverse = rows / den: one fraction-free Gauss-Jordan elimination of
+    [matrix | I]."""
     n = len(matrix)
     rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
     for col in range(n):  # a Cartan matrix's leading minors are positive: no pivoting
@@ -141,13 +135,8 @@ def _inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[Coeffs], List[int]]:
                 new = [p[col] * x - f * y for x, y in zip(rows[r], p)]
                 g = math.gcd(*new)
                 rows[r] = [x // g for x in new]
-    return [tuple(r[n:]) for r in rows], [r[i] for i, r in enumerate(rows)]
-
-
-def _over_common_denominator(vectors: Sequence[Vector]) -> Tuple[int, List[Coeffs]]:
-    """(L, rows) with integer rows and vectors = rows / L."""
-    L = math.lcm(*(x.denominator for v in vectors for x in v))
-    return L, [tuple(x.numerator * (L // x.denominator) for x in v) for v in vectors]
+    den = math.lcm(*(r[i] for i, r in enumerate(rows)))
+    return [[x * den // r[i] for x in r[n:]] for i, r in enumerate(rows)], den
 
 
 def _unit_diffs(dim: int, count: int, scale: int = 1) -> List[Coeffs]:
@@ -175,29 +164,27 @@ def _scaled_simple_roots(series: str, rank: int) -> Tuple[int, List[Coeffs]]:
     raise InvalidGroupError(f"unknown series {series!r}")
 
 
-def _reflection_closure(gram: Sequence[Sequence[int]]) -> Dict[Coeffs, Coeffs]:
-    """Every root's simple-root coefficients c mapped to its pairings
-    p_j = alpha(alpha_j^vee) = sum_i c_i A_ij, A_ij = 2 (alpha_i, alpha_j) /
-    (alpha_j, alpha_j) from the integer Gram matrix: the closure of the simple
-    roots under the simple reflections s_i, which lower c_i by p_i and p by
-    p_i A_i (row i) and fix the roots with p_i = 0."""
-    rank = len(gram)
-    A = [
-        tuple(_exact_ratio(2 * gram[i][j], gram[j][j], "Cartan matrix") for j in range(rank))
-        for i in range(rank)
-    ]
-    roots = {tuple(int(i == j) for j in range(rank)): A[i] for i in range(rank)}
-    frontier = list(roots.items())
-    while frontier:
-        new = []
-        for c, p in frontier:
-            for i, p_i in enumerate(p):
-                if p_i:
-                    refl = c[:i] + (c[i] - p_i,) + c[i + 1 :]
-                    if refl not in roots:
-                        roots[refl] = tuple(x - p_i * a for x, a in zip(p, A[i]))
-                        new.append((refl, roots[refl]))
-        frontier = new
+def _positive_roots(A: List[Coeffs], simple: List[Coeffs]) -> List[Tuple[Coeffs, ...]]:
+    """Every positive root as (D times its ambient vector v, its simple-root
+    coefficients c, its pairings p_j = alpha(alpha_j^vee)) in (height, v)
+    order, made height by height from the simple roots: the alpha_i-string
+    through beta runs from beta - r_i alpha_i to beta + (r_i - p_i) alpha_i,
+    so beta + alpha_i is a root exactly when r_i > p_i, and it has v + D
+    alpha_i, p + A_i (A_ij = alpha_i(alpha_j^vee)) and r_i one above beta's."""
+    rank = len(A)
+    level = {tuple(int(i == j) for j in range(rank)): (simple[i], A[i], [0] * rank) for i in range(rank)}
+    roots = []
+    while level:
+        roots += sorted((v, c, p) for c, (v, p, _) in level.items())
+        higher = {}
+        for c, (v, p, r) in level.items():
+            for i, (r_i, p_i) in enumerate(zip(r, p)):
+                if r_i > p_i:
+                    up = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                    if up not in higher:
+                        higher[up] = (tuple(map(add, v, simple[i])), tuple(map(add, p, A[i])), [0] * rank)
+                    higher[up][2][i] = r_i + 1
+        level = higher
     return roots
 
 
@@ -222,9 +209,9 @@ class RootDatum:
 
     `extended_cartan[mu][nu]` is alpha_nu(alpha_mu^vee) over the nodes of the
     extended diagram (0 is the lowest root).  Each positive root, in
-    `positive_roots` order, has its integer simple-root coefficients and
-    pairings (alpha(alpha_1^vee), .., alpha(alpha_rk^vee)); with D times the
-    simple roots they give the ambient roots and coroots on first use.
+    `positive_roots` order, has D times its ambient vector, its integer
+    simple-root coefficients and its pairings (alpha(alpha_1^vee), ..,
+    alpha(alpha_rk^vee)); the ambient roots and coroots are made on first use.
     """
 
     series: str
@@ -240,6 +227,7 @@ class RootDatum:
     marks: Tuple[int, ...]
     extended_cartan: Tuple[Tuple[int, ...], ...]
     killing_scale: Fraction
+    positive_root_vectors: Tuple[Coeffs, ...] = field(hash=False, compare=False)
     positive_root_coeffs: Tuple[Coeffs, ...] = field(hash=False, compare=False)
     positive_root_pairings: Tuple[Coeffs, ...] = field(hash=False, compare=False)
 
@@ -252,8 +240,7 @@ class RootDatum:
     # stores into the instance __dict__, which a frozen dataclass allows.
     @functools.cached_property
     def positive_roots(self) -> Tuple[Vector, ...]:
-        simple = self.scaled_simple_roots
-        return tuple(_ambient(self.denominator, _int_comb(c, simple)) for c in self.positive_root_coeffs)
+        return tuple(_ambient(self.denominator, x) for x in self.positive_root_vectors)
 
     @functools.cached_property
     def coroots(self) -> Dict[Vector, Vector]:
@@ -306,44 +293,52 @@ class RootDatum:
             _exact_ratio(sum(p), 2, "rho on a coroot") for p in self._coroot_pairings
         )
 
+    @functools.cached_property
+    def index_constants(self) -> Tuple[Coeffs, ...]:
+        """Per node mu: the Dynkin index sum_{alpha > 0} alpha(alpha_mu^vee)^2 - 4
+        of its su(2) on the complement of its triple (the +-alpha_mu pair
+        pairs to +-2), and the transverse index's boundary slope
+        (ind_ad / 2)|alpha_mu^vee|^2 - 4 with |alpha_mu^vee|^2 = 2 |theta|^2 /
+        |alpha_mu|^2 = 2 marks_mu / labels_mu (2 at node 0)."""
+        return tuple((_int_dot(p, p) - 4, dynkin_index_adjoint(self) * m // l - 4) for p, m, l in
+                     zip(self._coroot_pairings, (1,) + self.marks, (1,) + self.dual_coxeter_labels))
+
     # -- alcove geometry -----------------------------------------------------
 
     def fundamental_coweights(self) -> List[Vector]:
         """Vectors varpi_mu with alpha_nu(varpi_mu) = delta_{nu mu}."""
-        return list(self._fundamental_coweights)
+        L, coweights = self._coweight_numerators
+        return [tuple(Fraction(n, L) for n in w) for w in coweights]
 
     @functools.cached_property
-    def _fundamental_coweights(self) -> Tuple[Vector, ...]:
+    def _coweight_numerators(self) -> Tuple[int, List[Coeffs]]:
         # varpi_mu = sum_j B_mu_j alpha_j^vee needs sum_j B_mu_j alpha_nu(alpha_j^vee)
-        # = delta_mu_nu: B is the inverse of the Cartan block of extended_cartan
-        rows, dens = _inverse([row[1:] for row in self.extended_cartan[1:]])
+        # = delta_mu_nu: B = rows / den is the inverse of the Cartan block of
+        # extended_cartan; (L den, rows): the coweights are the integer rows / (L den)
+        rows, den = _inverse([row[1:] for row in self.extended_cartan[1:]])
         L, coroots = self._coroot_numerators
-        return tuple(
-            tuple(Fraction(n, d * L) for n in _int_comb(b, coroots))
-            for b, d in zip(rows, dens)
-        )
+        return L * den, [_int_comb(b, coroots) for b in rows]
 
     @functools.cached_property
     def _coroot_numerators(self) -> Tuple[int, List[Coeffs]]:
-        return _over_common_denominator(self.simple_coroots)
-
-    @functools.cached_property
-    def _alcove_vertices(self) -> Tuple[Vector, ...]:
-        verts = [vzero(self.ambient_dim)]
-        for w, a in zip(self.fundamental_coweights(), self.marks):
-            verts.append(vscale(Fraction(1, a), w))
-        return tuple(verts)
+        # (L, rows): the simple coroots 2 D x / |x|^2 are the integer rows / L
+        simple = self.scaled_simple_roots
+        L = math.lcm(*map(_int_dot, simple, simple))
+        return L, [tuple(2 * self.denominator * L // _int_dot(x, x) * n for n in x) for x in simple]
 
     def alcove_point(self, weights: Sequence[int]) -> Vector:
         """sum_v w_v v / sum_v w_v over the alcove vertices v, for
         nonnegative integer weights w_v, not all zero."""
         L, verts = self._alcove_numerators
         total = L * sum(weights)
-        return tuple(Fraction(n, total) for n in _int_comb(weights, verts))
+        return tuple(Fraction(n, total) for n in _int_comb(weights[1:], verts))
 
     @functools.cached_property
     def _alcove_numerators(self) -> Tuple[int, List[Coeffs]]:
-        return _over_common_denominator(self._alcove_vertices)
+        # the vertices varpi_mu / a_mu over one denominator L A (0 is the other vertex)
+        L, coweights = self._coweight_numerators
+        A = math.lcm(*self.marks)
+        return L * A, [tuple(n * (A // a) for n in w) for w, a in zip(coweights, self.marks)]
 
     def alcove_barycenter(self) -> Vector:
         return self.alcove_point([1] * (self.rank + 1))
@@ -351,26 +346,23 @@ class RootDatum:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        def ser_vec(v):
-            return [str(c) for c in v]
+        def vec(v):
+            return list(map(str, v))
 
         payload = {
             "series": self.series,
             "rank": self.rank,
             "ambient_dim": self.ambient_dim,
             "killing_scale": str(self.killing_scale),
-            "simple_roots": [ser_vec(a) for a in self.simple_roots],
-            "positive_roots": [ser_vec(a) for a in self.positive_roots],
-            "coroots": [
-                {"root": ser_vec(a), "coroot": ser_vec(av)}
-                for a, av in sorted(self.coroots.items())
-            ],
-            "highest_root": ser_vec(self.highest_root),
-            "lowest_root": ser_vec(self.lowest_root),
-            "lowest_coroot": ser_vec(self.lowest_coroot),
-            "dual_coxeter_labels": list(self.dual_coxeter_labels),
-            "marks": list(self.marks),
-            "extended_cartan": [list(row) for row in self.extended_cartan],
+            "simple_roots": list(map(vec, self.simple_roots)),
+            "positive_roots": list(map(vec, self.positive_roots)),
+            "coroots": [{"root": vec(a), "coroot": vec(av)} for a, av in sorted(self.coroots.items())],
+            "highest_root": vec(self.highest_root),
+            "lowest_root": vec(self.lowest_root),
+            "lowest_coroot": vec(self.lowest_coroot),
+            "dual_coxeter_labels": self.dual_coxeter_labels,
+            "marks": self.marks,
+            "extended_cartan": self.extended_cartan,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -392,8 +384,8 @@ def _checked_type(series: str, rank: int) -> str:
     if series not in _RANK_RANGES:
         raise InvalidGroupError(f"unknown series {series!r}")
     lo, hi = _RANK_RANGES[series]
-    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
-        raise InvalidGroupError(f"rank {rank} invalid for series {series}")
+    if not isinstance(rank, int) or not lo <= rank <= hi:
+        raise InvalidGroupError(f"rank {rank} invalid for series {series} (ranks {lo}..{hi})")
     return series
 
 
@@ -406,50 +398,39 @@ def ambient_dim(series: str, rank: int) -> int:
 def build_root_datum(series: str, rank: int) -> RootDatum:
     """Construct the full root datum for a simple type.
 
-    Roots are generated as integer simple-root coefficient vectors by
-    reflection closure and cross-checked against the catalogued count for
-    the series; positivity, height, the marks, the dual Coxeter labels and
-    the extended Cartan matrix are read off those vectors and the integer
-    Gram matrix of the scaled simple roots.  The closure also yields each
-    root's pairings with the simple coroots.  Ambient roots and coroots are
-    made from integer vectors x as x / D and 2 D x / |x|^2: the simple,
-    highest and lowest ones here, the rest on first use.
+    The positive roots are generated height by height along root strings, as
+    integer simple-root coefficient vectors with their pairings with the
+    simple coroots and their scaled ambient vectors, and cross-checked
+    against the catalogued count for the series.  The marks are the highest
+    root's coefficients; the dual Coxeter labels and the extended Cartan
+    matrix are read off the integer Cartan matrix, the highest root's
+    pairings and the marks.  Ambient roots and coroots are made from integer
+    vectors x as x / D and 2 D x / |x|^2: the simple, highest and lowest
+    ones here, the rest on first use.
     """
     series = _checked_type(series, rank)
     denom, simple = _scaled_simple_roots(series, rank)
-    gram = [[_int_dot(a, b) for b in simple] for a in simple]
-    roots = _reflection_closure(gram)
-    expected = 2 * _POSITIVE_ROOT_COUNTS[series](rank)
-    if len(roots) != expected:
-        raise AssertionError(
-            f"reflection closure produced {len(roots)} roots, expected {expected}"
-        )
-
-    # positive roots have nonnegative coefficients; sort by (height, vector):
-    # the scaled vectors order as the ambient ones, D being positive
-    positive = sorted((sum(c), _int_comb(c, simple), c) for c in roots if min(c) >= 0)
-    positive_coeffs = tuple(c for _, _, c in positive)
-    if len(positive_coeffs) != len(roots) // 2:
-        raise AssertionError("positivity split failed")
+    sq = list(map(_int_dot, simple, simple))
+    A = [tuple(_exact_ratio(2 * _int_dot(a, b), s, "Cartan matrix") for b, s in zip(simple, sq))
+         for a in simple]
+    vectors, coeffs, pairings = zip(*_positive_roots(A, simple))
+    expected = _POSITIVE_ROOT_COUNTS[series](rank)
+    if len(coeffs) != expected:
+        raise AssertionError(f"root generation produced {len(coeffs)} positive roots, expected {expected}")
 
     # dual Coxeter labels: -alpha_0^vee = theta^vee = sum m_mu alpha_mu^vee
     # with m_mu = marks_mu |alpha_mu|^2 / |theta|^2
-    _, theta, marks = positive[-1]
+    theta, marks, theta_pairings = vectors[-1], coeffs[-1], pairings[-1]
     theta_sq = _int_dot(theta, theta)
-    labels = tuple(_exact_ratio(mk * gram[i][i], theta_sq, "dual Coxeter label")
-                   for i, mk in enumerate(marks))
+    labels = tuple(_exact_ratio(mk * s, theta_sq, "dual Coxeter label") for mk, s in zip(marks, sq))
     if any(m <= 0 for m in marks + labels):
         raise AssertionError("marks or dual Coxeter labels not positive")
 
+    # extended[mu][nu] = alpha_nu(alpha_mu^vee): alpha_0 = -theta pairs as
+    # -theta's pairings, and alpha_0^vee = -sum_i labels_i alpha_i^vee
     lowest = tuple(-x for x in theta)
-    nodes = [lowest] + simple
-    extended = tuple(
-        tuple(
-            _exact_ratio(2 * _int_dot(x_nu, x_mu), _int_dot(x_mu, x_mu),
-                         "extended Cartan matrix entry")
-            for x_nu in nodes
-        )
-        for x_mu in nodes
+    extended = ((2,) + tuple(-_int_dot(labels, a) for a in A),) + tuple(
+        (-t,) + column for t, column in zip(theta_pairings, zip(*A))
     )
 
     return RootDatum(
@@ -467,8 +448,9 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
         extended_cartan=extended,
         # normalize Killing so coroots of long roots (theta is one) have squared norm 2
         killing_scale=Fraction(theta_sq, 2 * denom * denom),
-        positive_root_coeffs=positive_coeffs,
-        positive_root_pairings=tuple(roots[c] for c in positive_coeffs),
+        positive_root_vectors=vectors,
+        positive_root_coeffs=coeffs,
+        positive_root_pairings=pairings,
     )
 
 

@@ -4,10 +4,11 @@ Root systems and indexes: the ambient-coordinate `Fraction` formulas (and a
 general rational solver) that the library replaced by integer sums in
 simple-root coordinates; every quantity is recomputed from the stored
 ambient root and coroot vectors.  The eager root datum builds every ambient
-root and coroot up front and pairs each positive root with each row of the
-extended Cartan matrix, where the library reads the pairings off its
-reflection closure and builds ambient vectors on first use; `dot_fraction`
-sums one normalized `Fraction` per term.
+root and coroot up front from the reflection closure of all roots, and pairs
+each positive root with each row of the extended Cartan matrix, where the
+library generates the positive roots height by height with their pairings
+and builds ambient vectors on first use; `dot_fraction` sums one normalized
+`Fraction` per term.
 
 The SU(2) fields as 2 x 2 matrices: `itau` writes a coefficient vector V as
 V.(i tau), `bps_fields` the BPS monopole of `su2.core_fields`, and

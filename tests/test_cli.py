@@ -156,8 +156,8 @@ def _run_capped(code, limit=1 << 30):
 
 
 def test_verify_huge_integral_rank_is_input_error(tmp_path):
-    """rank 1e308 is integral, so it passes as a rank; omega's length must be
-    checked against the ambient dimension before the root datum is built."""
+    """rank 1e308 is integral, so it passes as a rank; the classical rank
+    bound refuses it before omega's length or the root datum is looked at."""
     path = tmp_path / "rank.json"
     path.write_text(json.dumps(dict(SU2_SPEC, group={"series": "A", "rank": 1e308})))
     proc = _run_capped(f"""
@@ -166,7 +166,7 @@ def test_verify_huge_integral_rank_is_input_error(tmp_path):
         sys.exit(main(["verify", "--spec", {str(path)!r}]))
     """)
     assert proc.returncode == 2, proc.stderr[-2000:]
-    assert "omega must have" in proc.stderr
+    assert "invalid for series A (ranks 1..64)" in proc.stderr
 
 
 @pytest.mark.parametrize("position", [[1e308, 0.0, 0.0], [0.0, -1e200, 0.0], [1e103, 0.0, 1e103]])
@@ -654,6 +654,33 @@ def test_index_checks_its_arguments_before_building_a_datum(argv, message, monke
     monkeypatch.setattr("calorons.cli.build_root_datum", refuse)
     assert main(["index"] + argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--type", "A99999999", "--mu", "1"],
+    ["roots", "--type", "D99999"],
+    ["roots", "--type", "B65"],
+    ["index", "--type", "C65", "--sweep-all"],
+], ids=["index-A99999999", "roots-D99999", "roots-B65", "sweep-C65"])
+def test_rank_above_the_classical_bound_is_refused_at_once(argv, monkeypatch, capsys):
+    """A classical rank above 64 exits 2 before any root is generated (these
+    commands ran without end while A-D had no largest rank)."""
+    def refuse(series, rank):
+        raise AssertionError(f"simple roots of {series}{rank} built")
+    monkeypatch.setattr("calorons.rootsys._scaled_simple_roots", refuse)
+    assert main(argv) == 2
+    assert "invalid for series" in capsys.readouterr().err
+
+
+def test_spec_rank_above_the_classical_bound_is_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SU2_SPEC, group={"series": "A", "rank": 65}, omega=[0.0] * 66)))
+    assert main(["construct", "--spec", str(path)]) == 2
+    assert "rank 65 invalid for series A (ranks 1..64)" in capsys.readouterr().err
+
+
+def test_largest_classical_ranks_build():
+    assert main(["index", "--type", "D64", "--mu", "64", "--out", os.devnull]) == 0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -33,6 +33,7 @@ from calorons.rootsys import (
 from calorons.indexes import transverse_index
 from oracles import (
     ITAU,
+    _closure_by_redotting,
     alcove_vertices,
     dense,
     dot_fraction,
@@ -138,7 +139,7 @@ def test_datum_invariants(series, rank):
 @pytest.mark.parametrize("series,rank", all_simple_types())
 def test_lazy_root_data_match_the_eager_oracle(series, rank):
     """The ambient roots and coroots built on first use, and the pairing
-    table read off the reflection closure, equal the eager route that made
+    table read off the generated roots, equal the eager route that made
     every ambient vector up front and dotted each positive root with each
     extended-Cartan row."""
     d = build_root_datum(series, rank)
@@ -153,6 +154,23 @@ def test_lazy_root_data_match_the_eager_oracle(series, rank):
     assert d.coroots == o.coroots
     assert d.coroots[d.highest_root] == o.highest_coroot
     assert charge_vector(d, range(1, rank + 1)) == lincomb(range(1, rank + 1), o.simple_coroots, d.ambient_dim)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 12), ("B", 10), ("C", 10), ("D", 10)])
+def test_height_generation_matches_the_closure_beyond_the_sweep(series, rank):
+    """Above the sweep's ranks the height-by-height generator still makes the
+    positive roots of the reflection closure, in (height, vector) order, with
+    the eager route's pairings and extended Cartan matrix."""
+    d = build_root_datum(series, rank)
+    o = eager_root_datum(series, rank)
+    simple = d.scaled_simple_roots
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simple] for a in simple]
+    closure = [c for c in _closure_by_redotting(gram) if min(c) >= 0]
+    assert sorted(d.positive_root_coeffs) == closure
+    assert d.positive_root_vectors == tuple(lincomb(c, simple, d.ambient_dim) for c in d.positive_root_coeffs)
+    assert d.positive_roots == o.positive_roots  # the oracle sorts by (height, vector)
+    assert tuple(d.coroot_pairings(mu) for mu in range(rank + 1)) == o.coroot_pairings
+    assert d.extended_cartan == o.extended_cartan
 
 
 def test_index_sweep_builds_no_ambient_root_list():
@@ -216,6 +234,25 @@ def test_fundamental_coweights_dual_to_simple_roots(series, rank):
         assert [pairing(a, w) for a in d.simple_roots] == [int(nu == mu) for nu in range(rank)]
     for i in range(1, rank + 1):
         assert d.rho_pairing(i) == rho_pairing_ambient(d, i) == 1
+
+
+_DATA = {t: build_root_datum(*t) for t in all_simple_types()}
+
+
+@pytest.mark.parametrize("series,rank", all_simple_types())
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_alcove_point_has_its_weights_as_facet_values(series, rank, data):
+    """omega = alcove_point(w) has alpha_mu(omega) = w_mu / (a_mu sum w) for
+    mu >= 1 and 1 + alpha_0(omega) = w_0 / sum w, exactly: the barycentric
+    identity of the vertices 0 and varpi_mu / a_mu, whatever their numerators."""
+    d = _DATA[series, rank]
+    w = data.draw(st.lists(st.integers(0, 10**6), min_size=rank + 1, max_size=rank + 1).filter(any))
+    omega = d.alcove_point(w)
+    total = sum(w)
+    assert 1 + pairing(d.lowest_root, omega) == Fraction(w[0], total)
+    for a, mark, w_mu in zip(d.simple_roots, d.marks, w[1:]):
+        assert pairing(a, omega) == Fraction(w_mu, mark * total)
 
 
 def test_alcove_su2_examples():
@@ -460,4 +497,7 @@ def test_ambient_dim_without_building_the_datum():
     for series, rank in (("E", 9), ("Q", 2), ("B", 1)):
         with pytest.raises(InvalidGroupError):
             ambient_dim(series, rank)
-    assert ambient_dim("A", 10**300) == 10**300 + 1  # no allocation that follows the rank
+    assert ambient_dim("A", 64) == 65 and ambient_dim("D", 64) == 64
+    for series, rank in (("A", 65), ("D", 65), ("A", 10**300)):  # refused before any allocation
+        with pytest.raises(InvalidGroupError, match=r"\(ranks \d\.\.64\)"):
+            ambient_dim(series, rank)
