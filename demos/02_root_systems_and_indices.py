@@ -21,7 +21,6 @@ from calorons import (
     twisted_dirac_index,
 )
 from calorons.indexes import jump_loci
-from calorons.rootsys import vscale
 
 print("== root data for every simple series ==")
 print(f"{'type':>5} {'|R+|':>5} {'dual Coxeter labels':>24} {'ind_Ad':>7}")
@@ -52,7 +51,7 @@ for label in ("A2", "C3", "F4", "G2"):
 print("\n== twisted Dirac index: piecewise constant in s ==")
 d = build_root_datum("A", 2)
 rep = adjoint_weights(d)
-om = vscale(Fraction(1, 5), d.alcove_barycenter())
+om = tuple(x / 5 for x in d.alcove_barycenter())
 loci = jump_loci(d, rep, om)
 print("  jump loci:", loci)
 gamma, n0 = (1, 0), 1

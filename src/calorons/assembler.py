@@ -43,9 +43,9 @@ from .errors import (
     InputError,
     SingularPointError,
 )
-from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step
+from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step, coroot_fit
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
-from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, su2_embedding
+from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, reassemble_charge, su2_embedding
 from .samplers import ConnectionSampler, Field, charge_sum, su2_field
 from .su2 import (_distances, _r_of, _relative, core_curvature, core_fields, dirac_potential, dirac_sum,
                   string_gauge_fields)
@@ -136,9 +136,9 @@ class CaloronSpec:
         if len(self.omega) != dim:
             raise InputError(f"omega must have {dim} ambient coordinates for {self.series}{self.rank}")
         datum = self.datum
-        # omega = sum_i alpha_i(omega) varpi_i exactly on the span of the simple roots (type A: sum zero)
-        roots, coweights = (np.array(v, dtype=float) for v in (datum.simple_roots, datum.fundamental_coweights()))
-        off_span = float(np.max(np.abs(np.asarray(self.omega) - np.einsum("ij,j,ik->k", roots, self.omega, coweights))))
+        # omega is its orthogonal projection on the span of the simple roots (type A: sum zero)
+        omega = np.asarray(self.omega)
+        off_span = float(np.max(np.abs(omega - coroot_fit(datum, omega)[1])))
         if off_span > 1e-9:
             raise InputError(f"omega must lie in the span of the simple roots (off by {off_span:.3g})")
         margin = alcove_margin(datum, self.omega)  # exact: far off the alcove its float overflows
@@ -198,8 +198,7 @@ class CaloronSpec:
 
     def charge_coefficients(self) -> Tuple[int, ...]:
         """gamma_m coefficients over the simple coroots."""
-        n = self.counts()
-        return tuple(n[mu] - n[0] * m for mu, m in zip(range(1, self.rank + 1), self.datum.dual_coxeter_labels))
+        return reassemble_charge(self.datum, self.counts())[0]
 
     def charge_vector(self):
         return np.sum([np.asarray(self.datum.node_coroot(c.mu), dtype=float) for c in self.constituents], axis=0)
@@ -246,7 +245,7 @@ class CaloronSpec:
     def from_json(cls, text):
         try:
             payload = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too many digits, or too deep
             raise InputError(f"malformed JSON: {exc}") from exc
         return cls.from_dict(payload)
 

@@ -4,7 +4,8 @@ evaluate index formulas, and emit report/plot data.
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 Output files are byte-identical across reruns with the same seed.
 The field layers load inside the commands that evaluate fields, so `roots`
-and `index` import only errors, rootsys and indexes.
+and `index` import only errors, rootsys and indexes of the package (and
+numpy, which this module imports at the top).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .errors import (
     InvalidGroupError,
 )
 from .indexes import moduli_dimension, transverse_index
-from .rootsys import all_simple_types, ambient_dim, build_root_datum, parse_group_label, random_interior_omega
+from .rootsys import (all_simple_types, alcove_margin, ambient_dim, build_root_datum, pairing, parse_group_label,
+                      random_interior_omega)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,7 +41,7 @@ def _load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
     return CaloronSpec.from_json(text)
 
@@ -181,7 +183,15 @@ def cmd_index(args):
     if omega is not None and len(omega) != dim:
         raise InputError(f"omega must have {dim} ambient coordinates, got {len(omega)}")
     datum = build_root_datum(series, rank)
-    rep = transverse_index(datum, args.mu, datum.alcove_barycenter() if omega is None else omega)
+    if omega is None:
+        omega = datum.alcove_barycenter()
+    else:  # checked exactly here only: --sweep-all draws its omega inside the alcove
+        weights = [pairing(a, omega) for a in datum.simple_roots]
+        if list(omega) != [sum(w * c for w, c in zip(weights, col)) for col in zip(*datum.fundamental_coweights())]:
+            raise InputError("omega must lie in the span of the simple roots")
+        if alcove_margin(datum, omega) <= 0:
+            raise HolonomyParameterError("omega lies outside the open fundamental alcove")
+    rep = transverse_index(datum, args.mu, omega)
     _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

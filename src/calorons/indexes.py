@@ -16,11 +16,11 @@ from .errors import InputError, ResonanceError
 from .rootsys import (
     RootDatum,
     Vector,
+    _coroot,
     _exact_ratio,
     _frac,
     charge_vector,
     pairing,
-    vscale,
 )
 
 
@@ -32,14 +32,9 @@ def energy_formula(datum: RootDatum, omega: Sequence, n: Sequence[int]):
     Exact when omega has rational coordinates.
     """
     total = n[0] * (1 + pairing(datum.lowest_root, omega))
-    for mu in range(1, datum.rank + 1):
-        av = datum.simple_coroots[mu - 1]
-        total += (
-            Fraction(1, 2)
-            * datum.norm_sq(av)
-            * n[mu]
-            * pairing(datum.simple_roots[mu - 1], omega)
-        )
+    # (1/2)|alpha_mu^vee|^2 = marks_mu / labels_mu (`RootDatum.index_constants`)
+    for a, m, l, n_mu in zip(datum.simple_roots, datum.marks, datum.dual_coxeter_labels, n[1:]):
+        total += Fraction(m, l) * n_mu * pairing(a, omega)
     return total
 
 
@@ -125,7 +120,7 @@ class WeightList:
 
 
 def _rep_dynkin_index(datum: RootDatum, weights) -> Fraction:
-    thetav = vscale(-1, datum.lowest_coroot)
+    thetav = _coroot(datum.denominator, datum.positive_root_vectors[-1])
     return sum((pairing(w, thetav) ** 2 for w in weights), Fraction(0)) / 2
 
 
@@ -134,7 +129,7 @@ def adjoint_weights(datum: RootDatum) -> WeightList:
     ws: List[Vector] = []
     for a in datum.positive_roots:
         ws.append(a)
-        ws.append(vscale(-1, a))
+        ws.append(tuple(-x for x in a))
     for _ in range(datum.rank):
         ws.append((Fraction(0),) * datum.ambient_dim)
     return WeightList(tuple(ws), _rep_dynkin_index(datum, ws))

@@ -83,11 +83,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return Fraction(num, den)
 
 
-def vscale(c, a: Sequence) -> Vector:
-    c = _frac(c)
-    return tuple(c * _frac(x) for x in a)
-
-
 def pairing(alpha: Sequence, xi: Sequence) -> Fraction:
     """Evaluate the root/weight functional alpha on the Cartan vector xi."""
     return dot(alpha, xi)
@@ -244,9 +239,10 @@ class RootDatum:
 
     @functools.cached_property
     def coroots(self) -> Dict[Vector, Vector]:
-        """The coroot 2 a / (a, a) of every root a, positive and negative."""
-        roots = self.positive_roots + tuple(vscale(-1, a) for a in self.positive_roots)
-        return {a: vscale(2 / dot(a, a), a) for a in roots}
+        """The coroot of every root, positive and negative, in the order of
+        their integer vectors x (the order of the roots x / D)."""
+        scaled = self.positive_root_vectors + tuple(tuple(-n for n in x) for x in self.positive_root_vectors)
+        return {_ambient(self.denominator, x): _coroot(self.denominator, x) for x in sorted(scaled)}
 
     @functools.cached_property
     def simple_coroots(self) -> Tuple[Vector, ...]:
@@ -356,7 +352,7 @@ class RootDatum:
             "killing_scale": str(self.killing_scale),
             "simple_roots": list(map(vec, self.simple_roots)),
             "positive_roots": list(map(vec, self.positive_roots)),
-            "coroots": [{"root": vec(a), "coroot": vec(av)} for a, av in sorted(self.coroots.items())],
+            "coroots": [{"root": vec(a), "coroot": vec(av)} for a, av in self.coroots.items()],
             "highest_root": vec(self.highest_root),
             "lowest_root": vec(self.lowest_root),
             "lowest_coroot": vec(self.lowest_coroot),
@@ -455,17 +451,11 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
 
 
 def alcove_check(datum: RootDatum, xi: Sequence, margin=0) -> bool:
-    """Membership of xi in the fundamental alcove with a safety margin.
-
-    True iff alpha_mu(xi) >= margin for all simple roots and
-    alpha_0(xi) >= -1 + margin.  margin=0 is the closed alcove; margin > 0
-    tests containment in a compact subset of the interior.
-    """
-    margin = _frac(margin) if not isinstance(margin, float) else margin
-    for a in datum.simple_roots:
-        if pairing(a, xi) < margin:
-            return False
-    return pairing(datum.lowest_root, xi) >= -1 + margin
+    """Membership of xi in the fundamental alcove with a safety margin:
+    alpha_mu(xi) >= margin for all simple roots and 1 + alpha_0(xi) >= margin.
+    margin=0 is the closed alcove; margin > 0 tests containment in a compact
+    subset of the interior."""
+    return alcove_margin(datum, xi) >= margin
 
 
 def alcove_margin(datum: RootDatum, xi: Sequence):
@@ -514,7 +504,7 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     if not 0 <= mu <= datum.rank:
         raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
     root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
-    coroot = vscale(-1, datum.lowest_coroot) if mu == 0 else datum.simple_coroots[mu - 1]
+    coroot = _coroot(datum.denominator, datum.positive_root_vectors[-1]) if mu == 0 else datum.simple_coroots[mu - 1]
     return EmbeddingData(mu, root, coroot, datum.dim_g - datum.rank - 2)
 
 

@@ -148,6 +148,11 @@ def dot_fraction(a, b):
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
+def vscale(c, a):
+    """c times the vector a, in Fractions."""
+    return tuple(Fraction(c) * Fraction(x) for x in a)
+
+
 def lincomb(coeffs, vectors, dim):
     """Exact sum of c * v over paired coefficients and vectors, in Fractions."""
     acc = (Fraction(0),) * dim
@@ -253,6 +258,16 @@ def transverse_terms_ambient(datum, mu, omega):
         Fraction(ind_ad, 2) * datum.norm_sq(datum.node_coroot(mu)) - 4
     ) * a_omega
     return chern, boundary
+
+
+def energy_formula_ambient(datum, omega, n):
+    """The energy formula with (1/2)|alpha_mu^vee|^2 as a Killing norm of the
+    ambient coroot, where the library reads marks_mu / labels_mu."""
+    total = n[0] * (1 + pairing(datum.lowest_root, omega))
+    for mu in range(1, datum.rank + 1):
+        coroot = datum.simple_coroots[mu - 1]
+        total += Fraction(1, 2) * datum.norm_sq(coroot) * n[mu] * pairing(datum.simple_roots[mu - 1], omega)
+    return total
 
 
 # -- identities checked against the library's closed forms --------------------------

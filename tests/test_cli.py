@@ -196,6 +196,22 @@ def test_verify_integer_past_the_json_digit_limit_is_input_error(tmp_path, capsy
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"], ["construct"], ["sweep", "--epsilons", "0.04,0.02,0.01"],
+], ids=["verify", "construct", "sweep"])
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"epsilon": 0.05}', "cannot read spec file"),
+    (b"[" * 200_000 + b"]" * 200_000, "malformed JSON"),
+], ids=["not-utf8", "nested-200000-deep"])
+def test_spec_file_not_utf8_or_nested_too_deep_is_input_error(command, content, message, tmp_path, capsys):
+    """A UnicodeDecodeError from reading the file and a RecursionError from
+    decoding it exit 2 with the reason, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command[0], "--spec", str(path)] + command[1:]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_spec_fuzz_gives_a_spec_or_an_input_error(data_dir):
     """Single and double mutations of su3_triple.json (a value replaced by an
     edge value or random JSON, or a key deleted) through
@@ -684,12 +700,18 @@ def test_largest_classical_ranks_build():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--mu", "3"], "mu=3 out of range 0..2"),
-    (["--mu", "-1"], "mu=-1 out of range 0..2"),
-    (["--mu", "1", "--omega", "1/3,-1/3"], "omega must have 3 ambient coordinates, got 2"),
-], ids=["mu-above-rank", "mu-negative", "omega-wrong-length"])
+    (["A2", "--mu", "3"], "mu=3 out of range 0..2"),
+    (["A2", "--mu", "-1"], "mu=-1 out of range 0..2"),
+    (["A2", "--mu", "1", "--omega", "1/3,-1/3"], "omega must have 3 ambient coordinates, got 2"),
+    (["A2", "--mu", "1", "--omega", "2,0,-2"], "outside the open fundamental alcove"),
+    (["A2", "--mu", "1", "--omega", "1e999,0,0"], "span of the simple roots"),
+    (["A2", "--mu", "1", "--omega", "1/7,1/11,0"], "span of the simple roots"),
+    (["G2", "--mu", "1", "--omega", "1,1,1"], "span of the simple roots"),
+], ids=["mu-above-rank", "mu-negative", "omega-wrong-length", "omega-outside-the-alcove",
+        "omega-huge-off-the-span", "omega-off-the-span", "g2-omega-off-the-span"])
 def test_index_single_node_input_outside_the_type_is_input_error(argv, message, capsys):
-    """A node outside 0..rank (node_root(-1) would read simple_roots[-2]) or an
-    omega of the wrong length exits 2 with its reason, not a traceback."""
-    assert main(["index", "--type", "A2"] + argv) == 2
+    """A node outside 0..rank (node_root(-1) would read simple_roots[-2]), an
+    omega of the wrong length, off the span of the simple roots or outside the
+    open alcove exits 2 with its reason, not a traceback."""
+    assert main(["index", "--type"] + argv) == 2
     assert message in capsys.readouterr().err

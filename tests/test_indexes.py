@@ -29,16 +29,17 @@ from calorons.rootsys import (
     dynkin_index_adjoint,
     pairing,
     random_interior_omega,
-    vscale,
 )
 from oracles import (
     dynkin_index_adjoint_ambient,
     dynkin_index_su2_ambient,
     dynkin_index_su2_via_adjoint,
+    energy_formula_ambient,
     positive_root_charge_sum,
     rho_pairing_ambient,
     transverse_terms_ambient,
     twisted_dirac_index_adjoint,
+    vscale,
     weight_list,
     weyl_closed,
 )
@@ -59,6 +60,17 @@ def test_energy_formula_zero_charge_any_type():
     rng = random.Random(1)
     om = random_interior_omega(d, rng)
     assert energy_formula(d, om, (0,) * 5) == 0
+
+
+@pytest.mark.parametrize("series,rank", all_simple_types())
+def test_energy_formula_matches_the_coroot_norm_form(series, rank):
+    """marks_mu / labels_mu is (1/2)|alpha_mu^vee|^2: the energy formula equals
+    its ambient form with the Killing norm of each simple coroot."""
+    d = build_root_datum(series, rank)
+    rng = random.Random(rank)
+    om = random_interior_omega(d, rng)
+    n = [rng.randint(0, 5) for _ in range(rank + 1)]
+    assert energy_formula(d, om, n) == energy_formula_ambient(d, om, n)
 
 
 # -- dimension -------------------------------------------------------------------

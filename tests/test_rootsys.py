@@ -28,7 +28,6 @@ from calorons.rootsys import (
     random_interior_omega,
     reassemble_charge,
     su2_embedding,
-    vscale,
 )
 from calorons.indexes import transverse_index
 from oracles import (
@@ -45,6 +44,7 @@ from oracles import (
     rational_solve,
     rho_pairing_ambient,
     su2_matrices,
+    vscale,
 )
 
 # catalogued positive-root counts
@@ -171,6 +171,16 @@ def test_height_generation_matches_the_closure_beyond_the_sweep(series, rank):
     assert d.positive_roots == o.positive_roots  # the oracle sorts by (height, vector)
     assert tuple(d.coroot_pairings(mu) for mu in range(rank + 1)) == o.coroot_pairings
     assert d.extended_cartan == o.extended_cartan
+
+
+@pytest.mark.parametrize("series,rank", [("A", 12), ("B", 10), ("C", 10), ("D", 10), ("D", 16)])
+def test_json_coroots_in_the_order_of_the_fraction_roots(series, rank):
+    """Above the frozen digests' ranks, `to_json` lists every root and its
+    coroot, made from integer vectors, in the sorted order of the eager
+    route's Fraction roots."""
+    coroots = sorted(eager_root_datum(series, rank).coroots.items())
+    expected = [{"root": list(map(str, a)), "coroot": list(map(str, av))} for a, av in coroots]
+    assert json.loads(build_root_datum(series, rank).to_json())["coroots"] == expected
 
 
 def test_index_sweep_builds_no_ambient_root_list():
