@@ -150,13 +150,12 @@ class CaloronSpec:
                 raise InputError(f"constituent type mu={c.mu} out of range 0..{self.rank}")
         if self.gluing_c is None:
             self.gluing_c = min(self.masses())
-        pos = [c.position for c in self.constituents]
-        if any(math.dist(p, q) == 0.0 for i, p in enumerate(pos) for q in pos[i + 1 :]):
+        if self.d_min == 0.0:
             raise InputError("constituent positions must be distinct")
         # verify's FD steps at the cores and on the flux sphere must be resolved
         # to 1e-6 at that sphere's radius, taken for d_max >= 1 (this bounds r^3 too)
         R = gluing_radius(self.epsilon, self.gluing_c)
-        radius = _flux_radius(max(max(math.hypot(*p) for p in pos), 1.0), R)
+        radius = _flux_radius(max(max(math.hypot(*c.position) for c in self.constituents), 1.0), R)
         step = min(_core_step(self.epsilon), _flux_step(radius))
         if not math.ulp(radius) <= 1e-6 * step:
             raise InputError(f"constituent positions too large: the float spacing at |x| = {radius:.3g} "

@@ -47,11 +47,14 @@ def _load_spec(path):
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def cmd_roots(args):
@@ -106,6 +109,8 @@ def _parse_epsilons(text):
         raise InputError("sweep needs at least 3 epsilon values")
     if not all(e > 0 for e in eps):  # also NaN
         raise InputError(f"sweep epsilons must be positive, got {text!r}")
+    if 1.0 in eps:
+        raise InputError("sweep epsilons must differ from 1: the fit divides by |ln eps|^3")
     if max(eps) / min(eps) < 3.9:
         raise InputError("sweep epsilons should span at least a factor of 4")
     return sorted(eps, reverse=True)

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import FluxAmbiguityError
-from .quadrature import VolumeGrid, block_sum, blockwise, gauss_legendre, graded_radii, sphere_rule
+from .quadrature import VolumeGrid, ball_points, block_sum, blockwise, gauss_legendre, graded_radii, sphere_rule
 from .samplers import ConnectionSampler, Field, bracket
 
 
@@ -177,15 +177,17 @@ def _closed_form_densities(sampler, x, t, *densities):
 _T_SLICE = np.pi
 
 
-def _integrate(sampler, grid: VolumeGrid):
-    """Energy and topological density integrals over the grid, from one
-    curvature evaluation per grid point."""
+def _integrate(sampler, regions, density, per=1):
+    """The k integrals over a list of `quadrature.Region`s and the t-circle
+    of density(x), the per-point values (n, k) at points x (n, 3) of the
+    slice t = pi, which makes `per` sampler evaluations per point: one
+    `block_sum` per region and column, times 2 pi eps, combined in fixed
+    order by math.fsum."""
     t_weight = sampler.epsilon * 2.0 * np.pi
     terms = []
-    for region in grid.regions:
-        dens = blockwise(lambda s, x=region.points: _closed_form_densities(
-            sampler, x[s], _T_SLICE, CurvatureSample.norm_sq, CurvatureSample.topological_density), len(region.points))
-        terms.append([block_sum(d, region.weights) * t_weight for d in dens.T])
+    for points, weights in regions:
+        dens = blockwise(lambda s, x=points: density(x[s]), len(points), per)
+        terms.append([block_sum(d, weights) * t_weight for d in dens.T])
     return tuple(math.fsum(column) for column in zip(*terms))
 
 
@@ -211,7 +213,8 @@ def energy_and_tr_f_wedge_f(sampler, grid: VolumeGrid):
     caloron returns +2 omega', plus the same tail; it equals +-energy for
     E = +-B."""
     k = sampler.killing_scale
-    energy, topological = _integrate(sampler, grid)
+    energy, topological = _integrate(sampler, grid.regions, lambda x: _closed_form_densities(
+        sampler, x, _T_SLICE, CurvatureSample.norm_sq, CurvatureSample.topological_density))
     raw = k * energy / (8.0 * np.pi**2)
     if not np.isfinite(raw):
         raise ArithmeticError("non-finite energy integrand")
@@ -244,43 +247,30 @@ class SdErrorEstimate:
 
 def sd_error_l2(samp) -> SdErrorEstimate:
     """L^2 norm of the self-dual error of a glued approximate caloron
-    (`assembler.ApproximateCaloron`) on the slice t = pi: 14 Gauss-Legendre
-    radii x an 8 x 12 sphere rule on each gluing annulus R/2 <= r <= R,
-    from the closed-form curvature, plus sparse shells over the cores and the
-    exterior r >= d_max + 1.5 R.  The closed form has E = B on those shells by
-    construction, so they take finite differences at step eps/100 and
-    measure the self-dual leakage off the annuli."""
-    eps, R, spec = samp.epsilon, samp.R, samp.spec
-    t_w = eps * 2.0 * np.pi
+    (`assembler.ApproximateCaloron`) on the slice t = pi, as two `_integrate`
+    sums over `quadrature.Region`s: on each gluing annulus R/2 <= r <= R,
+    14 Gauss-Legendre radii x an 8 x 12 sphere rule, from the closed-form
+    curvature; and sparse shells (every fourth direction, weight x 4) over
+    the cores and the exterior r >= d_max + 1.5 R.  The closed form has
+    E = B on those shells by construction, so they take finite differences
+    at step eps/100 and measure the self-dual leakage off the annuli."""
+    eps, R, spec, k = samp.epsilon, samp.R, samp.spec, samp.killing_scale
     dirs, wdir = sphere_rule(8, 12)
 
-    # sparse shells about the cores and over the exterior, in blocks of
-    # stencils that keep only |F+|^2 per point
-    core_radii = graded_radii(*_core_shell(eps, R), 4, 2)
-    shells = [(c, core_radii) for c in samp.positions]
+    sparse = (dirs[::4], 4.0 * wdir[::4])
+    core = graded_radii(*_core_shell(eps, R), 4, 2)
     r_ext = spec.d_max + 1.5 * R  # outside every gluing ball, however large R is
-    shells.append((np.zeros(3), graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)))
-    pts = [(c + radii[:, None, None] * dirs[None, ::4, :]).reshape(-1, 3) for c, (radii, _) in shells]
-    x = np.concatenate(pts)
-    sd = blockwise(lambda s: curvature_at(samp, x[s], _T_SLICE, step=_core_step(eps)).sd_norm_sq(),
-                   len(x), per=_STENCIL)
-    background_terms = []
-    for d, (_, (radii, rw)) in zip(np.split(sd, np.cumsum([len(p) for p in pts])[:-1]), shells):
-        w = ((radii**2 * rw)[:, None] * wdir[None, ::4] * 4.0).reshape(-1)
-        background_terms.append(block_sum(d, w) * t_w)
-    background_sq = samp.killing_scale * math.fsum(background_terms)
+    exterior = graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)
+    shells = [ball_points(c, *core, *sparse) for c in samp.positions] + [ball_points(np.zeros(3), *exterior, *sparse)]
+    (background_sq,) = _integrate(samp, shells, lambda x: curvature_at(
+        samp, x, _T_SLICE, step=_core_step(eps)).sd_norm_sq()[:, None], per=_STENCIL)
 
     radii, rw = gauss_legendre(0.5 * R, R, 14)
-    w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
-    annulus_terms = []
-    for c in samp.positions:
-        x = (c + radii[:, None, None] * dirs).reshape(-1, 3)
-        sd = blockwise(lambda s, x=x: _closed_form_densities(samp, x[s], _T_SLICE, CurvatureSample.sd_norm_sq)[:, 0],
-                       len(x))
-        annulus_terms.append(block_sum(sd, w) * t_w)
-    annulus_sq = samp.killing_scale * math.fsum(annulus_terms)
+    annuli = [ball_points(c, radii, rw, dirs, wdir) for c in samp.positions]
+    (annulus_sq,) = _integrate(samp, annuli, lambda x: _closed_form_densities(
+        samp, x, _T_SLICE, CurvatureSample.sd_norm_sq))
 
-    return SdErrorEstimate(annulus_sq=annulus_sq, background_sq=background_sq)
+    return SdErrorEstimate(annulus_sq=k * annulus_sq, background_sq=k * background_sq)
 
 
 # ---------------------------------------------------------------------------

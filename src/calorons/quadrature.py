@@ -2,6 +2,9 @@
 
 Product rules: Gauss-Legendre in the radius and in cos(theta), uniform in
 phi; the circle coordinate takes one slice (see `fieldcalc._T_SLICE`).
+A `Region` is one rule (points and weights); `ball_points` makes the
+product of a radial rule about a centre and a direction rule, and every
+volume integral is `fieldcalc._integrate` over a list of Regions.
 Radial meshes are graded geometrically so that epsilon-size cores and 1/r
 tails are both resolved at desk scale.  Accumulation is fixed-order (block
 sums combined by math.fsum), and the diagnostics evaluate their points in
@@ -13,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, List
+from typing import ClassVar, List, NamedTuple
 
 import numpy as np
 
@@ -108,11 +111,10 @@ def sphere_rule(n_theta, n_phi):
     return dirs, w
 
 
-@dataclass
-class Region:
-    """A weighted point cloud in R^3; weights include the volume element."""
+class Region(NamedTuple):
+    """A quadrature rule in R^3: points (n, 3) and weights (n,) that include
+    the volume element."""
 
-    name: str
     points: np.ndarray
     weights: np.ndarray
 
@@ -147,11 +149,12 @@ def _plateau_weight(r, r_half, r_full):
     return 1.0 - _smoothstep((r - r_half) / max(r_full - r_half, 1e-300))
 
 
-def ball_points(center, radii, rweights, n_theta, n_phi):
-    dirs, wdir = sphere_rule(n_theta, n_phi)
+def ball_points(center, radii, rweights, dirs, wdir):
+    """The Region of the product of a radial rule (radii, rweights) about
+    center and a direction rule (dirs, wdir) on the unit sphere."""
     pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
     w = (radii**2 * rweights)[:, None] * wdir[None, :]
-    return pts.reshape(-1, 3), w.reshape(-1)
+    return Region(pts.reshape(-1, 3), w.reshape(-1))
 
 
 def desk_grid(centers, core_scales, d_max_eff, fine=False):
@@ -166,36 +169,36 @@ def desk_grid(centers, core_scales, d_max_eff, fine=False):
     support local_radius; the far region carries weight 1 - sum(patches).
     """
     f = 2 if fine else 1
-    n_theta, n_phi = 6 * f, 12 * f
+    local_rule, far_rule = sphere_rule(6 * f, 12 * f), sphere_rule(max(6 * f, 8), max(12 * f, 16))
     r_max = 12.0 * d_max_eff
     centers = [np.asarray(c, float) for c in centers]
     separations = [math.dist(a, b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
     local_radius = 0.45 * min(separations) if separations else 0.35 * r_max
     regions = []
-    for k, (c, scale) in enumerate(zip(centers, core_scales)):
+    for c, scale in zip(centers, core_scales):
         r_min = max(scale / 12.0, 1e-6 * local_radius)
         radii, rw = graded_radii(r_min, local_radius, 10 * f, 4)
         # innermost ball [0, r_min]: single GL segment
         r0, w0 = gauss_legendre(0.0, r_min, 3)
         radii = np.concatenate([r0, radii])
         rw = np.concatenate([w0, rw])
-        pts, w = ball_points(c, radii, rw, n_theta, n_phi)
+        pts, w = ball_points(c, radii, rw, *local_rule)
         rr = np.linalg.norm(pts - c[None, :], axis=-1)
         w = w * _plateau_weight(rr, 0.5 * local_radius, local_radius)
         keep = w > 0
-        regions.append(Region(f"local{k}", pts[keep], w[keep]))
+        regions.append(Region(pts[keep], w[keep]))
 
     # global far-field rule over the whole ball; weight 1 - sum of patches
     far_min = min(float(s) for s in core_scales) / 4.0
     radii, rw = graded_radii(max(far_min, 1e-3 * r_max), r_max, 12 * f, 4)
-    pts, w = ball_points(np.zeros(3), radii, rw, max(n_theta, 8), max(n_phi, 16))
+    pts, w = ball_points(np.zeros(3), radii, rw, *far_rule)
     wloc = np.zeros(pts.shape[0])
     for c in centers:
         rr = np.linalg.norm(pts - c[None, :], axis=-1)
         wloc += _plateau_weight(rr, 0.5 * local_radius, local_radius)
     w = w * np.clip(1.0 - wloc, 0.0, 1.0)
     keep = w > 1e-14 * np.max(w)
-    regions.append(Region("far", pts[keep], w[keep]))
+    regions.append(Region(pts[keep], w[keep]))
 
     return VolumeGrid(
         regions=regions,

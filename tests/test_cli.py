@@ -387,6 +387,33 @@ def test_sweep_refuses_a_non_positive_epsilon(epsilons, su2_spec_file, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_sweep_refuses_epsilon_one_before_writing(su2_spec_file, tmp_path, capsys):
+    """The |ln eps|^3-corrected fit divides by |ln 1|^3 = 0: eps = 1 exits 2
+    before any caloron is built, and no CSV is written."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", "1,0.5,0.25", "--out", str(out)]) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["roots", "--type", "A2"],
+    ["construct", "--spec", "{spec}"],
+    ["verify", "--spec", "{spec}"],
+    ["sweep", "--spec", "{spec}", "--epsilons", "0.1,0.05,0.025"],
+    ["index", "--sweep-all", "--type", "A2"],
+], ids=["roots", "construct", "verify", "sweep", "index"])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_input_error(command, target, su2_spec_file, tmp_path, capsys):
+    """An --out that cannot be opened for writing exits 2 with the reason,
+    not a traceback: a file in a directory that does not exist, or a path
+    that is a directory."""
+    out = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    args = [a.format(spec=su2_spec_file) for a in command]
+    assert main(args + ["--out", str(out)]) == 2
+    assert "input error: cannot write output file" in capsys.readouterr().err
+
+
 def test_sweep_csv_and_slope(su2_spec_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

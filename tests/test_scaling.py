@@ -73,8 +73,9 @@ def test_block_size_leaves_every_integral_and_phase_unchanged_bit_for_bit(data_d
     """Blocks of 7 evaluations (one point per block of shell stencils, one
     circle per block of holonomy circles, one probe per block of verify's
     annulus probes) give the default run's energy, trF^F, sd error, holonomy
-    phases and the three annulus ledger values exactly."""
-    for name in ("su3_triple", "su2_single"):
+    phases and the three annulus ledger values exactly, on both SU(n)
+    fixtures and on G2 (roots of two lengths, killing_scale 3)."""
+    for name in ("su3_triple", "su2_single", "g2_charge1"):
         spec = CaloronSpec.from_json((data_dir / f"{name}.json").read_text())
         default = _diagnostics(spec)
         with monkeypatch.context() as m:
