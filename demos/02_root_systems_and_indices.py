@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from calorons import (
     adjoint_weights,
-    alcove_check,
+    alcove_margin,
     build_root_datum,
     decompose_charge,
     dynkin_index_adjoint,
@@ -32,7 +32,7 @@ for label in ("A3", "B3", "C4", "D5", "E6", "F4", "G2"):
 print("\n== alcove and charges (SU(3)) ==")
 d = build_root_datum("A", 2)
 bc = d.alcove_barycenter()
-print("  barycenter:", bc, " inside with margin 1/3:", alcove_check(d, bc, Fraction(1, 3)))
+print("  barycenter:", bc, " inside with margin 1/3:", alcove_margin(d, bc) >= Fraction(1, 3))
 n = decompose_charge(d, (0, 0), 2)
 print("  gamma_m = 0 with n0 = 2 decomposes as n =", n)
 print("  moduli dimension 4 sum(n) =", moduli_dimension(n))

@@ -24,7 +24,7 @@ _EXPORTS = {
                   "sphere_averaged_holonomy"),
     "indexes": ("IndexReport", "WeightList", "adjoint_weights", "dynkin_index_su2",
                 "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"),
-    "rootsys": ("RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
+    "rootsys": ("RootDatum", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
                 "su2_embedding"),
     "verify": ("run_verification",),

@@ -633,29 +633,32 @@ def alcove_exclusion_constant(spec: CaloronSpec) -> float:
 
 
 def alcove_margin_report(samp: ApproximateCaloron, refine=1):
-    """Scan the abelian Higgs field eps*Phi_sing of the glued caloron's
-    singular background outside the exclusion balls r_k >= c_excl * eps and
-    report the worst facet margin sigma."""
-    spec, datum, eps = samp.spec, samp.datum, samp.epsilon
-    c_excl = alcove_exclusion_constant(spec)
+    """sigma, the least facet margin of eps*Phi_sing outside the exclusion balls
+    |x - p_k| < r0 = c_excl * eps: superharmonic there, it is least on their spheres
+    or at infinity.  sigma_certified <= sigma takes h L_k (covering arc times the
+    spectators' Lipschitz constant) off sphere k's node minimum; None if two centres lie within r0."""
+    spec, datum, eps, positions = samp.spec, samp.datum, samp.epsilon, samp.positions
+    c_excl, n_phi = alcove_exclusion_constant(spec), 10 * refine
     r0 = c_excl * eps
-
-    # shells of 8 radii about every constituent, then a coarse background
-    # lattice out to the far zone, in blocks that keep each point's margin
-    dirs, _ = sphere_rule(6 * refine, 10 * refine)
-    radii_factors = np.array([1.0, 1.25, 1.6, 2.2, 3.5, 6.0, 12.0, 30.0])
-    shells = (spec.positions[:, None, None, :] + (r0 * radii_factors)[:, None, None] * dirs).reshape(-1, 3)
-    grid = np.linspace(-spec.d_max_eff * 3.0, spec.d_max_eff * 3.0, 7 * refine)
-    lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    pts = np.concatenate([shells, lattice])
-    r_min = np.where(np.arange(len(pts)) < len(shells), r0 * 0.999999, r0)
-    del shells, lattice  # before the blocks
+    dirs, _ = sphere_rule(6 * refine, n_phi)
+    pts = (positions[:, None, :] + r0 * dirs).reshape(-1, 3)
     facets = np.array(datum.simple_roots + (datum.lowest_root,), dtype=float)  # alpha_i(h) >= 0, 1 + alpha_0(h) >= 0
 
-    def margins(s):
-        x = pts[s][np.all(_distances(pts[s], spec.positions) >= r_min[s, None], axis=-1)]
-        out = np.einsum("pi,ji->pj", eps * samp.singular.higgs(x, 0.0).diag, facets)
+    def margins(s):  # per node: its margin, and that margin or, inside another ball, +inf
+        r = _distances(pts[s], positions)
+        out = np.einsum("pi,ji->pj", eps * samp.singular.higgs(pts[s], 0.0, r=r).diag, facets)
         out[:, -1] += 1.0
-        return np.min(out, axis=-1)
-    worst = float(np.min(blockwise(margins, len(pts))))
-    return {"sigma": worst, "c_exclusion": c_excl, "r_exclusion": r0}
+        m = np.min(out, axis=-1)
+        return np.stack([m, np.where(np.all(r >= r0 * 0.999999, axis=-1), m, np.inf)], axis=-1)
+    node = blockwise(margins, len(pts)).reshape(len(positions), -1, 2)
+    sigma_inf = float(alcove_margin(datum, spec.omega))
+    report = {"sigma": min(float(np.min(node[..., 1])), sigma_inf), "c_exclusion": c_excl, "sigma_certified": None}
+    gap = _distances(positions, positions) - r0
+    np.fill_diagonal(gap, np.inf)  # a constituent's own term is constant on its sphere
+    if np.all(gap > 0.0):
+        theta = np.arccos(dirs[::n_phi, 2])
+        h = r0 * (max(np.pi - theta[0], theta[-1], float(np.max(np.abs(np.diff(theta)))) / 2.0) + np.pi / n_phi)
+        pull = np.abs(np.einsum("ji,li->jl", facets, samp.singular.coroots))  # |a_j(gamma_l)|
+        lipschitz = eps * np.max(np.einsum("kl,jl->kj", 0.5 / gap**2, pull), axis=-1)
+        report["sigma_certified"] = min(float(np.min(np.min(node[..., 0], axis=-1) - h * lipschitz)), sigma_inf)
+    return report

@@ -15,6 +15,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -247,7 +248,10 @@ def main(argv=None):
     """Run one command and return its exit code; tests and tools call it in-process."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # refuse an --out that cannot be written before any work; it is written at the end
+        target = args.out if not args.out or os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
+        if args.out and (os.path.isdir(args.out) or not os.access(target, os.W_OK)):
+            raise InputError(f"cannot write output file {args.out}: not a writable file path")
         return args.func(args)
     except (InputError, InvalidGroupError, HolonomyParameterError, GluingInfeasibleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -450,14 +450,6 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     )
 
 
-def alcove_check(datum: RootDatum, xi: Sequence, margin=0) -> bool:
-    """Membership of xi in the fundamental alcove with a safety margin:
-    alpha_mu(xi) >= margin for all simple roots and 1 + alpha_0(xi) >= margin.
-    margin=0 is the closed alcove; margin > 0 tests containment in a compact
-    subset of the interior."""
-    return alcove_margin(datum, xi) >= margin
-
-
 def alcove_margin(datum: RootDatum, xi: Sequence):
     """Smallest facet margin of xi: min(alpha_mu(xi), 1 + alpha_0(xi))."""
     vals = [pairing(a, xi) for a in datum.simple_roots]

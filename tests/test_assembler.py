@@ -1,10 +1,12 @@
 """Gluing machinery: radius, holonomy shifts, singular background, fundamental
 calorons, and the assembled approximate caloron."""
 
+import functools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from calorons.fieldcalc import (
     curvature_at,
     energy_and_tr_f_wedge_f,
 )
-from calorons.quadrature import desk_grid
+from calorons.quadrature import desk_grid, sphere_rule
 from calorons.rootsys import alcove_margin, build_root_datum, random_interior_omega
 from calorons.verify import energy_formula_float
 from oracles import (
@@ -47,6 +49,8 @@ from oracles import (
     dirac_monopole,
     max_entry,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _su2_spec(eps=0.05, w=0.25, c=0.3, constituents=None):
@@ -863,6 +867,85 @@ def test_alcove_margin_report_positive_and_stable():
     r2 = alcove_margin_report(samp, refine=2)
     assert r1["sigma"] > 0
     assert abs(r2["sigma"] - r1["sigma"]) <= 0.1 * r1["sigma"]
+
+
+_ALCOVE_SPECS = ("su3_triple", "g2_charge1", "su4_charge8")
+
+
+def _data_spec(name, shift=0.0):
+    raw = json.loads((DATA / f"{name}.json").read_text())
+    for c in raw["constituents"]:
+        c["position"] = [x + shift for x in c["position"]]
+    return CaloronSpec.from_json(json.dumps(raw))
+
+
+@functools.cache
+def _alcove_case(name):
+    samp = approximate_caloron(_data_spec(name))
+    return samp, [alcove_margin_report(samp, refine=k) for k in (1, 2)]
+
+
+def _sigma_at(samp, x):
+    """min over the alcove's facets of eps Phi_sing at the points x."""
+    facets = np.array(samp.datum.simple_roots + (samp.datum.lowest_root,), dtype=float)
+    out = samp.epsilon * samp.singular.higgs(x, 0.0).diag @ facets.T
+    out[:, -1] += 1.0
+    return np.min(out, axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(_ALCOVE_SPECS), k=st.integers(0, 31),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 3), lift=st.floats(1e-9, 1.0))
+def test_sigma_outside_the_exclusion_balls_is_at_least_the_certified_bound(name, k, u, lift):
+    """The minimum principle as a property: at any point outside every
+    exclusion ball, from just outside r0 out to 100 d_max_eff, sigma is at
+    least the certified bound, which is at most the sphere minimum sigma.
+    The node minimum alone is no bound: between nodes sigma can lie below it
+    by up to h L."""
+    samp, reports = _alcove_case(name)
+    u = np.array(u)
+    assume(np.linalg.norm(u) > 1e-3)
+    r0 = reports[0]["c_exclusion"] * samp.epsilon
+    rho = r0 * (100.0 * samp.spec.d_max_eff / r0) ** lift
+    x = samp.positions[k % len(samp.positions)] + rho * u / np.linalg.norm(u)
+    assume(np.all(np.linalg.norm(samp.positions - x, axis=-1) >= r0))
+    sigma = float(_sigma_at(samp, x[None])[0])
+    for rep in reports:
+        assert rep["sigma_certified"] <= rep["sigma"]
+        assert sigma >= rep["sigma_certified"]
+
+
+@pytest.mark.parametrize("name", _ALCOVE_SPECS)
+def test_a_finer_sphere_rule_undercuts_the_nodes_but_not_the_certified_bound(name):
+    """On a sphere rule four times finer than refine 1's, sigma outside the
+    other balls dips below refine 1's node minimum, so the nodes alone bound
+    nothing, and stays above the certified bound of refine 1 and 2."""
+    samp, reports = _alcove_case(name)
+    r0 = reports[0]["c_exclusion"] * samp.epsilon
+    dirs, _ = sphere_rule(24, 40)
+    x = (samp.positions[:, None, :] + r0 * dirs).reshape(-1, 3)
+    sigma = _sigma_at(samp, x[np.all(np.linalg.norm(x[:, None, :] - samp.positions, axis=-1) >= r0, axis=-1)])
+    assert np.min(sigma) < reports[0]["sigma"]
+    assert np.min(sigma) >= max(rep["sigma_certified"] for rep in reports)
+
+
+def test_close_centres_leave_sigma_uncertified(monkeypatch):
+    """Exclusion balls wider than the centres' separation give no Lipschitz
+    bound on the spheres: sigma is still reported, its certificate is None."""
+    samp = approximate_caloron(_data_spec("su3_triple"))
+    monkeypatch.setattr("calorons.assembler.alcove_exclusion_constant", lambda spec: 1.5 * spec.d_min / spec.epsilon)
+    rep = alcove_margin_report(samp)
+    assert rep["sigma_certified"] is None and math.isfinite(rep["sigma"])
+
+
+@pytest.mark.parametrize("name", ["su3_triple", "g2_charge1"])
+@pytest.mark.parametrize("shift", [10.0, 1000.0])
+def test_alcove_sigma_is_translation_covariant(name, shift):
+    """Moving every constituent by s (1, 1, 1) moves the exclusion spheres
+    with them: sigma at refine 1 and 2 is unchanged to 1e-9."""
+    moved = approximate_caloron(_data_spec(name, shift))
+    for k, rep in zip((1, 2), _alcove_case(name)[1]):
+        assert math.isclose(alcove_margin_report(moved, refine=k)["sigma"], rep["sigma"], rel_tol=1e-9)
 
 
 def test_phase_only_changes_gauge_not_curvature():

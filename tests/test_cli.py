@@ -330,7 +330,7 @@ PACKAGE_EXPORTS = {
                   "magnetic_charge", "sd_error_l2", "sphere_averaged_holonomy"],
     "indexes": ["IndexReport", "WeightList", "adjoint_weights", "dynkin_index_su2",
                 "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"],
-    "rootsys": ["RootDatum", "alcove_check", "alcove_margin", "build_root_datum", "decompose_charge",
+    "rootsys": ["RootDatum", "alcove_margin", "build_root_datum", "decompose_charge",
                 "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
                 "su2_embedding"],
     "verify": ["run_verification"],
@@ -404,14 +404,39 @@ def test_sweep_refuses_epsilon_one_before_writing(su2_spec_file, tmp_path, capsy
     ["index", "--sweep-all", "--type", "A2"],
 ], ids=["roots", "construct", "verify", "sweep", "index"])
 @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
-def test_unwritable_out_is_input_error(command, target, su2_spec_file, tmp_path, capsys):
+def test_unwritable_out_is_input_error(command, target, su2_spec_file, tmp_path, capsys, monkeypatch):
     """An --out that cannot be opened for writing exits 2 with the reason,
     not a traceback: a file in a directory that does not exist, or a path
-    that is a directory."""
+    that is a directory.  The path is checked before any work, so no caloron
+    is built and neither verify's nor the sweep's field work runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("field work ran before --out was checked")
+    for name in ("calorons.verify.run_verification", "calorons.verify.field_integrals",
+                 "calorons.assembler.approximate_caloron"):
+        monkeypatch.setattr(name, refuse)
     out = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
     args = [a.format(spec=su2_spec_file) for a in command]
     assert main(args + ["--out", str(out)]) == 2
     assert "input error: cannot write output file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_run_that_raises_leaves_the_out_file_as_it_was(existing, su2_spec_file, tmp_path, monkeypatch):
+    """verify and sweep write --out only at the end: when the run raises, an
+    existing file keeps its bytes and no new one is made."""
+    from calorons.errors import CaloronError
+
+    def fail(*args, **kwargs):
+        raise CaloronError("no field work today")
+    monkeypatch.setattr("calorons.verify.run_verification", fail)
+    monkeypatch.setattr("calorons.verify.field_integrals", fail)
+    out = tmp_path / "out.txt"
+    if existing:
+        out.write_bytes(b"kept\n")
+    for args in (["verify", "--spec", str(su2_spec_file)],
+                 ["sweep", "--spec", str(su2_spec_file), "--epsilons", "0.1,0.05,0.025"]):
+        assert main(args + ["--out", str(out)]) == 1
+        assert out.read_bytes() == b"kept\n" if existing else not out.exists()
 
 
 def test_sweep_csv_and_slope(su2_spec_file, tmp_path, capsys):

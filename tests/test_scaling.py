@@ -14,17 +14,21 @@ import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from calorons import quadrature
-from calorons.assembler import CaloronSpec, approximate_caloron, gluing_radius, holonomy_shifts
+from calorons.assembler import CaloronSpec, alcove_margin_report, approximate_caloron, gluing_radius, holonomy_shifts
 from calorons.cli import main
 from calorons.fieldcalc import sphere_averaged_holonomy
 from calorons.su2 import dirac_potential
 from calorons.verify import _annulus, field_integrals, run_verification
 from oracles import LoopCaloron, loop_holonomy_shifts
+
+DATA = Path(__file__).parent / "data"
 
 
 def fibonacci_spec(per_node, seed=0):
@@ -59,6 +63,22 @@ def test_su4_charge8_fixture_is_the_fibonacci_recipe(data_dir):
 def test_verify_passes_on_32_constituents(data_dir, capsys):
     assert main(["verify", "--spec", str(data_dir / "su4_charge8.json"), "--seed", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verify: all checks passed"
+
+
+_CERTIFIED_CASES = sorted(p.stem for p in DATA.glob("*.json") if "constituents" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("name", _CERTIFIED_CASES + ["fibonacci_spec(32)"])
+def test_certified_sigma_is_positive_and_within_one_percent(name):
+    """On every spec in tests/data and at N = 128 the certified bound is
+    positive and at most sigma at refine 1 and 2, and at refine 2 it lies
+    within 1 % of sigma."""
+    raw = fibonacci_spec(32) if name.startswith("fibonacci") else json.loads((DATA / f"{name}.json").read_text())
+    samp = approximate_caloron(CaloronSpec.from_json(json.dumps(raw)))
+    for refine in (1, 2):
+        rep = alcove_margin_report(samp, refine)
+        assert 0.0 < rep["sigma_certified"] <= rep["sigma"]
+    assert rep["sigma_certified"] > 0.99 * rep["sigma"]
 
 
 def _diagnostics(spec):
