@@ -47,8 +47,7 @@ from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step, coroot
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
 from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, reassemble_charge, su2_embedding
 from .samplers import ConnectionSampler, Field, charge_sum, su2_field
-from .su2 import (_distances, _r_of, _relative, core_curvature, core_fields, dirac_potential, dirac_sum,
-                  string_gauge_fields)
+from .su2 import _distances, _r_of, _relative, core_curvature, core_fields, dirac_sum, string_gauge_fields
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +197,6 @@ class CaloronSpec:
     def charge_coefficients(self) -> Tuple[int, ...]:
         """gamma_m coefficients over the simple coroots."""
         return reassemble_charge(self.datum, self.counts())[0]
-
-    def charge_vector(self):
-        return np.sum([np.asarray(self.datum.node_coroot(c.mu), dtype=float) for c in self.constituents], axis=0)
 
     # -- JSON schema ---------------------------------------------------------
 
@@ -374,7 +370,7 @@ class SingularCaloron(ConnectionSampler):
         self.positions = spec.positions
         self.coroots = np.array([self.datum.node_coroot(c.mu) for c in spec.constituents], dtype=float)
         self.omega = np.asarray(spec.omega, dtype=float)
-        self.killing_scale, self.charge = float(self.datum.killing_scale), spec.charge_vector()
+        self.killing_scale, self.charge = float(self.datum.killing_scale), np.sum(self.coroots, axis=0)
         self.root = np.zeros(self.n)  # no su(2)
         self._z = np.array(sorted(self.positions[:, 2]) + [np.inf])  # ascending, then a sentinel
 
@@ -543,9 +539,8 @@ class ApproximateCaloron(ConnectionSampler):
         `string_gauge_fields` in the phase frame psi = exp(phase/2 embed(i tau_3))."""
         cst, rel = self.spec.constituents[k], xs - self.positions[k]
         zA, hP, hF, zF = string_gauge_fields(rel, self.locals[k].v, patch, ts if cst.mu == 0 else None, cst.phase)
-        alpha_sq = float(np.sum(self.locals[k].root ** 2))
-        if alpha_sq != 2.0:  # the g_alpha coordinates of `su2_field`
-            zA, zF = zA * math.sqrt(2.0 / alpha_sq), zF * math.sqrt(2.0 / alpha_sq)
+        for z in (zA, zF):  # the g_alpha coordinates of `su2_field`, in place
+            z *= math.sqrt(2.0 / float(np.sum(self.locals[k].root ** 2)))
         # the spectators l != k, each in its patch seen from p_k, on an axis
         pl, gl, south, a_k, h_k = self._spectators[k]
         r = _distances(xs, pl)
@@ -560,7 +555,7 @@ class ApproximateCaloron(ConnectionSampler):
         r, (zA, hP), (sA, sP), _ = self.annulus_parts(k, patch, xs, ts)
         chi = self.profile.chi(r)
         sA *= (1.0 - chi)[..., None, None]
-        sA += dirac_potential(xs - self.positions[k], patch)[..., :, None] * gamma
+        sA += dirac_sum(xs, self.positions[k, None], gamma[None], np.full(r.shape + (1,), patch == "S"), r[..., None])
         zA *= chi[..., None]
         Phi = (self.omega_shifts[k] / self.epsilon - gamma / (2.0 * r)[..., None] + (chi * hP)[..., None] * coroot
                + (1.0 - chi)[..., None] * sP)

@@ -106,8 +106,8 @@ def _parse_epsilons(text):
         eps = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad --epsilons list {text!r}") from exc
-    if len(eps) < 3:
-        raise InputError("sweep needs at least 3 epsilon values")
+    if len(eps) < 3 or len(set(eps)) < len(eps):
+        raise InputError(f"sweep needs at least 3 epsilon values, none repeated, got {text!r}")
     if not all(e > 0 for e in eps):  # also NaN
         raise InputError(f"sweep epsilons must be positive, got {text!r}")
     if 1.0 in eps:
@@ -164,6 +164,8 @@ def _parse_rational_vector(text):
 
 def cmd_index(args):
     if args.sweep_all:
+        if args.mu is not None or args.omega is not None:
+            raise InputError("index --sweep-all draws every node and its omega: it takes no --mu or --omega")
         import random
 
         rng = random.Random(args.seed)
@@ -185,7 +187,7 @@ def cmd_index(args):
         raise InputError("index needs --mu (or --sweep-all)")
     series, rank = parse_group_label(args.type)
     dim = ambient_dim(series, rank)  # checks the type; the root datum is built once the arguments hold
-    omega = _parse_rational_vector(args.omega) if args.omega else None
+    omega = None if args.omega is None else _parse_rational_vector(args.omega)
     if omega is not None and len(omega) != dim:
         raise InputError(f"omega must have {dim} ambient coordinates, got {len(omega)}")
     datum = build_root_datum(series, rank)

@@ -124,7 +124,7 @@ def _components(fields):
 
 # The finite-difference step policy of the diagnostics, which verify, the CLI
 # and the spec's position bound all read from here: step eps/100 at the
-# cores, min(eps/10, 0.05) at verify's probes of the abelian exterior, and
+# cores, min(eps/10, 0.05) in the abelian exterior (far probes, sd shell), and
 # the flux sphere about the origin of radius max(2(d + 1), d + 2R), d the
 # largest constituent distance, so that it stays a distance 2R off every
 # constituent, outside the gluing balls, with step min(0.02 radius, 0.5).
@@ -253,7 +253,8 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     curvature; and sparse shells (every fourth direction, weight x 4) over
     the cores and the exterior r >= d_max + 1.5 R.  The closed form has
     E = B on those shells by construction, so they take finite differences
-    at step eps/100 and measure the self-dual leakage off the annuli."""
+    and measure the self-dual leakage off the annuli: at step eps/100 on the
+    cores, at verify's far step outside, where eps/100 reads rounding."""
     eps, R, spec, k = samp.epsilon, samp.R, samp.spec, samp.killing_scale
     dirs, wdir = sphere_rule(8, 12)
 
@@ -261,9 +262,11 @@ def sd_error_l2(samp) -> SdErrorEstimate:
     core = graded_radii(*_core_shell(eps, R), 4, 2)
     r_ext = spec.d_max + 1.5 * R  # outside every gluing ball, however large R is
     exterior = graded_radii(r_ext, max(8.0 * spec.d_max_eff, 2.0 * r_ext), 4, 2)
-    shells = [ball_points(c, *core, *sparse) for c in samp.positions] + [ball_points(np.zeros(3), *exterior, *sparse)]
-    (background_sq,) = _integrate(samp, shells, lambda x: curvature_at(
-        samp, x, _T_SLICE, step=_core_step(eps)).sd_norm_sq()[:, None], per=_STENCIL)
+    background_sq = 0.0
+    for shells, h in (([ball_points(c, *core, *sparse) for c in samp.positions], _core_step(eps)),
+                      ([ball_points(np.zeros(3), *exterior, *sparse)], _far_step(eps))):
+        background_sq += _integrate(samp, shells, lambda x: curvature_at(
+            samp, x, _T_SLICE, step=h).sd_norm_sq()[:, None], per=_STENCIL)[0]
 
     radii, rw = gauss_legendre(0.5 * R, R, 14)
     annuli = [ball_points(c, radii, rw, dirs, wdir) for c in samp.positions]

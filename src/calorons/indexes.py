@@ -16,7 +16,6 @@ from .errors import InputError, ResonanceError
 from .rootsys import (
     RootDatum,
     Vector,
-    _coroot,
     _exact_ratio,
     _frac,
     charge_vector,
@@ -120,8 +119,8 @@ class WeightList:
 
 
 def _rep_dynkin_index(datum: RootDatum, weights) -> Fraction:
-    thetav = _coroot(datum.denominator, datum.positive_root_vectors[-1])
-    return sum((pairing(w, thetav) ** 2 for w in weights), Fraction(0)) / 2
+    """(1/2) sum_w w(theta^vee)^2; theta^vee = -alpha_0^vee, whose sign the square drops."""
+    return sum((pairing(w, datum.lowest_coroot) ** 2 for w in weights), Fraction(0)) / 2
 
 
 def adjoint_weights(datum: RootDatum) -> WeightList:

@@ -188,14 +188,11 @@ class EmbeddingData:
     """su(2) embedding attached to a node of the extended Dynkin diagram.
 
     `root` is the positive root used (alpha_mu for mu >= 1, the highest root
-    for mu = 0); `coroot` is its coroot, the image of i*tau_3; `p_dim` is
-    dim g - rank - 2.
+    for mu = 0); `coroot` is its coroot, the image of i*tau_3.
     """
 
-    mu: int
     root: Vector
     coroot: Vector
-    p_dim: int
 
 
 @dataclass(frozen=True)
@@ -496,8 +493,8 @@ def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
     if not 0 <= mu <= datum.rank:
         raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
     root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
-    coroot = _coroot(datum.denominator, datum.positive_root_vectors[-1]) if mu == 0 else datum.simple_coroots[mu - 1]
-    return EmbeddingData(mu, root, coroot, datum.dim_g - datum.rank - 2)
+    coroot = tuple(-c for c in datum.lowest_coroot) if mu == 0 else datum.simple_coroots[mu - 1]
+    return EmbeddingData(root, coroot)
 
 
 def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 12) -> Vector:

@@ -75,8 +75,7 @@ def su2_field(V, alpha, shift=None):
         diag += shift
     off = V[..., 1].astype(complex)
     off.imag = V[..., 0]
-    if alpha_sq != 2.0:
-        off *= math.sqrt(2.0 / alpha_sq)
+    off *= math.sqrt(2.0 / alpha_sq)
     return Field(diag, off)
 
 

@@ -186,20 +186,9 @@ def core_curvature(x, v, t=None):
 # ---------------------------------------------------------------------------
 # Dirac monopoles (abelian, two patches)
 
-def dirac_potential(x, patch="N"):
-    """Unit-charge Dirac vector potential coefficients: A = a_i dx^i * gamma
-    with a = (-y, x, 0) / (2 r (r +- z)) for the north/south patch.  `patch`
-    is "N", "S" or booleans broadcast against x[..., 0], True for south."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(patch, str) and patch not in ("N", "S"):
-        raise ValueError("patch must be 'N' or 'S'")
-    south = np.asarray(patch == "S" if isinstance(patch, str) else patch, dtype=bool)[..., None]
-    return dirac_sum(x, np.zeros((1, 3)), np.ones((1, 1)), south, _r_of(x)[..., None])[..., 0]
-
-
 def dirac_sum(x, centres, charges, south, r):
-    """sum_k a(x - p_k) gamma_k (..., 3, n) of `dirac_potential`, charges gamma_k (N, n) at p_k (N, 3) in
-    patches south[..., k], r = |x - p_k| (..., N); a has no z part: a_1, then a_2, sums over (..., N) arrays."""
+    """sum_k a(x - p_k) gamma_k (..., 3, n), the one Dirac-potential kernel: a = (-y, x, 0) / (2 r (z +- r)) in the
+    north / south patch south[..., k], gamma_k (N, n) at p_k (N, 3), r = |x - p_k| (..., N); a_1, then a_2, no a_3."""
     out = np.zeros(r.shape[:-1] + (3, charges.shape[-1]))
     den, a = _relative(x, centres, 2, np.empty_like(r)), np.empty_like(r)
     np.add(den, r, out=den, where=~south)

@@ -227,7 +227,7 @@ def _charge_and_holonomy(spec, samp, rng, grid):
     expected = spec.charge_coefficients()
     L = 10.0 * spec.d_max_eff
     phases = sphere_averaged_holonomy(samp, L)
-    model = 2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * spec.charge_vector() / (2.0 * L))
+    model = 2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * samp.charge / (2.0 * L))
     # e^{i alpha(H)} over the positive roots: the holonomy up to the centre, with no
     # wrapping of ambient coordinates, which can sit at +-pi
     gap = np.angle(np.exp(1j * np.einsum("ri,i->r", np.array(spec.datum.positive_roots, dtype=float), phases - model)))

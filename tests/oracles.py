@@ -78,7 +78,7 @@ from calorons.rootsys import (
 from calorons.quadrature import _smoothstep, _smoothstep_prime
 from calorons.fieldcalc import _FD4, _magnus_exponents
 from calorons.samplers import _SU2_ROOT, ConnectionSampler, Field
-from calorons.su2 import _TINY, _r_of, core_curvature, core_fields, dirac_potential
+from calorons.su2 import _TINY, _r_of, core_curvature, core_fields
 
 ITAU = np.array([[[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])  # i tau_a, (3, 2, 2)
 
@@ -917,6 +917,19 @@ def twisted_dirac_index_adjoint(datum, omega, gamma_coeffs, n0, s):
 
 
 # -- Dirac monopoles as n x n matrices, and the F+/F- inner product --------------------
+
+def dirac_potential(x, patch="N"):
+    """Unit-charge Dirac potential coefficients a, A = a_i dx^i gamma, written
+    out apart from `su2.dirac_sum`: a = (-y, x, 0) / (2 r (z + r)) in the north
+    patch, (-y, x, 0) / (2 r (z - r)) in the south, with curvature
+    (1/2) xhat / r^2 in both.  `patch` is "N", "S" or booleans broadcast
+    against x[..., 0], True for south."""
+    x = np.asarray(x, dtype=float)
+    south = np.asarray(patch == "S" if isinstance(patch, str) else patch, dtype=bool)
+    r = np.linalg.norm(x, axis=-1)
+    den = 2.0 * r * np.where(south, x[..., 2] - r, x[..., 2] + r)
+    return np.stack([-x[..., 1] / den, x[..., 0] / den, np.zeros_like(den)], axis=-1)
+
 
 class AbelianPair:
     """Dirac monopole (A^gamma_p, Phi^gamma_p): Phi = -gamma/(2|x-p|), with

@@ -243,7 +243,7 @@ def test_criterion_06_charge_and_holonomy():
         L = 10.0 * spec.d_max_eff
         phases = sphere_averaged_holonomy(samp, L)
         model = np.sort(
-            2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * spec.charge_vector() / (2.0 * L))
+            2.0 * np.pi * (np.asarray(spec.omega) - spec.epsilon * samp.charge / (2.0 * L))
         )[::-1]
         hol_err = float(np.max(np.abs(phases - model)))
         case_ok = coeffs == expected and resid < 0.05 and hol_err < 1e-4

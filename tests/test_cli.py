@@ -381,6 +381,15 @@ def test_sweep_refuses_single_epsilon(su2_spec_file):
     assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("epsilons", ["0.1,0.1,0.025", "0.1,0.05,0.025,0.05"])
+def test_sweep_refuses_a_repeated_epsilon(epsilons, su2_spec_file, tmp_path, capsys):
+    """A repeated eps would count twice in the fit and in "n_points": it exits 2 and no CSV is written."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", epsilons, "--out", str(out)]) == 2
+    assert "none repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epsilons", ["0.1,0.05,0", "0.4,0.1,-0.05"])
 def test_sweep_refuses_a_non_positive_epsilon(epsilons, su2_spec_file, capsys):
     assert main(["sweep", "--spec", str(su2_spec_file), "--epsilons", epsilons]) == 2
@@ -578,6 +587,16 @@ def test_flux_sphere_clears_a_large_gluing_ball(data_dir, tmp_path, capsys):
     assert "[PASS] magnetic-charge: 0 <= 0  (recovered (1,), expected (1,))" in capsys.readouterr().out
 
 
+def test_verify_su3_triple_at_small_epsilon_passes(data_dir, tmp_path, capsys):
+    """At eps = 1e-4 the exterior shell differenced at the core step eps/100
+    read rounding of Phi ~ omega/eps, and sd-error-localization failed at
+    0.897; differenced at the far step it passes, as does every other check."""
+    path = tmp_path / "su3_small.json"
+    path.write_text(json.dumps(dict(json.loads((data_dir / "su3_triple.json").read_text()), epsilon=1e-4)))
+    assert main(["verify", "--spec", str(path), "--seed", "1"]) == 0
+    assert "[PASS] sd-error-localization" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("epsilon, c", [(0.05, 100.0), (3.0, 0.3)], ids=["c100", "eps3"])
 @pytest.mark.parametrize("command", ["verify", "construct"])
 def test_gluing_radius_with_empty_core_shells_is_input_error(command, epsilon, c, data_dir, tmp_path, capsys):
@@ -713,10 +732,16 @@ def test_index_requires_mu_or_sweep():
     (["--type", "A99999999"], "needs --mu"),
     (["--type", "A2", "--mu", "1", "--omega", "1/3,-1/3"], "omega must have 3 ambient coordinates, got 2"),
     (["--type", "E8", "--mu", "1", "--omega", "1/2,x"], "bad rational vector"),
-], ids=["A2-no-mu", "huge-rank-no-mu", "omega-wrong-length", "omega-malformed"])
+    (["--type", "A2", "--mu", "1", "--omega", ""], "bad rational vector ''"),
+    (["--sweep-all", "--type", "A2", "--mu", "7"], "takes no --mu or --omega"),
+    (["--sweep-all", "--omega", "1,2"], "takes no --mu or --omega"),
+], ids=["A2-no-mu", "huge-rank-no-mu", "omega-wrong-length", "omega-malformed", "omega-empty", "sweep-all-mu",
+        "sweep-all-omega"])
 def test_index_checks_its_arguments_before_building_a_datum(argv, message, monkeypatch, capsys):
-    """A missing --mu or a bad --omega exits 2 before the root datum is built
-    (A99999999 without --mu was still building it after 60 s)."""
+    """A missing --mu, a bad or empty --omega, or a --mu or --omega that
+    --sweep-all would ignore exits 2 before the root datum is built
+    (A99999999 without --mu was still building it after 60 s; an empty
+    --omega took the barycenter)."""
     def refuse(series, rank):
         raise AssertionError(f"root datum of {series}{rank} built")
     monkeypatch.setattr("calorons.cli.build_root_datum", refuse)

@@ -24,9 +24,8 @@ from calorons import quadrature
 from calorons.assembler import CaloronSpec, alcove_margin_report, approximate_caloron, gluing_radius, holonomy_shifts
 from calorons.cli import main
 from calorons.fieldcalc import sphere_averaged_holonomy
-from calorons.su2 import dirac_potential
 from calorons.verify import _annulus, field_integrals, run_verification
-from oracles import LoopCaloron, loop_holonomy_shifts
+from oracles import LoopCaloron, dirac_potential, loop_holonomy_shifts
 
 DATA = Path(__file__).parent / "data"
 

@@ -11,7 +11,7 @@ from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPo
 from calorons.fieldcalc import circle_holonomy, curvature_at
 from calorons.quadrature import sphere_rule
 from calorons.rootsys import build_root_datum
-from calorons.su2 import bps_higgs_profile, dirac_potential, string_gauge_fields
+from calorons.su2 import bps_higgs_profile, dirac_sum, string_gauge_fields
 from oracles import (
     ITAU,
     bps_curvature_fields,
@@ -24,6 +24,7 @@ from oracles import (
     dense_fields,
     dense_norm_sq,
     dirac_monopole,
+    dirac_potential,
     embed_reference,
     gauge_transform,
     hedgehog_framing,
@@ -356,12 +357,14 @@ def test_dirac_flux_quantization():
 
 
 def test_dirac_patch_transition_is_dphi_gauge():
-    """A_N - A_S = gamma * dphi on the equator (and everywhere off the axis)."""
+    """A_N - A_S = gamma * dphi on the equator (and everywhere off the axis),
+    for the production kernel with one unit-charge centre."""
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(50, 3))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.3]
-    aN = dirac_potential(pts, "N")
-    aS = dirac_potential(pts, "S")
+    r = np.linalg.norm(pts, axis=-1)[:, None]
+    aN, aS = (dirac_sum(pts, np.zeros((1, 3)), np.ones((1, 1)), np.full(r.shape, south), r)[..., 0]
+              for south in (False, True))
     rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     dphi = np.stack([-pts[:, 1] / rho2, pts[:, 0] / rho2, np.zeros(len(pts))], axis=-1)
     assert np.max(np.abs(aN - aS - dphi)) < 1e-12
