@@ -25,8 +25,7 @@ _EXPORTS = {
     "indexes": ("IndexReport", "WeightList", "adjoint_weights", "dynkin_index_su2",
                 "energy_formula", "moduli_dimension", "transverse_index", "twisted_dirac_index"),
     "rootsys": ("RootDatum", "alcove_margin", "build_root_datum", "decompose_charge",
-                "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge",
-                "su2_embedding"),
+                "dynkin_index_adjoint", "parse_group_label", "random_interior_omega", "reassemble_charge"),
     "verify": ("run_verification",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

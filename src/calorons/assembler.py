@@ -21,9 +21,8 @@ conjugation, d(phi)-type and exact d(lambda) terms), so curvature computed
 within any single chart is the curvature of the glued connection.
 
 Every value is a `samplers.Field` in root coordinates: core and annulus k
-carry the su(2) of the root of `su2_embedding(datum, mu_k)` (the highest
-root for mu_k = 0), the exterior none, so one code path serves every
-simple type.
+carry the su(2) of the root s `node_root(mu_k)` (s = -1 at mu_k = 0: the
+highest root), the exterior none, so one code path serves every simple type.
 """
 
 from __future__ import annotations
@@ -44,8 +43,9 @@ from .errors import (
     SingularPointError,
 )
 from .fieldcalc import _core_shell, _core_step, _flux_radius, _flux_step, coroot_fit
+from .indexes import energy_formula
 from .quadrature import _smoothstep, _smoothstep_prime, blockwise, sphere_rule
-from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, reassemble_charge, su2_embedding
+from .rootsys import RootDatum, alcove_margin, ambient_dim, build_root_datum, reassemble_charge
 from .samplers import ConnectionSampler, Field, charge_sum, su2_field
 from .su2 import _distances, _r_of, _relative, core_curvature, core_fields, dirac_sum, string_gauge_fields
 
@@ -198,6 +198,11 @@ class CaloronSpec:
         """gamma_m coefficients over the simple coroots."""
         return reassemble_charge(self.datum, self.counts())[0]
 
+    def energy_formula(self) -> float:
+        """Closed-form Yang-Mills energy of the charge data, evaluated exactly
+        by `indexes.energy_formula` and rounded once to a float."""
+        return float(energy_formula(self.datum, self.omega, self.counts()))
+
     # -- JSON schema ---------------------------------------------------------
 
     def to_dict(self):
@@ -311,12 +316,17 @@ class FundamentalCaloron(ConnectionSampler):
     """Embedded fundamental caloron of type alpha_mu^vee with holonomy
     parameter omega: rho_mu(BPS caloron + omega'_mu dt) for mu >= 1, the
     embedded rotated monopole for mu = 0, both scattered from the su(2)
-    coefficient vectors of `su2.core_fields` into the su(2) of the root of
-    `su2_embedding(datum, mu)` (the highest root for mu = 0)."""
+    coefficient vectors of `su2.core_fields` into the su(2) of the root
+    `root` = s alpha_mu, whose i tau_3 is `coroot` = s alpha_mu^vee (s = -1
+    at mu = 0: the highest root theta = -alpha_0).  Its holonomy parameter
+    lambda = root(omega)/2 and v = omega'/eps come from omega' =
+    `mass_parameter` (lambda, or 1/2 - lambda at mu = 0), and `omega_prime`
+    = omega - lambda coroot is the Cartan part that root annihilates."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
-        embedding = su2_embedding(datum, mu)
-        self.root, self.coroot = (np.asarray(v, dtype=float) for v in (embedding.root, embedding.coroot))
+        node_root, node_coroot = datum.node_root(mu), datum.node_coroot(mu)
+        s = -1 if mu == 0 else 1  # exact, so no -0.0 enters the float vectors
+        self.root, self.coroot = (np.array([s * c for c in v], dtype=float) for v in (node_root, node_coroot))
         omega = np.asarray([float(c) for c in omega], dtype=float)
         if alcove_margin(datum, omega) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
@@ -324,18 +334,17 @@ class FundamentalCaloron(ConnectionSampler):
         self.mu = int(mu)
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
-        coroot = np.asarray(datum.node_coroot(mu), dtype=float)
-        a_omega = float(np.sum(np.asarray(datum.node_root(mu), dtype=float) * omega))
         self.omega = omega
-        self.omega_prime = omega - 0.5 * a_omega * coroot
-        self.su2_parameter = (-0.5 if mu == 0 else 0.5) * a_omega
+        mass = mass_parameter(datum, mu, omega)
+        self.su2_parameter = 0.5 - mass if mu == 0 else mass
         if not 0.0 < self.su2_parameter < 0.5:
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
             )
-        self.v = mass_parameter(datum, mu, omega) / self.epsilon
+        self.omega_prime = omega - self.su2_parameter * self.coroot
+        self.v = mass / self.epsilon
         self.n = datum.ambient_dim
-        self.killing_scale, self.charge = float(datum.killing_scale), coroot
+        self.killing_scale, self.charge = float(datum.killing_scale), np.asarray(node_coroot, dtype=float)
 
     def evaluate(self, x, t, chart=None):
         A, Phi = core_fields(x - self.center, self.v, t if self.mu == 0 else None, self.epsilon)

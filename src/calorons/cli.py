@@ -67,7 +67,6 @@ def cmd_roots(args):
 
 def cmd_construct(args):
     from .assembler import approximate_caloron
-    from .verify import energy_formula_float
     spec = _load_spec(args.spec)
     samp = approximate_caloron(spec)
     n = spec.counts()
@@ -81,7 +80,7 @@ def cmd_construct(args):
         "constituent_counts": list(n),
         "charge_coefficients": list(spec.charge_coefficients()),
         "moduli_dimension": moduli_dimension(n),
-        "energy_formula": energy_formula_float(spec),
+        "energy_formula": spec.energy_formula(),
         "local_holonomy_parameters": [[float(v) for v in om] for om in samp.omega_shifts],
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -123,7 +122,7 @@ SWEEP_COLUMNS = ("epsilon", "R", "sd_error_l2_sq", "energy", "energy_formula", "
 def cmd_sweep(args):
     from .assembler import approximate_caloron
     from .fieldcalc import _flux_radius, magnetic_charge
-    from .verify import energy_formula_float, field_integrals
+    from .verify import field_integrals
     template = _load_spec(args.spec)
     epsilons = _parse_epsilons(args.epsilons)
     rows = []
@@ -135,7 +134,7 @@ def cmd_sweep(args):
             _, resid = magnetic_charge(samp, _flux_radius(spec.d_max, samp.R))
         except CaloronError:
             resid = float("nan")
-        values = (eps, samp.R, err.total_sq, energy.value, energy_formula_float(spec), resid)
+        values = (eps, samp.R, err.total_sq, energy.value, spec.energy_formula(), resid)
         rows.append(dict(zip(SWEEP_COLUMNS, values)))
 
     lines = [",".join(SWEEP_COLUMNS)] + [",".join("%.17g" % row[k] for k in SWEEP_COLUMNS) for row in rows]

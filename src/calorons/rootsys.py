@@ -14,9 +14,10 @@ of R^3, E_6/7/8 inside the Bourbaki R^8 model.  The simple roots times the
 series denominator D (2 for E and F, else 1) are integer vectors x, so roots
 are x / D and coroots 2 D x / |x|^2.  Killing norms rescale the ambient dot
 product so that long roots have squared norm 2.  The classical series stop
-at rank 64.  The module is exact and imports no numpy: the su(2) embedding
-of a node is its root and coroot, which the field layers read in the same
-ambient coordinates (`samplers.su2_field`), for every simple type.
+at rank 64.  The module is exact and imports no numpy: the su(2) of a node
+is its root and coroot (`RootDatum.node_root`, `node_coroot`), which the
+field layers read in the same ambient coordinates (`samplers.su2_field`),
+for every simple type.
 """
 
 from __future__ import annotations
@@ -97,15 +98,18 @@ def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+_ZERO = Fraction(0)  # shared by every zero coordinate: most of a large rank's are zero
+
+
 def _ambient(denom: int, x: Sequence[int]) -> Vector:
     """The ambient vector x / D of a scaled integer vector x."""
-    return tuple(Fraction(n, denom) for n in x)
+    return tuple(Fraction(n, denom) if n else _ZERO for n in x)
 
 
 def _coroot(denom: int, x: Sequence[int]) -> Vector:
     """The coroot 2 D x / |x|^2 of the root x / D."""
     x_sq = _int_dot(x, x)
-    return tuple(Fraction(2 * denom * n, x_sq) for n in x)
+    return tuple(Fraction(2 * denom * n, x_sq) if n else _ZERO for n in x)
 
 
 def _exact_ratio(num: int, den: int, what: str) -> int:
@@ -184,18 +188,6 @@ def _positive_roots(A: List[Coeffs], simple: List[Coeffs]) -> List[Tuple[Coeffs,
 
 
 @dataclass(frozen=True)
-class EmbeddingData:
-    """su(2) embedding attached to a node of the extended Dynkin diagram.
-
-    `root` is the positive root used (alpha_mu for mu >= 1, the highest root
-    for mu = 0); `coroot` is its coroot, the image of i*tau_3.
-    """
-
-    root: Vector
-    coroot: Vector
-
-
-@dataclass(frozen=True)
 class RootDatum:
     """A simple Lie type's root-system data in an orthogonal coordinate model.
 
@@ -245,21 +237,20 @@ class RootDatum:
     def simple_coroots(self) -> Tuple[Vector, ...]:
         return tuple(_coroot(self.denominator, x) for x in self.scaled_simple_roots)
 
-    @property
-    def dim_g(self) -> int:
-        return self.rank + 2 * len(self.positive_root_coeffs)
-
     def node_root(self, mu: int) -> Vector:
-        """Root attached to node mu of the extended diagram: alpha_mu, or the
-        lowest root for mu = 0."""
-        if mu == 0:
-            return self.lowest_root
-        return self.simple_roots[mu - 1]
+        """Root of node mu of the extended diagram: alpha_mu, or the lowest
+        root alpha_0 = -theta for mu = 0.  Node mu's su(2) is that of s
+        alpha_mu with coroot s alpha_mu^vee, s = -1 at mu = 0 (theta's)."""
+        self._check_node(mu)
+        return self.simple_roots[mu - 1] if mu else self.lowest_root
 
     def node_coroot(self, mu: int) -> Vector:
-        if mu == 0:
-            return self.lowest_coroot
-        return self.simple_coroots[mu - 1]
+        self._check_node(mu)
+        return self.simple_coroots[mu - 1] if mu else self.lowest_coroot
+
+    def _check_node(self, mu: int):
+        if not 0 <= mu <= self.rank:
+            raise ValueError(f"mu={mu} out of range 0..{self.rank}")
 
     # -- integer pairings with the node coroots ------------------------------
 
@@ -486,18 +477,7 @@ def dynkin_index_adjoint(datum: RootDatum) -> int:
     return 2 * (1 - datum.rho_pairing(0))
 
 
-def su2_embedding(datum: RootDatum, mu: int) -> EmbeddingData:
-    """su(2) triple for node mu: along alpha_mu (mu >= 1) or the highest
-    root -alpha_0 (mu = 0).  The image of i*tau_3 is the corresponding
-    coroot (so -alpha_0^vee when mu = 0)."""
-    if not 0 <= mu <= datum.rank:
-        raise ValueError(f"mu={mu} out of range 0..{datum.rank}")
-    root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
-    coroot = tuple(-c for c in datum.lowest_coroot) if mu == 0 else datum.simple_coroots[mu - 1]
-    return EmbeddingData(root, coroot)
-
-
-def random_interior_omega(datum: RootDatum, rng: random.Random, max_num: int = 12) -> Vector:
-    """Random rational point in the open alcove: a strictly positive rational
-    convex combination of the alcove vertices."""
-    return datum.alcove_point([rng.randint(1, max_num) for _ in range(datum.rank + 1)])
+def random_interior_omega(datum: RootDatum, rng: random.Random) -> Vector:
+    """Random rational point in the open alcove: a convex combination of the
+    alcove vertices with integer weights drawn from 1..12."""
+    return datum.alcove_point([rng.randint(1, 12) for _ in range(datum.rank + 1)])

@@ -32,7 +32,6 @@ from .fieldcalc import (
     sd_error_l2,
     sphere_averaged_holonomy,
 )
-from .indexes import energy_formula
 from .quadrature import blockwise, desk_grid
 from .rootsys import alcove_margin
 from .samplers import Field
@@ -58,12 +57,6 @@ class Check:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  ({self.detail})" if self.detail else ""
         return f"[{status}] {self.name}: {self.value:.6g} {self.op} {self.bound:.6g}{extra}"
-
-
-def energy_formula_float(spec: CaloronSpec) -> float:
-    """Closed-form Yang-Mills energy of the spec's charge data, evaluated
-    exactly by `indexes.energy_formula` and rounded once to a float."""
-    return float(energy_formula(spec.datum, spec.omega, spec.counts()))
 
 
 def field_integrals(samp: ApproximateCaloron, grid="desk"):
@@ -150,7 +143,7 @@ def _annulus(spec, samp, rng, grid):
         for patch, sel in (("N", pts[:, 2] >= p[2]), ("S", pts[:, 2] < p[2])):
             if np.any(sel):
                 r, (zA, hP), (sA, sP), _ = samp.annulus_parts(k, patch, pts[sel], tk[sel])
-                bP = hP[..., None] * samp.locals[k].coroot  # z enters twice (`lie_norm_sq`)
+                bP = hP[..., None] * samp.locals[k].coroot  # z enters twice (`lie_inner`)
                 b_norm = np.sqrt(2.0 * np.sum(np.abs(zA) ** 2, axis=-1) + np.sum(bP**2, axis=-1))
                 mx = unit * np.maximum(b_norm, np.sqrt(np.sum(sA**2, axis=(-2, -1)) + np.sum(sP**2, axis=-1)))
                 bound[sel] = mx / r + mx**2
@@ -247,7 +240,7 @@ def _integrals(spec, samp, rng, grid):
     """The self-dual error lives on the annuli, and the energy matches its
     closed-form value."""
     sd, energy, topo, vol = field_integrals(samp, grid)
-    formula = energy_formula_float(spec)
+    formula = spec.energy_formula()
     rel_err = abs(energy.value - formula) / max(abs(formula), 1e-12)
     return [
         Check("sd-error-localization", sd.annulus_fraction, 0.95, ">=", f"||F+||_L2 = {sd.value:.4g}"),

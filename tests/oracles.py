@@ -73,7 +73,6 @@ from calorons.rootsys import (
     charge_vector,
     dynkin_index_adjoint,
     pairing,
-    su2_embedding,
 )
 from calorons.quadrature import _smoothstep, _smoothstep_prime
 from calorons.fieldcalc import _FD4, _magnus_exponents
@@ -690,11 +689,19 @@ def string_gauge_matrices(x, v, patch="N", t=None, phase=0.0):
     return bA, bP, F
 
 
+def node_su2(datum, mu):
+    """Node mu's su(2) as its exact (root, coroot), read apart from
+    `RootDatum.node_root`: alpha_mu, or the highest root theta at mu = 0, and
+    its coroot from the table of all coroots."""
+    root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
+    return root, datum.coroots[root]
+
+
 def su2_matrices(datum, mu):
     """The images of i tau_1, i tau_2, i tau_3 under node mu's su(2) in the
     defining representation of su(n), entry by entry: i(E_ab + E_ba),
     E_ab - E_ba and i(E_aa - E_bb) for the root e_a - e_b."""
-    root = su2_embedding(datum, mu).root
+    root = node_su2(datum, mu)[0]
     a, b = root.index(1), root.index(-1)
     m = np.zeros((3, datum.ambient_dim, datum.ambient_dim), dtype=complex)
     m[0, a, b] = m[0, b, a] = 1j

@@ -23,6 +23,7 @@ from calorons.assembler import (
     approximate_caloron,
     gluing_radius,
     holonomy_shifts,
+    mass_parameter,
 )
 from calorons.errors import (
     GluingInfeasibleError,
@@ -37,8 +38,7 @@ from calorons.fieldcalc import (
     energy_and_tr_f_wedge_f,
 )
 from calorons.quadrature import desk_grid, sphere_rule
-from calorons.rootsys import alcove_margin, build_root_datum, random_interior_omega
-from calorons.verify import energy_formula_float
+from calorons.rootsys import all_simple_types, alcove_margin, build_root_datum, dot, random_interior_omega
 from oracles import (
     annulus_fields_dense,
     bps_fields,
@@ -48,6 +48,7 @@ from oracles import (
     dense_fields,
     dirac_monopole,
     max_entry,
+    node_su2,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -534,6 +535,30 @@ def test_fundamental_caloron_of_b2_is_the_embedded_monopole():
         assert max_entry(curv.E - E) < 1e-8 and max_entry(curv.B - B) < 1e-8
 
 
+@pytest.mark.parametrize("series,rank", all_simple_types())
+def test_fundamental_caloron_carries_the_node_su2(series, rank):
+    """At the alcove barycenter, every node mu's fundamental caloron carries
+    the su(2) of root s alpha_mu and coroot s alpha_mu^vee (s = -1 at mu = 0:
+    the highest root's), which pair to 2; eps v is `mass_parameter`, the su(2)
+    parameter lies in (0, 1/2), and alpha_mu annihilates `omega_prime`.  A mu
+    off the extended diagram is refused."""
+    d = build_root_datum(series, rank)
+    eps, omega = 0.25, d.alcove_barycenter()  # eps a power of 2: eps v rounds back exactly
+    for mu in range(rank + 1):
+        f = FundamentalCaloron(d, mu, omega, eps)
+        s = -1 if mu == 0 else 1
+        root, coroot = (tuple(s * c for c in v) for v in (d.node_root(mu), d.node_coroot(mu)))
+        assert dot(root, coroot) == 2 and (root, coroot) == node_su2(d, mu)
+        assert np.array_equal(f.root, np.array(root, dtype=float))
+        assert np.array_equal(f.coroot, np.array(coroot, dtype=float))
+        assert eps * f.v == mass_parameter(d, mu, omega)
+        assert 0.0 < f.su2_parameter < 0.5
+        assert abs(np.array(d.node_root(mu), dtype=float) @ f.omega_prime) < 1e-15
+    for mu in (-1, rank + 1):  # simple_roots[-2] or [rank] is no node's root
+        with pytest.raises(ValueError, match=f"mu={mu} out of range 0..{rank}"):
+            FundamentalCaloron(d, mu, omega, eps)
+
+
 def test_fundamental_rejects_boundary_omega():
     d = build_root_datum("A", 1)
     with pytest.raises(HolonomyParameterError):
@@ -847,7 +872,7 @@ def test_energy_additivity_two_constituents():
     samp = approximate_caloron(spec)
     grid = desk_grid(list(spec.positions), [1.0 / (2 * f.v) for f in samp.locals], spec.d_max_eff)
     e = energy_and_tr_f_wedge_f(samp, grid)[0]
-    formula = energy_formula_float(spec)
+    formula = spec.energy_formula()
     assert abs(formula - 1.0) < 1e-12  # 2 * (1/2)|coroot|^2 alpha(omega) = 4 w
     assert abs(e.value - formula) / formula < 0.02
 

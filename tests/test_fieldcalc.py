@@ -22,13 +22,12 @@ from calorons.fieldcalc import (
     curvature_at,
     energy_and_tr_f_wedge_f,
     lie_inner,
-    lie_norm_sq,
     magnetic_charge,
     sd_error_l2,
     sphere_averaged_holonomy,
 )
 from calorons.quadrature import _leggauss, block_sum, desk_grid, graded_radii, sphere_rule
-from calorons.rootsys import all_simple_types, build_root_datum, su2_embedding
+from calorons.rootsys import all_simple_types, build_root_datum
 from calorons.samplers import ConnectionSampler, Field, bracket, su2_field
 from oracles import (
     PulledBackSampler,
@@ -43,6 +42,7 @@ from oracles import (
     inner_sd_asd,
     lstsq_coroot_fit,
     max_entry,
+    node_su2,
     su2_caloron,
 )
 
@@ -530,7 +530,7 @@ def test_tr_f_wedge_f_abelian_tail_consistency():
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     w = ((radii**2 * rw)[:, None] * wdir[None, :]).reshape(-1)
     E, B = sing.exact_curvature(pts, 0.0)
-    dens_e = np.sum(lie_norm_sq(E) + lie_norm_sq(B), axis=-1)
+    dens_e = np.sum(lie_inner(E, E) + lie_inner(B, B), axis=-1)
     dens_q = 2.0 * np.sum(lie_inner(E, B), axis=-1)
     val_e = block_sum(dens_e, w) * (2 * np.pi * eps) / (8 * np.pi**2)
     val_q = block_sum(dens_q, w) * (2 * np.pi * eps) / (8 * np.pi**2)
@@ -645,6 +645,17 @@ def test_gauss_legendre_nodes_match_numpy(n):
     assert np.max(np.abs(w - w_np)) < 1e-14
 
 
+def test_lie_inner_norm_is_the_sum_of_squares_at_every_length():
+    """lie_inner(X, X) is |d|^2 + 2 (Re z^2 + Im z^2) to the bit at every
+    batch length, including those where numpy's SIMD loop for a complex
+    product may fuse an FMA."""
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 100, 4097):
+        X = Field(rng.normal(size=(n, 3, 4)), (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * 1e3)
+        want = np.sum(X.diag**2, axis=-1) + 2.0 * (X.off.real**2 + X.off.imag**2)
+        assert np.array_equal(lie_inner(X, X), want)
+
+
 _VECTORS = st.tuples(*[st.floats(-10.0, 10.0)] * 3).map(np.array)
 
 
@@ -653,17 +664,18 @@ _VECTORS = st.tuples(*[st.floats(-10.0, 10.0)] * 3).map(np.array)
 @example(group=("C", 3), node=0, V=np.array([0.0, 0.0, 9.0]), W=np.array([0.0, 7.0, 0.0]))
 def test_embedded_su2_norm_and_bracket_in_root_coordinates(group, node, V, W):
     """For every simple type of rank <= 8 and every node mu, the su(2) of the
-    root alpha of `su2_embedding`: killing_scale times lie_norm_sq of
+    root alpha of `node_su2`: killing_scale times lie_inner(X, X) of X =
     su2_field(V, alpha) is |V|^2 times the exact norm_sq(alpha^vee), and the
     bracket of two embedded fields is the embedded su(2) commutator
     [V.i tau, W.i tau] = -2 (V x W).i tau, to 1e-14 of the largest sum
     |V_j||W_k| + |V_k||W_j| that a component of V x W is formed from (the
     orthogonal V, W of the example miss 1e-14 by one ulp of 89.1)."""
     d = build_root_datum(*group)
-    emb = su2_embedding(d, node % (d.rank + 1))
-    alpha = np.array(emb.root, dtype=float)
-    norm = float(d.killing_scale) * lie_norm_sq(su2_field(V, alpha))
-    assert math.isclose(norm, float(V @ V) * float(d.norm_sq(emb.coroot)), rel_tol=1e-13, abs_tol=1e-300)
+    root, coroot = node_su2(d, node % (d.rank + 1))
+    alpha = np.array(root, dtype=float)
+    X = su2_field(V, alpha)
+    norm = float(d.killing_scale) * lie_inner(X, X)
+    assert math.isclose(norm, float(V @ V) * float(d.norm_sq(coroot)), rel_tol=1e-13, abs_tol=1e-300)
     got, want = bracket(su2_field(V, alpha), su2_field(W, alpha), alpha), su2_field(-2.0 * np.cross(V, W), alpha)
     aV, aW = np.abs(V), np.abs(W)
     scale = 1.0 + max(aV[j] * aW[k] + aV[k] * aW[j] for j, k in ((1, 2), (2, 0), (0, 1)))

@@ -169,7 +169,7 @@ def test_transverse_index_a2_mu0_chern_term():
 
 @pytest.mark.parametrize("mu", [-1, 3])
 def test_transverse_index_refuses_a_node_outside_the_extended_diagram(mu):
-    """As `su2_embedding` does: node_root(-1) would read simple_roots[-2]."""
+    """As `RootDatum.node_root` does: simple_roots[-2] is no node -1."""
     d = build_root_datum("A", 2)
     with pytest.raises(ValueError, match="out of range 0..2"):
         transverse_index(d, mu, d.alcove_barycenter())
@@ -210,7 +210,7 @@ def test_adjoint_weights_closed_and_index():
     for series, rank in [("A", 2), ("B", 2), ("G", 2)]:
         d = build_root_datum(series, rank)
         w = adjoint_weights(d)
-        assert len(w) == d.dim_g
+        assert len(w) == d.rank + 2 * len(d.positive_roots)
         assert w.dynkin_index_rho == dynkin_index_adjoint(d)
         assert weyl_closed(d, w.weights)
 

@@ -26,7 +26,6 @@ from calorons.rootsys import (
     parse_group_label,
     random_interior_omega,
     reassemble_charge,
-    su2_embedding,
 )
 from calorons.indexes import transverse_index
 from oracles import (
@@ -40,6 +39,7 @@ from oracles import (
     embed_reference,
     itau,
     lincomb,
+    node_su2,
     rational_solve,
     rho_pairing_ambient,
     su2_matrices,
@@ -368,7 +368,7 @@ E3 = np.eye(3)  # the coefficient vectors of i tau_1, i tau_2, i tau_3
 def _scatter(d, mu, V):
     """Node mu's su(2) image of the coefficient vectors V (..., 3) of
     V.(i tau) through the field layer's scatter."""
-    root = np.asarray(su2_embedding(d, mu).root, dtype=float)
+    root = np.asarray(node_su2(d, mu)[0], dtype=float)
     return dense(su2_field(V, root), root)
 
 
@@ -396,12 +396,12 @@ def test_su2_embedding_a2():
     d = build_root_datum("A", 2)
     assert np.array_equal(_scatter(d, 1, E3[2]), np.diag([1j, -1j, 0]))
     assert _su2_brackets_ok(_scatter(d, 1, E3))
-    # mu = 0: corner embedding along the highest root e1 - e3
-    emb0 = su2_embedding(d, 0)
-    assert emb0.root == d.highest_root
+    # mu = 0: corner embedding along the highest root e1 - e3 = -alpha_0
+    root0, coroot0 = vscale(-1, d.node_root(0)), vscale(-1, d.node_coroot(0))
+    assert root0 == d.highest_root
     assert np.array_equal(_scatter(d, 0, E3[2]), np.diag([1j, 0, -1j]))
     # image of i tau_3 is the coroot of the highest root = -alpha_0^vee
-    assert emb0.coroot == vscale(-1, d.lowest_coroot) == d.coroots[d.highest_root]
+    assert coroot0 == vscale(-1, d.lowest_coroot) == d.coroots[d.highest_root]
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("A", 5)])
@@ -420,10 +420,9 @@ def test_su2_embedding_of_b2_closes_su2_in_root_coordinates():
     i tau_3 on the exact coroot."""
     d = build_root_datum("B", 2)
     for mu in range(d.rank + 1):
-        emb = su2_embedding(d, mu)
-        root = np.asarray(emb.root, dtype=float)
+        root, coroot = (np.asarray(v, dtype=float) for v in node_su2(d, mu))
         m = [su2_field(e, root) for e in E3]
-        assert np.array_equal(m[2].diag, np.asarray(emb.coroot, dtype=float))
+        assert np.array_equal(m[2].diag, coroot)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             got, want = bracket(m[a], m[b], root), -2.0 * m[c]
             assert np.allclose(got.diag, want.diag, atol=1e-12) and abs(got.off - want.off) < 1e-12
