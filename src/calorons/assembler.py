@@ -99,10 +99,9 @@ def _checked_constituent(c) -> Constituent:
 
 def mass_parameter(datum: RootDatum, mu: int, omega) -> float:
     """omega' = eps v of a node-mu constituent at holonomy omega, whose framed
-    remainder decays like exp(-2 omega' r / eps): alpha_mu(omega)/2 for
-    mu >= 1, (1 + alpha_0(omega))/2 for the lowest root alpha_0."""
-    a = float(np.sum(np.asarray(datum.node_root(mu), dtype=float) * np.asarray(omega, dtype=float)))
-    return 0.5 + 0.5 * a if mu == 0 else 0.5 * a
+    remainder decays like exp(-2 omega' r / eps): f_mu(omega)/2 for the facet
+    value f_mu = delta_mu0 + alpha_mu (`RootDatum.facet`), rounded once."""
+    return float(datum.facet(mu, omega)) / 2
 
 
 @dataclass
@@ -162,9 +161,7 @@ class CaloronSpec:
 
     @property
     def datum(self) -> RootDatum:
-        if not hasattr(self, "_datum"):
-            self._datum = build_root_datum(self.series, self.rank)
-        return self._datum
+        return build_root_datum(self.series, self.rank)
 
     @property
     def positions(self):
@@ -318,30 +315,32 @@ class FundamentalCaloron(ConnectionSampler):
     embedded rotated monopole for mu = 0, both scattered from the su(2)
     coefficient vectors of `su2.core_fields` into the su(2) of the root
     `root` = s alpha_mu, whose i tau_3 is `coroot` = s alpha_mu^vee (s = -1
-    at mu = 0: the highest root theta = -alpha_0).  Its holonomy parameter
-    lambda = root(omega)/2 and v = omega'/eps come from omega' =
-    `mass_parameter` (lambda, or 1/2 - lambda at mu = 0), and `omega_prime`
+    at mu = 0: the highest root theta = -alpha_0).  One pass over the facet
+    values f_nu(omega) (`RootDatum.facet`, exact for an exact omega) checks
+    that omega lies in the open alcove and gives omega' = f_mu/2
+    (`mass_parameter`), hence v = omega'/eps and the holonomy parameter
+    lambda = root(omega)/2 (omega', or 1/2 - omega' at mu = 0); `omega_prime`
     = omega - lambda coroot is the Cartan part that root annihilates."""
 
     def __init__(self, datum: RootDatum, mu: int, omega, epsilon, center=(0.0, 0.0, 0.0)):
         node_root, node_coroot = datum.node_root(mu), datum.node_coroot(mu)
         s = -1 if mu == 0 else 1  # exact, so no -0.0 enters the float vectors
         self.root, self.coroot = (np.array([s * c for c in v], dtype=float) for v in (node_root, node_coroot))
-        omega = np.asarray([float(c) for c in omega], dtype=float)
-        if alcove_margin(datum, omega) <= 0:
+        facets = [datum.facet(nu, omega) for nu in range(datum.rank + 1)]
+        if min(facets) <= 0:
             raise HolonomyParameterError("omega must lie in the open alcove interior")
         self.datum = datum
         self.mu = int(mu)
         self.epsilon = float(epsilon)
         self.center = np.asarray(center, dtype=float)
-        self.omega = omega
-        mass = mass_parameter(datum, mu, omega)
+        self.omega = np.asarray([float(c) for c in omega], dtype=float)
+        mass = float(facets[mu]) / 2
         self.su2_parameter = 0.5 - mass if mu == 0 else mass
         if not 0.0 < self.su2_parameter < 0.5:
             raise HolonomyParameterError(
                 f"su(2) holonomy parameter {self.su2_parameter} outside (0, 1/2)"
             )
-        self.omega_prime = omega - self.su2_parameter * self.coroot
+        self.omega_prime = self.omega - self.su2_parameter * self.coroot
         self.v = mass / self.epsilon
         self.n = datum.ambient_dim
         self.killing_scale, self.charge = float(datum.killing_scale), np.asarray(node_coroot, dtype=float)
@@ -458,15 +457,11 @@ class ApproximateCaloron(ConnectionSampler):
 
         self.locals: List[FundamentalCaloron] = []
         for k, c in enumerate(spec.constituents):
-            om_k = self.omega_shifts[k]
-            if alcove_margin(self.datum, om_k) <= 0:
-                raise GluingInfeasibleError(
-                    f"local holonomy parameter of constituent {k} left the alcove; "
-                    "decrease epsilon or increase the separations"
-                )
-            self.locals.append(
-                FundamentalCaloron(self.datum, c.mu, om_k, self.epsilon, c.position)
-            )
+            try:
+                self.locals.append(FundamentalCaloron(self.datum, c.mu, self.omega_shifts[k], self.epsilon, c.position))
+            except HolonomyParameterError as exc:
+                raise GluingInfeasibleError(f"local holonomy parameter of constituent {k} left the alcove; "
+                                            "decrease epsilon or increase the separations") from exc
 
         self._roots = np.stack([f.root for f in self.locals] + [self.singular.root])  # by chart (`block`)
         self._spect_patch = _patch_mask(self.positions[:, 2, None] - self.positions[:, 2])  # [k, l]: l seen from k
@@ -646,13 +641,13 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     r0 = c_excl * eps
     dirs, _ = sphere_rule(6 * refine, n_phi)
     pts = (positions[:, None, :] + r0 * dirs).reshape(-1, 3)
-    facets = np.array(datum.simple_roots + (datum.lowest_root,), dtype=float)  # alpha_i(h) >= 0, 1 + alpha_0(h) >= 0
+    nodes = range(datum.rank + 1)  # the facets f_mu(h) = f_mu(0) + alpha_mu(h) (`RootDatum.facet`)
+    roots = np.array([datum.node_root(mu) for mu in nodes], dtype=float)
+    offsets = np.array([datum.facet(mu, (0,) * datum.ambient_dim) for mu in nodes], dtype=float)
 
     def margins(s):  # per node: its margin, and that margin or, inside another ball, +inf
         r = _distances(pts[s], positions)
-        out = np.einsum("pi,ji->pj", eps * samp.singular.higgs(pts[s], 0.0, r=r).diag, facets)
-        out[:, -1] += 1.0
-        m = np.min(out, axis=-1)
+        m = np.min(np.einsum("pi,ji->pj", eps * samp.singular.higgs(pts[s], 0.0, r=r).diag, roots) + offsets, axis=-1)
         return np.stack([m, np.where(np.all(r >= r0 * 0.999999, axis=-1), m, np.inf)], axis=-1)
     node = blockwise(margins, len(pts)).reshape(len(positions), -1, 2)
     sigma_inf = float(alcove_margin(datum, spec.omega))
@@ -662,7 +657,8 @@ def alcove_margin_report(samp: ApproximateCaloron, refine=1):
     if np.all(gap > 0.0):
         theta = np.arccos(dirs[::n_phi, 2])
         h = r0 * (max(np.pi - theta[0], theta[-1], float(np.max(np.abs(np.diff(theta)))) / 2.0) + np.pi / n_phi)
-        pull = np.abs(np.einsum("ji,li->jl", facets, samp.singular.coroots))  # |a_j(gamma_l)|
+        # |alpha_j(gamma_l)|: the integer row mu_l of the extended Cartan matrix
+        pull = np.abs(np.array([datum.extended_cartan[c.mu] for c in spec.constituents], dtype=float).T)
         lipschitz = eps * np.max(np.einsum("kl,jl->kj", 0.5 / gap**2, pull), axis=-1)
         report["sigma_certified"] = min(float(np.min(np.min(node[..., 0], axis=-1) - h * lipschitz)), sigma_inf)
     return report

@@ -26,15 +26,14 @@ from .rootsys import (
 def energy_formula(datum: RootDatum, omega: Sequence, n: Sequence[int]):
     """Yang-Mills energy of a caloron with constituent counts (n_0,..,n_rk):
 
-        n_0 (1 + alpha_0(omega)) + sum_mu (1/2)|alpha_mu^vee|^2 n_mu alpha_mu(omega)
+        sum_mu (1/2)|alpha_mu^vee|^2 n_mu f_mu(omega),   f_mu = delta_mu0 + alpha_mu
 
-    Exact when omega has rational coordinates.
+    (`RootDatum.facet`), with (1/2)|alpha_mu^vee|^2 = marks_mu / labels_mu
+    (1 at node 0, `RootDatum.index_constants`).  Exact when omega has
+    rational coordinates.
     """
-    total = n[0] * (1 + pairing(datum.lowest_root, omega))
-    # (1/2)|alpha_mu^vee|^2 = marks_mu / labels_mu (`RootDatum.index_constants`)
-    for a, m, l, n_mu in zip(datum.simple_roots, datum.marks, datum.dual_coxeter_labels, n[1:]):
-        total += Fraction(m, l) * n_mu * pairing(a, omega)
-    return total
+    weights = zip((1,) + datum.marks, (1,) + datum.dual_coxeter_labels, n)
+    return sum(Fraction(m, l) * n_mu * datum.facet(mu, omega) for mu, (m, l, n_mu) in enumerate(weights))
 
 
 def moduli_dimension(n: Sequence[int]) -> int:
@@ -87,18 +86,16 @@ def transverse_index(datum: RootDatum, mu: int, omega: Sequence) -> IndexReport:
 
     Vanishes identically (exactly) for every simple type and every node.
     """
-    if not 0 <= mu <= datum.rank:  # InputError is a ValueError
-        raise InputError(f"mu={mu} out of range 0..{datum.rank}")
     if len(omega) != datum.ambient_dim:
         raise InputError(f"omega must have {datum.ambient_dim} ambient coordinates, got {len(omega)}")
     omega = tuple(map(_frac, omega))
     sign = -1 if mu == 0 else 1
     n0 = 1 if mu == 0 else 0
 
-    a_omega = pairing(datum.node_root(mu), omega)
+    f = datum.facet(mu, omega)  # refuses a mu off the extended diagram
     dynkin, slope = datum.index_constants[mu]  # slope = (ind_ad / 2)|alpha_mu^vee|^2 - 4
-    chern = dynkin * (n0 + a_omega)
-    boundary = 2 * (datum.rho_pairing(mu) - sign) - slope * a_omega
+    chern = dynkin * f
+    boundary = 2 * (datum.rho_pairing(mu) - sign) - slope * (f - n0)
     return IndexReport(datum.series, datum.rank, mu, omega, chern, boundary)
 
 

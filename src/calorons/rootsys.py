@@ -5,7 +5,7 @@ coordinates, height by height along root strings: each carries its pairings
 alpha(alpha_i^vee) with the simple coroots and D times its ambient vector,
 and the pairing table over the extended diagram is read from them.
 `fractions.Fraction` appears only at the ambient boundary: root and coroot
-vectors (the full lists built on first use), coweights and alcove points
+vectors (the positive roots built on first use), coweights and alcove points
 (integer numerators over one common denominator), `to_json`, and index terms
 at a rational holonomy, where `dot` sums over one common denominator.
 The ambient models are the standard orthogonal ones: A_n in the sum-zero
@@ -17,7 +17,8 @@ product so that long roots have squared norm 2.  The classical series stop
 at rank 64.  The module is exact and imports no numpy: the su(2) of a node
 is its root and coroot (`RootDatum.node_root`, `node_coroot`), which the
 field layers read in the same ambient coordinates (`samplers.su2_field`),
-for every simple type.
+for every simple type.  The alcove is read through one kernel, the facet
+values f_mu = delta_mu0 + alpha_mu (`RootDatum.facet`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .errors import InvalidGroupError
+from .errors import InputError, InvalidGroupError
 
 Vector = Tuple[Fraction, ...]
 Coeffs = Tuple[int, ...]
@@ -195,7 +196,7 @@ class RootDatum:
     extended diagram (0 is the lowest root).  Each positive root, in
     `positive_roots` order, has D times its ambient vector, its integer
     simple-root coefficients and its pairings (alpha(alpha_1^vee), ..,
-    alpha(alpha_rk^vee)); the ambient roots and coroots are made on first use.
+    alpha(alpha_rk^vee)); the ambient positive roots are made on first use.
     """
 
     series: str
@@ -227,13 +228,6 @@ class RootDatum:
         return tuple(_ambient(self.denominator, x) for x in self.positive_root_vectors)
 
     @functools.cached_property
-    def coroots(self) -> Dict[Vector, Vector]:
-        """The coroot of every root, positive and negative, in the order of
-        their integer vectors x (the order of the roots x / D)."""
-        scaled = self.positive_root_vectors + tuple(tuple(-n for n in x) for x in self.positive_root_vectors)
-        return {_ambient(self.denominator, x): _coroot(self.denominator, x) for x in sorted(scaled)}
-
-    @functools.cached_property
     def simple_coroots(self) -> Tuple[Vector, ...]:
         return tuple(_coroot(self.denominator, x) for x in self.scaled_simple_roots)
 
@@ -249,8 +243,14 @@ class RootDatum:
         return self.simple_coroots[mu - 1] if mu else self.lowest_coroot
 
     def _check_node(self, mu: int):
-        if not 0 <= mu <= self.rank:
-            raise ValueError(f"mu={mu} out of range 0..{self.rank}")
+        if not 0 <= mu <= self.rank:  # InputError is a ValueError
+            raise InputError(f"mu={mu} out of range 0..{self.rank}")
+
+    def facet(self, mu: int, xi: Sequence) -> Fraction:
+        """f_mu(xi) = delta_mu0 + alpha_mu(xi), exactly: the open alcove is
+        f_mu > 0 at every node, sum_mu m_mu f_mu = 1 (m_0 = 1, m_i the
+        marks), and node mu's constituent has mass f_mu / 2."""
+        return (mu == 0) + pairing(self.node_root(mu), xi)
 
     # -- integer pairings with the node coroots ------------------------------
 
@@ -333,6 +333,8 @@ class RootDatum:
         def vec(v):
             return list(map(str, v))
 
+        D, positive = self.denominator, self.positive_root_vectors
+        roots = sorted(positive + tuple(tuple(-n for n in x) for x in positive))  # x of every root x / D
         payload = {
             "series": self.series,
             "rank": self.rank,
@@ -340,7 +342,7 @@ class RootDatum:
             "killing_scale": str(self.killing_scale),
             "simple_roots": list(map(vec, self.simple_roots)),
             "positive_roots": list(map(vec, self.positive_roots)),
-            "coroots": [{"root": vec(a), "coroot": vec(av)} for a, av in self.coroots.items()],
+            "coroots": [{"root": vec(_ambient(D, x)), "coroot": vec(_coroot(D, x))} for x in roots],
             "highest_root": vec(self.highest_root),
             "lowest_root": vec(self.lowest_root),
             "lowest_coroot": vec(self.lowest_coroot),
@@ -379,8 +381,9 @@ def ambient_dim(series: str, rank: int) -> int:
     return {"A": rank + 1, "E": 8, "F": 4, "G": 3}.get(_checked_type(series, rank), rank)
 
 
+@functools.cache
 def build_root_datum(series: str, rank: int) -> RootDatum:
-    """Construct the full root datum for a simple type.
+    """The full root datum of a simple type, built once per (series, rank).
 
     The positive roots are generated height by height along root strings, as
     integer simple-root coefficient vectors with their pairings with the
@@ -438,11 +441,9 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     )
 
 
-def alcove_margin(datum: RootDatum, xi: Sequence):
-    """Smallest facet margin of xi: min(alpha_mu(xi), 1 + alpha_0(xi))."""
-    vals = [pairing(a, xi) for a in datum.simple_roots]
-    vals.append(1 + pairing(datum.lowest_root, xi))
-    return min(vals)
+def alcove_margin(datum: RootDatum, xi: Sequence) -> Fraction:
+    """Smallest facet value min_mu f_mu(xi) of xi (`RootDatum.facet`)."""
+    return min(datum.facet(mu, xi) for mu in range(datum.rank + 1))
 
 
 def decompose_charge(datum: RootDatum, coroot_coeffs: Sequence[int], n0: int) -> Tuple[int, ...]:

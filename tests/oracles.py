@@ -152,6 +152,11 @@ def vscale(c, a):
     return tuple(Fraction(c) * Fraction(x) for x in a)
 
 
+def coroot_of(a):
+    """The coroot 2 a / |a|^2 of the ambient root a, in Fractions."""
+    return vscale(Fraction(2) / dot_fraction(a, a), a)
+
+
 def lincomb(coeffs, vectors, dim):
     """Exact sum of c * v over paired coefficients and vectors, in Fractions."""
     acc = (Fraction(0),) * dim
@@ -274,7 +279,7 @@ def energy_formula_ambient(datum, omega, n):
 def dynkin_index_adjoint_bruteforce(datum):
     """Sum of alpha(theta^vee)^2 over positive roots for the coroot
     theta^vee of a long root."""
-    thetav = datum.coroots[datum.highest_root]
+    thetav = coroot_of(datum.highest_root)
     val = sum((pairing(a, thetav) ** 2 for a in datum.positive_roots), Fraction(0))
     assert val.denominator == 1, "brute-force adjoint index not integral"
     return int(val)
@@ -542,10 +547,12 @@ def rotation_gauge(omega_prime, epsilon):
     return RotationMap(1.0 / (2.0 * ((0.5 - omega_prime) / epsilon)))
 
 
-def rotated_pullback(omega_prime, epsilon):
+def rotated_pullback(mass, epsilon):
     """The rotated monopole by its definition: the BPS caloron of mass
-    (1/2 - omega')/eps pulled back by its rotation map, as 2 x 2 products."""
-    return PulledBackSampler(su2_caloron(0.5 - omega_prime, epsilon), rotation_gauge(omega_prime, epsilon))
+    v = mass/eps pulled back by the rotation map of core 1/(2v), as 2 x 2
+    products.  For an embedded one, mass is its own eps v: rebuilt from its
+    su(2) parameter 1/2 - mass, the mass can land an ulp or two away."""
+    return PulledBackSampler(su2_caloron(mass, epsilon), RotationMap(1.0 / (2.0 * (mass / epsilon))))
 
 
 # -- framed SU(2) fields as matrix products ---------------------------------------
@@ -692,9 +699,9 @@ def string_gauge_matrices(x, v, patch="N", t=None, phase=0.0):
 def node_su2(datum, mu):
     """Node mu's su(2) as its exact (root, coroot), read apart from
     `RootDatum.node_root`: alpha_mu, or the highest root theta at mu = 0, and
-    its coroot from the table of all coroots."""
+    its coroot 2 root / |root|^2."""
     root = datum.highest_root if mu == 0 else datum.simple_roots[mu - 1]
-    return root, datum.coroots[root]
+    return root, coroot_of(root)
 
 
 def su2_matrices(datum, mu):

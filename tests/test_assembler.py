@@ -103,6 +103,19 @@ def test_gluing_constant_at_exactly_twice_the_mass_parameter_is_accepted():
         approximate_caloron(_su2_spec(c=math.nextafter(0.5, 1.0)))
 
 
+def test_local_parameter_off_the_alcove_is_gluing_infeasible():
+    """Three SU(2) constituents 3.7 apart at eps = 0.3, omega' = 0.05: the
+    spectators pull alpha(omega_0) to 0.1 - 0.3 (1/3.7 + 1/7.4) < 0.  The
+    fundamental caloron's facet pass refuses omega_0, and the glued caloron
+    reports that as gluing infeasible, naming the constituent."""
+    spec = CaloronSpec(epsilon=0.3, series="A", rank=1, omega=(0.05, -0.05), gluing_c=0.1,
+                       constituents=[{"mu": 1, "position": (x, 0.0, 0.0)} for x in (-3.7, 0.0, 3.7)])
+    with pytest.raises(GluingInfeasibleError, match="local holonomy parameter of constituent 0 left the alcove; "
+                                                    "decrease epsilon or increase the separations") as info:
+        approximate_caloron(spec)
+    assert isinstance(info.value.__cause__, HolonomyParameterError)
+
+
 # -- gluing radius -----------------------------------------------------------------
 
 def test_gluing_radius_lambert_oracle():

@@ -78,7 +78,7 @@ def _reference_fields(samp, kind, k, pts, ts):
     if kind.startswith("annulus"):
         return annulus_fields_dense(samp, k, kind[-1], pts, ts)[:2]
     fund, rel = samp.locals[k], pts - samp.positions[k]
-    A2, P2 = (dense_fields(rotated_pullback(fund.su2_parameter, samp.epsilon), rel, ts) if fund.mu == 0
+    A2, P2 = (dense_fields(rotated_pullback(samp.epsilon * fund.v, samp.epsilon), rel, ts) if fund.mu == 0
               else bps_fields(rel, fund.v))
     shift = 1j * np.diag(fund.omega_prime / samp.epsilon)
     return embed_reference(samp.datum, fund.mu, A2), embed_reference(samp.datum, fund.mu, P2) + shift

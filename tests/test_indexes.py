@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calorons.assembler import mass_parameter
 from calorons.errors import ResonanceError
 from calorons.indexes import (
     adjoint_weights,
@@ -23,6 +24,7 @@ from calorons.indexes import (
     twisted_dirac_index,
 )
 from calorons.rootsys import (
+    alcove_margin,
     all_simple_types,
     build_root_datum,
     charge_vector,
@@ -43,6 +45,26 @@ from oracles import (
     weight_list,
     weyl_closed,
 )
+
+
+# -- the facet kernel -----------------------------------------------------------
+
+@pytest.mark.parametrize("series,rank", all_simple_types())
+def test_every_constituent_reads_the_facet_kernel(series, rank):
+    """At a seeded interior omega the facet values f_mu = delta_mu0 + alpha_mu
+    (1 - theta at node 0, read apart from `node_root`) sum with the marks
+    (m_0 = 1) to 1 exactly, and the alcove margin, the constituent masses,
+    the energy of one constituent and the Chern term all read them."""
+    d = build_root_datum(series, rank)
+    omega = random_interior_omega(d, random.Random(f"{series}{rank}"))
+    f = [1 - pairing(d.highest_root, omega)] + [pairing(a, omega) for a in d.simple_roots]
+    assert [d.facet(mu, omega) for mu in range(rank + 1)] == f
+    assert sum(m * f_mu for m, f_mu in zip((1,) + d.marks, f)) == 1
+    assert alcove_margin(d, omega) == min(f) > 0
+    for mu, (m, l) in enumerate(zip((1,) + d.marks, (1,) + d.dual_coxeter_labels)):
+        assert mass_parameter(d, mu, omega) == float(f[mu]) / 2
+        assert energy_formula(d, omega, [int(nu == mu) for nu in range(rank + 1)]) == Fraction(m, l) * f[mu]
+        assert transverse_index(d, mu, omega).chern_term == dynkin_index_su2(d, mu) * f[mu]
 
 
 # -- energy formula ------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calorons.assembler import FundamentalCaloron
 from calorons.errors import ChartDomainError, HolonomyParameterError, SingularPointError
@@ -182,6 +182,8 @@ def test_rotated_fd_curvature_matches_closed_form_inside_rotation_core():
     log_eps=st.floats(math.log(1e-3), math.log(3.0)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(omega_prime=0.36004998717272524, log_eps=0.0, seed=1)  # an oracle of mass 1/2 - su2_parameter:
+@example(omega_prime=0.3642301930438607, log_eps=0.0, seed=451)  # gaps 1.8e-12 and 1.1e-12
 def test_rotated_closed_form_matches_the_pullback(omega_prime, log_eps, seed):
     """The closed-form rotated monopole, alone and embedded as the mu = 0
     FundamentalCaloron of SU(3) (with a non-zero Cartan shift), equals the
@@ -190,7 +192,7 @@ def test_rotated_closed_form_matches_the_pullback(omega_prime, log_eps, seed):
     at the origin, on the sphere r = r_c where the interpolation ends, and
     inside and outside the core up to 3 r_c, at random t."""
     eps = math.exp(log_eps)
-    rot, ref = su2_caloron(omega_prime, eps, rotated=True), rotated_pullback(omega_prime, eps)
+    rot, ref = su2_caloron(omega_prime, eps, rotated=True), rotated_pullback(0.5 - omega_prime, eps)
     rc = 1.0 / (2.0 * rot.v)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(24, 3))
@@ -209,7 +211,7 @@ def test_rotated_closed_form_matches_the_pullback(omega_prime, log_eps, seed):
     assert gap(dense_fields(rot, x, t), (A, Phi)) <= 1e-12
     assert gap(dense_exact_curvature(rot, x, t), dense_exact_curvature(ref, x, t)) <= 1e-12
     xc = center + x
-    ref = rotated_pullback(fund.su2_parameter, eps)
+    ref = rotated_pullback(eps * fund.v, eps)  # the sampler's own mass
     A, Phi = dense_fields(ref, xc - center, t)
     shift = 1j * np.diag(fund.omega_prime / eps)
     assert gap(dense_fields(fund, xc, t), (embed_reference(datum, 0, A), embed_reference(datum, 0, Phi) + shift)) <= 1e-12
